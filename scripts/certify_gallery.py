@@ -29,15 +29,10 @@ def gallery():
 def decide(t, dec, grid_n):
     lam_min = el.min_eigenvalue(el.unfold(t))
     pocs = el.certify_mpsd(t)
-    case_verdict = "-"
     if dec is None:
         dec = el.spectral_decomposition(t)
-    if dec.q == 3:
-        case_verdict = el.check_case1(dec).verdict
-    elif (dec.r, dec.q) == (7, 6):
-        case_verdict = el.check_case2(dec).verdict
-    elif (dec.r, dec.q) == (10, 9):
-        case_verdict = el.check_case3(dec).verdict
+    case_rep = el.check_case(dec)
+    case_verdict = "-" if case_rep is None else case_rep.verdict
     ov = el.oracle_verdict(t, n=grid_n)
     if ov.verdict == el.ORACLE_NOT_MPSD:
         verdict = "NotMPSD"

@@ -17,6 +17,7 @@ from .cases import (
     StructuredDecomposition,
     SupEtaResult,
     case1_positive_redecomposition,
+    check_case,
     check_case1,
     check_case2,
     check_case3,

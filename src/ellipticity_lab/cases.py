@@ -55,6 +55,7 @@ __all__ = [
     "eta_case3",
     "check_case2",
     "check_case3",
+    "check_case",
     "sup_eta",
     "choi_lam_case2_decomposition",
     "case_report_to_doc",
@@ -239,15 +240,11 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
     if dec.q != 3:
         raise NotCase1(f"expected exactly 3 positive terms, found {dec.q}")
     diag: dict = {}
-    vs, ws = [], []
-    for s in range(3):
-        vw = detect_rank_one(dec.mats[s], tol)
-        if vw is None:
-            return _mismatch(1, f"positive term {s} is not rank-one", diag)
-        vs.append(vw[0])
-        ws.append(vw[1])
-    V = np.column_stack(vs)
-    W = np.column_stack(ws)
+    split, bad = _split_rank_ones(dec, 3, tol)
+    if split is None:
+        return _mismatch(1, f"positive term {bad} is not rank-one", diag)
+    V = np.column_stack(split[0])
+    W = np.column_stack(split[1])
     ok_v, cond_v = _nonsingular(V, tol)
     ok_w, cond_w = _nonsingular(W, tol)
     diag["cond_V"] = cond_v
@@ -397,25 +394,30 @@ class _RatioForm:
         return grad
 
 
-def _form_case2(alphas, W, W_tilde, sigma) -> _RatioForm:
-    al = np.asarray(alphas, dtype=float)
-    sg = np.asarray(sigma, dtype=float)
-    return _RatioForm(
-        alphas=np.stack([al[:3], al[3:6]]),
-        frames=[W, W_tilde],
-        sigma=np.stack([sg[:3], sg[3:6]]),
-        error_cls=SingularDirection,
-    )
+@dataclass(frozen=True)
+class _RatioCase:
+    """What tells the two ratio-function cases apart."""
+
+    group: int  # positive terms per shared left vector
+    shape_error: type
+    guard_error: type  # raised by eta where a denominator term vanishes
+    grouping_reason: str
 
 
-def _form_case3(alphas, W, W_tilde, W_hat, sigma) -> _RatioForm:
-    al = np.asarray(alphas, dtype=float)
-    sg = np.asarray(sigma, dtype=float)
+_RATIO_CASES = {
+    2: _RatioCase(2, NotCase2, SingularDirection, "left vectors do not pair up"),
+    3: _RatioCase(3, NotCase3, DegenerateDenominator, "left vectors do not form three triples"),
+}
+
+
+def _ratio_form(case_id: int, alphas, frames, sigma) -> _RatioForm:
+    """The eta of case 2 or 3; alphas and sigma list the frames' terms in order."""
+    g = _RATIO_CASES[case_id].group
     return _RatioForm(
-        alphas=np.stack([al[:3], al[3:6], al[6:9]]),
-        frames=[W, W_tilde, W_hat],
-        sigma=np.stack([sg[:3], sg[3:6], sg[6:9]]),
-        error_cls=DegenerateDenominator,
+        alphas=np.asarray(alphas, dtype=float)[: 3 * g].reshape(g, 3),
+        frames=frames,
+        sigma=np.asarray(sigma, dtype=float)[: 3 * g].reshape(g, 3),
+        error_cls=_RATIO_CASES[case_id].guard_error,
     )
 
 
@@ -423,7 +425,7 @@ def eta_case2(cs: CaseStructure, alphas, y) -> float:
     """Case-2 ratio at direction y; raises SingularDirection on excluded lines."""
     if cs.case_id != 2 or cs.W_tilde is None:
         raise ValueError("structure is not case 2")
-    return _form_case2(alphas, cs.W, cs.W_tilde, cs.sigma).value(y)
+    return _ratio_form(2, alphas, [cs.W, cs.W_tilde], cs.sigma).value(y)
 
 
 def eta_case3(cs: CaseStructure, alphas, y) -> float:
@@ -431,7 +433,7 @@ def eta_case3(cs: CaseStructure, alphas, y) -> float:
     structural positivity of the denominator fails."""
     if cs.case_id != 3 or cs.W_tilde is None or cs.W_hat is None:
         raise ValueError("structure is not case 3")
-    return _form_case3(alphas, cs.W, cs.W_tilde, cs.W_hat, cs.sigma).value(y)
+    return _ratio_form(3, alphas, [cs.W, cs.W_tilde, cs.W_hat], cs.sigma).value(y)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +459,7 @@ def _ascend(y0, value_or_none, grad, tol, max_iter=300):
     for _ in range(max_iter):
         try:
             gr = grad(y)
-        except Exception:
+        except (SingularDirection, DegenerateDenominator):
             break
         gt = gr - (gr @ y) * y
         gn = float(np.linalg.norm(gt))
@@ -683,6 +685,124 @@ def _recover_sigma(basis_mats, target: np.ndarray, tol: float):
     return sol, rel
 
 
+def _check_ratio_case(
+    dec: StructuredDecomposition,
+    case_id: int,
+    tol: float,
+    grid_n: int,
+    refine_k: int,
+    angular_tol: float = 1e-8,
+) -> CaseReport:
+    """The ratio test shared by cases 2 and 3: sup eta against 1 / (-alpha_neg).
+
+    The positive terms come in g = 2 (pairs) or g = 3 (triples) per shared
+    left vector; the slot-t right vectors form the frame W, W_tilde or W_hat.
+    """
+    spec = _RATIO_CASES[case_id]
+    g = spec.group
+    q = 3 * g
+    if (dec.r, dec.q) != (q + 1, q):
+        raise spec.shape_error(f"expected (r, q) = ({q + 1}, {q}), found ({dec.r}, {dec.q})")
+    diag: dict = {}
+    split, bad = _split_rank_ones(dec, q, tol)
+    if split is None:
+        return _mismatch(case_id, f"positive term {bad} is not rank-one", diag)
+    vs, ws = split
+    groups = _group_shared_v(vs, g)
+    if groups is None:
+        return _mismatch(case_id, spec.grouping_reason, diag)
+    diag["groups"] = [list(grp) for grp in groups]
+
+    # Slot t of every group goes to frame t, with w flipped to match v's sign.
+    v_cols = [vs[grp[0]] for grp in groups]
+    w_cols = [[] for _ in range(g)]
+    alpha_cols = [[] for _ in range(g)]
+    for v, grp in zip(v_cols, groups):
+        for slot, idx in enumerate(grp):
+            w = ws[idx]
+            if float(v @ vs[idx]) < 0.0:
+                w = -w
+            w_cols[slot].append(w)
+            alpha_cols[slot].append(dec.alphas[idx])
+    V = np.column_stack(v_cols)
+    frames = [np.column_stack(w_cols[slot]) for slot in range(g)]
+    W, W_tilde, W_hat = (frames + [None])[:3]
+    for name, mat in zip(("V", "W", "W_tilde", "W_hat"), [V] + frames):
+        ok, cond = _nonsingular(mat, tol)
+        diag[f"cond_{name}"] = cond
+        if not ok:
+            return _mismatch(case_id, f"frame {name} is singular", diag)
+
+    # Pairs: eta is singular along the cross product of each pair, so the
+    # pair must not be collinear. Triples: each must be independent, which
+    # keeps the denominator positive on the whole sphere.
+    if g == 2:
+        crosses = [np.cross(W[:, s], W_tilde[:, s]) for s in range(3)]
+        sines = []
+        for s in range(3):
+            denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
+            sines.append(float(np.linalg.norm(crosses[s]) / max(denom, 1e-300)))
+        diag["pair_sines"] = sines
+        if min(sines) < tol:
+            return _mismatch(case_id, "paired right vectors are collinear", diag)
+        lines = [cr / np.linalg.norm(cr) for cr in crosses]
+    else:
+        dets = []
+        for s in range(3):
+            trip = np.column_stack([W[:, s], W_tilde[:, s], W_hat[:, s]])
+            scale = np.prod([np.linalg.norm(trip[:, c]) for c in range(3)])
+            dets.append(float(abs(np.linalg.det(trip)) / max(scale, 1e-300)))
+        diag["triple_dets"] = dets
+        if min(dets) < tol:
+            return _mismatch(case_id, "a right-vector triple is linearly dependent", diag)
+        lines = []
+
+    basis = [np.outer(v_cols[s], w_cols[slot][s]) for slot in range(g) for s in range(3)]
+    sigma, rel_resid = _recover_sigma(basis, dec.mats[q], tol)
+    diag["sigma_residual"] = rel_resid
+    if rel_resid > tol:
+        return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
+
+    form = _ratio_form(case_id, np.concatenate(alpha_cols), frames, sigma)
+    sup = sup_eta(
+        form.value_or_none,
+        lines,
+        angular_tol,
+        grad_fn=form.grad,
+        eta_many=form.value_many,
+        grid_n=grid_n,
+        refine_k=refine_k,
+    )
+    threshold = 1.0 / (-float(dec.alphas[q]))
+    diag["sup_converged"] = sup.converged
+    if g == 2:
+        diag["singular_lines"] = [[float(t) for t in d] for d in lines]
+        diag["probes"] = sup.probes
+    structure = CaseStructure(case_id, V, W, W_tilde, W_hat, sigma)
+
+    if sup.value > threshold + tol:
+        verdict = CASE_NOT_MPSD
+    elif not sup.converged:
+        return _mismatch(case_id, "supremum estimate did not stabilize", diag)
+    elif case_id == 3 and sup.value < threshold - TOL_STRICT:
+        verdict = CASE_MPD
+    else:
+        verdict = CASE_MPSD
+    return CaseReport(
+        case_id=case_id,
+        verdict=verdict,
+        structure_ok=True,
+        sigma=np.asarray(sigma),
+        eta_sup=float(sup.value),
+        eta_argmax=sup.argmax,
+        threshold=threshold,
+        C_matrix=None,
+        boundary=abs(sup.value - threshold) <= TOL_STRICT,
+        structure=structure,
+        diagnostics=diag,
+    )
+
+
 def check_case2(
     dec: StructuredDecomposition,
     tol: float = 1e-8,
@@ -698,98 +818,7 @@ def check_case2(
     sup eta <= 1 / (-alpha_7) over directions off the three singular lines.
     This shape is never strictly positive.
     """
-    if (dec.r, dec.q) != (7, 6):
-        raise NotCase2(f"expected (r, q) = (7, 6), found ({dec.r}, {dec.q})")
-    diag: dict = {}
-    split, bad = _split_rank_ones(dec, 6, tol)
-    if split is None:
-        return _mismatch(2, f"positive term {bad} is not rank-one", diag)
-    vs, ws = split
-    groups = _group_shared_v(vs, 2)
-    if groups is None:
-        return _mismatch(2, "left vectors do not pair up", diag)
-    diag["groups"] = [list(g) for g in groups]
-
-    v_cols, w_first, w_second, alpha_first, alpha_second = [], [], [], [], []
-    for i, j in groups:
-        v = vs[i]
-        vj, wj = vs[j], ws[j]
-        if float(v @ vj) < 0.0:
-            wj = -wj
-        v_cols.append(v)
-        w_first.append(ws[i])
-        w_second.append(wj)
-        alpha_first.append(dec.alphas[i])
-        alpha_second.append(dec.alphas[j])
-    V = np.column_stack(v_cols)
-    W = np.column_stack(w_first)
-    W_tilde = np.column_stack(w_second)
-    for name, mat in (("V", V), ("W", W), ("W_tilde", W_tilde)):
-        ok, cond = _nonsingular(mat, tol)
-        diag[f"cond_{name}"] = cond
-        if not ok:
-            return _mismatch(2, f"frame {name} is singular", diag)
-    sines = []
-    for s in range(3):
-        cr = np.cross(W[:, s], W_tilde[:, s])
-        denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
-        sines.append(float(np.linalg.norm(cr) / max(denom, 1e-300)))
-    diag["pair_sines"] = sines
-    if min(sines) < tol:
-        return _mismatch(2, "paired right vectors are collinear", diag)
-
-    alphas_ordered = np.concatenate(
-        [np.asarray(alpha_first), np.asarray(alpha_second), dec.alphas[6:]]
-    )
-    basis = [np.outer(v_cols[s], w_first[s]) for s in range(3)] + [
-        np.outer(v_cols[s], w_second[s]) for s in range(3)
-    ]
-    sigma, rel_resid = _recover_sigma(basis, dec.mats[6], tol)
-    diag["sigma_residual"] = rel_resid
-    if rel_resid > tol:
-        return _mismatch(2, "negative term lies outside the rank-one span", diag)
-
-    lines = []
-    for s in range(3):
-        cr = np.cross(W[:, s], W_tilde[:, s])
-        lines.append(cr / np.linalg.norm(cr))
-    diag["singular_lines"] = [[float(t) for t in d] for d in lines]
-
-    form = _form_case2(alphas_ordered, W, W_tilde, sigma)
-    sup = sup_eta(
-        form.value_or_none,
-        lines,
-        angular_tol,
-        grad_fn=form.grad,
-        eta_many=form.value_many,
-        grid_n=grid_n,
-        refine_k=refine_k,
-    )
-    alpha_neg = float(dec.alphas[6])
-    threshold = 1.0 / (-alpha_neg)
-    diag["sup_converged"] = sup.converged
-    diag["probes"] = sup.probes
-    structure = CaseStructure(2, V, W, W_tilde, None, sigma)
-
-    if sup.value > threshold + tol:
-        verdict = CASE_NOT_MPSD
-    elif sup.converged:
-        verdict = CASE_MPSD
-    else:
-        return _mismatch(2, "supremum estimate did not stabilize", diag)
-    return CaseReport(
-        case_id=2,
-        verdict=verdict,
-        structure_ok=True,
-        sigma=np.asarray(sigma),
-        eta_sup=float(sup.value),
-        eta_argmax=sup.argmax,
-        threshold=threshold,
-        C_matrix=None,
-        boundary=abs(sup.value - threshold) <= TOL_STRICT,
-        structure=structure,
-        diagnostics=diag,
-    )
+    return _check_ratio_case(dec, 2, tol, grid_n, refine_k, angular_tol)
 
 
 def check_case3(
@@ -807,96 +836,24 @@ def check_case3(
     positivity, equality within tolerance gives the boundary verdict, and
     excess refutes nonnegativity.
     """
-    if (dec.r, dec.q) != (10, 9):
-        raise NotCase3(f"expected (r, q) = (10, 9), found ({dec.r}, {dec.q})")
-    diag: dict = {}
-    split, bad = _split_rank_ones(dec, 9, tol)
-    if split is None:
-        return _mismatch(3, f"positive term {bad} is not rank-one", diag)
-    vs, ws = split
-    groups = _group_shared_v(vs, 3)
-    if groups is None:
-        return _mismatch(3, "left vectors do not form three triples", diag)
-    diag["groups"] = [list(g) for g in groups]
+    return _check_ratio_case(dec, 3, tol, grid_n, refine_k)
 
-    v_cols = []
-    w_cols = [[], [], []]
-    alpha_cols = [[], [], []]
-    for i, j, k in groups:
-        v = vs[i]
-        v_cols.append(v)
-        for slot, idx in enumerate((i, j, k)):
-            w = ws[idx]
-            if float(v @ vs[idx]) < 0.0:
-                w = -w
-            w_cols[slot].append(w)
-            alpha_cols[slot].append(dec.alphas[idx])
-    V = np.column_stack(v_cols)
-    W = np.column_stack(w_cols[0])
-    W_tilde = np.column_stack(w_cols[1])
-    W_hat = np.column_stack(w_cols[2])
-    for name, mat in (("V", V), ("W", W), ("W_tilde", W_tilde), ("W_hat", W_hat)):
-        ok, cond = _nonsingular(mat, tol)
-        diag[f"cond_{name}"] = cond
-        if not ok:
-            return _mismatch(3, f"frame {name} is singular", diag)
-    dets = []
-    for s in range(3):
-        trip = np.column_stack([W[:, s], W_tilde[:, s], W_hat[:, s]])
-        scale = np.prod([np.linalg.norm(trip[:, c]) for c in range(3)])
-        dets.append(float(abs(np.linalg.det(trip)) / max(scale, 1e-300)))
-    diag["triple_dets"] = dets
-    if min(dets) < tol:
-        return _mismatch(3, "a right-vector triple is linearly dependent", diag)
 
-    alphas_ordered = np.concatenate(
-        [np.asarray(alpha_cols[0]), np.asarray(alpha_cols[1]), np.asarray(alpha_cols[2]), dec.alphas[9:]]
-    )
-    basis = (
-        [np.outer(v_cols[s], w_cols[0][s]) for s in range(3)]
-        + [np.outer(v_cols[s], w_cols[1][s]) for s in range(3)]
-        + [np.outer(v_cols[s], w_cols[2][s]) for s in range(3)]
-    )
-    sigma, rel_resid = _recover_sigma(basis, dec.mats[9], tol)
-    diag["sigma_residual"] = rel_resid
-    if rel_resid > tol:
-        return _mismatch(3, "negative term lies outside the rank-one span", diag)
-
-    form = _form_case3(alphas_ordered, W, W_tilde, W_hat, sigma)
-    sup = sup_eta(
-        form.value_or_none,
-        [],
-        grad_fn=form.grad,
-        eta_many=form.value_many,
-        grid_n=grid_n,
-        refine_k=refine_k,
-    )
-    alpha_neg = float(dec.alphas[9])
-    threshold = 1.0 / (-alpha_neg)
-    diag["sup_converged"] = sup.converged
-    structure = CaseStructure(3, V, W, W_tilde, W_hat, sigma)
-
-    if sup.value > threshold + tol:
-        verdict = CASE_NOT_MPSD
-    elif not sup.converged:
-        return _mismatch(3, "supremum estimate did not stabilize", diag)
-    elif sup.value < threshold - TOL_STRICT:
-        verdict = CASE_MPD
-    else:
-        verdict = CASE_MPSD
-    return CaseReport(
-        case_id=3,
-        verdict=verdict,
-        structure_ok=True,
-        sigma=np.asarray(sigma),
-        eta_sup=float(sup.value),
-        eta_argmax=sup.argmax,
-        threshold=threshold,
-        C_matrix=None,
-        boundary=abs(sup.value - threshold) <= TOL_STRICT,
-        structure=structure,
-        diagnostics=diag,
-    )
+def check_case(
+    dec: StructuredDecomposition,
+    force: str = "auto",
+    tol: float = 1e-8,
+    grid_n: int = 20000,
+) -> CaseReport | None:
+    """Run the case checker that force names ("1", "2", "3"), or with "auto"
+    the one whose shape (r, q) matches; None when no shape matches."""
+    if force == "1" or (force == "auto" and dec.q == 3):
+        return check_case1(dec, tol=tol)
+    if force == "2" or (force == "auto" and (dec.r, dec.q) == (7, 6)):
+        return check_case2(dec, tol=tol, grid_n=grid_n)
+    if force == "3" or (force == "auto" and (dec.r, dec.q) == (10, 9)):
+        return check_case3(dec, tol=tol, grid_n=grid_n)
+    return None
 
 
 def choi_lam_case2_decomposition(gamma: float = 1.0) -> StructuredDecomposition:

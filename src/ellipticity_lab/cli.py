@@ -216,20 +216,10 @@ def _load_decomposition_arg(args, t: Elast4) -> cases.StructuredDecomposition:
     return cases.spectral_decomposition(t)
 
 
-def _dispatch_case(dec: cases.StructuredDecomposition, force: str, tol, grid_n):
-    if force == "1" or (force == "auto" and dec.q == 3):
-        return cases.check_case1(dec, tol=tol)
-    if force == "2" or (force == "auto" and (dec.r, dec.q) == (7, 6)):
-        return cases.check_case2(dec, tol=tol, grid_n=grid_n)
-    if force == "3" or (force == "auto" and (dec.r, dec.q) == (10, 9)):
-        return cases.check_case3(dec, tol=tol, grid_n=grid_n)
-    return None
-
-
 def _cmd_case(args) -> int:
     t, name = _load_tensor(args.input)
     dec = _load_decomposition_arg(args, t)
-    rep = _dispatch_case(dec, args.case, args.tol, args.grid_n)
+    rep = cases.check_case(dec, args.case, args.tol, args.grid_n)
     if rep is None:
         doc = {
             "command": "case",
@@ -363,7 +353,7 @@ def _cmd_check(args) -> int:
 
     # Stage 4: structured-case analysis on the supplied or spectral terms.
     dec = _load_decomposition_arg(args, t)
-    case_rep = _dispatch_case(dec, "auto", args.tol, max(args.grid_n, 20000))
+    case_rep = cases.check_case(dec, "auto", args.tol, max(args.grid_n, 20000))
     if case_rep is None:
         stages.append(
             {"stage": "case", "r": dec.r, "q": dec.q, "skipped": "no matching shape"}

@@ -9,8 +9,6 @@ values are only evidence, so the strict verdict stays hedged (MPD_likely).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +37,6 @@ ORACLE_NOT_MPSD = "NotMPSD"
 ORACLE_MPD_LIKELY = "MPD_likely"
 ORACLE_BOUNDARY = "MPSD_boundary"
 
-ENV_THREADS = "ELLIPTICITY_LAB_THREADS"
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """A located form value: min_value == form(argmin_x, argmin_y), re-evaluated."""
@@ -63,15 +58,6 @@ class OracleVerdict:
     witness_value: float | None = None
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(ENV_THREADS, "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, cap)
-
-
 def _chunk_scan(t_mats: np.ndarray, xs: np.ndarray, base: int, keep: int):
     """Evaluate x^T T_m x for one y-chunk; return the chunk's keep best pairs.
 
@@ -87,35 +73,23 @@ def _chunk_scan(t_mats: np.ndarray, xs: np.ndarray, base: int, keep: int):
     return [(float(flat[p]), base + int(p // n) * n + int(p % n)) for p in order]
 
 
-def grid_top_candidates(
-    t: Pair4, n: int = 2000, keep: int = 10, threads: int | None = None
-):
+def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     """The keep best (value, x, y) pairs over the n x n lattice, best first.
 
-    Deterministic: ties are broken by lattice index. The thread count is
-    capped by the ELLIPTICITY_LAB_THREADS environment variable; chunk results
-    merge by (value, index), so the outcome does not depend on it.
+    Deterministic: ties are broken by lattice index. The scan runs over
+    chunks of 256 y-directions, which bounds the (chunk, n) value array.
     """
     if n < 100:
         raise ValueError("grid needs n >= 100 points per sphere")
     pts = fibonacci_sphere(n)
-    cap = _thread_cap()
-    workers = min(cap, threads if threads is not None else 1)
     chunk = 256
-    jobs = []
+    candidates = []
     for start in range(0, n, chunk):
         ys = pts[start : start + chunk]
         t_mats = np.einsum("ijkl,mk,ml->mij", t.a, ys, ys)
         t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
-        jobs.append((t_mats, start * n))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda job: _chunk_scan(job[0], pts, job[1], keep), jobs)
-            )
-    else:
-        results = [_chunk_scan(t_mats, pts, base, keep) for t_mats, base in jobs]
-    merged = sorted((c for r in results for c in r), key=lambda c: (c[0], c[1]))[:keep]
+        candidates += _chunk_scan(t_mats, pts, start * n, keep)
+    merged = sorted(candidates, key=lambda c: (c[0], c[1]))[:keep]
     out = []
     for _, flat in merged:
         x = pts[flat % n]
@@ -124,11 +98,9 @@ def grid_top_candidates(
     return out
 
 
-def grid_min_biquadratic(
-    t: Pair4, n: int = 2000, threads: int | None = None
-) -> OracleReport:
+def grid_min_biquadratic(t: Pair4, n: int = 2000) -> OracleReport:
     """Minimum of the form over the n x n Fibonacci lattice of (x, y) pairs."""
-    best = grid_top_candidates(t, n=n, keep=1, threads=threads)[0]
+    best = grid_top_candidates(t, n=n, keep=1)[0]
     value, x, y = best
     return OracleReport(
         min_value=value, argmin_x=x, argmin_y=y, grid_n=n, refined=False
@@ -199,7 +171,6 @@ def oracle_verdict(
     n: int = 2000,
     tol: float = 1e-8,
     top_k: int = 10,
-    threads: int | None = None,
 ) -> OracleVerdict:
     """Grid scan plus refinement from the top_k candidates.
 
@@ -208,7 +179,7 @@ def oracle_verdict(
     oracle internals. The strict verdict is hedged because a finite search
     cannot prove positivity.
     """
-    candidates = grid_top_candidates(t, n=n, keep=top_k, threads=threads)
+    candidates = grid_top_candidates(t, n=n, keep=top_k)
     best: OracleReport | None = None
     for _, x, y in candidates:
         rep = refine_min(t, x, y)

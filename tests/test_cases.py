@@ -272,6 +272,15 @@ def test_sup_eta_empty_domain():
         el.sup_eta(lambda y: None, [], grid_n=200)
 
 
+def test_sup_eta_propagates_foreign_grad_errors():
+    # only the guard errors end an ascent quietly; a broken gradient surfaces
+    def grad(y):
+        raise TypeError("broken gradient")
+
+    with pytest.raises(TypeError):
+        el.sup_eta(lambda y: float(y[2]), [], grad_fn=grad, grid_n=200)
+
+
 # ---------------------------------------------------------------------------
 # case 2
 
@@ -329,6 +338,18 @@ def test_case2_mismatch_unpaired_lefts():
     assert "pair" in rep.diagnostics["reason"]
 
 
+def test_case2_mismatch_collinear_pair():
+    # left vector e1 gets right vectors e1 and e1; W_tilde = [e1, e3, e2] stays nonsingular
+    base = el.choi_lam_case2_decomposition(1.0)
+    mats = base.mats.copy()
+    mats[3] = axis_outer(0, 0)
+    mats[5] = axis_outer(2, 1)
+    rep = el.check_case2(el.StructuredDecomposition(base.alphas.copy(), mats))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert "collinear" in rep.diagnostics["reason"]
+    assert min(rep.diagnostics["pair_sines"]) == 0.0
+
+
 def test_case2_mismatch_negative_outside_span():
     base = el.choi_lam_case2_decomposition(1.0)
     mats = base.mats.copy()
@@ -371,6 +392,29 @@ def test_case3_violated():
     assert abs(rep.eta_sup - 4.0) < 1e-8
 
 
+def test_case3_mismatch_not_triples():
+    # the last term moves from left vector e3 to e1: groups of 4, 3 and 2
+    base = case3_dec(0.5)
+    mats = base.mats.copy()
+    mats[8] = axis_outer(0, 1)
+    rep = el.check_case3(el.StructuredDecomposition(base.alphas.copy(), mats))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert "triples" in rep.diagnostics["reason"]
+
+
+def test_case3_mismatch_dependent_triple():
+    # left vector e1 gets right vectors e1, e2 and e1 + e2; all frames stay nonsingular
+    base = case3_dec(0.5)
+    mats = base.mats.copy()
+    mats[6] = np.outer(E3[:, 0], E3[:, 0] + E3[:, 1])
+    mats[8] = np.outer(E3[:, 2], E3[:, 1] + E3[:, 2])
+    rep = el.check_case3(el.StructuredDecomposition(base.alphas.copy(), mats))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert "linearly dependent" in rep.diagnostics["reason"]
+    dets = rep.diagnostics["triple_dets"]
+    assert dets[0] < 1e-12 and min(dets[1:]) > 0.1
+
+
 def test_case3_wrong_shape_raises():
     with pytest.raises(NotCase3):
         el.check_case3(el.choi_lam_case2_decomposition(1.0))
@@ -398,6 +442,14 @@ def test_case_report_doc_serializable():
         el.dumps_report(doc)
         assert doc["verdict"] == rep.verdict
         assert doc["structure"]["V"] is not None
+
+
+def test_ratio_case_diagnostic_keys():
+    common = {"groups", "cond_V", "cond_W", "cond_W_tilde", "sigma_residual", "sup_converged"}
+    rep2 = el.check_case2(el.choi_lam_case2_decomposition(1.0))
+    assert set(rep2.diagnostics) == common | {"pair_sines", "singular_lines", "probes"}
+    rep3 = el.check_case3(case3_dec(0.5))
+    assert set(rep3.diagnostics) == common | {"cond_W_hat", "triple_dets"}
 
 
 def test_case_report_doc_mismatch():

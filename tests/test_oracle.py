@@ -77,17 +77,6 @@ def test_grid_top_candidates_sorted_and_deterministic():
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
-def test_grid_threading_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("ELLIPTICITY_LAB_THREADS", "4")
-    t = el.tensor_isotropic(-1.0, 1.0)
-    serial = el.grid_top_candidates(t, n=700, keep=8, threads=1)
-    pooled = el.grid_top_candidates(t, n=700, keep=8, threads=4)
-    assert len(serial) == len(pooled) == 8
-    for (v1, x1, y1), (v2, x2, y2) in zip(serial, pooled):
-        assert v1 == v2
-        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
-
-
 # ---------------------------------------------------------------------------
 # refinement
 
