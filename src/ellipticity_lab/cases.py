@@ -670,19 +670,19 @@ def _split_rank_ones(dec: StructuredDecomposition, count: int, tol: float):
     return (vs, ws), -1
 
 
-def _recover_sigma(basis_mats, target: np.ndarray, tol: float):
+def _recover_sigma(basis_mats, target: np.ndarray):
     """Solve target = sum sigma_s B_s in the least-squares sense.
 
-    Returns (sigma, relative residual). The basis has at most 9 matrices, so
-    this is a small dense solve; the residual is the structural test."""
+    Returns (sigma, relative residual), with residual 0 for a zero target.
+    The basis has at most 9 matrices, so this is a small dense solve; the
+    caller tests the residual against its tolerance."""
     m = np.stack([b.reshape(9) for b in basis_mats], axis=1)
     rhs = target.reshape(9)
     sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    resid = float(np.linalg.norm(m @ sol - rhs))
-    rel = resid / max(float(np.linalg.norm(rhs)), 1e-300)
-    if float(np.linalg.norm(rhs)) == 0.0:
-        rel = 0.0
-    return sol, rel
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return sol, 0.0
+    return sol, float(np.linalg.norm(m @ sol - rhs)) / max(rhs_norm, 1e-300)
 
 
 def _check_ratio_case(
@@ -758,7 +758,7 @@ def _check_ratio_case(
         lines = []
 
     basis = [np.outer(v_cols[s], w_cols[slot][s]) for slot in range(g) for s in range(3)]
-    sigma, rel_resid = _recover_sigma(basis, dec.mats[q], tol)
+    sigma, rel_resid = _recover_sigma(basis, dec.mats[q])
     diag["sigma_residual"] = rel_resid
     if rel_resid > tol:
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import min_eigenvalue, sym_eig
+from .spectral import min_eigenvalue
+# Not called here; elbench/layers.py wraps oracle.sym_eig, so the name stays.
+from .spectral import sym_eig  # noqa: F401
 from .spheres import fibonacci_sphere
 from .tensors import Pair4, biquadratic, contract_xx, contract_yy, unfold
 
@@ -62,22 +64,40 @@ def _chunk_scan(t_mats: np.ndarray, xs: np.ndarray, base: int, keep: int):
     """Evaluate x^T T_m x for one y-chunk; return the chunk's keep best pairs.
 
     Candidates are (value, flat_index) with flat_index = y_index * n + x_index,
-    so merging by lexicographic order is independent of the chunking.
+    ordered by value and then flat index, so merging by lexicographic order
+    is independent of the chunking. Only the rows (y-directions) whose
+    minimum is at most the keep-th smallest row minimum can hold one of the
+    keep best pairs: any other row's values all have keep strictly smaller
+    values ahead of them. Every value of those rows up to the keep-th one is
+    sorted, so values tied at the cut are resolved by flat index too.
+    NaN values sort last, as in np.sort.
     """
     vals = np.einsum("xi,mij,xj->mx", xs, t_mats, xs, optimize=True)
-    flat = vals.reshape(-1)
-    k = min(keep, flat.size)
-    part = np.argpartition(flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
-    order = part[np.lexsort((part, flat[part]))]
-    n = xs.shape[0]
-    return [(float(flat[p]), base + int(p // n) * n + int(p % n)) for p in order]
+    m, n = vals.shape
+    k = min(keep, vals.size)
+    # fmin skips NaN; ~(a > cut) rather than a <= cut keeps every entry
+    # when the cut itself is NaN.
+    row_min = np.fmin.reduce(vals, axis=1)
+    j = min(k, m) - 1
+    row_cut = np.partition(row_min, j)[j]
+    rows = np.flatnonzero(~(row_min > row_cut))
+    sub = vals[rows]
+    cut = np.partition(sub.reshape(-1), k - 1)[k - 1]
+    r, x = np.nonzero(~(sub > cut))
+    vs = sub[r, x]
+    flat = rows[r] * n + x
+    order = np.lexsort((flat, vs))[:k]
+    return [(float(vs[i]), base + int(flat[i])) for i in order]
 
 
 def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     """The keep best (value, x, y) pairs over the n x n lattice, best first.
 
-    Deterministic: ties are broken by lattice index. The scan runs over
-    chunks of 256 y-directions, which bounds the (chunk, n) value array.
+    Deterministic: pairs are ordered by value, and ties (including ties at
+    the keep-th place) are broken by the lattice index y_index * n + x_index.
+    The scan runs over chunks of 256 y-directions, which bounds the
+    (chunk, n) value array; a row-minimum prefilter keeps the sort to the
+    few rows that can hold the best pairs.
     """
     if n < 100:
         raise ValueError("grid needs n >= 100 points per sphere")
@@ -107,6 +127,18 @@ def grid_min_biquadratic(t: Pair4, n: int = 2000) -> OracleReport:
     )
 
 
+def _min_eigvec(m: np.ndarray) -> np.ndarray:
+    """Unit eigenvector for the smallest eigenvalue of an exactly symmetric 3x3.
+
+    Signed as sym_eig signs it (largest-magnitude entry positive, the first
+    such entry on ties), so refinement does not depend on LAPACK's choice.
+    """
+    vec = np.linalg.eigh(m)[1][:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0.0:
+        vec *= -1.0
+    return vec
+
+
 def refine_min(
     t: Pair4, start_x, start_y, tol: float = 1e-12, max_sweeps: int = 200
 ) -> OracleReport:
@@ -126,14 +158,12 @@ def refine_min(
     trace = [val]
     for _ in range(max_sweeps):
         improved = False
-        pair = sym_eig(contract_yy(t, y))
-        cand_x = pair.vectors[:, 0]
+        cand_x = _min_eigvec(contract_yy(t, y))
         cand = biquadratic(t, cand_x, y)
         if cand < val:
             x, val = cand_x, cand
             improved = True
-        pair = sym_eig(contract_xx(t, x))
-        cand_y = pair.vectors[:, 0]
+        cand_y = _min_eigvec(contract_xx(t, x))
         cand = biquadratic(t, x, cand_y)
         if cand < val:
             y, val = cand_y, cand

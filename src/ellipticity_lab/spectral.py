@@ -40,12 +40,10 @@ def sym_eig(m, tol: float = 1e-12) -> EigPair:
     """
     mat = _require_symmetric(m, tol)
     values, vectors = np.linalg.eigh(mat)
-    vectors = vectors.copy()
-    for s in range(vectors.shape[1]):
-        col = vectors[:, s]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0.0:
-            vectors[:, s] = -col
+    if vectors.size:
+        cols = np.arange(vectors.shape[1])
+        peak = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+        vectors = np.where(peak < 0.0, -vectors, vectors)
     return EigPair(values=values, vectors=vectors)
 
 
@@ -58,10 +56,12 @@ def min_eigenvalue(m, tol: float = 1e-12) -> float:
 def psd_project(m, tol: float = 1e-12) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clamp negative eigenvalues at exactly zero.
 
-    The reconstruction is symmetrized exactly, so the output is a symmetric
+    No sign gauge is needed: flipping an eigenvector's sign leaves
+    V diag(w+) V^T unchanged bit for bit, because negation is exact. The
+    reconstruction is symmetrized exactly, so the output is a symmetric
     matrix bit-for-bit and the map is idempotent up to rounding.
     """
-    pair = sym_eig(m, tol)
-    clamped = np.maximum(pair.values, 0.0)
-    rebuilt = (pair.vectors * clamped) @ pair.vectors.T
+    values, vectors = np.linalg.eigh(_require_symmetric(m, tol))
+    clamped = np.maximum(values, 0.0)
+    rebuilt = (vectors * clamped) @ vectors.T
     return 0.5 * (rebuilt + rebuilt.T)

@@ -77,6 +77,41 @@ def test_grid_top_candidates_sorted_and_deterministic():
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
+def _lattice_order(t, n):
+    """Every lattice value and its flat index y_index * n + x_index, computed
+    over the same 256-row chunks as the scan, in (value, index) order."""
+    pts = fibonacci_sphere(n)
+    vals = []
+    for start in range(0, n, 256):
+        ys = pts[start : start + 256]
+        t_mats = np.einsum("ijkl,mk,ml->mij", t.a, ys, ys)
+        t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
+        vals.append(np.einsum("xi,mij,xj->mx", pts, t_mats, pts, optimize=True))
+    flat_vals = np.concatenate(vals).reshape(-1)
+    order = np.lexsort((np.arange(flat_vals.size), flat_vals))
+    return pts, flat_vals, order
+
+
+@pytest.mark.parametrize("n, keep", [(300, 10), (600, 1), (257, 25)])
+def test_grid_top_candidates_exact_tie_order(n, keep):
+    # the keep best pairs are exactly the first keep of the full
+    # lexicographic (value, lattice index) order, ties at the cut included
+    rng = np.random.default_rng(17)
+    tensors = [
+        el.tensor_e(),
+        el.tensor_isotropic(-3.0, 0.1),
+        el.tensor_choi_lam(1.0),
+        el.tensor_two_squares(),
+    ] + [el.random_tensor(rng) for _ in range(3)]
+    for t in tensors:
+        pts, flat_vals, order = _lattice_order(t, n)
+        cands = el.grid_top_candidates(t, n=n, keep=keep)
+        assert len(cands) == keep
+        for (_, x, y), idx in zip(cands, order[:keep]):
+            assert np.array_equal(x, pts[idx % n])
+            assert np.array_equal(y, pts[idx // n])
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
@@ -114,6 +149,61 @@ def test_refine_normalizes_inputs():
     rep = el.refine_min(t, np.array([2.0, 0.0, 0.0]), np.array([0.0, 3.0, 0.0]))
     assert abs(np.linalg.norm(rep.argmin_x) - 1.0) < 1e-12
     assert abs(np.linalg.norm(rep.argmin_y) - 1.0) < 1e-12
+
+
+def _refine_with_sym_eig(t, x, y, tol=1e-12, max_sweeps=200):
+    """The alternating minimization written with the gauged sym_eig."""
+    x = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    y = np.asarray(y, dtype=float) / np.linalg.norm(y)
+    val = el.biquadratic(t, x, y)
+    trace = [val]
+    for _ in range(max_sweeps):
+        improved = False
+        cand_x = el.sym_eig(el.contract_yy(t, y)).vectors[:, 0]
+        cand = el.biquadratic(t, cand_x, y)
+        if cand < val:
+            x, val, improved = cand_x, cand, True
+        cand_y = el.sym_eig(el.contract_xx(t, x)).vectors[:, 0]
+        cand = el.biquadratic(t, x, cand_y)
+        if cand < val:
+            y, val, improved = cand_y, cand, True
+        if improved:
+            trace.append(val)
+        if not improved or (len(trace) > 1 and trace[-2] - trace[-1] < tol):
+            break
+    return val, x, y, tuple(trace)
+
+
+def _refine_starts():
+    rng = np.random.default_rng(23)
+    for t in (el.tensor_isotropic(-3.0, 0.1), el.tensor_choi_lam(1.0)):
+        for _, x, y in el.grid_top_candidates(t, n=400, keep=5):
+            yield t, x, y
+    for _ in range(6):
+        t = el.random_tensor(rng)
+        yield t, rng.standard_normal(3), rng.standard_normal(3)
+
+
+def test_refine_min_matches_sym_eig_reference():
+    # the private eigenvector helper reproduces the sym_eig trajectory bit for bit
+    for t, x, y in _refine_starts():
+        rep = el.refine_min(t, x, y)
+        val, rx, ry, trace = _refine_with_sym_eig(t, x, y)
+        assert rep.min_value == val
+        assert np.array_equal(rep.argmin_x, rx) and np.array_equal(rep.argmin_y, ry)
+        assert np.array_equal(rep.objective_trace, trace)
+
+
+def test_refine_min_replaced_vectors_are_gauged():
+    # a vector that refinement replaced has its largest-magnitude entry positive
+    replaced = 0
+    for t, x, y in _refine_starts():
+        rep = el.refine_min(t, x, y)
+        for got, start in ((rep.argmin_x, x), (rep.argmin_y, y)):
+            if not np.array_equal(got, start / np.linalg.norm(start)):
+                replaced += 1
+                assert got[np.argmax(np.abs(got))] > 0.0
+    assert replaced > 0
 
 
 # ---------------------------------------------------------------------------

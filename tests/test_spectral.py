@@ -66,6 +66,15 @@ def test_psd_project_output_psd_and_symmetric():
         assert np.linalg.eigvalsh(p)[0] >= -1e-13
 
 
+def test_psd_project_matches_gauged_reconstruction():
+    # without the sign gauge the projection is the same bits as with it
+    for _ in range(50):
+        m = rand_sym()
+        pair = el.sym_eig(m)
+        rebuilt = (pair.vectors * np.maximum(pair.values, 0.0)) @ pair.vectors.T
+        assert np.array_equal(el.psd_project(m), 0.5 * (rebuilt + rebuilt.T))
+
+
 def test_psd_project_idempotent():
     p = el.psd_project(rand_sym())
     assert np.allclose(el.psd_project(p), p, atol=1e-12)
