@@ -323,11 +323,29 @@ def case1_positive_redecomposition(
 # Ratio function shared by cases 2 and 3
 
 
+# Rows per block in _RatioForm.value_many. Blocks this small keep the
+# (G, 3, rows) temporaries off freshly mapped pages: one pass over the
+# 20000-point hemisphere took ~1.8x as long, with ~1000 page faults a call.
+_BLOCK_ROWS = 2048
+
+
 class _RatioForm:
     """eta(y) = sum_s (sum_g sigma[g,s] w[g,s].y)^2 / (sum_g alpha[g,s] (w[g,s].y)^2).
 
     w[g] are the columns of the g-th frame; the guard keeps evaluations away
     from directions where some denominator term vanishes.
+
+    The order of every floating-point operation is a contract: eta values,
+    gradients and hence the case reports must match the einsum reference
+    in tests/test_cases.py bit for bit. p[g, s] = w[g, s].y adds the
+    products for i = 0, 1, 2 in order; every sum over g or over s runs in
+    index order; denominator terms are (alpha * p) * p; the gradient's
+    d den_s / dy is 2 * (sum_g (alpha * p) * w) in g order, which neither
+    alpha * (p * w) nor (alpha * w) * p reproduces. Squares are not
+    interchangeable: `value` and `value_many` square with x * x (numpy's
+    `** 2` on arrays), `grad` with `** 2` on scalars, which is libm pow and
+    differs from x * x in the last bit now and then. The squared norm of y
+    stays numpy's `y @ y`, a BLAS dot that may use fused multiply-adds.
     """
 
     def __init__(self, alphas, frames, sigma, error_cls, guard: float = 1e-13):
@@ -340,12 +358,45 @@ class _RatioForm:
             "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
         )
         self.guard = guard
+        # Python-float tables for the scalar kernels: terms[s] lists
+        # (sigma, alpha, w_0, w_1, w_2) per frame g, and num_dir[s] is the
+        # constant d num_lin_s / dy = sum_g sigma w.
+        self._terms = [
+            [
+                (sg, ag, *w)
+                for sg, ag, w in zip(
+                    self.sigma[:, s].tolist(),
+                    self.alphas[:, s].tolist(),
+                    self.frames[:, :, s].tolist(),
+                )
+            ]
+            for s in range(3)
+        ]
+        self._den_scale = self.den_scale.tolist()
+        self._num_dir = np.einsum("gs,gis->is", self.sigma, self.frames).T.tolist()
 
-    def _parts(self, y: np.ndarray):
-        # p[g, s] = w[g, s] . y
-        p = np.einsum("gis,i->gs", self.frames, y)
-        num_lin = np.sum(self.sigma * p, axis=0)  # (3,)
-        den = np.sum(self.alphas * p * p, axis=0)  # (3,)
+    def _parts(self, yv: np.ndarray, nrm2: float):
+        """p[s][g] = w[g,s].y, num_lin[s] = sum_g sigma p, den[s] = sum_g alpha p^2.
+
+        Raises error_cls where some den[s] is at most guard nrm2 den_scale[s].
+        """
+        y0, y1, y2 = yv.tolist()
+        p, num_lin, den = [], [], []
+        for terms in self._terms:
+            ps = []
+            nl = dn = 0.0
+            for sg, ag, w0, w1, w2 in terms:
+                pg = w0 * y0 + w1 * y1 + w2 * y2
+                ps.append(pg)
+                nl += sg * pg
+                dn += ag * pg * pg
+            p.append(ps)
+            num_lin.append(nl)
+            den.append(dn)
+        floor = self.guard * nrm2
+        for d, scale in zip(den, self._den_scale):
+            if d <= floor * scale:
+                raise self.error_cls("denominator vanished at this direction")
         return p, num_lin, den
 
     def value(self, y) -> float:
@@ -353,11 +404,11 @@ class _RatioForm:
         nrm2 = float(yv @ yv)
         if nrm2 == 0.0:
             raise self.error_cls("zero direction")
-        _, num_lin, den = self._parts(yv)
-        floor = self.guard * nrm2 * self.den_scale
-        if np.any(den <= floor):
-            raise self.error_cls("denominator vanished at this direction")
-        return float(np.sum(num_lin**2 / den))
+        _, num_lin, den = self._parts(yv, nrm2)
+        total = 0.0
+        for n, d in zip(num_lin, den):
+            total += n * n / d
+        return total
 
     def value_or_none(self, y):
         try:
@@ -367,31 +418,40 @@ class _RatioForm:
 
     def value_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized values with -inf at guarded rows. ys is (N, 3) unit."""
-        p = np.einsum("gis,ni->gns", self.frames, ys)
-        num = np.sum(self.sigma[:, None, :] * p, axis=0) ** 2  # (N, 3)
-        den = np.sum(self.alphas[:, None, :] * p * p, axis=0)  # (N, 3)
-        bad = np.any(den <= self.guard * self.den_scale, axis=1)
-        den = np.where(den == 0.0, 1.0, den)
-        vals = np.sum(num / den, axis=1)
-        vals[bad] = -np.inf
+        yt = np.ascontiguousarray(np.asarray(ys, dtype=float).T)  # (3, N)
+        f = self.frames[:, :, :, None]  # (G, i, s, 1)
+        floor = (self.guard * self.den_scale)[:, None]
+        vals = np.empty(yt.shape[1])
+        for lo in range(0, yt.shape[1], _BLOCK_ROWS):
+            y0, y1, y2 = yt[:, lo : lo + _BLOCK_ROWS]
+            p = f[:, 0] * y0 + f[:, 1] * y1 + f[:, 2] * y2  # (G, s, rows)
+            num = np.sum(self.sigma[:, :, None] * p, axis=0) ** 2  # (s, rows)
+            den = np.sum(self.alphas[:, :, None] * p * p, axis=0)  # (s, rows)
+            bad = np.any(den <= floor, axis=0)
+            den = np.where(den == 0.0, 1.0, den)
+            q = num / den
+            block = q[0] + q[1] + q[2]
+            block[bad] = -np.inf
+            vals[lo : lo + _BLOCK_ROWS] = block
         return vals
 
     def grad(self, y) -> np.ndarray:
         yv = np.asarray(y, dtype=float)
-        p, num_lin, den = self._parts(yv)
-        floor = self.guard * float(yv @ yv) * self.den_scale
-        if np.any(den <= floor):
-            raise self.error_cls("denominator vanished at this direction")
-        # d num_lin_s / dy = sum_g sigma[g,s] w[g,s]; d den_s / dy = 2 sum_g alpha[g,s] p[g,s] w[g,s]
-        num_dir = np.einsum("gs,gis->is", self.sigma, self.frames)  # (3, 3) columns per s
-        den_dir = 2.0 * np.einsum("gs,gs,gis->is", self.alphas, p, self.frames)
-        grad = np.zeros(3)
-        for s in range(3):
-            grad += (
-                2.0 * num_lin[s] * num_dir[:, s] * den[s]
-                - num_lin[s] ** 2 * den_dir[:, s]
-            ) / den[s] ** 2
-        return grad
+        p, num_lin, den = self._parts(yv, float(yv @ yv))
+        g0 = g1 = g2 = 0.0
+        for terms, ps, nl, d, (n0, n1, n2) in zip(self._terms, p, num_lin, den, self._num_dir):
+            # d den_s / dy = 2 sum_g alpha[g,s] p[g,s] w[g,s]; d num_lin_s / dy = n
+            dd0 = dd1 = dd2 = 0.0
+            for (_, ag, w0, w1, w2), pg in zip(terms, ps):
+                ap = ag * pg
+                dd0 += ap * w0
+                dd1 += ap * w1
+                dd2 += ap * w2
+            two_nl, nl_sq, d_sq = 2.0 * nl, nl**2, d**2
+            g0 += (two_nl * n0 * d - nl_sq * (2.0 * dd0)) / d_sq
+            g1 += (two_nl * n1 * d - nl_sq * (2.0 * dd1)) / d_sq
+            g2 += (two_nl * n2 * d - nl_sq * (2.0 * dd2)) / d_sq
+        return np.array([g0, g1, g2])
 
 
 @dataclass(frozen=True)

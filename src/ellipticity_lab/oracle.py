@@ -101,12 +101,20 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     """
     if n < 100:
         raise ValueError("grid needs n >= 100 points per sphere")
+    # Scan an exact power-of-two rescale with max|a| in [0.5, 1): the
+    # lattice values scale by the same factor, so their order and ties are
+    # unchanged, and a tensor near the float limit no longer overflows to
+    # inf/NaN. Candidates are re-evaluated on the original tensor.
+    a = t.a
+    peak = float(np.max(np.abs(a)))
+    if peak > 0.0:
+        a = np.ldexp(a, -np.frexp(peak)[1])
     pts = fibonacci_sphere(n)
     chunk = 256
     candidates = []
     for start in range(0, n, chunk):
         ys = pts[start : start + chunk]
-        t_mats = np.einsum("ijkl,mk,ml->mij", t.a, ys, ys)
+        t_mats = np.einsum("ijkl,mk,ml->mij", a, ys, ys)
         t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
         candidates += _chunk_scan(t_mats, pts, start * n, keep)
     merged = sorted(candidates, key=lambda c: (c[0], c[1]))[:keep]

@@ -7,6 +7,8 @@ reproducible tie-breaking.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Golden angle in radians, the azimuthal increment of the spiral.
@@ -24,11 +26,14 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
+@functools.lru_cache(maxsize=4)
 def fibonacci_hemisphere(n: int) -> np.ndarray:
     """Return (n, 3) points on the closed upper hemisphere (z >= 0).
 
     Centrally symmetric functions lose nothing by restricting to one
     hemisphere, and the halved search domain doubles effective density.
+    The lattice is cached per n and returned read-only, so every caller
+    shares one array; copy rows before changing them.
     """
     if n < 1:
         raise ValueError("lattice needs at least one point")
@@ -36,4 +41,6 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     z = (i + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * GOLDEN_ANGLE
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    pts = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    pts.setflags(write=False)
+    return pts

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
+from ellipticity_lab import cases
 from ellipticity_lab.cases import CaseStructure, _group_shared_v, case_report_to_doc
 from ellipticity_lab.errors import (
+    DegenerateDenominator,
     EmptyDomain,
     NotCase1,
     NotCase2,
     NotCase3,
     SingularDirection,
 )
+from ellipticity_lab.spheres import fibonacci_hemisphere
 
 rng = np.random.default_rng(2718)
 E3 = np.eye(3)
@@ -426,6 +429,159 @@ def test_case3_verdicts_match_oracle():
         dec = case3_dec(c)
         t = el.tensor_from_rank_one_terms(dec.alphas, dec.mats)
         assert el.oracle_verdict(t, n=500).verdict == want
+
+
+# ---------------------------------------------------------------------------
+# ratio kernels against their einsum reference
+
+
+class EinsumRatioForm:
+    """The einsum formulation of cases._RatioForm, the reference whose every
+    value, gradient and guard decision the kernels must reproduce exactly."""
+
+    def __init__(self, alphas, frames, sigma, error_cls, guard=1e-13):
+        self.alphas = np.asarray(alphas, dtype=float)  # (G, 3)
+        self.frames = np.stack([np.asarray(f, dtype=float) for f in frames])  # (G,3,3)
+        self.sigma = np.asarray(sigma, dtype=float)  # (G, 3)
+        self.error_cls = error_cls
+        self.den_scale = np.einsum(
+            "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
+        )
+        self.guard = guard
+
+    def _parts(self, y):
+        p = np.einsum("gis,i->gs", self.frames, y)
+        num_lin = np.sum(self.sigma * p, axis=0)
+        den = np.sum(self.alphas * p * p, axis=0)
+        return p, num_lin, den
+
+    def value(self, y):
+        yv = np.asarray(y, dtype=float)
+        nrm2 = float(yv @ yv)
+        if nrm2 == 0.0:
+            raise self.error_cls("zero direction")
+        _, num_lin, den = self._parts(yv)
+        if np.any(den <= self.guard * nrm2 * self.den_scale):
+            raise self.error_cls("denominator vanished at this direction")
+        return float(np.sum(num_lin**2 / den))
+
+    def value_many(self, ys):
+        p = np.einsum("gis,ni->gns", self.frames, ys)
+        num = np.sum(self.sigma[:, None, :] * p, axis=0) ** 2
+        den = np.sum(self.alphas[:, None, :] * p * p, axis=0)
+        bad = np.any(den <= self.guard * self.den_scale, axis=1)
+        den = np.where(den == 0.0, 1.0, den)
+        vals = np.sum(num / den, axis=1)
+        vals[bad] = -np.inf
+        return vals
+
+    def grad(self, y):
+        yv = np.asarray(y, dtype=float)
+        p, num_lin, den = self._parts(yv)
+        if np.any(den <= self.guard * float(yv @ yv) * self.den_scale):
+            raise self.error_cls("denominator vanished at this direction")
+        num_dir = np.einsum("gs,gis->is", self.sigma, self.frames)
+        den_dir = 2.0 * np.einsum("gs,gs,gis->is", self.alphas, p, self.frames)
+        grad = np.zeros(3)
+        for s in range(3):
+            grad += (
+                2.0 * num_lin[s] * num_dir[:, s] * den[s]
+                - num_lin[s] ** 2 * den_dir[:, s]
+            ) / den[s] ** 2
+        return grad
+
+
+def rotation(gen):
+    q, r = np.linalg.qr(gen.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def rotated(dec, gen):
+    left, right = rotation(gen), rotation(gen)
+    return el.StructuredDecomposition(dec.alphas.copy(), left @ dec.mats @ right.T)
+
+
+class FormBuilt(Exception):
+    """Stops a case checker once it has built its ratio form."""
+
+
+def built_form(monkeypatch, check, dec):
+    """The _RatioForm and singular lines a case checker hands to sup_eta."""
+    seen = []
+
+    def capture(eta_fn, lines, *args, **kwargs):
+        seen.append((eta_fn.__self__, [np.asarray(d, dtype=float) for d in lines]))
+        raise FormBuilt
+
+    monkeypatch.setattr(cases, "sup_eta", capture)
+    with pytest.raises(FormBuilt):
+        check(dec)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def outcome(fn, y):
+    try:
+        return fn(y)
+    except (SingularDirection, DegenerateDenominator) as exc:
+        return type(exc)
+
+
+def same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.array_equal(a, b)
+
+
+def near_lines(lines, gen, per_line=100):
+    """Points exactly on each line and up to 1e-6 rad off it."""
+    pts = []
+    for d in lines:
+        u1, u2 = cases._orthonormal_complement(d / np.linalg.norm(d))
+        pts.append(d)
+        for theta in np.logspace(-16, -6, per_line):
+            phi = gen.uniform(0.0, 2.0 * np.pi)
+            off = np.cos(phi) * u1 + np.sin(phi) * u2
+            pts.append(np.cos(theta) * d + np.sin(theta) * off)
+    return np.array(pts)
+
+
+RATIO_FORMS = [
+    ("case2", 0.8, False),
+    ("case2", 1.6, False),
+    ("case2", 1.2, True),
+    ("case3", 0.5, True),
+    ("case3", 1.3, True),
+]
+
+
+@pytest.mark.parametrize("kind, param, rotate", RATIO_FORMS)
+def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
+    gen = np.random.default_rng([31, int(10 * param), int(rotate)])
+    if kind == "case2":
+        dec, check = el.choi_lam_case2_decomposition(param), el.check_case2
+    else:
+        dec, check = case3_dec(param), el.check_case3
+    if rotate:
+        dec = rotated(dec, gen)
+    form, lines = built_form(monkeypatch, check, dec)
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls)
+    assert (len(lines) == 3) == (kind == "case2")
+
+    ys = gen.standard_normal((5000, 3))
+    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    extra = near_lines(lines, gen) if lines else np.empty((0, 3))
+    for y in np.vstack([ys, extra, np.zeros((1, 3))]):
+        for name in ("value", "grad"):
+            got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
+            assert same(got, want), (name, y, got, want)
+    # the guard is exercised: the zero vector and points on the lines
+    assert outcome(form.value, np.zeros(3)) is form.error_cls
+    for d in lines:
+        assert outcome(form.grad, d) is form.error_cls
+
+    for batch in (fibonacci_hemisphere(20000), ys, extra / np.linalg.norm(extra, axis=1)[:, None]):
+        assert np.array_equal(form.value_many(batch), ref.value_many(batch))
 
 
 # ---------------------------------------------------------------------------

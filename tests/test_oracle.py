@@ -34,6 +34,18 @@ def test_fibonacci_hemisphere_upper():
     assert np.all(pts[:, 2] > 0.0)
 
 
+def test_fibonacci_hemisphere_cached_read_only():
+    pts = fibonacci_hemisphere(321)
+    assert fibonacci_hemisphere(321) is pts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    i = np.arange(321, dtype=float)
+    z = (i + 0.5) / 321
+    r = np.sqrt(1.0 - z * z)
+    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
+    assert np.array_equal(pts, np.column_stack((r * np.cos(phi), r * np.sin(phi), z)))
+
+
 def test_lattice_rejects_empty():
     with pytest.raises(ValueError):
         fibonacci_sphere(0)
@@ -110,6 +122,22 @@ def test_grid_top_candidates_exact_tie_order(n, keep):
         for (_, x, y), idx in zip(cands, order[:keep]):
             assert np.array_equal(x, pts[idx % n])
             assert np.array_equal(y, pts[idx // n])
+
+
+@pytest.mark.parametrize(
+    "t", [el.tensor_choi_lam(1.0), el.tensor_isotropic(-3.0, 0.1)], ids=["choi_lam", "isotropic"]
+)
+def test_grid_top_candidates_near_float_limit(t):
+    # scaled by a power of two to max|a| in [2^1023, 2^1024), the lattice
+    # values would overflow to inf/NaN; the scan must still pick the same
+    # pairs in the same order as for the unscaled tensor
+    big = el.Elast4(np.ldexp(t.a, 1024 - np.frexp(np.max(np.abs(t.a)))[1]))
+    assert np.max(np.abs(big.a)) >= 2.0**1023
+    want = el.grid_top_candidates(t, n=200, keep=10)
+    got = el.grid_top_candidates(big, n=200, keep=10)
+    assert len(got) == len(want) == 10
+    for (_, x1, y1), (_, x2, y2) in zip(want, got):
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
 # ---------------------------------------------------------------------------
