@@ -438,6 +438,15 @@ class _RatioForm:
     def grad(self, y) -> np.ndarray:
         yv = np.asarray(y, dtype=float)
         p, num_lin, den = self._parts(yv, float(yv @ yv))
+        try:
+            return self._grad_sum(p, num_lin, den)
+        except (OverflowError, ZeroDivisionError):
+            # Python floats raise where numpy scalars give inf, 0 or nan with
+            # a RuntimeWarning (a square past 1e308, or one that underflows to
+            # 0 as divisor); the same operations on numpy scalars round alike.
+            return self._grad_sum(p, list(map(np.float64, num_lin)), list(map(np.float64, den)))
+
+    def _grad_sum(self, p, num_lin, den) -> np.ndarray:
         g0 = g1 = g2 = 0.0
         for terms, ps, nl, d, (n0, n1, n2) in zip(self._terms, p, num_lin, den, self._num_dir):
             # d den_s / dy = 2 sum_g alpha[g,s] p[g,s] w[g,s]; d num_lin_s / dy = n

@@ -104,11 +104,9 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     # Scan an exact power-of-two rescale with max|a| in [0.5, 1): the
     # lattice values scale by the same factor, so their order and ties are
     # unchanged, and a tensor near the float limit no longer overflows to
-    # inf/NaN. Candidates are re-evaluated on the original tensor.
-    a = t.a
-    peak = float(np.max(np.abs(a)))
-    if peak > 0.0:
-        a = np.ldexp(a, -np.frexp(peak)[1])
+    # inf/NaN. Candidates are re-evaluated on the original tensor. A zero,
+    # inf or NaN peak has frexp exponent 0 and leaves the tensor as it is.
+    a = np.ldexp(t.a, -np.frexp(np.max(np.abs(t.a)))[1])
     pts = fibonacci_sphere(n)
     chunk = 256
     candidates = []

@@ -33,7 +33,10 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     Centrally symmetric functions lose nothing by restricting to one
     hemisphere, and the halved search domain doubles effective density.
     The lattice is cached per n and returned read-only, so every caller
-    shares one array; copy rows before changing them.
+    shares one array; copy rows before changing them. The cache pays only
+    when one process asks for the same n again, as a run of many case
+    checks at one grid size does; a single check builds the lattice once
+    either way.
     """
     if n < 1:
         raise ValueError("lattice needs at least one point")

@@ -465,6 +465,12 @@ class EinsumRatioForm:
             raise self.error_cls("denominator vanished at this direction")
         return float(np.sum(num_lin**2 / den))
 
+    def value_or_none(self, y):
+        try:
+            return self.value(y)
+        except self.error_cls:
+            return None
+
     def value_many(self, ys):
         p = np.einsum("gis,ni->gns", self.frames, ys)
         num = np.sum(self.sigma[:, None, :] * p, axis=0) ** 2
@@ -533,6 +539,12 @@ def same(a, b):
     return np.array_equal(a, b)
 
 
+def same_bits(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return a.tobytes() == b.tobytes()
+
+
 def near_lines(lines, gen, per_line=100):
     """Points exactly on each line and up to 1e-6 rad off it."""
     pts = []
@@ -582,6 +594,33 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
 
     for batch in (fibonacci_hemisphere(20000), ys, extra / np.linalg.norm(extra, axis=1)[:, None]):
         assert np.array_equal(form.value_many(batch), ref.value_many(batch))
+
+
+@pytest.mark.parametrize("kind", ["case2", "case3"])
+@pytest.mark.parametrize("alpha_scale, mat_scale", [(1e160, 1.0), (1.0, 1e80), (1e-300, 1.0)])
+def test_ratio_checkers_at_extreme_scales_match_einsum_reference(
+    monkeypatch, kind, alpha_scale, mat_scale
+):
+    # Squared denominators here overflow past 1e308 or underflow to 0, where
+    # Python floats raise and numpy scalars give inf, 0 or nan.
+    if kind == "case2":
+        base, check = el.choi_lam_case2_decomposition(1.0), el.check_case2
+    else:
+        base, check = case3_dec(0.5), el.check_case3
+    dec = el.StructuredDecomposition(base.alphas * alpha_scale, base.mats * mat_scale)
+    ys = np.random.default_rng(37).standard_normal((500, 3))
+    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        form, _ = built_form(monkeypatch, check, dec)
+        ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls)
+        for y in ys:
+            got, want = outcome(form.grad, y), outcome(ref.grad, y)
+            # bit for bit, so that nan gradients compare too
+            assert same_bits(got, want), (y, got, want)
+        got = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
+        monkeypatch.setattr(cases, "_RatioForm", EinsumRatioForm)
+        want = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
