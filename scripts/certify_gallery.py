@@ -1,10 +1,10 @@
-"""Certify the bundled gallery of tensors and tabulate which route decides each.
+"""Run the check pipeline on the bundled gallery of tensors and tabulate it.
 
 Usage: python3 scripts/certify_gallery.py [--grid-n 2000]
 
 Columns: the minimum unfolding eigenvalue (the S-PSD shortcut), the
-alternating-projection outcome, the structured-case verdict when a case shape
-matches, the brute-force minimum, and the verdict the evidence supports.
+structured-case verdict when a case shape matches, the brute-force minimum,
+check's verdict, and the stage that decided it (both sides of a Conflict).
 """
 
 import argparse
@@ -26,21 +26,15 @@ def gallery():
     yield "random-spd(0)", el.random_spd_tensor(rng), None
 
 
-def decide(t, dec, grid_n):
-    lam_min = el.min_eigenvalue(el.unfold(t))
-    pocs = el.certify_mpsd(t)
-    if dec is None:
-        dec = el.spectral_decomposition(t)
-    case_rep = el.check_case(dec)
-    case_verdict = "-" if case_rep is None else case_rep.verdict
-    ov = el.oracle_verdict(t, n=grid_n)
-    if ov.verdict == el.ORACLE_NOT_MPSD:
-        verdict = "NotMPSD"
-    elif pocs.certified or case_verdict in ("MPSD", "MPD"):
-        verdict = "MPSD"
-    else:
-        verdict = "undecided"
-    return lam_min, pocs.certified, case_verdict, ov.report.min_value, verdict
+def decided_by(rep):
+    if rep.verdict == "Conflict":
+        return f"{rep.certified_mpd_by or rep.certified_mpsd_by}/{rep.refuted_by}"
+    by = {
+        "MPD": rep.certified_mpd_by,
+        "MPSD": rep.certified_mpsd_by,
+        "NotMPSD": rep.refuted_by,
+    }.get(rep.verdict)
+    return by or "-"
 
 
 def main():
@@ -48,16 +42,20 @@ def main():
     ap.add_argument("--grid-n", type=int, default=2000)
     args = ap.parse_args()
 
-    head = f"{'tensor':<18} {'min eig':>10} {'pocs':>6} {'case':>18} {'oracle min':>12} {'verdict':>10}"
+    head = (
+        f"{'tensor':<18} {'min eig':>10} {'case':>18} {'oracle min':>12} "
+        f"{'verdict':>10} {'decided by':>11}"
+    )
     print(head)
     print("-" * len(head))
     for name, t, dec in gallery():
-        lam_min, certified, case_verdict, oracle_min, verdict = decide(
-            t, dec, args.grid_n
-        )
+        rep = el.check(t, dec, grid_n=args.grid_n)
+        stages = {s["stage"]: s for s in rep.stages}
         print(
-            f"{name:<18} {lam_min:>10.3e} {str(certified):>6} "
-            f"{case_verdict:>18} {oracle_min:>12.3e} {verdict:>10}"
+            f"{name:<18} {stages['spsd-eigen']['min_eigenvalue']:>10.3e} "
+            f"{stages['case'].get('verdict', '-'):>18} "
+            f"{stages['oracle']['report']['min_value']:>12.3e} "
+            f"{rep.verdict:>10} {decided_by(rep):>11}"
         )
 
 

@@ -64,11 +64,10 @@ from .oracle import (
     OracleVerdict,
     grid_min_biquadratic,
     grid_top_candidates,
-    is_spd,
-    is_spsd,
     oracle_verdict,
     refine_min,
 )
+from .pipeline import CheckReport, check
 from .pocs import (
     VERDICT_FOUND,
     VERDICT_GAP,

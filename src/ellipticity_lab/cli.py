@@ -24,15 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cases, io, oracle, pocs
-from .errors import (
-    CaseShapeError,
-    EllipticityError,
-    ParseError,
-    SoundnessTripwire,
-    UnknownGenerator,
-)
-from .spectral import min_eigenvalue
+from . import cases, io, oracle, pipeline, pocs
+from .errors import EllipticityError, ParseError, SoundnessTripwire, UnknownGenerator
+# Not called here; elbench/layers.py wraps these two names in cli.
+from .spectral import min_eigenvalue  # noqa: F401
 from .tensors import (
     Elast4,
     tensor_choi_lam,
@@ -41,7 +36,7 @@ from .tensors import (
     tensor_two_squares,
     random_spd_tensor,
     random_tensor,
-    unfold,
+    unfold,  # noqa: F401
 )
 
 EXIT_DECIDED = 0
@@ -209,16 +204,15 @@ def _cmd_pocs(args) -> int:
     return EXIT_DECIDED if rep.verdict != pocs.VERDICT_INCONCLUSIVE else EXIT_UNDECIDED
 
 
-def _load_decomposition_arg(args, t: Elast4) -> cases.StructuredDecomposition:
-    if getattr(args, "decomp", None):
-        alphas, mats = io.load_decomposition(args.decomp)
-        return cases.StructuredDecomposition(alphas, mats)
-    return cases.spectral_decomposition(t)
+def _load_decomposition_arg(args) -> cases.StructuredDecomposition | None:
+    if args.decomp:
+        return cases.StructuredDecomposition(*io.load_decomposition(args.decomp))
+    return None
 
 
 def _cmd_case(args) -> int:
     t, name = _load_tensor(args.input)
-    dec = _load_decomposition_arg(args, t)
+    dec = _load_decomposition_arg(args) or cases.spectral_decomposition(t)
     rep = cases.check_case(dec, args.case, args.tol, args.grid_n)
     if rep is None:
         doc = {
@@ -270,146 +264,59 @@ def _cmd_oracle(args) -> int:
     return EXIT_DECIDED if ov.verdict == oracle.ORACLE_NOT_MPSD else EXIT_UNDECIDED
 
 
+def _stage_line(s: dict) -> str:
+    """One human-readable line for a stage record of pipeline.check."""
+    name = s["stage"]
+    if name == "case":
+        if "skipped" in s:
+            return f"case: (r, q) = ({s['r']}, {s['q']}) -> no matching shape"
+        return f"case {s['case_id']}: {s['verdict']}" + (
+            f" (sup eta {s['eta_sup']:.9g} vs threshold {s['threshold']:.9g})"
+            if s["eta_sup"] is not None
+            else ""
+        )
+    if "skipped" in s:
+        return f"{name}: skipped ({s['skipped']})"
+    if name == "spsd-eigen":
+        kind = "S-PD" if s["spd"] else ("S-PSD" if s["spsd"] else "indefinite")
+        return f"spsd-eigen: min unfolding eigenvalue {s['min_eigenvalue']:.6e} -> {kind}"
+    if name == "oracle":
+        rep = s["report"]
+        return (
+            f"oracle (n={rep['grid_n']}): min form value {rep['min_value']:.6e} "
+            f"-> {s['verdict']}"
+        )
+    label = f"{name} (epsilon {s['epsilon']:g})" if "epsilon" in s else name
+    target = "M-PD" if name == "pocs-mpd" else "M-PSD"
+    return (
+        f"{label}: {s['verdict']} after {s['iterations']} sweeps, final gap "
+        f"{s['final_gap']:.3e}"
+        + (f" -> certified {target}" if s["certified"] else " -> not certified")
+    )
+
+
 def _cmd_check(args) -> int:
     t, name = _load_tensor(args.input)
-    stages: list[dict] = []
+    rep = pipeline.check(
+        t,
+        _load_decomposition_arg(args),
+        tol=args.tol,
+        grid_n=args.grid_n,
+        epsilon=args.epsilon,
+        max_iter=args.max_iter,
+    )
     lines = [f"input: {args.input}" + (f" ({name})" if name else "")]
-
-    mpd_by: str | None = None
-    mpsd_by: str | None = None
-    refuted_by: str | None = None
-
-    # Stage 1: eigenvalue test of the unfolding. S-PSD is sufficient (not
-    # necessary) for nonnegativity of the form; S-PD likewise for positivity.
-    m = unfold(t)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    lam_min = min_eigenvalue(m)
-    spd = lam_min > 1e-10 * scale
-    spsd = lam_min >= -1e-10 * scale
-    stages.append(
-        {"stage": "spsd-eigen", "min_eigenvalue": lam_min, "spsd": spsd, "spd": spd}
-    )
-    lines.append(
-        f"spsd-eigen: min unfolding eigenvalue {lam_min:.6e}"
-        + (" -> S-PD" if spd else (" -> S-PSD" if spsd else " -> indefinite"))
-    )
-    if spd:
-        mpd_by = mpsd_by = "spsd-eigen"
-    elif spsd:
-        mpsd_by = "spsd-eigen"
-
-    # Stage 2: alternating projections on the strictness-shifted tensor.
-    if mpd_by is None:
-        res = pocs.certify_mpd(
-            t,
-            pocs.PocsOptions(max_iter=args.max_iter, epsilon_shift=args.epsilon),
-        )
-        rep = res.report
-        stages.append(
-            {
-                "stage": "pocs-mpd",
-                "epsilon": res.epsilon,
-                "verdict": rep.verdict,
-                "iterations": rep.iterations,
-                "final_gap": rep.final_gap,
-                "certified": res.certified,
-            }
-        )
+    lines += [_stage_line(s) for s in rep.stages]
+    certified_by = rep.certified_mpd_by or rep.certified_mpsd_by
+    if rep.verdict == "Conflict":
         lines.append(
-            f"pocs-mpd (epsilon {res.epsilon:g}): {rep.verdict} after "
-            f"{rep.iterations} sweeps, final gap {rep.final_gap:.3e}"
-            + (" -> certified M-PD" if res.certified else " -> not certified")
-        )
-        if res.certified:
-            mpd_by = "pocs-mpd"
-            mpsd_by = mpsd_by or "pocs-mpd"
-    else:
-        stages.append({"stage": "pocs-mpd", "skipped": "already certified"})
-        lines.append("pocs-mpd: skipped (already certified)")
-
-    # Stage 3: alternating projections on the tensor itself.
-    if mpsd_by is None:
-        res = pocs.certify_mpsd(t, pocs.PocsOptions(max_iter=args.max_iter))
-        rep = res.report
-        stages.append(
-            {
-                "stage": "pocs-mpsd",
-                "verdict": rep.verdict,
-                "iterations": rep.iterations,
-                "final_gap": rep.final_gap,
-                "certified": res.certified,
-            }
-        )
-        lines.append(
-            f"pocs-mpsd: {rep.verdict} after {rep.iterations} sweeps, final gap "
-            f"{rep.final_gap:.3e}"
-            + (" -> certified M-PSD" if res.certified else " -> not certified")
-        )
-        if res.certified:
-            mpsd_by = "pocs-mpsd"
-    else:
-        stages.append({"stage": "pocs-mpsd", "skipped": "already certified"})
-        lines.append("pocs-mpsd: skipped (already certified)")
-
-    # Stage 4: structured-case analysis on the supplied or spectral terms.
-    dec = _load_decomposition_arg(args, t)
-    case_rep = cases.check_case(dec, "auto", args.tol, max(args.grid_n, 20000))
-    if case_rep is None:
-        stages.append(
-            {"stage": "case", "r": dec.r, "q": dec.q, "skipped": "no matching shape"}
-        )
-        lines.append(f"case: (r, q) = ({dec.r}, {dec.q}) -> no matching shape")
-    else:
-        stage = {"stage": "case", "r": dec.r, "q": dec.q}
-        stage.update(cases.case_report_to_doc(case_rep))
-        stages.append(stage)
-        lines.append(
-            f"case {case_rep.case_id}: {case_rep.verdict}"
-            + (
-                f" (sup eta {case_rep.eta_sup:.9g} vs threshold {case_rep.threshold:.9g})"
-                if case_rep.eta_sup is not None
-                else ""
-            )
-        )
-        tag = f"case{case_rep.case_id}"
-        if case_rep.verdict == cases.CASE_MPD:
-            mpd_by = mpd_by or tag
-            mpsd_by = mpsd_by or tag
-        elif case_rep.verdict == cases.CASE_MPSD:
-            mpsd_by = mpsd_by or tag
-        elif case_rep.verdict == cases.CASE_NOT_MPSD:
-            refuted_by = refuted_by or tag
-
-    # Stage 5: the independent brute-force check always runs last.
-    ov = oracle.oracle_verdict(t, n=args.grid_n, tol=args.tol)
-    stage = {"stage": "oracle"}
-    stage.update(oracle.oracle_verdict_to_doc(ov))
-    stages.append(stage)
-    lines.append(
-        f"oracle (n={args.grid_n}): min form value {ov.report.min_value:.6e} "
-        f"-> {ov.verdict}"
-    )
-    if ov.verdict == oracle.ORACLE_NOT_MPSD:
-        refuted_by = refuted_by or "oracle"
-
-    conflict = (mpsd_by is not None or mpd_by is not None) and refuted_by is not None
-    if conflict:
-        verdict = "Conflict"
-        code = EXIT_TRIPWIRE
-        lines.append(
-            f"CONFLICT: certified by {mpd_by or mpsd_by} but refuted by {refuted_by}; "
+            f"CONFLICT: certified by {certified_by} but refuted by {rep.refuted_by}; "
             "this indicates a bug or a violated tolerance"
         )
-    elif refuted_by is not None:
-        verdict, code = "NotMPSD", EXIT_DECIDED
-    elif mpd_by is not None:
-        verdict, code = "MPD", EXIT_DECIDED
-    elif mpsd_by is not None:
-        verdict, code = "MPSD", EXIT_DECIDED
-    else:
-        verdict, code = "Undecided", EXIT_UNDECIDED
-    lines.append(f"verdict: {verdict}")
-
+    lines.append(f"verdict: {rep.verdict}")
+    code = {"Conflict": EXIT_TRIPWIRE, "Undecided": EXIT_UNDECIDED}.get(
+        rep.verdict, EXIT_DECIDED
+    )
     doc = {
         "command": "check",
         "input": args.input,
@@ -417,17 +324,13 @@ def _cmd_check(args) -> int:
         "tol": args.tol,
         "grid_n": args.grid_n,
         "epsilon": args.epsilon,
-        "stages": stages,
-        "certified_mpd_by": mpd_by,
-        "certified_mpsd_by": mpsd_by,
-        "refuted_by": refuted_by,
-        "verdict": verdict,
+        **vars(rep),
         "exit_code": code,
     }
     _emit(args, doc, lines)
-    if conflict:
+    if rep.verdict == "Conflict":
         raise SoundnessTripwire(
-            f"certificate from {mpd_by or mpsd_by} contradicts {refuted_by}"
+            f"certificate from {certified_by} contradicts {rep.refuted_by}"
         )
     return code
 
@@ -440,9 +343,6 @@ def main(argv=None) -> int:
     except SoundnessTripwire as exc:
         sys.stderr.write(f"soundness tripwire: {exc}\n")
         return EXIT_TRIPWIRE
-    except (ParseError, CaseShapeError, UnknownGenerator) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except EllipticityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

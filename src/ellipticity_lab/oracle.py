@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import min_eigenvalue
 # Not called here; elbench/layers.py wraps oracle.sym_eig, so the name stays.
 from .spectral import sym_eig  # noqa: F401
 from .spheres import fibonacci_sphere
-from .tensors import Pair4, biquadratic, contract_xx, contract_yy, unfold
+from .tensors import Pair4, biquadratic, contract_xx, contract_yy
 
 __all__ = [
     "ORACLE_NOT_MPSD",
@@ -28,8 +27,6 @@ __all__ = [
     "grid_min_biquadratic",
     "grid_top_candidates",
     "refine_min",
-    "is_spsd",
-    "is_spd",
     "oracle_verdict",
     "oracle_report_to_doc",
     "oracle_verdict_to_doc",
@@ -186,20 +183,6 @@ def refine_min(
         refined=True,
         objective_trace=tuple(trace),
     )
-
-
-def is_spsd(t: Pair4, tol: float = 1e-10) -> bool:
-    """PSD test on the unfolding, with a relative slack of tol * ||A||."""
-    m = unfold(t)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return min_eigenvalue(m) >= -tol * scale
-
-
-def is_spd(t: Pair4, tol: float = 1e-10) -> bool:
-    """Strict PD test on the unfolding: smallest eigenvalue above +tol * ||A||."""
-    m = unfold(t)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return min_eigenvalue(m) > tol * scale
 
 
 def oracle_verdict(

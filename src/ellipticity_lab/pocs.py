@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidEpsilon
 from .io import decimate, tensor_to_doc
 from .spectral import psd_project
-from .tensors import Elast4, Pair4, fold, tensor_e, unfold
+from .tensors import Elast4, Pair4, fold_array, tensor_e, unfold, unfold_array
 
 __all__ = [
     "VERDICT_FOUND",
@@ -36,7 +36,6 @@ __all__ = [
     "certify_mpsd",
     "certify_mpd",
     "pocs_report_to_doc",
-    "certify_result_to_doc",
 ]
 
 VERDICT_FOUND = "IntersectionFound"
@@ -120,26 +119,23 @@ def project_T(a_ref: Elast4, b: Pair4) -> Pair4:
 
     Entrywise: keep the reference value where the pair sum pins the entry
     (i == j or k == l), else move to a[ijkl] + (b[ijkl] - b[jikl]) / 2.
-    The single vectorized expression below covers both cases because the
-    correction vanishes identically on pinned entries.
+    The single vectorized expression in _slice_project covers both cases
+    because the correction vanishes identically on pinned entries.
     """
     if not isinstance(a_ref, Elast4):
         raise TypeError("reference must be an Elast4")
     bb = b.a if isinstance(b, Pair4) else np.asarray(b, dtype=float)
-    return Pair4(a_ref.a + 0.5 * (bb - bb.transpose(1, 0, 2, 3)))
+    return Pair4(_slice_project(a_ref.a, bb))
 
 
 def project_S(b: Pair4) -> Pair4:
     """Orthogonal projection onto the PSD-unfolding cone (eigenvalue clamp)."""
-    return fold(psd_project(unfold(b)), tol=1e-6)
+    return Pair4(fold_array(psd_project(unfold(b))))
 
 
-def _unfold_raw(arr: np.ndarray) -> np.ndarray:
-    return arr.transpose(2, 0, 3, 1).reshape(9, 9)
-
-
-def _fold_raw(mat: np.ndarray) -> np.ndarray:
-    return mat.reshape(3, 3, 3, 3).transpose(1, 3, 0, 2)
+def _slice_project(a_ref: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """project_T on arrays, as run_pocs's sweep calls it."""
+    return a_ref + 0.5 * (b - b.transpose(1, 0, 2, 3))
 
 
 def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
@@ -166,9 +162,8 @@ def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
     b_arr = cur
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        m = psd_project(_unfold_raw(cur))
-        b_arr = _fold_raw(m)
-        cur = a_ref + 0.5 * (b_arr - b_arr.transpose(1, 0, 2, 3))
+        b_arr = fold_array(psd_project(unfold_array(cur)))
+        cur = _slice_project(a_ref, b_arr)
         gap = float(np.linalg.norm(cur - b_arr))
         gaps.append(gap)
         if gap <= threshold:
@@ -260,15 +255,4 @@ def pocs_report_to_doc(report: PocsReport) -> dict:
         "gap_trace_length": int(report.gap_trace.size),
         "limit_A": tensor_to_doc(report.limit_A),
         "limit_B": tensor_to_doc(report.limit_B),
-    }
-
-
-def certify_result_to_doc(result: CertifyResult) -> dict:
-    return {
-        "certified": result.certified,
-        "target": result.target,
-        "epsilon": result.epsilon,
-        "attempts": list(result.attempts),
-        "note": result.note,
-        "report": pocs_report_to_doc(result.report),
     }

@@ -152,10 +152,20 @@ def make_pair4(raw, tol: float = 1e-8) -> Pair4:
     return Pair4(0.5 * (arr + arr.transpose(1, 0, 3, 2)))
 
 
+def unfold_array(arr: np.ndarray) -> np.ndarray:
+    """The 9x9 layout of a (3, 3, 3, 3) array, unchecked: a fresh C-ordered copy."""
+    return arr.transpose(2, 0, 3, 1).reshape(9, 9)
+
+
+def fold_array(mat: np.ndarray) -> np.ndarray:
+    """Inverse of unfold_array, unchecked: a (3, 3, 3, 3) view of mat."""
+    return mat.reshape(3, 3, 3, 3).transpose(1, 3, 0, 2)
+
+
 def unfold(t: Pair4) -> np.ndarray:
     """9x9 matricization; symmetric exactly when t is weakly symmetric."""
     arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
-    return np.ascontiguousarray(arr.transpose(2, 0, 3, 1).reshape(9, 9))
+    return unfold_array(arr)
 
 
 def fold(m, tol: float = 1e-8) -> Pair4:
@@ -174,7 +184,7 @@ def fold(m, tol: float = 1e-8) -> Pair4:
             f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
         )
     sym = 0.5 * (mat + mat.T)
-    return Pair4(sym.reshape(3, 3, 3, 3).transpose(1, 3, 0, 2))
+    return Pair4(fold_array(sym))
 
 
 def vec(z) -> np.ndarray:

@@ -235,20 +235,6 @@ def test_refine_min_replaced_vectors_are_gauged():
 
 
 # ---------------------------------------------------------------------------
-# unfolding-eigenvalue shortcuts
-
-
-def test_is_spsd_and_spd():
-    assert el.is_spd(el.tensor_e())
-    assert el.is_spsd(el.tensor_e())
-    # indefinite unfolding despite the form being nonnegative
-    assert not el.is_spsd(el.tensor_two_squares())
-    assert not el.is_spd(el.tensor_two_squares())
-    zero = el.Elast4(np.zeros((3, 3, 3, 3)))
-    assert el.is_spsd(zero) and not el.is_spd(zero)
-
-
-# ---------------------------------------------------------------------------
 # verdicts
 
 

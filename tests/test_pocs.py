@@ -66,6 +66,24 @@ def test_project_s_matches_matrix_projection():
     s = project_S(b)
     want = el.psd_project(el.unfold(b))
     assert np.allclose(el.unfold(s), want, atol=1e-13)
+    # folding the exactly symmetric clamp through the checked fold is the same
+    assert np.array_equal(s.a, el.fold(want).a)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-6])
+def test_run_pocs_sweeps_are_the_public_projections(shift):
+    # the sweep runs the same kernels as project_S / project_T, bit for bit
+    for t in (el.tensor_two_squares(), el.tensor_choi_lam(1.0), el.random_tensor(rng)):
+        rep = el.run_pocs(t, el.PocsOptions(max_iter=7, epsilon_shift=shift))
+        ref = el.Elast4(t.a - shift * el.tensor_e().a) if shift else t
+        cur, gaps = ref, []
+        for _ in range(rep.iterations):
+            b = project_S(cur)
+            cur = project_T(ref, b)
+            gaps.append(float(np.linalg.norm(cur.a - b.a)))
+        assert np.array_equal(rep.limit_B.a, b.a)
+        assert np.array_equal(rep.limit_A.a, cur.a)
+        assert np.array_equal(rep.gap_trace, gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""Smoke runs of the scripts in scripts/ as separate processes."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ellipticity_lab as el
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = str(Path(el.__file__).resolve().parents[1])
+
+
+def run_script(name, *argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_certify_gallery_prints_check_verdicts():
+    path = SCRIPTS / "certify_gallery.py"
+    spec = importlib.util.spec_from_file_location("certify_gallery", path)
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    rows = run_script("certify_gallery.py").splitlines()[2:]
+    items = list(gallery.gallery())
+    assert len(rows) == len(items)
+    for row, (name, t, dec) in zip(rows, items):
+        fields = row.split()
+        assert fields[0] == name
+        assert fields[-2] == el.check(t, dec).verdict
+
+
+def test_isotropic_sweep_agrees_with_closed_form():
+    out = run_script("isotropic_sweep.py", "--n-lam", "5", "--n-mu", "3", "--grid-n", "500")
+    assert "disagreements with the closed form: 0" in out
