@@ -139,10 +139,13 @@ def _load_tensor(path: str) -> tuple[Elast4, str | None]:
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
-    text = io.dumps_report(doc)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    if getattr(args, "json", False):
+    output, as_json = getattr(args, "output", None), getattr(args, "json", False)
+    # Serialise only when asked to: a report the JSON encoder rejects (say
+    # an inf) must not stop the human-readable lines.
+    text = io.dumps_report(doc) if output or as_json else None
+    if output:
+        Path(output).write_text(text)
+    if as_json:
         sys.stdout.write(text)
     else:
         for line in human_lines:

@@ -162,6 +162,18 @@ def fold_array(mat: np.ndarray) -> np.ndarray:
     return mat.reshape(3, 3, 3, 3).transpose(1, 3, 0, 2)
 
 
+def pow2_rescale(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ldexp(arr, -e), e) with e the frexp exponent of max|arr|.
+
+    The rescaled entries have max magnitude in [0.5, 1). Scaling by a power
+    of two is exact, so a form value of the rescaled tensor times 2**e is
+    the value of the original wherever nothing overflows or underflows. A
+    zero, inf or NaN peak has exponent 0 and leaves the array as it is.
+    """
+    e = int(np.frexp(np.max(np.abs(arr)))[1])
+    return np.ldexp(arr, -e), e
+
+
 def unfold(t: Pair4) -> np.ndarray:
     """9x9 matricization; symmetric exactly when t is weakly symmetric."""
     arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)

@@ -57,7 +57,7 @@ def test_acceptance_2_choi_lam_boundary():
         # The form vanishes at x = y = S(1,1,1)/sqrt(3) for every diagonal
         # sign matrix S, and near the coordinate-axis pairs. Which zero a
         # lattice argmin lands on depends on n; from the n = 1000 lattice the
-        # alternating refinement converges into a uniform-magnitude zero, and
+        # refinement converges into a uniform-magnitude zero, and
         # the angle test below is sign-insensitive, so any of those four
         # basins passes it.
         grid = el.grid_min_biquadratic(t, n=1000)

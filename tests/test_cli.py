@@ -149,6 +149,19 @@ def test_check_human_output(tensor_files):
     assert "spsd-eigen" in proc.stdout
 
 
+def test_check_human_output_at_extreme_scale(tmp_path):
+    # the report of this check holds an inf, which the JSON encoder rejects;
+    # human mode does not serialise it, so it prints its stage lines. The
+    # verdict itself is not pinned: positivity is scale invariant, but the
+    # certifiers' absolute floors are not yet
+    path = tmp_path / "big.json"
+    el.save_tensor(path, el.Elast4(1e160 * el.tensor_two_squares().a))
+    proc = run_cli("check", "-i", str(path))
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("verdict: ") for line in proc.stdout.splitlines())
+    assert "oracle (n=2000)" in proc.stdout
+
+
 def test_check_json_deterministic(tensor_files):
     a = run_cli("check", "-i", tensor_files["iso-neg"], "--json")
     b = run_cli("check", "-i", tensor_files["iso-neg"], "--json")

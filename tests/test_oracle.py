@@ -1,9 +1,10 @@
-"""Brute-force minimization: lattices, grid scan, alternating refinement."""
+"""Brute-force minimization: lattices, grid scan, Newton refinement, basins."""
 
 import numpy as np
 import pytest
 
 import ellipticity_lab as el
+from ellipticity_lab import oracle
 from ellipticity_lab.oracle import oracle_report_to_doc, oracle_verdict_to_doc
 from ellipticity_lab.spheres import fibonacci_hemisphere, fibonacci_sphere
 
@@ -179,29 +180,6 @@ def test_refine_normalizes_inputs():
     assert abs(np.linalg.norm(rep.argmin_y) - 1.0) < 1e-12
 
 
-def _refine_with_sym_eig(t, x, y, tol=1e-12, max_sweeps=200):
-    """The alternating minimization written with the gauged sym_eig."""
-    x = np.asarray(x, dtype=float) / np.linalg.norm(x)
-    y = np.asarray(y, dtype=float) / np.linalg.norm(y)
-    val = el.biquadratic(t, x, y)
-    trace = [val]
-    for _ in range(max_sweeps):
-        improved = False
-        cand_x = el.sym_eig(el.contract_yy(t, y)).vectors[:, 0]
-        cand = el.biquadratic(t, cand_x, y)
-        if cand < val:
-            x, val, improved = cand_x, cand, True
-        cand_y = el.sym_eig(el.contract_xx(t, x)).vectors[:, 0]
-        cand = el.biquadratic(t, x, cand_y)
-        if cand < val:
-            y, val, improved = cand_y, cand, True
-        if improved:
-            trace.append(val)
-        if not improved or (len(trace) > 1 and trace[-2] - trace[-1] < tol):
-            break
-    return val, x, y, tuple(trace)
-
-
 def _refine_starts():
     rng = np.random.default_rng(23)
     for t in (el.tensor_isotropic(-3.0, 0.1), el.tensor_choi_lam(1.0)):
@@ -210,16 +188,6 @@ def _refine_starts():
     for _ in range(6):
         t = el.random_tensor(rng)
         yield t, rng.standard_normal(3), rng.standard_normal(3)
-
-
-def test_refine_min_matches_sym_eig_reference():
-    # the private eigenvector helper reproduces the sym_eig trajectory bit for bit
-    for t, x, y in _refine_starts():
-        rep = el.refine_min(t, x, y)
-        val, rx, ry, trace = _refine_with_sym_eig(t, x, y)
-        assert rep.min_value == val
-        assert np.array_equal(rep.argmin_x, rx) and np.array_equal(rep.argmin_y, ry)
-        assert np.array_equal(rep.objective_trace, trace)
 
 
 def test_refine_min_replaced_vectors_are_gauged():
@@ -232,6 +200,17 @@ def test_refine_min_replaced_vectors_are_gauged():
                 replaced += 1
                 assert got[np.argmax(np.abs(got))] > 0.0
     assert replaced > 0
+
+
+def test_refine_work_is_bounded():
+    # from the n = 1000 grid argmin of a boundary Choi-Lam form, Newton steps
+    # reach the zero in a few steps; the alternating crawl hit its 200-sweep
+    # cap here at a minimum of ~3e-7
+    t = el.tensor_choi_lam(1.5)
+    grid = el.grid_min_biquadratic(t, n=1000)
+    rep = el.refine_min(t, grid.argmin_x, grid.argmin_y)
+    assert len(rep.objective_trace) <= 30
+    assert abs(rep.min_value) <= 1e-12 * np.max(np.abs(t.a))
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +249,81 @@ def test_oracle_docs_serializable_and_stable():
     doc = oracle_report_to_doc(v1.report)
     assert doc["refined"] is True
     assert doc["min_value"] == v1.report.min_value
+
+
+def _rotated(t, rng):
+    """t with x rotated by one seeded orthogonal matrix and y by another."""
+    p, q = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    return el.make_elast4(np.einsum("ia,jb,kc,ld,abcd->ijkl", p, p, q, q, t.a))
+
+
+def _boundary_forms():
+    rng = np.random.default_rng(29)
+    for gamma in (1.0, 1.5, 2.0):
+        t = el.tensor_choi_lam(gamma)
+        yield f"choi-lam({gamma})", t
+        for r in range(2):
+            yield f"choi-lam({gamma}) rotated {r}", _rotated(t, rng)
+
+
+def test_oracle_verdict_boundary_choi_lam_family():
+    # nonnegative forms with exact zeros: the refined minimum is zero to
+    # rounding, not the ~3e-7 at which the alternating crawl stopped
+    for label, t in _boundary_forms():
+        v = el.oracle_verdict(t, n=2000)
+        assert v.verdict == el.ORACLE_BOUNDARY, label
+        assert abs(v.report.min_value) <= 1e-12 * np.max(np.abs(t.a)), label
+
+
+SCALED_FORMS = {
+    "two-squares": el.tensor_two_squares(),
+    "isotropic(-3,0.1)": el.tensor_isotropic(-3.0, 0.1),
+    "choi-lam(1.5)": el.tensor_choi_lam(1.5),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_FORMS)
+def test_oracle_verdict_scale_equivariant(name):
+    # scan and refinement run on the same power-of-two rescale for every
+    # 2**k multiple, so they take the same path, and the re-evaluated
+    # minimum scales exactly
+    t = SCALED_FORMS[name]
+    want = el.oracle_verdict(t)
+    for k in (-600, -1, 1, 600):
+        got = el.oracle_verdict(el.Elast4(np.ldexp(t.a, k)))
+        assert got.verdict == want.verdict, k
+        assert np.array_equal(got.report.argmin_x, want.report.argmin_x), k
+        assert np.array_equal(got.report.argmin_y, want.report.argmin_y), k
+        assert got.report.min_value == np.ldexp(want.report.min_value, k), k
+
+
+@pytest.mark.parametrize("name", SCALED_FORMS)
+def test_oracle_verdict_decimal_extreme_scales(name):
+    # the Hessian terms of the Newton step are squares of form derivatives,
+    # which overflow at 1e160 unless the refinement runs on the rescale
+    for s in (1e-160, 1e-150, 1e150, 1e160):
+        v = el.oracle_verdict(el.Elast4(s * SCALED_FORMS[name].a))
+        assert v.verdict in (el.ORACLE_NOT_MPSD, el.ORACLE_MPD_LIKELY, el.ORACLE_BOUNDARY)
+        assert np.isfinite(v.report.min_value)
+
+
+def test_oracle_verdict_refines_one_start_per_basin(monkeypatch):
+    # top_k = 10 lattice candidates, but starts within a few lattice
+    # spacings of an earlier one (up to sign) share its basin
+    calls = []
+    refine = oracle.refine_min
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "refine_min", recording)
+    forms = [
+        el.tensor_e(),
+        el.tensor_two_squares(),
+        el.tensor_isotropic(-3.0, 0.1),
+    ] + [el.tensor_choi_lam(g) for g in (1.0, 1.5, 2.0)]
+    for t in forms:
+        calls.clear()
+        el.oracle_verdict(t)
+        assert 1 <= len(calls) <= 6

@@ -147,6 +147,19 @@ def test_fold_identity_gives_e():
     assert np.array_equal(t.a, el.tensor_e().a)
 
 
+def test_pow2_rescale_is_exact():
+    from ellipticity_lab.tensors import pow2_rescale
+
+    a = el.tensor_isotropic(-3.0, 0.1).a
+    for k in (-1000, -1, 0, 1, 1000):
+        scaled, e = pow2_rescale(np.ldexp(a, k))
+        assert 0.5 <= np.max(np.abs(scaled)) < 1.0
+        assert np.array_equal(scaled, pow2_rescale(a)[0])
+        assert np.array_equal(np.ldexp(scaled, e), np.ldexp(a, k))
+    zero, e = pow2_rescale(np.zeros((3, 3, 3, 3)))
+    assert e == 0 and not zero.any()
+
+
 def test_vec_unvec():
     z = rng.standard_normal((3, 3))
     v = el.vec(z)
