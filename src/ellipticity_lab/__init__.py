@@ -31,7 +31,6 @@ from .cases import (
 )
 from .errors import (
     AsymmetricInput,
-    BadParams,
     CaseShapeError,
     DegenerateDenominator,
     EllipticityError,

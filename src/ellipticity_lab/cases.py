@@ -70,6 +70,14 @@ CASE_MISMATCH = "StructureMismatch"
 TOL_STRICT = 1e-8
 # Angular tolerance for matching shared left vectors during grouping.
 GROUP_ANGLE_TOL = 1e-6
+# spectral_decomposition drops eigenvalues below this times ||A||.
+SPECTRAL_REL_TOL = 1e-12
+# sup_eta: ascents start from this many best grid points, stop once the
+# tangent gradient is below ASCENT_TOL times max(1, |eta|), and each
+# singular line is probed on rings at these angles.
+REFINE_K = 10
+ASCENT_TOL = 1e-10
+PROBE_THETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -157,16 +165,16 @@ class SupEtaResult:
     probes: tuple
 
 
-def spectral_decomposition(a: Elast4, rel_tol: float = 1e-12) -> StructuredDecomposition:
+def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
     """Sign-split terms from the eigendecomposition of the unfolding.
 
-    Eigenvalues below rel_tol * ||A|| in magnitude are dropped; the term
-    matrices devectorize the eigenvectors, so r <= 9 on this route.
+    Eigenvalues below SPECTRAL_REL_TOL * ||A|| in magnitude are dropped;
+    the term matrices devectorize the eigenvectors, so r <= 9 on this route.
     """
     m = unfold(a)
     scale = float(np.linalg.norm(m))
     pair = sym_eig(m)
-    keep = np.abs(pair.values) > rel_tol * scale
+    keep = np.abs(pair.values) > SPECTRAL_REL_TOL * scale
     if not np.any(keep):
         return StructuredDecomposition(np.zeros(0), np.zeros((0, 3, 3)))
     alphas = pair.values[keep]
@@ -291,7 +299,7 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
 
 
 def case1_positive_redecomposition(
-    dec: StructuredDecomposition, tol: float = 1e-8
+    dec: StructuredDecomposition,
 ) -> StructuredDecomposition:
     """All-positive terms equal to a nonnegative case-1 decomposition.
 
@@ -299,7 +307,7 @@ def case1_positive_redecomposition(
     gives terms (lambda_t, V diag(e_t) W^T) with every lambda_t >= 0; near-zero
     eigenvalues are dropped. The result induces the same contracted matrix.
     """
-    rep = check_case1(dec, tol)
+    rep = check_case1(dec)
     if rep.verdict != CASE_MPSD:
         raise ValueError(f"needs an MPSD case-1 decomposition, got {rep.verdict}")
     assert rep.C_matrix is not None and rep.structure is not None
@@ -323,6 +331,9 @@ def case1_positive_redecomposition(
 # Ratio function shared by cases 2 and 3
 
 
+# _RatioForm refuses directions where a denominator term is at most this
+# share of its scale times |y|^2.
+_GUARD = 1e-13
 # Rows per block in _RatioForm.value_many. Blocks this small keep the
 # (G, 3, rows) temporaries off freshly mapped pages: one pass over the
 # 20000-point hemisphere took ~1.8x as long, with ~1000 page faults a call.
@@ -332,7 +343,7 @@ _BLOCK_ROWS = 2048
 class _RatioForm:
     """eta(y) = sum_s (sum_g sigma[g,s] w[g,s].y)^2 / (sum_g alpha[g,s] (w[g,s].y)^2).
 
-    w[g] are the columns of the g-th frame; the guard keeps evaluations away
+    w[g] are the columns of the g-th frame; the _GUARD keeps evaluations away
     from directions where some denominator term vanishes.
 
     The order of every floating-point operation is a contract: eta values,
@@ -348,7 +359,7 @@ class _RatioForm:
     stays numpy's `y @ y`, a BLAS dot that may use fused multiply-adds.
     """
 
-    def __init__(self, alphas, frames, sigma, error_cls, guard: float = 1e-13):
+    def __init__(self, alphas, frames, sigma, error_cls):
         self.alphas = np.asarray(alphas, dtype=float)  # (G, 3)
         self.frames = np.stack([np.asarray(f, dtype=float) for f in frames])  # (G,3,3)
         self.sigma = np.asarray(sigma, dtype=float)  # (G, 3)
@@ -357,7 +368,6 @@ class _RatioForm:
         self.den_scale = np.einsum(
             "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
         )
-        self.guard = guard
         # Python-float tables for the scalar kernels: terms[s] lists
         # (sigma, alpha, w_0, w_1, w_2) per frame g, and num_dir[s] is the
         # constant d num_lin_s / dy = sum_g sigma w.
@@ -378,7 +388,7 @@ class _RatioForm:
     def _parts(self, yv: np.ndarray, nrm2: float):
         """p[s][g] = w[g,s].y, num_lin[s] = sum_g sigma p, den[s] = sum_g alpha p^2.
 
-        Raises error_cls where some den[s] is at most guard nrm2 den_scale[s].
+        Raises error_cls where some den[s] is at most _GUARD nrm2 den_scale[s].
         """
         y0, y1, y2 = yv.tolist()
         p, num_lin, den = [], [], []
@@ -393,7 +403,7 @@ class _RatioForm:
             p.append(ps)
             num_lin.append(nl)
             den.append(dn)
-        floor = self.guard * nrm2
+        floor = _GUARD * nrm2
         for d, scale in zip(den, self._den_scale):
             if d <= floor * scale:
                 raise self.error_cls("denominator vanished at this direction")
@@ -420,7 +430,7 @@ class _RatioForm:
         """Vectorized values with -inf at guarded rows. ys is (N, 3) unit."""
         yt = np.ascontiguousarray(np.asarray(ys, dtype=float).T)  # (3, N)
         f = self.frames[:, :, :, None]  # (G, i, s, 1)
-        floor = (self.guard * self.den_scale)[:, None]
+        floor = (_GUARD * self.den_scale)[:, None]
         vals = np.empty(yt.shape[1])
         for lo in range(0, yt.shape[1], _BLOCK_ROWS):
             y0, y1, y2 = yt[:, lo : lo + _BLOCK_ROWS]
@@ -570,39 +580,22 @@ def _trend_settled(vals) -> bool:
     return inc_last <= max(0.5 * inc_prev, floor)
 
 
-def _numeric_grad(value_or_none, h: float = 1e-7):
-    def grad(y):
-        g = np.zeros(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            up = value_or_none(y + e)
-            dn = value_or_none(y - e)
-            if up is None or dn is None:
-                raise SingularDirection("numeric gradient hit an excluded line")
-            g[i] = (up - dn) / (2.0 * h)
-        return g
-
-    return grad
-
-
 def sup_eta(
     eta_fn,
     singular_lines,
     angular_tol: float = 1e-8,
     *,
-    grad_fn=None,
-    eta_many=None,
+    grad_fn,
+    eta_many,
     grid_n: int = 20000,
-    refine_k: int = 10,
-    ascent_tol: float = 1e-10,
-    probe_thetas=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
 ) -> SupEtaResult:
     """Estimate sup eta over unit directions off the singular lines.
 
-    Stage 1 evaluates a deterministic hemisphere lattice (grid points within
+    eta_many maps an (N, 3) array of unit directions to N values, -inf where
+    eta is not defined; grad_fn is the gradient of eta_fn. Stage 1
+    evaluates a deterministic hemisphere lattice (grid points within
     angular_tol of a singular line are skipped). Stage 2 runs projected
-    gradient ascent with backtracking from the refine_k best grid points.
+    gradient ascent with backtracking from the REFINE_K best grid points.
     Singular lines are additionally probed along shrinking geodesic rings;
     probe values are legitimate domain points and enter the supremum, and
     their trend is reported for diagnosis.
@@ -619,20 +612,15 @@ def sup_eta(
     for d in lines:
         ang = np.arccos(np.clip(np.abs(ys @ d), 0.0, 1.0))
         excluded |= ang < angular_tol
-    if eta_many is not None:
-        vals = np.asarray(eta_many(ys), dtype=float)
-    else:
-        vals = np.empty(grid_n)
-        for idx in range(grid_n):
-            v = eta_fn(ys[idx]) if not excluded[idx] else None
-            vals[idx] = -np.inf if v is None else v
+    # A copy: the caller's array may be read-only or still in use.
+    vals = np.array(eta_many(ys), dtype=float)
     vals[excluded] = -np.inf
     finite = np.isfinite(vals)
     n_excluded = int(np.sum(~finite))
     if not np.any(finite):
         raise EmptyDomain("every grid point was excluded or guarded")
 
-    k = min(refine_k, int(np.sum(finite)))
+    k = min(REFINE_K, int(np.sum(finite)))
     part = np.argpartition(-vals, k - 1)[:k]
     starts = part[np.lexsort((part, -vals[part]))]
 
@@ -645,14 +633,12 @@ def sup_eta(
             return None
         return v if v is not None and np.isfinite(v) else None
 
-    grad = grad_fn if grad_fn is not None else _numeric_grad(safe_value)
-
     best_val = float(vals[starts[0]])
     best_arg = ys[starts[0]].copy()
     all_converged = True
     refined_best = -np.inf
     for idx in starts:
-        yr, fr, conv = _ascend(ys[idx], safe_value, grad, ascent_tol)
+        yr, fr, conv = _ascend(ys[idx], safe_value, grad_fn, ASCENT_TOL)
         all_converged &= conv
         refined_best = max(refined_best, fr)
         if fr > best_val:
@@ -664,7 +650,7 @@ def sup_eta(
     for d in lines:
         u1, u2 = _orthonormal_complement(d)
         trend = []
-        for theta in probe_thetas:
+        for theta in PROBE_THETAS:
             ring_best = -np.inf
             for a in range(8):
                 phi = 2.0 * np.pi * a / 8.0
@@ -755,12 +741,7 @@ def _recover_sigma(basis_mats, target: np.ndarray):
 
 
 def _check_ratio_case(
-    dec: StructuredDecomposition,
-    case_id: int,
-    tol: float,
-    grid_n: int,
-    refine_k: int,
-    angular_tol: float = 1e-8,
+    dec: StructuredDecomposition, case_id: int, tol: float, grid_n: int
 ) -> CaseReport:
     """The ratio test shared by cases 2 and 3: sup eta against 1 / (-alpha_neg).
 
@@ -836,11 +817,9 @@ def _check_ratio_case(
     sup = sup_eta(
         form.value_or_none,
         lines,
-        angular_tol,
         grad_fn=form.grad,
         eta_many=form.value_many,
         grid_n=grid_n,
-        refine_k=refine_k,
     )
     threshold = 1.0 / (-float(dec.alphas[q]))
     diag["sup_converged"] = sup.converged
@@ -873,11 +852,7 @@ def _check_ratio_case(
 
 
 def check_case2(
-    dec: StructuredDecomposition,
-    tol: float = 1e-8,
-    grid_n: int = 20000,
-    refine_k: int = 10,
-    angular_tol: float = 1e-8,
+    dec: StructuredDecomposition, tol: float = 1e-8, grid_n: int = 20000
 ) -> CaseReport:
     """Necessary-and-sufficient nonnegativity test for the (r, q) = (7, 6) shape.
 
@@ -887,14 +862,11 @@ def check_case2(
     sup eta <= 1 / (-alpha_7) over directions off the three singular lines.
     This shape is never strictly positive.
     """
-    return _check_ratio_case(dec, 2, tol, grid_n, refine_k, angular_tol)
+    return _check_ratio_case(dec, 2, tol, grid_n)
 
 
 def check_case3(
-    dec: StructuredDecomposition,
-    tol: float = 1e-8,
-    grid_n: int = 20000,
-    refine_k: int = 10,
+    dec: StructuredDecomposition, tol: float = 1e-8, grid_n: int = 20000
 ) -> CaseReport:
     """Positivity test for the (r, q) = (10, 9) shape; can certify strictness.
 
@@ -905,7 +877,7 @@ def check_case3(
     positivity, equality within tolerance gives the boundary verdict, and
     excess refutes nonnegativity.
     """
-    return _check_ratio_case(dec, 3, tol, grid_n, refine_k)
+    return _check_ratio_case(dec, 3, tol, grid_n)
 
 
 def check_case(

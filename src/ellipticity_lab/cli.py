@@ -19,17 +19,17 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import cases, io, oracle, pipeline, pocs
-from .errors import EllipticityError, ParseError, SoundnessTripwire, UnknownGenerator
+from .errors import EllipticityError, SoundnessTripwire, UnknownGenerator
 # Not called here; elbench/layers.py wraps these two names in cli.
 from .spectral import min_eigenvalue  # noqa: F401
 from .tensors import (
-    Elast4,
     tensor_choi_lam,
     tensor_e,
     tensor_isotropic,
@@ -54,6 +54,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _checked(convert, low=None, strict=False):
+    """An argparse type: convert the text, then require a finite value that
+    is at least low (above it if strict). Failures reach _Parser.error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+        if low is not None and (value <= low if strict else value < low):
+            relation = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"{text!r} is not {relation} {low}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_FINITE = _checked(float)
+_POSITIVE = _checked(float, 0.0, strict=True)
+_NONNEGATIVE = _checked(float, 0.0)
+_COUNT = _checked(int, 1)
+_SEED = _checked(int, 0)
+_LATTICE_N = _checked(int, oracle.MIN_GRID_N)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ellipticity-lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,12 +90,12 @@ def _build_parser() -> _Parser:
         "random-spd, random.",
     )
     gen.add_argument("name", help="generator name")
-    gen.add_argument("--gamma", type=float, default=1.0, help="choi-lam parameter")
+    gen.add_argument("--gamma", type=_FINITE, default=1.0, help="choi-lam parameter")
     gen.add_argument(
-        "--lambda", dest="lam", type=float, default=1.0, help="isotropic first modulus"
+        "--lambda", dest="lam", type=_FINITE, default=1.0, help="isotropic first modulus"
     )
-    gen.add_argument("--mu", type=float, default=1.0, help="isotropic second modulus")
-    gen.add_argument("--seed", type=int, default=0, help="seed for random generators")
+    gen.add_argument("--mu", type=_FINITE, default=1.0, help="isotropic second modulus")
+    gen.add_argument("--seed", type=_SEED, default=0, help="seed for random generators")
     gen.add_argument("--output", "-o", help="write the tensor JSON here")
     gen.add_argument(
         "--decomp-output",
@@ -78,22 +103,22 @@ def _build_parser() -> _Parser:
     )
     gen.set_defaults(func=_cmd_gen)
 
-    def common(p, grid_default=2000):
+    def common(p, grid_type=_LATTICE_N, grid_default=2000):
         p.add_argument("--input", "-i", required=True, help="tensor JSON file")
         p.add_argument("--output", "-o", help="write the JSON report here")
         p.add_argument("--json", action="store_true", help="print JSON to stdout")
-        p.add_argument("--tol", type=float, default=1e-8, help="certification tolerance")
+        p.add_argument("--tol", type=_POSITIVE, default=1e-8, help="certification tolerance")
         p.add_argument(
-            "--grid-n", type=int, default=grid_default, help="sphere lattice size"
+            "--grid-n", type=grid_type, default=grid_default, help="sphere lattice size"
         )
 
     check = sub.add_parser("check", help="run the full certification pipeline")
     common(check)
     check.add_argument(
-        "--epsilon", type=float, default=1e-6, help="strictness shift for the M-PD stage"
+        "--epsilon", type=_POSITIVE, default=1e-6, help="strictness shift for the M-PD stage"
     )
     check.add_argument(
-        "--max-iter", type=int, default=20000, help="alternating projection budget"
+        "--max-iter", type=_COUNT, default=20000, help="alternating projection budget"
     )
     check.add_argument(
         "--decomp", help="decomposition JSON for the structured-case stage"
@@ -105,16 +130,16 @@ def _build_parser() -> _Parser:
     pocs_p.add_argument("--output", "-o", help="write the JSON report here")
     pocs_p.add_argument("--json", action="store_true", help="print JSON to stdout")
     pocs_p.add_argument(
-        "--tol", type=float, default=1e-10, help="relative convergence tolerance"
+        "--tol", type=_POSITIVE, default=1e-10, help="relative convergence tolerance"
     )
-    pocs_p.add_argument("--max-iter", type=int, default=20000)
+    pocs_p.add_argument("--max-iter", type=_COUNT, default=20000)
     pocs_p.add_argument(
-        "--epsilon", type=float, default=0.0, help="strictness shift (0 tests M-PSD)"
+        "--epsilon", type=_NONNEGATIVE, default=0.0, help="strictness shift (0 tests M-PSD)"
     )
     pocs_p.set_defaults(func=_cmd_pocs)
 
     case = sub.add_parser("case", help="structured-decomposition analysis")
-    common(case, grid_default=20000)
+    common(case, _COUNT, 20000)
     case.add_argument("--decomp", help="decomposition JSON (default: eigendecomposition)")
     case.add_argument(
         "--case",
@@ -129,13 +154,6 @@ def _build_parser() -> _Parser:
     orc.set_defaults(func=_cmd_oracle)
 
     return parser
-
-
-def _load_tensor(path: str) -> tuple[Elast4, str | None]:
-    try:
-        return io.load_tensor(path)
-    except FileNotFoundError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> None:
@@ -189,7 +207,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_pocs(args) -> int:
-    t, name = _load_tensor(args.input)
+    t, name = io.load_tensor(args.input)
     opts = pocs.PocsOptions(
         max_iter=args.max_iter,
         tol_converge=args.tol,
@@ -214,7 +232,7 @@ def _load_decomposition_arg(args) -> cases.StructuredDecomposition | None:
 
 
 def _cmd_case(args) -> int:
-    t, name = _load_tensor(args.input)
+    t, name = io.load_tensor(args.input)
     dec = _load_decomposition_arg(args) or cases.spectral_decomposition(t)
     rep = cases.check_case(dec, args.case, args.tol, args.grid_n)
     if rep is None:
@@ -251,7 +269,7 @@ def _cmd_case(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    t, name = _load_tensor(args.input)
+    t, name = io.load_tensor(args.input)
     ov = oracle.oracle_verdict(t, n=args.grid_n, tol=args.tol)
     doc = {"command": "oracle", "input": args.input, "name": name}
     doc.update(oracle.oracle_verdict_to_doc(ov))
@@ -299,7 +317,7 @@ def _stage_line(s: dict) -> str:
 
 
 def _cmd_check(args) -> int:
-    t, name = _load_tensor(args.input)
+    t, name = io.load_tensor(args.input)
     rep = pipeline.check(
         t,
         _load_decomposition_arg(args),

@@ -60,9 +60,5 @@ class UnknownGenerator(EllipticityError):
     """The requested built-in tensor name is not recognized."""
 
 
-class BadParams(EllipticityError):
-    """Generator or command parameters are missing or out of range."""
-
-
 class SoundnessTripwire(EllipticityError):
     """The brute-force cross-check contradicted a certified verdict."""

@@ -63,6 +63,20 @@ def tensor_to_doc(t: Pair4, name: str | None = None) -> dict:
     return doc
 
 
+def _index(x) -> int:
+    """A JSON integer; TypeError for anything else, bools included."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"index {x!r} is not a JSON integer")
+    return x
+
+
+def _number(x) -> float:
+    """A JSON number as a float; TypeError for anything else, bools included."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a JSON number")
+    return float(x)
+
+
 def _entries_to_array(entries) -> np.ndarray:
     if not isinstance(entries, list):
         raise ParseError("'entries' must be a list")
@@ -72,9 +86,9 @@ def _entries_to_array(entries) -> np.ndarray:
         if not isinstance(e, dict):
             raise ParseError(f"entry {pos} is not an object")
         try:
-            idx = tuple(int(e[key]) for key in ("i", "j", "k", "l"))
-            v = float(e["v"])
-        except (KeyError, TypeError, ValueError) as exc:
+            idx = tuple(_index(e[key]) for key in ("i", "j", "k", "l"))
+            v = _number(e["v"])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"entry {pos} is malformed: {exc}") from exc
         if any(not 1 <= t <= 3 for t in idx):
             raise ParseError(f"entry {pos} has indices outside 1..3: {idx}")
@@ -87,7 +101,7 @@ def _entries_to_array(entries) -> np.ndarray:
     return arr
 
 
-def doc_to_tensor(doc, tol: float = 1e-8) -> tuple[Pair4, str | None]:
+def doc_to_tensor(doc) -> tuple[Pair4, str | None]:
     """Parse a tensor document; returns (tensor, name)."""
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -99,20 +113,20 @@ def doc_to_tensor(doc, tol: float = 1e-8) -> tuple[Pair4, str | None]:
     if name is not None and not isinstance(name, str):
         raise ParseError("'name' must be a string")
     if fmt == FORMAT_ELAST4:
-        return make_elast4(arr, tol=tol), name
-    return make_pair4(arr, tol=tol), name
+        return make_elast4(arr), name
+    return make_pair4(arr), name
 
 
 def save_tensor(path, t: Pair4, name: str | None = None) -> None:
     Path(path).write_text(dumps_report(tensor_to_doc(t, name)))
 
 
-def load_tensor(path, tol: float = 1e-8) -> tuple[Pair4, str | None]:
+def load_tensor(path) -> tuple[Pair4, str | None]:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read tensor file {path}: {exc}") from exc
-    return doc_to_tensor(doc, tol=tol)
+    return doc_to_tensor(doc)
 
 
 def decomposition_to_doc(alphas, mats) -> dict:
@@ -140,9 +154,9 @@ def doc_to_decomposition(doc) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(term, dict):
             raise ParseError(f"term {pos} is not an object")
         try:
-            a = float(term["alpha"])
-            u = np.asarray([float(x) for x in term["U"]], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            a = _number(term["alpha"])
+            u = np.asarray([_number(x) for x in term["U"]], dtype=float)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"term {pos} is malformed: {exc}") from exc
         if u.shape != (9,):
             raise ParseError(f"term {pos}: U must hold 9 numbers (row-major)")

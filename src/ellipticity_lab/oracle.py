@@ -12,7 +12,7 @@ the strict verdict stays hedged (MPD_likely).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,8 @@ __all__ = [
 ORACLE_NOT_MPSD = "NotMPSD"
 ORACLE_MPD_LIKELY = "MPD_likely"
 ORACLE_BOUNDARY = "MPSD_boundary"
+# Fewest lattice points per sphere that grid_top_candidates accepts.
+MIN_GRID_N = 100
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -99,8 +101,8 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     (chunk, n) value array; a row-minimum prefilter keeps the sort to the
     few rows that can hold the best pairs.
     """
-    if n < 100:
-        raise ValueError("grid needs n >= 100 points per sphere")
+    if n < MIN_GRID_N:
+        raise ValueError(f"grid needs n >= {MIN_GRID_N} points per sphere")
     # Scan the exact power-of-two rescale: the lattice values scale by the
     # same factor, so their order and ties are unchanged, and a tensor near
     # the float limit no longer overflows to inf/NaN. Candidates are
@@ -149,6 +151,12 @@ _STATIONARY = 1e-13
 # achieve, and how often the step is halved before the alternating step.
 _ARMIJO = 1e-4
 _BACKTRACKS = 10
+# Refinement stops once a kept step gains less than this, in units of the
+# tensor's scale, or after this many steps.
+_REFINE_TOL = 1e-14
+_REFINE_STEPS = 200
+# Lattice candidates that oracle_verdict considers for refinement.
+_TOP_K = 10
 
 
 def _newton_step(scaled, b9, y, lam, vecs):
@@ -197,9 +205,7 @@ def _newton_step(scaled, b9, y, lam, vecs):
     return s0 * q[0] + s1 * q[1], s0 * g0 + s1 * g1
 
 
-def refine_min(
-    t: Pair4, start_x, start_y, tol: float = 1e-14, max_steps: int = 200
-) -> OracleReport:
+def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     """Newton steps on y with the exact inner minimum over x.
 
     min over unit x of the form is lambda_min(A y^2), so the form is
@@ -210,8 +216,8 @@ def refine_min(
     one exact alternating block step is taken instead: y, then x, each the
     minimal eigenvector with the other frozen. A step is kept only if it
     lowers the form, so the trace is nonincreasing by construction;
-    iteration stops when no step does, or a step gains less than tol times
-    the tensor's scale. Both vectors of a kept step are gauged. The
+    iteration stops when no step does, or a step gains less than _REFINE_TOL
+    times the tensor's scale. Both vectors of a kept step are gauged. The
     iteration runs on the power-of-two rescale of the tensor, so it takes
     the same path for every 2**k multiple; the trace is scaled back exactly
     and min_value is the form re-evaluated on t.
@@ -238,7 +244,7 @@ def refine_min(
     if cand < val:
         x, val = cand_x, cand
         trace.append(val)
-    for _ in range(max_steps):
+    for _ in range(_REFINE_STEPS):
         kept = None
         newton = _newton_step(scaled, b9, y, lam, vecs)
         if newton is not None:
@@ -267,7 +273,7 @@ def refine_min(
         gain = val - cand
         val = cand
         trace.append(val)
-        if gain < tol:
+        if gain < _REFINE_TOL:
             break
     return OracleReport(
         min_value=biquadratic(t, x, y),
@@ -293,13 +299,8 @@ def _distinct_basins(candidates, n: int) -> list:
     return kept
 
 
-def oracle_verdict(
-    t: Pair4,
-    n: int = 2000,
-    tol: float = 1e-8,
-    top_k: int = 10,
-) -> OracleVerdict:
-    """Grid scan plus refinement from the top_k candidates, one per basin.
+def oracle_verdict(t: Pair4, n: int = 2000, tol: float = 1e-8) -> OracleVerdict:
+    """Grid scan plus refinement from the _TOP_K best candidates, one per basin.
 
     A candidate within a few lattice spacings of a better one starts in the
     same basin and is not refined. NotMPSD carries a witness: the reported
@@ -307,21 +308,14 @@ def oracle_verdict(
     be checked independently of all oracle internals. The strict verdict is
     hedged because a finite search cannot prove positivity.
     """
-    candidates = grid_top_candidates(t, n=n, keep=top_k)
+    candidates = grid_top_candidates(t, n=n, keep=_TOP_K)
     best: OracleReport | None = None
     for x, y in _distinct_basins(candidates, n):
         rep = refine_min(t, x, y)
         if best is None or rep.min_value < best.min_value:
             best = rep
     assert best is not None
-    best = OracleReport(
-        min_value=best.min_value,
-        argmin_x=best.argmin_x,
-        argmin_y=best.argmin_y,
-        grid_n=n,
-        refined=True,
-        objective_trace=best.objective_trace,
-    )
+    best = replace(best, grid_n=n)
     scale = float(np.max(np.abs(t.a)))
     cut = tol * max(scale, 1e-300)
     witness = float(biquadratic(t, best.argmin_x, best.argmin_y))

@@ -66,7 +66,9 @@ def check(
         res = pocs.certify_mpd(
             t, pocs.PocsOptions(max_iter=max_iter, epsilon_shift=epsilon)
         )
-        stages.append({"stage": "pocs-mpd", "epsilon": res.epsilon, **_pocs_record(res)})
+        stages.append(
+            {"stage": "pocs-mpd", "epsilon": res.report.epsilon_shift, **_pocs_record(res)}
+        )
         if res.certified:
             mpd_by = "pocs-mpd"
             mpsd_by = mpsd_by or "pocs-mpd"

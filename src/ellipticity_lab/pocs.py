@@ -14,7 +14,7 @@ eps > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,32 +42,32 @@ VERDICT_FOUND = "IntersectionFound"
 VERDICT_GAP = "GapPositive"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
+# A sweep that lowers the gap by less than this share of it counts as
+# stalled; this many stalled sweeps in a row above the convergence threshold
+# yield GapPositive.
+TOL_STALL = 1e-6
+STALL_WINDOW = 50
+
 
 @dataclass(frozen=True)
 class PocsOptions:
     """Iteration controls.
 
     tol_converge is relative: the run stops successfully once the gap falls
-    below tol_converge * max(1, ||A||). tol_stall is the relative per-sweep
-    gap decrease under which an iteration counts as stalled; stall_window
-    consecutive stalled sweeps with a gap above the convergence threshold
-    yield GapPositive. epsilon_shift > 0 subtracts that multiple of the
-    identity-form tensor before iterating (the strict-definiteness probe).
+    below tol_converge * max(1, ||A||). epsilon_shift > 0 subtracts that
+    multiple of the identity-form tensor before iterating (the
+    strict-definiteness probe).
     """
 
     max_iter: int = 20000
     tol_converge: float = 1e-10
-    tol_stall: float = 1e-6
-    stall_window: int = 50
     epsilon_shift: float = 0.0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol_converge <= 0.0 or self.tol_stall <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be at least 1")
+        if self.tol_converge <= 0.0:
+            raise ValueError("tol_converge must be positive")
         if self.epsilon_shift < 0.0:
             raise ValueError("epsilon_shift must be nonnegative")
 
@@ -99,19 +99,7 @@ class CertifyResult:
     positive gap only shows this particular matrix-level route failed."""
 
     certified: bool
-    target: str  # "M-PSD" or "M-PD"
     report: PocsReport
-    epsilon: float | None = None
-    attempts: tuple = field(default_factory=tuple)
-
-    @property
-    def note(self) -> str:
-        if self.certified:
-            return f"matrix-level certificate found: the form is {self.target}"
-        return (
-            f"not certified: no {self.target} certificate found on this route; "
-            "this is not a proof of failure"
-        )
 
 
 def project_T(a_ref: Elast4, b: Pair4) -> Pair4:
@@ -170,11 +158,11 @@ def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
             verdict = VERDICT_FOUND
             break
         if prev_gap is not None and prev_gap > 0.0:
-            if (prev_gap - gap) < opts.tol_stall * prev_gap:
+            if (prev_gap - gap) < TOL_STALL * prev_gap:
                 stall_run += 1
             else:
                 stall_run = 0
-            if stall_run >= opts.stall_window:
+            if stall_run >= STALL_WINDOW:
                 verdict = VERDICT_GAP
                 break
         prev_gap = gap
@@ -198,48 +186,18 @@ def certify_mpsd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:
     Sufficient only: certified=True is a proof, certified=False is not."""
     opts = replace(opts if opts is not None else PocsOptions(), epsilon_shift=0.0)
     report = run_pocs(a, opts)
-    return CertifyResult(
-        certified=report.verdict == VERDICT_FOUND,
-        target="M-PSD",
-        report=report,
-        epsilon=None,
-        attempts=(0.0,),
-    )
+    return CertifyResult(certified=report.verdict == VERDICT_FOUND, report=report)
 
 
-def certify_mpd(
-    a: Elast4,
-    opts: PocsOptions | None = None,
-    sweep: bool = False,
-    max_halvings: int = 5,
-) -> CertifyResult:
-    """Certify strict positivity (M-PD) via the eps-shifted run.
-
-    Requires opts.epsilon_shift > 0 (default 1e-6). With sweep=True, a failed
-    attempt retries with eps halved, up to max_halvings times; smaller shifts
-    probe weaker strictness margins.
-    """
+def certify_mpd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:
+    """Certify strict positivity (M-PD) via one run shifted by
+    opts.epsilon_shift, which must be positive (default 1e-6)."""
     if opts is None:
         opts = PocsOptions(epsilon_shift=1e-6)
     if not opts.epsilon_shift > 0.0:
         raise InvalidEpsilon("certify_mpd needs epsilon_shift > 0")
-    eps = opts.epsilon_shift
-    attempts: list[float] = []
-    report = None
-    for _ in range(max_halvings + 1):
-        attempts.append(eps)
-        report = run_pocs(a, replace(opts, epsilon_shift=eps))
-        if report.verdict == VERDICT_FOUND or not sweep:
-            break
-        eps *= 0.5
-    assert report is not None
-    return CertifyResult(
-        certified=report.verdict == VERDICT_FOUND,
-        target="M-PD",
-        report=report,
-        epsilon=report.epsilon_shift,
-        attempts=tuple(attempts),
-    )
+    report = run_pocs(a, opts)
+    return CertifyResult(certified=report.verdict == VERDICT_FOUND, report=report)
 
 
 def pocs_report_to_doc(report: PocsReport) -> dict:

@@ -215,21 +215,16 @@ def unvec(u) -> np.ndarray:
     return uv.reshape(3, 3).T.copy()
 
 
-def contract_yy(t, y, with_asymmetry: bool = False):
+def contract_yy(t, y) -> np.ndarray:
     """Contract the second index pair with y twice: M_ij = sum_kl t[ijkl] y_k y_l.
 
     Returns the symmetrized 3x3 matrix. For an Elast4 the raw contraction is
-    already symmetric and symmetrization is a bit-exact no-op; for a general
-    Pair4 pass with_asymmetry=True to also get the norm of the discarded
-    antisymmetric part.
+    already symmetric and symmetrization is a bit-exact no-op.
     """
     arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
     yv = np.asarray(y, dtype=float)
     raw = np.einsum("ijkl,k,l->ij", arr, yv, yv)
-    sym = 0.5 * (raw + raw.T)
-    if with_asymmetry:
-        return sym, float(np.linalg.norm(raw - raw.T))
-    return sym
+    return 0.5 * (raw + raw.T)
 
 
 def contract_xx(t, x) -> np.ndarray:
@@ -345,9 +340,13 @@ def random_tensor(rng: np.random.Generator, scale: float = 1.0) -> Elast4:
     return Elast4(raw * (scale / nrm))
 
 
-def random_spd_tensor(
-    rng: np.random.Generator, min_eig_frac: float = 1e-3, max_tries: int = 200
-) -> Elast4:
+# random_spd_tensor keeps a draw whose smallest unfolding eigenvalue is at
+# least this share of its norm, and gives up after this many draws.
+SPD_MIN_EIG_FRAC = 1e-3
+SPD_MAX_TRIES = 200
+
+
+def random_spd_tensor(rng: np.random.Generator) -> Elast4:
     """Random elasticity tensor whose unfolding is strictly PSD.
 
     Draws a random PSD 9x9 matrix, folds it, and orbit-averages into the
@@ -355,12 +354,12 @@ def random_spd_tensor(
     transpose and can destroy definiteness, so candidates are re-verified
     and rejected until the smallest eigenvalue clears a relative margin.
     """
-    for _ in range(max_tries):
+    for _ in range(SPD_MAX_TRIES):
         g = rng.standard_normal((9, 9))
         m = g @ g.T / 9.0
         folded = fold(m, tol=1e-12)
         cand = Elast4(symmetrize_pairs(folded.a))
         w = np.linalg.eigvalsh(unfold(cand))
-        if w[0] >= min_eig_frac * max(1e-30, float(np.linalg.norm(cand.a))):
+        if w[0] >= SPD_MIN_EIG_FRAC * max(1e-30, float(np.linalg.norm(cand.a))):
             return cand
     raise RuntimeError("failed to draw a strictly positive unfolding")

@@ -249,7 +249,11 @@ def test_sup_eta_quadratic_maximum():
         yn = yn / np.linalg.norm(yn)
         return float(2.0 * yn @ u - 1.0)
 
-    res = el.sup_eta(f, [], grid_n=2000)
+    def grad(y):
+        n = np.linalg.norm(y)
+        return 2.0 * (u - (y @ u) * y / n**2) / n
+
+    res = el.sup_eta(f, [], grid_n=2000, eta_many=lambda ys: 2.0 * ys @ u - 1.0, grad_fn=grad)
     assert res.converged
     assert abs(res.value - 1.0) < 1e-9
     assert np.linalg.norm(res.argmax - u) < 1e-4
@@ -265,14 +269,35 @@ def test_sup_eta_excludes_singular_lines():
         v = float(yn[2] ** 2)
         return None if v > 1.0 - 1e-6 else v
 
-    res = el.sup_eta(f, [np.array([0.0, 0.0, 1.0])], angular_tol=0.3, grid_n=2000)
+    def f_many(ys):
+        v = ys[:, 2] ** 2
+        return np.where(v > 1.0 - 1e-6, -np.inf, v)
+
+    def grad(y):
+        n2 = y @ y
+        return 2.0 * y[2] * (np.array([0.0, 0.0, 1.0]) - y[2] * y / n2) / n2
+
+    res = el.sup_eta(
+        f,
+        [np.array([0.0, 0.0, 1.0])],
+        angular_tol=0.3,
+        grid_n=2000,
+        eta_many=f_many,
+        grad_fn=grad,
+    )
     assert res.excluded > 0
     assert res.value <= 1.0 - 9e-7
 
 
 def test_sup_eta_empty_domain():
     with pytest.raises(EmptyDomain):
-        el.sup_eta(lambda y: None, [], grid_n=200)
+        el.sup_eta(
+            lambda y: None,
+            [],
+            grid_n=200,
+            eta_many=lambda ys: np.full(len(ys), -np.inf),
+            grad_fn=lambda y: np.zeros(3),
+        )
 
 
 def test_sup_eta_propagates_foreign_grad_errors():
@@ -281,7 +306,27 @@ def test_sup_eta_propagates_foreign_grad_errors():
         raise TypeError("broken gradient")
 
     with pytest.raises(TypeError):
-        el.sup_eta(lambda y: float(y[2]), [], grad_fn=grad, grid_n=200)
+        el.sup_eta(lambda y: float(y[2]), [], grad_fn=grad, eta_many=lambda ys: ys[:, 2], grid_n=200)
+
+
+def test_sup_eta_leaves_the_callers_values_alone():
+    # the grid values may be a read-only view of the cached lattice, or an
+    # array the caller keeps; excluded points must not be written into it
+    line = [np.array([0.0, 0.0, 1.0])]
+    height = fibonacci_hemisphere(2000)[:, 2]
+    assert not height.flags.writeable
+    kept = height.copy()
+    for values in (height, kept):
+        res = el.sup_eta(
+            lambda y: float(y[2]),
+            line,
+            angular_tol=0.3,
+            grid_n=2000,
+            eta_many=lambda ys: values,
+            grad_fn=lambda y: np.array([0.0, 0.0, 1.0]),
+        )
+        assert res.excluded > 0
+    assert np.array_equal(kept, height)
 
 
 # ---------------------------------------------------------------------------

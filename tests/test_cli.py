@@ -266,6 +266,37 @@ def test_missing_required_flag():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("check", "--grid-n", "50"), "two-squares"),
+        (("oracle", "--grid-n", "50"), "two-squares"),
+        (("case", "--grid-n", "0"), "choi"),
+        (("pocs", "--tol", "0"), "two-squares"),
+        (("pocs", "--epsilon", "-1"), "two-squares"),
+        (("pocs", "--epsilon", "inf"), "two-squares"),
+        (("pocs", "--max-iter", "0"), "two-squares"),
+        (("check", "--max-iter", "0"), "two-squares"),
+        (("oracle", "--tol", "-1"), "iso-pos"),
+        (("check", "--tol", "-1"), "iso-pos"),
+        (("oracle", "--tol", "nan"), "iso-neg"),
+        (("check", "--tol", "nan"), "iso-pos"),
+        (("check", "--epsilon", "-1"), "e"),
+        (("check", "--epsilon", "inf"), "two-squares"),
+        (("gen", "random", "--seed", "-1"), None),
+        (("gen", "isotropic", "--lambda", "nan"), None),
+        (("gen", "isotropic", "--mu=-inf"), None),
+        (("gen", "choi-lam", "--gamma", "inf"), None),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_out_of_range_numbers_are_usage_errors(tensor_files, argv, key):
+    proc = run_cli(*argv, *(("-i", tensor_files[key]) if key else ()))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: argument" in proc.stderr
+
+
 def test_output_file_matches_stdout_json(tensor_files, tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("oracle", "-i", tensor_files["iso-neg"], "--json", "-o", str(out))

@@ -106,6 +106,25 @@ def test_doc_to_tensor_rejects_bad_entries():
         doc_to_tensor({**base, "entries": [dup, dup]})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("i", 1.5), ("i", 1.0), ("j", True), ("k", "1"), ("v", True), ("v", "2"), ("v", None)],
+)
+def test_doc_to_tensor_rejects_entries_of_the_wrong_json_type(key, value):
+    # indices are JSON integers and values JSON numbers; a bool or a
+    # string is neither, and 1.5 is not rounded to an index
+    entry = {"i": 1, "j": 1, "k": 1, "l": 1, "v": 1.0, key: value}
+    ok = {"i": 2, "j": 2, "k": 2, "l": 2, "v": 1}
+    with pytest.raises(ParseError, match="entry 1 "):
+        doc_to_tensor({"format": FORMAT_ELAST4, "entries": [ok, entry]})
+
+
+def test_doc_to_tensor_rejects_a_value_past_the_float_range():
+    entry = {"i": 1, "j": 1, "k": 1, "l": 1, "v": 10**400}
+    with pytest.raises(ParseError, match="entry 0 "):
+        doc_to_tensor({"format": FORMAT_ELAST4, "entries": [entry]})
+
+
 def test_doc_to_tensor_enforces_symmetry_class():
     # a lone off-orbit entry violates the pair symmetries
     doc = {
@@ -148,6 +167,22 @@ def test_decomposition_doc_rejects_malformed():
         )
     with pytest.raises(ParseError):
         doc_to_decomposition({"format": FORMAT_DECOMP, "terms": [["bad"]]})
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"alpha": True, "U": [1.0] * 9},
+        {"alpha": "2", "U": [1.0] * 9},
+        {"alpha": 1.0, "U": [1.0] * 8 + [False]},
+        {"alpha": 1.0, "U": [1.0] * 8 + ["2"]},
+        {"alpha": 1.0, "U": "123456789"},
+    ],
+)
+def test_decomposition_doc_rejects_terms_of_the_wrong_json_type(term):
+    good = {"alpha": -1, "U": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+    with pytest.raises(ParseError, match="term 1 "):
+        doc_to_decomposition({"format": FORMAT_DECOMP, "terms": [good, term]})
 
 
 def test_decomposition_doc_row_major():

@@ -308,7 +308,7 @@ def test_oracle_verdict_decimal_extreme_scales(name):
 
 
 def test_oracle_verdict_refines_one_start_per_basin(monkeypatch):
-    # top_k = 10 lattice candidates, but starts within a few lattice
+    # _TOP_K = 10 lattice candidates, but starts within a few lattice
     # spacings of an earlier one (up to sign) share its basin
     calls = []
     refine = oracle.refine_min

@@ -51,7 +51,7 @@ def test_check_deciding_stage(t, dec, verdict, field, tag):
     ]
 
 
-def _fake_refutation(t, n=2000, tol=1e-8, top_k=10):
+def _fake_refutation(t, n=2000, tol=1e-8):
     x = y = np.array([1.0, 0.0, 0.0])
     report = oracle.OracleReport(
         min_value=-1.0, argmin_x=x, argmin_y=y, grid_n=n, refined=True,

@@ -95,8 +95,6 @@ def test_options_validation():
         el.PocsOptions(max_iter=0)
     with pytest.raises(ValueError):
         el.PocsOptions(tol_converge=-1.0)
-    with pytest.raises(ValueError):
-        el.PocsOptions(stall_window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +153,9 @@ def test_certify_mpd_rejects_nonpositive_epsilon():
 
 def test_certify_mpd_boundary_tensor_not_certified():
     # two-squares is on the boundary: nonnegative but with zeros, so the
-    # shifted run must not certify strict positivity even when sweeping
-    res = el.certify_mpd(el.tensor_two_squares(), sweep=True)
+    # shifted run must not certify strict positivity
+    res = el.certify_mpd(el.tensor_two_squares())
     assert not res.certified
-    assert len(res.attempts) >= 2
-    assert "not a proof" in res.note
 
 
 def test_certify_mpd_interior_isotropic():
