@@ -36,6 +36,7 @@ from .errors import (
     EllipticityError,
     EmptyDomain,
     InvalidEpsilon,
+    NonFiniteEntries,
     NotCase1,
     NotCase2,
     NotCase3,

@@ -16,6 +16,10 @@ class SymmetryViolation(EllipticityError):
         )
 
 
+class NonFiniteEntries(EllipticityError, ValueError):
+    """Tensor entries are inf or NaN, or overflow when the tensor is built."""
+
+
 class AsymmetricInput(EllipticityError):
     """A matrix that must be symmetric is not, beyond the tolerance."""
 

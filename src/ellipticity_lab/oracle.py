@@ -62,34 +62,38 @@ class OracleVerdict:
     witness_value: float | None = None
 
 
-def _chunk_scan(t_mats: np.ndarray, xs: np.ndarray, base: int, keep: int):
-    """Evaluate x^T T_m x for one y-chunk; return the chunk's keep best pairs.
+# Rows per block of the lattice scan, never fewer: a lone row would take
+# numpy's matrix-vector path, whose bits can differ from t9[rows] @ xx.T.
+_SCAN_BLOCK = 64
+# Taken off each row's lower bound to cover rounding; see grid_top_candidates.
+_BOUND_SLACK = 1e-12
 
-    Candidates are (value, flat_index) with flat_index = y_index * n + x_index,
-    ordered by value and then flat index, so merging by lexicographic order
-    is independent of the chunking. Only the rows (y-directions) whose
-    minimum is at most the keep-th smallest row minimum can hold one of the
-    keep best pairs: any other row's values all have keep strictly smaller
-    values ahead of them. Every value of those rows up to the keep-th one is
-    sorted, so values tied at the cut are resolved by flat index too.
-    NaN values sort last, as in np.sort.
+
+def _row_bounds(t_mats: np.ndarray) -> np.ndarray:
+    """lambda_min(T_m) - _BOUND_SLACK for each 3x3 row matrix T_m."""
+    return np.linalg.eigvalsh(t_mats)[:, 0] - _BOUND_SLACK
+
+
+def _scan_block(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray, keep: int, cut: float):
+    """The keep best (value, y_index * n + x_index) pairs at most cut in the
+    lattice rows `rows`, by value and then index. Only rows whose minimum is
+    at most the keep-th smallest row minimum can hold one: any other row
+    has keep strictly smaller values ahead of each of its values. All their
+    values up to the keep-th one are sorted, so ties there go by index too.
     """
-    vals = np.einsum("xi,mij,xj->mx", xs, t_mats, xs, optimize=True)
-    m, n = vals.shape
-    k = min(keep, vals.size)
-    # fmin skips NaN; ~(a > cut) rather than a <= cut keeps every entry
-    # when the cut itself is NaN.
-    row_min = np.fmin.reduce(vals, axis=1)
-    j = min(k, m) - 1
-    row_cut = np.partition(row_min, j)[j]
-    rows = np.flatnonzero(~(row_min > row_cut))
-    sub = vals[rows]
-    cut = np.partition(sub.reshape(-1), k - 1)[k - 1]
-    r, x = np.nonzero(~(sub > cut))
+    vals = t9[rows] @ xx.T
+    row_min = vals.min(axis=1)
+    j = min(keep, len(rows)) - 1
+    near = np.flatnonzero(row_min <= min(cut, np.partition(row_min, j)[j]))
+    if near.size == 0:
+        return []
+    sub = vals[near]
+    k = min(keep, sub.size)
+    r, x = np.nonzero(sub <= np.partition(sub.reshape(-1), k - 1)[k - 1])
     vs = sub[r, x]
-    flat = rows[r] * n + x
+    flat = rows[near[r]] * len(xx) + x
     order = np.lexsort((flat, vs))[:k]
-    return [(float(vs[i]), base + int(flat[i])) for i in order]
+    return [(float(vs[i]), int(flat[i])) for i in order]
 
 
 def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
@@ -97,9 +101,15 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
 
     Deterministic: pairs are ordered by value, and ties (including ties at
     the keep-th place) are broken by the lattice index y_index * n + x_index.
-    The scan runs over chunks of 256 y-directions, which bounds the
-    (chunk, n) value array; a row-minimum prefilter keeps the sort to the
-    few rows that can hold the best pairs.
+    Rows are pruned by a lower bound: the minimum over unit x at y_m is
+    lambda_min(T_m), T_m = A y_m^2, so no value of that row lies below it.
+    On the rescaled tensor |T_m| <= 9, so rounding moves the computed values
+    and eigenvalue by less than 1e-13, and _BOUND_SLACK keeps the bound below
+    every computed value. Rows are evaluated in blocks in ascending bound
+    order until the next bound is strictly above the keep-th best value so
+    far: all later values are then strictly larger and cannot enter the
+    result even by a tie, while ties at the cut among the evaluated values
+    are still broken by lattice index.
     """
     if n < MIN_GRID_N:
         raise ValueError(f"grid needs n >= {MIN_GRID_N} points per sphere")
@@ -109,20 +119,21 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     # re-evaluated on the original tensor.
     a, _ = pow2_rescale(t.a)
     pts = fibonacci_sphere(n)
-    chunk = 256
-    candidates = []
-    for start in range(0, n, chunk):
-        ys = pts[start : start + chunk]
-        t_mats = np.einsum("ijkl,mk,ml->mij", a, ys, ys)
-        t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
-        candidates += _chunk_scan(t_mats, pts, start * n, keep)
-    merged = sorted(candidates, key=lambda c: (c[0], c[1]))[:keep]
-    out = []
-    for _, flat in merged:
-        x = pts[flat % n]
-        y = pts[flat // n]
-        out.append((biquadratic(t, x, y), x.copy(), y.copy()))
-    return out
+    t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
+    t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
+    bounds = _row_bounds(t_mats)
+    order = np.argsort(bounds)
+    t9 = t_mats.reshape(n, 9)
+    xx = (pts[:, :, None] * pts[:, None, :]).reshape(n, 9)
+    best, cut, start = [], math.inf, 0
+    while start < n and bounds[order[start]] <= cut:
+        # A remainder shorter than a block joins the block before it.
+        stop = start + _SCAN_BLOCK if n - start >= 2 * _SCAN_BLOCK else n
+        best = sorted(best + _scan_block(t9, xx, order[start:stop], keep, cut))[:keep]
+        cut = best[-1][0] if best and len(best) == keep else cut
+        start = stop
+    pairs = [(pts[flat % n].copy(), pts[flat // n].copy()) for _, flat in best]
+    return [(biquadratic(t, x, y), x, y) for x, y in pairs]
 
 
 def grid_min_biquadratic(t: Pair4, n: int = 2000) -> OracleReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricInput, SymmetryViolation
+from .errors import AsymmetricInput, NonFiniteEntries, SymmetryViolation
 
 __all__ = [
     "Pair4",
@@ -57,8 +57,17 @@ def _as_tensor_array(raw) -> np.ndarray:
     if arr.shape != (3, 3, 3, 3):
         raise ValueError(f"expected shape (3,3,3,3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor entries must be finite")
+        raise NonFiniteEntries("tensor entries must be finite")
     return arr
+
+
+def _mean(a, b):
+    """(a + b) / 2 that stays finite for finite a, b. Halving first is exact
+    above the subnormal range but rounds differently, so it is taken only
+    where the sum overflows; like the sum, it is symmetric in a and b."""
+    with np.errstate(over="ignore"):
+        total = a + b
+    return np.where(np.isinf(total), 0.5 * a + 0.5 * b, 0.5 * total)
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,8 @@ def symmetrize_pairs(raw) -> np.ndarray:
     under both swaps (IEEE addition commutes, so (a+b)/2 == (b+a)/2).
     """
     arr = _as_tensor_array(raw)
-    m = 0.5 * (arr + arr.transpose(1, 0, 2, 3))
-    return 0.5 * (m + m.transpose(0, 1, 3, 2))
+    m = _mean(arr, arr.transpose(1, 0, 2, 3))
+    return _mean(m, m.transpose(0, 1, 3, 2))
 
 
 def orbit_spread(raw) -> float:
@@ -128,7 +137,10 @@ def orbit_spread(raw) -> float:
             arr.transpose(1, 0, 3, 2),
         ]
     )
-    return float(np.max(variants.max(axis=0) - variants.min(axis=0)))
+    # Entries of opposite sign near the float limit spread to inf, which
+    # fails every tolerance, as it should.
+    with np.errstate(over="ignore"):
+        return float(np.max(variants.max(axis=0) - variants.min(axis=0)))
 
 
 def make_elast4(raw, tol: float = 1e-8) -> Elast4:
@@ -146,10 +158,11 @@ def make_elast4(raw, tol: float = 1e-8) -> Elast4:
 def make_pair4(raw, tol: float = 1e-8) -> Pair4:
     """Canonicalize raw entries into a Pair4 (joint-swap average)."""
     arr = _as_tensor_array(raw)
-    spread = float(np.max(np.abs(arr - arr.transpose(1, 0, 3, 2))))
+    with np.errstate(over="ignore"):
+        spread = float(np.max(np.abs(arr - arr.transpose(1, 0, 3, 2))))
     if spread > tol:
         raise SymmetryViolation(spread, tol)
-    return Pair4(0.5 * (arr + arr.transpose(1, 0, 3, 2)))
+    return Pair4(_mean(arr, arr.transpose(1, 0, 3, 2)))
 
 
 def unfold_array(arr: np.ndarray) -> np.ndarray:
@@ -297,9 +310,12 @@ def tensor_isotropic(lam: float, mu: float) -> Elast4:
     min(mu, lam + 2 mu).
     """
     eye = np.eye(3)
-    a = mu * np.einsum("ij,kl->ijkl", eye, eye) + 0.5 * (lam + mu) * (
-        np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
-    )
+    # An entry lam + 2 mu beyond the float limit is inf here, and
+    # make_elast4 rejects it as NonFiniteEntries.
+    with np.errstate(over="ignore"):
+        a = mu * np.einsum("ij,kl->ijkl", eye, eye) + _mean(lam, mu) * (
+            np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
+        )
     return make_elast4(a, tol=1e-12)
 
 

@@ -297,6 +297,26 @@ def test_out_of_range_numbers_are_usage_errors(tensor_files, argv, key):
     assert "error: argument" in proc.stderr
 
 
+def test_tensor_near_float_limit_gets_a_verdict(tmp_path):
+    # gamma = 1e308 is finite, but averaging its orbit as (a + b) / 2 ran
+    # to inf and the loader ended in an untyped traceback
+    path = tmp_path / "big.json"
+    proc = run_cli("gen", "choi-lam", "--gamma", "1e308", "-o", str(path))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("oracle", "-i", str(path), "--json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["verdict"] == "MPSD_boundary"
+
+
+def test_overflowing_tensor_is_a_typed_error():
+    # lambda + 2 mu = 3e308 is an entry beyond the float limit
+    proc = run_cli("gen", "isotropic", "--lambda", "1e308", "--mu", "1e308")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: tensor entries must be finite")
+
+
 def test_output_file_matches_stdout_json(tensor_files, tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("oracle", "-i", tensor_files["iso-neg"], "--json", "-o", str(out))

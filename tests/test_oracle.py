@@ -7,6 +7,7 @@ import ellipticity_lab as el
 from ellipticity_lab import oracle
 from ellipticity_lab.oracle import oracle_report_to_doc, oracle_verdict_to_doc
 from ellipticity_lab.spheres import fibonacci_hemisphere, fibonacci_sphere
+from ellipticity_lab.tensors import pow2_rescale
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +92,12 @@ def test_grid_top_candidates_sorted_and_deterministic():
 
 
 def _lattice_order(t, n):
-    """Every lattice value and its flat index y_index * n + x_index, computed
-    over the same 256-row chunks as the scan, in (value, index) order."""
+    """Every lattice value and its flat index y_index * n + x_index, in
+    (value, index) order: the exhaustive reference for the pruned scan.
+
+    Values come from a chunked einsum over 256 rows at a time, the scan's
+    arithmetic before it pruned rows; the pruned scan must reproduce them
+    bit for bit."""
     pts = fibonacci_sphere(n)
     vals = []
     for start in range(0, n, 256):
@@ -105,24 +110,103 @@ def _lattice_order(t, n):
     return pts, flat_vals, order
 
 
-@pytest.mark.parametrize("n, keep", [(300, 10), (600, 1), (257, 25)])
-def test_grid_top_candidates_exact_tie_order(n, keep):
-    # the keep best pairs are exactly the first keep of the full
-    # lexicographic (value, lattice index) order, ties at the cut included
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _rotated_choi_lam(seed=11):
+    # Choi-Lam (gamma = 1) in seeded rotated x and y frames: a boundary form
+    # whose row bounds lie above its best lattice pairs on all but a few rows
+    rng = np.random.default_rng(seed)
+    p, q = _rotation(rng), _rotation(rng)
+    a = np.einsum("ijkl,ai,bj,ck,dl->abcd", el.tensor_choi_lam(1.0).a, p, p, q, q)
+    return el.make_elast4(a, tol=1e-12)
+
+
+def _scan_tensors():
     rng = np.random.default_rng(17)
-    tensors = [
+    return [
         el.tensor_e(),
         el.tensor_isotropic(-3.0, 0.1),
         el.tensor_choi_lam(1.0),
         el.tensor_two_squares(),
-    ] + [el.random_tensor(rng) for _ in range(3)]
-    for t in tensors:
+    ] + [el.random_tensor(rng) for _ in range(3)] + [
+        _rotated_choi_lam(),
+        el.random_spd_tensor(np.random.default_rng(19)),
+    ]
+
+
+@pytest.mark.parametrize("n, keep", [(300, 10), (600, 1), (257, 25), (2000, 10)])
+def test_grid_top_candidates_exact_tie_order(n, keep):
+    # the keep best pairs are exactly the first keep of the full
+    # lexicographic (value, lattice index) order, ties at the cut included,
+    # whether the scan prunes almost every row or none
+    for t in _scan_tensors():
         pts, flat_vals, order = _lattice_order(t, n)
         cands = el.grid_top_candidates(t, n=n, keep=keep)
         assert len(cands) == keep
         for (_, x, y), idx in zip(cands, order[:keep]):
             assert np.array_equal(x, pts[idx % n])
             assert np.array_equal(y, pts[idx // n])
+
+
+def _pow2_copy(t, e):
+    """t scaled by a power of two to max|a| in [2**(e - 1), 2**e)."""
+    return el.Elast4(np.ldexp(t.a, e - np.frexp(np.max(np.abs(t.a)))[1]))
+
+
+def test_row_bounds_are_below_every_lattice_value():
+    # the bound of each row is below every lattice value of the row, as
+    # computed, for the rescaled tensor the scan works on, with room to
+    # spare: rounding moves values and eigenvalue by less than 1e-13, a
+    # tenth of the slack
+    n = 300
+    rng = np.random.default_rng(29)
+    tensors = _scan_tensors() + [el.random_tensor(rng) for _ in range(6)]
+    for t in tensors + [_pow2_copy(t, 1024) for t in tensors]:
+        a, _ = pow2_rescale(t.a)
+        pts, flat_vals, _ = _lattice_order(el.Pair4(a), n)
+        t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
+        t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
+        bounds = oracle._row_bounds(t_mats)
+        row_min = flat_vals.reshape(n, n).min(axis=1)
+        assert np.all(row_min >= bounds)
+        assert np.all(row_min - bounds >= oracle._BOUND_SLACK - 1e-13)
+
+
+def test_scan_prunes_rows_only_where_bounds_allow(monkeypatch):
+    # rows evaluated at n = 2000: one block where the bound of all but a few
+    # rows lies above the best pairs, every row where lambda_min(A y^2) is
+    # the same for every y, as for an isotropic tensor
+    scan_block = oracle._scan_block
+    evaluated = []
+
+    def recording_scan_block(t9, xx, rows, keep, cut):
+        evaluated.append(len(rows))
+        return scan_block(t9, xx, rows, keep, cut)
+
+    monkeypatch.setattr(oracle, "_scan_block", recording_scan_block)
+    rng = np.random.default_rng(31)
+    for t, most in [
+        (_rotated_choi_lam(), 64),
+        (el.random_spd_tensor(rng), 64),
+        (el.tensor_isotropic(-3.0, 0.1), 2000),
+    ]:
+        evaluated.clear()
+        el.grid_top_candidates(t, n=2000, keep=10)
+        assert sum(evaluated) <= most
+        assert min(evaluated) >= oracle._SCAN_BLOCK
+    assert sum(evaluated) == 2000
+
+
+def test_grid_min_is_first_lattice_pair():
+    for t in (_rotated_choi_lam(), el.tensor_isotropic(-3.0, 0.1)):
+        pts, _, order = _lattice_order(t, 600)
+        rep = el.grid_min_biquadratic(t, n=600)
+        assert np.array_equal(rep.argmin_x, pts[order[0] % 600])
+        assert np.array_equal(rep.argmin_y, pts[order[0] // 600])
+        assert rep.min_value == el.biquadratic(t, rep.argmin_x, rep.argmin_y)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +216,7 @@ def test_grid_top_candidates_near_float_limit(t):
     # scaled by a power of two to max|a| in [2^1023, 2^1024), the lattice
     # values would overflow to inf/NaN; the scan must still pick the same
     # pairs in the same order as for the unscaled tensor
-    big = el.Elast4(np.ldexp(t.a, 1024 - np.frexp(np.max(np.abs(t.a)))[1]))
+    big = _pow2_copy(t, 1024)
     assert np.max(np.abs(big.a)) >= 2.0**1023
     want = el.grid_top_candidates(t, n=200, keep=10)
     got = el.grid_top_candidates(big, n=200, keep=10)

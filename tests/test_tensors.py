@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ellipticity_lab as el
-from ellipticity_lab.errors import AsymmetricInput, SymmetryViolation
+from ellipticity_lab.errors import AsymmetricInput, NonFiniteEntries, SymmetryViolation
 
 
 def naive_biquadratic(a, x, y):
@@ -84,6 +84,41 @@ def test_make_elast4_tolerance():
         el.make_elast4(raw2, tol=1e-8)
     t = el.make_elast4(raw2, tol=1e-3)
     assert el.orbit_spread(t.a) == 0.0
+
+
+def test_orbit_average_near_float_limit():
+    # two entries of 1.5e308 in one orbit sum to inf; their mean is finite
+    raw = np.zeros((3, 3, 3, 3))
+    raw[0, 1, 0, 0] = raw[1, 0, 0, 0] = 1.5e308
+    raw[0, 0, 1, 2] = raw[0, 0, 2, 1] = -1.5e308
+    raw[2, 2, 2, 2] = 1.0
+    t = el.make_elast4(raw)
+    assert np.array_equal(t.a, raw)
+    p = el.make_pair4(raw)
+    assert np.array_equal(p.a, raw)
+    # an orbit of opposite signs spreads to inf: rejected, without a warning
+    raw[1, 0, 0, 0] = -1.5e308
+    with pytest.raises(SymmetryViolation):
+        el.make_elast4(raw)
+    with pytest.raises(SymmetryViolation):
+        el.make_pair4(raw)
+    # entries that need no fallback keep the bytes of 0.5 * (a + b)
+    small = random_raw()
+    m = 0.5 * (small + small.transpose(1, 0, 2, 3))
+    assert np.array_equal(el.symmetrize_pairs(small), 0.5 * (m + m.transpose(0, 1, 3, 2)))
+
+
+def test_non_finite_entries_are_typed():
+    raw = np.zeros((3, 3, 3, 3))
+    raw[0, 0, 0, 0] = np.inf
+    with pytest.raises(NonFiniteEntries):
+        el.Elast4(raw)
+    # a ValueError too, for callers that caught the untyped error
+    with pytest.raises(ValueError):
+        el.make_elast4(raw)
+    # lambda + 2 mu = 3e308 overflows: a typed error, and no RuntimeWarning
+    with pytest.raises(NonFiniteEntries):
+        el.tensor_isotropic(1e308, 1e308)
 
 
 def test_elast4_rejects_asymmetric_raw():
