@@ -26,12 +26,14 @@ from .cases import (
     eta_case2,
     eta_case3,
     reconstruct_yy,
+    require_decomposition_of,
     spectral_decomposition,
     sup_eta,
 )
 from .errors import (
     AsymmetricInput,
     CaseShapeError,
+    DecompositionMismatch,
     DegenerateDenominator,
     EllipticityError,
     EmptyDomain,

@@ -21,11 +21,12 @@ require the ascent stage to have stabilized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DecompositionMismatch,
     DegenerateDenominator,
     EmptyDomain,
     NotCase1,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .spectral import sym_eig
 from .spheres import fibonacci_hemisphere
-from .tensors import Elast4, unfold, unvec
+from .tensors import Elast4, symmetrize_pairs, tensor_from_rank_one_terms, unfold, unvec
 
 __all__ = [
     "CASE_MPSD",
@@ -47,6 +48,7 @@ __all__ = [
     "CaseReport",
     "SupEtaResult",
     "spectral_decomposition",
+    "require_decomposition_of",
     "reconstruct_yy",
     "detect_rank_one",
     "check_case1",
@@ -100,13 +102,9 @@ class StructuredDecomposition:
             raise ValueError("coefficients must be finite and nonzero")
         if not np.all(np.isfinite(us)):
             raise ValueError("term matrices must be finite")
-        # Positives first (descending), then negatives (descending); Python's
-        # sort is stable, so ties keep input order.
-        pos = [s for s in range(al.size) if al[s] > 0.0]
-        neg = [s for s in range(al.size) if al[s] < 0.0]
-        pos.sort(key=lambda s: -al[s])
-        neg.sort(key=lambda s: -al[s])
-        order = np.asarray(pos + neg, dtype=int)
+        # Descending alpha puts the positives first; the stable sort keeps
+        # ties in input order.
+        order = np.argsort(-al, kind="stable")
         al = al[order]
         us = us[order]
         al.setflags(write=False)
@@ -143,15 +141,15 @@ class CaseStructure:
 class CaseReport:
     case_id: int
     verdict: str
-    structure_ok: bool
-    sigma: np.ndarray | None
-    eta_sup: float | None
-    eta_argmax: np.ndarray | None
-    threshold: float | None
-    C_matrix: np.ndarray | None
-    boundary: bool
-    structure: CaseStructure | None
-    diagnostics: dict
+    structure_ok: bool = False
+    sigma: np.ndarray | None = None
+    eta_sup: float | None = None
+    eta_argmax: np.ndarray | None = None
+    threshold: float | None = None
+    C_matrix: np.ndarray | None = None
+    boundary: bool = False
+    structure: CaseStructure | None = None
+    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -180,6 +178,25 @@ def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
     alphas = pair.values[keep]
     mats = np.stack([unvec(pair.vectors[:, s]) for s in np.nonzero(keep)[0]])
     return StructuredDecomposition(alphas, mats)
+
+
+def require_decomposition_of(t: Elast4, dec: StructuredDecomposition, tol: float) -> None:
+    """Raise DecompositionMismatch unless the terms of dec build the tensor t.
+
+    The form of an elasticity tensor fixes every entry, so the entries are
+    compared, within tol times the larger max|entry| of the two tensors;
+    symmetrize_pairs(t.a) is the elasticity tensor of t's form.
+    """
+    built = tensor_from_rank_one_terms(dec.alphas, dec.mats).a
+    given = symmetrize_pairs(t.a)
+    with np.errstate(over="ignore"):
+        gap = float(np.max(np.abs(built - given)))
+    scale = max(float(np.max(np.abs(built))), float(np.max(np.abs(given))))
+    if gap > tol * scale:
+        raise DecompositionMismatch(
+            f"the decomposition builds a different tensor: entries differ by up "
+            f"to {gap:.3e}, against a tolerance of {tol * scale:.3e}"
+        )
 
 
 def reconstruct_yy(dec: StructuredDecomposition, y) -> np.ndarray:
@@ -216,21 +233,7 @@ def _nonsingular(mat: np.ndarray, tol: float):
 
 
 def _mismatch(case_id: int, reason: str, diagnostics: dict) -> CaseReport:
-    diagnostics = dict(diagnostics)
-    diagnostics["reason"] = reason
-    return CaseReport(
-        case_id=case_id,
-        verdict=CASE_MISMATCH,
-        structure_ok=False,
-        sigma=None,
-        eta_sup=None,
-        eta_argmax=None,
-        threshold=None,
-        C_matrix=None,
-        boundary=False,
-        structure=None,
-        diagnostics=diagnostics,
-    )
+    return CaseReport(case_id, CASE_MISMATCH, diagnostics={**diagnostics, "reason": reason})
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +285,14 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
     lam_min = float(np.linalg.eigvalsh(C)[0])
     diag["min_eig_C"] = lam_min
     psd = lam_min >= -tol * max(1.0, float(np.linalg.norm(C)))
-    structure = CaseStructure(1, V, W, None, None, sigma)
     return CaseReport(
-        case_id=1,
-        verdict=CASE_MPSD if psd else CASE_NOT_MPSD,
+        1,
+        CASE_MPSD if psd else CASE_NOT_MPSD,
         structure_ok=True,
         sigma=sigma,
-        eta_sup=None,
-        eta_argmax=None,
-        threshold=None,
         C_matrix=C,
         boundary=abs(lam_min) <= TOL_STRICT * max(1.0, float(np.linalg.norm(C))),
-        structure=structure,
+        structure=CaseStructure(1, V, W, None, None, sigma),
         diagnostics=diag,
     )
 
@@ -312,19 +311,12 @@ def case1_positive_redecomposition(
         raise ValueError(f"needs an MPSD case-1 decomposition, got {rep.verdict}")
     assert rep.C_matrix is not None and rep.structure is not None
     pair = sym_eig(rep.C_matrix)
-    cut = 1e-12 * max(1.0, float(np.linalg.norm(rep.C_matrix)))
-    alphas = []
-    mats = []
-    V, W = rep.structure.V, rep.structure.W
-    for t in range(3):
-        lam = float(pair.values[t])
-        if lam <= cut:
-            continue
-        alphas.append(lam)
-        mats.append(V @ np.diag(pair.vectors[:, t]) @ W.T)
-    if not alphas:
+    keep = pair.values > 1e-12 * max(1.0, float(np.linalg.norm(rep.C_matrix)))
+    if not np.any(keep):
         raise ValueError("decomposition is identically zero")
-    return StructuredDecomposition(np.asarray(alphas), np.stack(mats))
+    V, W = rep.structure.V, rep.structure.W
+    mats = [V @ np.diag(e) @ W.T for e in pair.vectors[:, keep].T]
+    return StructuredDecomposition(pair.values[keep], np.stack(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +411,6 @@ class _RatioForm:
         for n, d in zip(num_lin, den):
             total += n * n / d
         return total
-
-    def value_or_none(self, y):
-        try:
-            return self.value(y)
-        except self.error_cls:
-            return None
 
     def value_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized values with -inf at guarded rows. ys is (N, 3) unit."""
@@ -814,19 +800,12 @@ def _check_ratio_case(
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
 
     form = _ratio_form(case_id, np.concatenate(alpha_cols), frames, sigma)
-    sup = sup_eta(
-        form.value_or_none,
-        lines,
-        grad_fn=form.grad,
-        eta_many=form.value_many,
-        grid_n=grid_n,
-    )
+    sup = sup_eta(form.value, lines, grad_fn=form.grad, eta_many=form.value_many, grid_n=grid_n)
     threshold = 1.0 / (-float(dec.alphas[q]))
     diag["sup_converged"] = sup.converged
     if g == 2:
         diag["singular_lines"] = [[float(t) for t in d] for d in lines]
         diag["probes"] = sup.probes
-    structure = CaseStructure(case_id, V, W, W_tilde, W_hat, sigma)
 
     if sup.value > threshold + tol:
         verdict = CASE_NOT_MPSD
@@ -837,16 +816,15 @@ def _check_ratio_case(
     else:
         verdict = CASE_MPSD
     return CaseReport(
-        case_id=case_id,
-        verdict=verdict,
+        case_id,
+        verdict,
         structure_ok=True,
         sigma=np.asarray(sigma),
         eta_sup=float(sup.value),
         eta_argmax=sup.argmax,
         threshold=threshold,
-        C_matrix=None,
         boundary=abs(sup.value - threshold) <= TOL_STRICT,
-        structure=structure,
+        structure=CaseStructure(case_id, V, W, W_tilde, W_hat, sigma),
         diagnostics=diag,
     )
 
@@ -881,18 +859,15 @@ def check_case3(
 
 
 def check_case(
-    dec: StructuredDecomposition,
-    force: str = "auto",
-    tol: float = 1e-8,
-    grid_n: int = 20000,
+    dec: StructuredDecomposition, tol: float = 1e-8, grid_n: int = 20000
 ) -> CaseReport | None:
-    """Run the case checker that force names ("1", "2", "3"), or with "auto"
-    the one whose shape (r, q) matches; None when no shape matches."""
-    if force == "1" or (force == "auto" and dec.q == 3):
+    """Run the case checker whose shape matches dec: case 1 for q = 3 (any r),
+    case 2 for (r, q) = (7, 6), case 3 for (10, 9); None for any other shape."""
+    if dec.q == 3:
         return check_case1(dec, tol=tol)
-    if force == "2" or (force == "auto" and (dec.r, dec.q) == (7, 6)):
+    if (dec.r, dec.q) == (7, 6):
         return check_case2(dec, tol=tol, grid_n=grid_n)
-    if force == "3" or (force == "auto" and (dec.r, dec.q) == (10, 9)):
+    if (dec.r, dec.q) == (10, 9):
         return check_case3(dec, tol=tol, grid_n=grid_n)
     return None
 

@@ -5,8 +5,12 @@ Subcommands:
 * gen     -- write one of the bundled example tensors as JSON
 * check   -- full certification pipeline with an independent grid cross-check
 * pocs    -- raw alternating-projection run against the S-PSD cone
-* case    -- structured-decomposition analysis (shapes 1, 2, 3)
+* case    -- structured-decomposition analysis: the case 1, 2 or 3 checker
+             whose shape (r, q) the decomposition has
 * oracle  -- brute-force grid + refinement minimizer of the biquadratic form
+
+A --decomp file must describe the --input tensor: a decomposition of
+another tensor is bad input.
 
 Exit codes: 0 a definite verdict was reached, 1 bad input, 2 undecided,
 3 internal contradiction between a certificate and the brute-force check
@@ -78,6 +82,25 @@ _COUNT = _checked(int, 1)
 _SEED = _checked(int, 0)
 _LATTICE_N = _checked(int, oracle.MIN_GRID_N)
 
+# Generator name -> builder of (tensor, label) from the parsed gen arguments.
+_GENERATORS = {
+    "E": lambda a: (tensor_e(), "E"),
+    "choi-lam": lambda a: (tensor_choi_lam(a.gamma), f"choi-lam(gamma={a.gamma:g})"),
+    "isotropic": lambda a: (
+        tensor_isotropic(a.lam, a.mu),
+        f"isotropic(lambda={a.lam:g},mu={a.mu:g})",
+    ),
+    "counterexample-s2": lambda a: (tensor_two_squares(), "counterexample-s2"),
+    "random-spd": lambda a: (
+        random_spd_tensor(np.random.default_rng(a.seed)),
+        f"random-spd(seed={a.seed})",
+    ),
+    "random": lambda a: (
+        random_tensor(np.random.default_rng(a.seed)),
+        f"random(seed={a.seed})",
+    ),
+}
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ellipticity-lab")
@@ -86,8 +109,7 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser(
         "gen",
         help="write a bundled example tensor as JSON",
-        description="Generators: E, choi-lam, isotropic, counterexample-s2, "
-        "random-spd, random.",
+        description=f"Generators: {', '.join(_GENERATORS)}.",
     )
     gen.add_argument("name", help="generator name")
     gen.add_argument("--gamma", type=_FINITE, default=1.0, help="choi-lam parameter")
@@ -141,12 +163,6 @@ def _build_parser() -> _Parser:
     case = sub.add_parser("case", help="structured-decomposition analysis")
     common(case, _COUNT, 20000)
     case.add_argument("--decomp", help="decomposition JSON (default: eigendecomposition)")
-    case.add_argument(
-        "--case",
-        choices=("auto", "1", "2", "3"),
-        default="auto",
-        help="force a particular shape instead of dispatching on (r, q)",
-    )
     case.set_defaults(func=_cmd_case)
 
     orc = sub.add_parser("oracle", help="brute-force minimization of the form")
@@ -171,26 +187,12 @@ def _emit(args, doc: dict, human_lines: list[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
-    rng = np.random.default_rng(args.seed)
     name = args.name
-    if name == "E":
-        t, label = tensor_e(), "E"
-    elif name == "choi-lam":
-        t, label = tensor_choi_lam(args.gamma), f"choi-lam(gamma={args.gamma:g})"
-    elif name == "isotropic":
-        t = tensor_isotropic(args.lam, args.mu)
-        label = f"isotropic(lambda={args.lam:g},mu={args.mu:g})"
-    elif name == "counterexample-s2":
-        t, label = tensor_two_squares(), "counterexample-s2"
-    elif name == "random-spd":
-        t, label = random_spd_tensor(rng), f"random-spd(seed={args.seed})"
-    elif name == "random":
-        t, label = random_tensor(rng), f"random(seed={args.seed})"
-    else:
+    if name not in _GENERATORS:
         raise UnknownGenerator(
-            f"unknown generator {name!r}; choose from E, choi-lam, isotropic, "
-            "counterexample-s2, random-spd, random"
+            f"unknown generator {name!r}; choose from {', '.join(_GENERATORS)}"
         )
+    t, label = _GENERATORS[name](args)
     if args.decomp_output:
         if name != "choi-lam":
             raise UnknownGenerator("--decomp-output is only available for choi-lam")
@@ -233,8 +235,12 @@ def _load_decomposition_arg(args) -> cases.StructuredDecomposition | None:
 
 def _cmd_case(args) -> int:
     t, name = io.load_tensor(args.input)
-    dec = _load_decomposition_arg(args) or cases.spectral_decomposition(t)
-    rep = cases.check_case(dec, args.case, args.tol, args.grid_n)
+    dec = _load_decomposition_arg(args)
+    if dec is None:
+        dec = cases.spectral_decomposition(t)
+    else:
+        cases.require_decomposition_of(t, dec, args.tol)
+    rep = cases.check_case(dec, args.tol, args.grid_n)
     if rep is None:
         doc = {
             "command": "case",

@@ -56,6 +56,10 @@ class NotCase3(CaseShapeError):
     pass
 
 
+class DecompositionMismatch(EllipticityError):
+    """The terms of a decomposition do not build the tensor it is checked with."""
+
+
 class ParseError(EllipticityError):
     """A JSON document does not conform to its declared format."""
 

@@ -43,7 +43,13 @@ def check(
     epsilon: float = 1e-6,
     max_iter: int = 20000,
 ) -> CheckReport:
-    """Run the five stages on t; dec=None uses the spectral decomposition."""
+    """Run the five stages on t; dec=None uses the spectral decomposition.
+
+    A given dec must build t: otherwise DecompositionMismatch is raised
+    before any stage runs.
+    """
+    if dec is not None:
+        cases.require_decomposition_of(t, dec, tol)
     stages: list[dict] = []
     mpd_by: str | None = None
     mpsd_by: str | None = None
@@ -85,7 +91,7 @@ def check(
 
     if dec is None:
         dec = cases.spectral_decomposition(t)
-    case_rep = cases.check_case(dec, "auto", tol, max(grid_n, 20000))
+    case_rep = cases.check_case(dec, tol, max(grid_n, 20000))
     stage = {"stage": "case", "r": dec.r, "q": dec.q}
     if case_rep is None:
         stage["skipped"] = "no matching shape"

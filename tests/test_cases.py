@@ -7,6 +7,7 @@ import ellipticity_lab as el
 from ellipticity_lab import cases
 from ellipticity_lab.cases import CaseStructure, _group_shared_v, case_report_to_doc
 from ellipticity_lab.errors import (
+    DecompositionMismatch,
     DegenerateDenominator,
     EmptyDomain,
     NotCase1,
@@ -34,11 +35,30 @@ def test_structured_decomposition_ordering():
     )
     assert np.array_equal(dec.alphas, [3.0, 2.0, -0.5, -1.5])
     assert dec.q == 2 and dec.r == 4
+    # equal alphas of either sign keep input order; term s carries s * I
+    alphas = np.array([-1.0, 2.0, -1.0, 2.0, -1.0, 2.0, 5.0])
+    dec = el.StructuredDecomposition(alphas, np.arange(7.0)[:, None, None] * E3)
+    assert np.array_equal(dec.alphas, [5.0, 2.0, 2.0, 2.0, -1.0, -1.0, -1.0])
+    assert [u[0, 0] for u in dec.mats] == [6.0, 1.0, 3.0, 5.0, 0.0, 2.0, 4.0]
 
 
 def test_structured_decomposition_rejects_zero_alpha():
     with pytest.raises(ValueError):
         el.StructuredDecomposition(np.array([1.0, 0.0]), np.zeros((2, 3, 3)))
+
+
+def test_require_decomposition_of():
+    choi, dec = el.tensor_choi_lam(1.0), el.choi_lam_case2_decomposition(1.0)
+    iso = el.tensor_isotropic(-3.0, 0.1)
+    # the test does not depend on scale: 2^k-scaled pairs pass or fail alike
+    for k in (-900, -40, 0, 40, 900):
+        scaled = el.StructuredDecomposition(np.ldexp(dec.alphas, k), dec.mats)
+        cases.require_decomposition_of(el.Elast4(np.ldexp(choi.a, k)), scaled, 1e-8)
+        with pytest.raises(DecompositionMismatch):
+            cases.require_decomposition_of(el.Elast4(np.ldexp(iso.a, k)), scaled, 1e-8)
+    # a decomposition of the zero tensor describes it
+    zero = el.StructuredDecomposition(np.zeros(0), np.zeros((0, 3, 3)))
+    cases.require_decomposition_of(el.Elast4(np.zeros((3, 3, 3, 3))), zero, 1e-8)
 
 
 def test_spectral_decomposition_reconstructs():
@@ -672,6 +692,34 @@ def test_ratio_checkers_at_extreme_scales_match_einsum_reference(
 # report plumbing
 
 
+@pytest.mark.parametrize(
+    "r, q, want",
+    [
+        (3, 3, "check_case1"),
+        (4, 3, "check_case1"),
+        (5, 3, "check_case1"),
+        (7, 6, "check_case2"),
+        (10, 9, "check_case3"),
+        (9, 9, None),
+        (5, 4, None),
+        (0, 0, None),
+    ],
+)
+def test_check_case_dispatches_on_shape(monkeypatch, r, q, want):
+    # the checkers are looked up through the module, where a tracer wraps them
+    calls = []
+    for name in ("check_case1", "check_case2", "check_case3"):
+        def record(dec, name=name, **kwargs):
+            calls.append((name, kwargs))
+            return name
+        monkeypatch.setattr(cases, name, record)
+    alphas = np.array([1.0] * q + [-1.0] * (r - q))
+    dec = el.StructuredDecomposition(alphas, np.zeros((r, 3, 3)))
+    assert cases.check_case(dec, 1e-6, 500) == want
+    kwargs = {"tol": 1e-6} if want == "check_case1" else {"tol": 1e-6, "grid_n": 500}
+    assert calls == ([] if want is None else [(want, kwargs)])
+
+
 def test_case_report_doc_serializable():
     for rep in (
         el.check_case1(case1_example(-0.5)),
@@ -693,13 +741,33 @@ def test_ratio_case_diagnostic_keys():
 
 
 def test_case_report_doc_mismatch():
-    rep = el.check_case1(
+    rep1 = el.check_case1(
         el.StructuredDecomposition(
             np.array([1.0, 1.0, 1.0, -0.5]),
             np.stack([np.eye(3), axis_outer(1, 1), axis_outer(2, 2), np.eye(3)]),
         )
     )
-    doc = case_report_to_doc(rep)
-    el.dumps_report(doc)
-    assert doc["verdict"] == el.CASE_MISMATCH
-    assert "structure" not in doc
+    base = el.choi_lam_case2_decomposition(1.0)
+    mats = base.mats.copy()
+    mats[6] = axis_outer(1, 0)  # the negative term leaves the paired span
+    rep2 = el.check_case2(el.StructuredDecomposition(base.alphas.copy(), mats))
+    base = case3_dec(0.5)
+    mats = base.mats.copy()
+    mats[8] = axis_outer(0, 1)  # the left vectors no longer form triples
+    rep3 = el.check_case3(el.StructuredDecomposition(base.alphas.copy(), mats))
+    unset = {
+        "structure_ok": False, "sigma": None, "eta_sup": None, "eta_argmax": None,
+        "threshold": None, "C_matrix": None, "boundary": False,
+    }
+    diag_keys = {
+        1: {"reason"},
+        2: {"reason", "groups", "cond_V", "cond_W", "cond_W_tilde", "pair_sines",
+            "sigma_residual"},
+        3: {"reason"},
+    }
+    for case_id, rep in ((1, rep1), (2, rep2), (3, rep3)):
+        doc = case_report_to_doc(rep)
+        el.dumps_report(doc)
+        diagnostics = doc.pop("diagnostics")
+        assert doc == {"case_id": case_id, "verdict": el.CASE_MISMATCH, **unset}
+        assert set(diagnostics) == diag_keys[case_id]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
+from ellipticity_lab import cli
 
 
 def run_cli(*argv, cwd=None):
@@ -74,6 +75,17 @@ def test_gen_unknown_name_fails():
     proc = run_cli("gen", "nонsense")
     assert proc.returncode == 1
     assert "unknown generator" in proc.stderr
+    assert proc.stderr.endswith(f"choose from {', '.join(cli._GENERATORS)}\n")
+    assert list(cli._GENERATORS) == [
+        "E", "choi-lam", "isotropic", "counterexample-s2", "random-spd", "random"
+    ]
+
+
+def test_gen_every_generator_writes_a_tensor(capsys):
+    for name in cli._GENERATORS:
+        assert cli.main(["gen", name]) == cli.EXIT_DECIDED
+        t, label = el.doc_to_tensor(json.loads(capsys.readouterr().out))
+        assert isinstance(t, el.Elast4) and label.startswith(name)
 
 
 def test_gen_decomp_output(tensor_files):
@@ -219,10 +231,16 @@ def test_case_structure_mismatch_is_undecided(tensor_files):
     assert doc["verdict"] == "StructureMismatch"
 
 
-def test_case_forcing_wrong_shape_is_input_error(tensor_files):
-    proc = run_cli("case", "-i", tensor_files["e"], "--case", "2")
+@pytest.mark.parametrize("command", ["check", "case"])
+def test_decomposition_of_another_tensor_is_input_error(tensor_files, command):
+    # unchecked, case 2 certifies these Choi-Lam terms MPSD for a form with minimum -2.8
+    proc = run_cli(
+        command, "-i", tensor_files["iso-neg"], "--decomp", tensor_files["choi-dec"], "--json"
+    )
     assert proc.returncode == 1
-    assert "expected (r, q)" in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the decomposition builds a different tensor")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,11 @@ def test_check_deciding_stage(t, dec, verdict, field, tag):
     ]
 
 
+def test_check_rejects_a_decomposition_of_another_tensor():
+    with pytest.raises(el.DecompositionMismatch):
+        el.check(el.tensor_isotropic(-3.0, 0.1), el.choi_lam_case2_decomposition(1.0))
+
+
 def _fake_refutation(t, n=2000, tol=1e-8):
     x = y = np.array([1.0, 0.0, 0.0])
     report = oracle.OracleReport(
