@@ -23,9 +23,6 @@ from .cases import (
     check_case3,
     choi_lam_case2_decomposition,
     detect_rank_one,
-    eta_case2,
-    eta_case3,
-    reconstruct_yy,
     require_decomposition_of,
     spectral_decomposition,
     sup_eta,
@@ -91,7 +88,6 @@ from .tensors import (
     biquadratic,
     contract_xx,
     contract_yy,
-    contract_zz,
     fold,
     make_elast4,
     make_pair4,

@@ -49,12 +49,9 @@ __all__ = [
     "SupEtaResult",
     "spectral_decomposition",
     "require_decomposition_of",
-    "reconstruct_yy",
     "detect_rank_one",
     "check_case1",
     "case1_positive_redecomposition",
-    "eta_case2",
-    "eta_case3",
     "check_case2",
     "check_case3",
     "check_case",
@@ -75,10 +72,12 @@ GROUP_ANGLE_TOL = 1e-6
 # spectral_decomposition drops eigenvalues below this times ||A||.
 SPECTRAL_REL_TOL = 1e-12
 # sup_eta: ascents start from this many best grid points, stop once the
-# tangent gradient is below ASCENT_TOL times max(1, |eta|), and each
-# singular line is probed on rings at these angles.
+# tangent gradient is below ASCENT_TOL times max(1, |eta|) or after
+# ASCENT_STEPS steps, and each singular line is probed on rings at these
+# angles.
 REFINE_K = 10
 ASCENT_TOL = 1e-10
+ASCENT_STEPS = 300
 PROBE_THETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
@@ -127,14 +126,12 @@ class StructuredDecomposition:
 
 @dataclass(frozen=True)
 class CaseStructure:
-    """Recovered frames and diagonal coefficients of a matched case."""
+    """Recovered frames of a matched case."""
 
-    case_id: int
     V: np.ndarray
     W: np.ndarray
     W_tilde: np.ndarray | None
     W_hat: np.ndarray | None
-    sigma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,13 +194,6 @@ def require_decomposition_of(t: Elast4, dec: StructuredDecomposition, tol: float
             f"the decomposition builds a different tensor: entries differ by up "
             f"to {gap:.3e}, against a tolerance of {tol * scale:.3e}"
         )
-
-
-def reconstruct_yy(dec: StructuredDecomposition, y) -> np.ndarray:
-    """sum_s alpha_s (U_s y)(U_s y)^T, the contracted matrix of the terms."""
-    yv = np.asarray(y, dtype=float)
-    uy = dec.mats @ yv
-    return np.einsum("s,si,sj->ij", dec.alphas, uy, uy)
 
 
 def detect_rank_one(u, tol: float = 1e-10):
@@ -284,15 +274,17 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
     )
     lam_min = float(np.linalg.eigvalsh(C)[0])
     diag["min_eig_C"] = lam_min
-    psd = lam_min >= -tol * max(1.0, float(np.linalg.norm(C)))
+    # Rounding in C is eps times its terms, at most a few times the largest
+    # alpha or ||C||: a scale-free bound that keeps a near-cancelling C MPSD.
+    scale = max(float(dec.alphas[0]), float(np.linalg.norm(C)))
     return CaseReport(
         1,
-        CASE_MPSD if psd else CASE_NOT_MPSD,
+        CASE_MPSD if lam_min >= -tol * scale else CASE_NOT_MPSD,
         structure_ok=True,
         sigma=sigma,
         C_matrix=C,
-        boundary=abs(lam_min) <= TOL_STRICT * max(1.0, float(np.linalg.norm(C))),
-        structure=CaseStructure(1, V, W, None, None, sigma),
+        boundary=abs(lam_min) <= TOL_STRICT * scale,
+        structure=CaseStructure(V, W, None, None),
         diagnostics=diag,
     )
 
@@ -311,7 +303,7 @@ def case1_positive_redecomposition(
         raise ValueError(f"needs an MPSD case-1 decomposition, got {rep.verdict}")
     assert rep.C_matrix is not None and rep.structure is not None
     pair = sym_eig(rep.C_matrix)
-    keep = pair.values > 1e-12 * max(1.0, float(np.linalg.norm(rep.C_matrix)))
+    keep = pair.values > 1e-12 * max(float(dec.alphas[0]), float(np.linalg.norm(rep.C_matrix)))
     if not np.any(keep):
         raise ValueError("decomposition is identically zero")
     V, W = rep.structure.V, rep.structure.W
@@ -329,7 +321,9 @@ _GUARD = 1e-13
 # Rows per block in _RatioForm.value_many. Blocks this small keep the
 # (G, 3, rows) temporaries off freshly mapped pages: one pass over the
 # 20000-point hemisphere took ~1.8x as long, with ~1000 page faults a call.
-_BLOCK_ROWS = 2048
+# At G = 3 a temporary is 72 KiB; at 2048 rows (144 KiB) each case-3 check
+# took ~200 fresh pages in some processes, depending on earlier allocations.
+_BLOCK_ROWS = 1024
 
 
 class _RatioForm:
@@ -475,32 +469,6 @@ _RATIO_CASES = {
 }
 
 
-def _ratio_form(case_id: int, alphas, frames, sigma) -> _RatioForm:
-    """The eta of case 2 or 3; alphas and sigma list the frames' terms in order."""
-    g = _RATIO_CASES[case_id].group
-    return _RatioForm(
-        alphas=np.asarray(alphas, dtype=float)[: 3 * g].reshape(g, 3),
-        frames=frames,
-        sigma=np.asarray(sigma, dtype=float)[: 3 * g].reshape(g, 3),
-        error_cls=_RATIO_CASES[case_id].guard_error,
-    )
-
-
-def eta_case2(cs: CaseStructure, alphas, y) -> float:
-    """Case-2 ratio at direction y; raises SingularDirection on excluded lines."""
-    if cs.case_id != 2 or cs.W_tilde is None:
-        raise ValueError("structure is not case 2")
-    return _ratio_form(2, alphas, [cs.W, cs.W_tilde], cs.sigma).value(y)
-
-
-def eta_case3(cs: CaseStructure, alphas, y) -> float:
-    """Case-3 ratio at direction y; raises DegenerateDenominator if the
-    structural positivity of the denominator fails."""
-    if cs.case_id != 3 or cs.W_tilde is None or cs.W_hat is None:
-        raise ValueError("structure is not case 3")
-    return _ratio_form(3, alphas, [cs.W, cs.W_tilde, cs.W_hat], cs.sigma).value(y)
-
-
 # ---------------------------------------------------------------------------
 # Supremum estimation
 
@@ -513,22 +481,22 @@ def _orthonormal_complement(d: np.ndarray):
     return u1, np.cross(d, u1)
 
 
-def _ascend(y0, value_or_none, grad, tol, max_iter=300):
+def _ascend(y0, value, grad):
     y = np.asarray(y0, dtype=float)
     y = y / np.linalg.norm(y)
-    fy = value_or_none(y)
+    fy = value(y)
     if fy is None:
         return y, -np.inf, True
     step = 0.5
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ASCENT_STEPS):
         try:
             gr = grad(y)
         except (SingularDirection, DegenerateDenominator):
             break
         gt = gr - (gr @ y) * y
         gn = float(np.linalg.norm(gt))
-        if gn <= tol * max(1.0, abs(fy)):
+        if gn <= ASCENT_TOL * max(1.0, abs(fy)):
             converged = True
             break
         s = step
@@ -536,7 +504,7 @@ def _ascend(y0, value_or_none, grad, tol, max_iter=300):
         while s > 1e-16:
             cand = y + s * gt
             cand /= np.linalg.norm(cand)
-            fc = value_or_none(cand)
+            fc = value(cand)
             if fc is not None and fc > fy + 1e-4 * s * gn * gn:
                 y, fy = cand, fc
                 step = min(1.0, 2.0 * s)
@@ -566,22 +534,15 @@ def _trend_settled(vals) -> bool:
     return inc_last <= max(0.5 * inc_prev, floor)
 
 
-def sup_eta(
-    eta_fn,
-    singular_lines,
-    angular_tol: float = 1e-8,
-    *,
-    grad_fn,
-    eta_many,
-    grid_n: int = 20000,
-) -> SupEtaResult:
+def sup_eta(eta_fn, singular_lines, *, grad_fn, eta_many, grid_n: int = 20000) -> SupEtaResult:
     """Estimate sup eta over unit directions off the singular lines.
 
     eta_many maps an (N, 3) array of unit directions to N values, -inf where
-    eta is not defined; grad_fn is the gradient of eta_fn. Stage 1
-    evaluates a deterministic hemisphere lattice (grid points within
-    angular_tol of a singular line are skipped). Stage 2 runs projected
-    gradient ascent with backtracking from the REFINE_K best grid points.
+    eta is not defined, and its array is only read; grad_fn is the gradient
+    of eta_fn. Stage 1 evaluates a deterministic hemisphere lattice and
+    skips its -inf points, which for the ratio form include every point
+    near a singular line (its guard). Stage 2 runs projected gradient
+    ascent with backtracking from the REFINE_K best grid points.
     Singular lines are additionally probed along shrinking geodesic rings;
     probe values are legitimate domain points and enter the supremum, and
     their trend is reported for diagnosis.
@@ -593,14 +554,8 @@ def sup_eta(
     it; refutations only need the (always sound) value.
     """
     ys = fibonacci_hemisphere(grid_n)
-    excluded = np.zeros(grid_n, dtype=bool)
     lines = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in singular_lines]
-    for d in lines:
-        ang = np.arccos(np.clip(np.abs(ys @ d), 0.0, 1.0))
-        excluded |= ang < angular_tol
-    # A copy: the caller's array may be read-only or still in use.
-    vals = np.array(eta_many(ys), dtype=float)
-    vals[excluded] = -np.inf
+    vals = np.asarray(eta_many(ys), dtype=float)
     finite = np.isfinite(vals)
     n_excluded = int(np.sum(~finite))
     if not np.any(finite):
@@ -624,7 +579,7 @@ def sup_eta(
     all_converged = True
     refined_best = -np.inf
     for idx in starts:
-        yr, fr, conv = _ascend(ys[idx], safe_value, grad_fn, ASCENT_TOL)
+        yr, fr, conv = _ascend(ys[idx], safe_value, grad_fn)
         all_converged &= conv
         refined_best = max(refined_best, fr)
         if fr > best_val:
@@ -799,19 +754,30 @@ def _check_ratio_case(
     if rel_resid > tol:
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
 
-    form = _ratio_form(case_id, np.concatenate(alpha_cols), frames, sigma)
+    # eta is estimated for the alphas times 2^-e, e putting -alpha_neg in
+    # [1, 2) (less where the alphas spread past 2^300, so squares stay finite).
+    # That multiplies eta and the threshold by 2^e exactly, so every 2^k
+    # multiple of a decomposition runs the same grid, ascent and tests.
+    e = max(int(np.frexp(-dec.alphas[q])[1]) - 1, int(np.frexp(dec.alphas[0])[1]) - 300)
+    form = _RatioForm(
+        np.ldexp(np.array(alpha_cols), -e), frames, sigma.reshape(g, 3), spec.guard_error
+    )
     sup = sup_eta(form.value, lines, grad_fn=form.grad, eta_many=form.value_many, grid_n=grid_n)
     threshold = 1.0 / (-float(dec.alphas[q]))
+    limit = float(np.ldexp(threshold, e))  # the scaled threshold
     diag["sup_converged"] = sup.converged
     if g == 2:
         diag["singular_lines"] = [[float(t) for t in d] for d in lines]
-        diag["probes"] = sup.probes
+        diag["probes"] = [
+            {**p, "trend": [(th, float(np.ldexp(v, -e))) for th, v in p["trend"]]}
+            for p in sup.probes
+        ]
 
-    if sup.value > threshold + tol:
+    if sup.value > limit + tol:
         verdict = CASE_NOT_MPSD
     elif not sup.converged:
         return _mismatch(case_id, "supremum estimate did not stabilize", diag)
-    elif case_id == 3 and sup.value < threshold - TOL_STRICT:
+    elif case_id == 3 and sup.value < limit - TOL_STRICT:
         verdict = CASE_MPD
     else:
         verdict = CASE_MPSD
@@ -820,11 +786,11 @@ def _check_ratio_case(
         verdict,
         structure_ok=True,
         sigma=np.asarray(sigma),
-        eta_sup=float(sup.value),
+        eta_sup=float(np.ldexp(sup.value, -e)),
         eta_argmax=sup.argmax,
         threshold=threshold,
-        boundary=abs(sup.value - threshold) <= TOL_STRICT,
-        structure=CaseStructure(case_id, V, W, W_tilde, W_hat, sigma),
+        boundary=abs(sup.value - limit) <= TOL_STRICT,
+        structure=CaseStructure(V, W, W_tilde, W_hat),
         diagnostics=diag,
     )
 
@@ -914,7 +880,7 @@ def case_report_to_doc(rep: CaseReport) -> dict:
             "W": arr(rep.structure.W),
             "W_tilde": arr(rep.structure.W_tilde),
             "W_hat": arr(rep.structure.W_hat),
-            "sigma": arr(rep.structure.sigma),
+            "sigma": arr(rep.sigma),
         }
     return doc
 

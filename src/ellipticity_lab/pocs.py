@@ -112,8 +112,7 @@ def project_T(a_ref: Elast4, b: Pair4) -> Pair4:
     """
     if not isinstance(a_ref, Elast4):
         raise TypeError("reference must be an Elast4")
-    bb = b.a if isinstance(b, Pair4) else np.asarray(b, dtype=float)
-    return Pair4(_slice_project(a_ref.a, bb))
+    return Pair4(_slice_project(a_ref.a, b.a))
 
 
 def project_S(b: Pair4) -> Pair4:

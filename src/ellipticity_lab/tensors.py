@@ -38,7 +38,6 @@ __all__ = [
     "unvec",
     "contract_yy",
     "contract_xx",
-    "contract_zz",
     "biquadratic",
     "tensor_e",
     "tensor_choi_lam",
@@ -93,10 +92,6 @@ class Pair4:
             raise SymmetryViolation(
                 float(np.max(np.abs(arr - arr.transpose(1, 0, 3, 2)))), 0.0
             )
-
-    def norm(self) -> float:
-        """Frobenius norm over all 81 entries."""
-        return float(np.linalg.norm(self.a))
 
 
 @dataclass(frozen=True)
@@ -189,8 +184,7 @@ def pow2_rescale(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 def unfold(t: Pair4) -> np.ndarray:
     """9x9 matricization; symmetric exactly when t is weakly symmetric."""
-    arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
-    return unfold_array(arr)
+    return unfold_array(t.a)
 
 
 def fold(m, tol: float = 1e-8) -> Pair4:
@@ -228,39 +222,29 @@ def unvec(u) -> np.ndarray:
     return uv.reshape(3, 3).T.copy()
 
 
-def contract_yy(t, y) -> np.ndarray:
+def contract_yy(t: Pair4, y) -> np.ndarray:
     """Contract the second index pair with y twice: M_ij = sum_kl t[ijkl] y_k y_l.
 
     Returns the symmetrized 3x3 matrix. For an Elast4 the raw contraction is
     already symmetric and symmetrization is a bit-exact no-op.
     """
-    arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
     yv = np.asarray(y, dtype=float)
-    raw = np.einsum("ijkl,k,l->ij", arr, yv, yv)
+    raw = np.einsum("ijkl,k,l->ij", t.a, yv, yv)
     return 0.5 * (raw + raw.T)
 
 
-def contract_xx(t, x) -> np.ndarray:
+def contract_xx(t: Pair4, x) -> np.ndarray:
     """Contract the first index pair with x twice: N_kl = sum_ij t[ijkl] x_i x_j."""
-    arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
     xv = np.asarray(x, dtype=float)
-    raw = np.einsum("ijkl,i,j->kl", arr, xv, xv)
+    raw = np.einsum("ijkl,i,j->kl", t.a, xv, xv)
     return 0.5 * (raw + raw.T)
 
 
-def contract_zz(t, z) -> float:
-    """Quadratic form in a 3x3 matrix Z: sum t[ijkl] Z[i,k] Z[j,l]."""
-    arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
-    zm = np.asarray(z, dtype=float)
-    return float(np.einsum("ijkl,ik,jl->", arr, zm, zm))
-
-
-def biquadratic(t, x, y) -> float:
+def biquadratic(t: Pair4, x, y) -> float:
     """Bi-quadratic form sum t[ijkl] x_i x_j y_k y_l."""
-    arr = t.a if isinstance(t, Pair4) else _as_tensor_array(t)
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    return float(np.einsum("ijkl,i,j,k,l->", arr, xv, xv, yv, yv))
+    return float(np.einsum("ijkl,i,j,k,l->", t.a, xv, xv, yv, yv))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +330,16 @@ def tensor_from_rank_one_terms(alphas, mats) -> Elast4:
     return Elast4(symmetrize_pairs(b))
 
 
-def random_tensor(rng: np.random.Generator, scale: float = 1.0) -> Elast4:
-    """Orbit-symmetrized standard normal entries, Frobenius norm = scale."""
+def random_tensor(rng: np.random.Generator) -> Elast4:
+    """Orbit-symmetrized standard normal entries, scaled to Frobenius norm 1."""
     raw = symmetrize_pairs(rng.standard_normal((3, 3, 3, 3)))
     nrm = np.linalg.norm(raw)
     if nrm == 0.0:
-        raw[0, 0, 0, 0] = scale
+        raw[0, 0, 0, 0] = 1.0
         return Elast4(symmetrize_pairs(raw))
-    return Elast4(raw * (scale / nrm))
+    # Times the reciprocal, not raw / nrm, which rounds differently: these
+    # are the bits `gen random` writes.
+    return Elast4(raw * (1.0 / nrm))
 
 
 # random_spd_tensor keeps a draw whose smallest unfolding eigenvalue is at

@@ -5,7 +5,7 @@ import pytest
 
 import ellipticity_lab as el
 from ellipticity_lab import cases
-from ellipticity_lab.cases import CaseStructure, _group_shared_v, case_report_to_doc
+from ellipticity_lab.cases import _group_shared_v, case_report_to_doc
 from ellipticity_lab.errors import (
     DecompositionMismatch,
     DegenerateDenominator,
@@ -84,13 +84,21 @@ def test_spectral_decomposition_zero_tensor():
     assert dec.r == 0
 
 
-def test_reconstruct_yy_matches_contraction():
+def contract_terms_yy(dec, y):
+    """A y^2 of the tensor that the terms of dec build."""
+    return el.contract_yy(el.tensor_from_rank_one_terms(dec.alphas, dec.mats), y)
+
+
+def test_rank_one_terms_match_contraction():
     g = 1.3
     dec = el.choi_lam_case2_decomposition(g)
     t = el.tensor_choi_lam(g)
     for _ in range(5):
         y = rng.standard_normal(3)
-        assert np.allclose(el.reconstruct_yy(dec, y), el.contract_yy(t, y), atol=1e-12)
+        uy = dec.mats @ y
+        terms = np.einsum("s,si,sj->ij", dec.alphas, uy, uy)
+        assert np.allclose(contract_terms_yy(dec, y), terms, atol=1e-12)
+        assert np.allclose(contract_terms_yy(dec, y), el.contract_yy(t, y), atol=1e-12)
 
 
 def test_detect_rank_one():
@@ -195,9 +203,19 @@ def test_case1_redecomposition():
     assert np.all(red.alphas > 0)
     for _ in range(5):
         y = rng.standard_normal(3)
-        assert np.allclose(el.reconstruct_yy(red, y), el.reconstruct_yy(dec, y), atol=1e-12)
+        assert np.allclose(contract_terms_yy(red, y), contract_terms_yy(dec, y), atol=1e-12)
     t = el.tensor_from_rank_one_terms(red.alphas, red.mats)
     assert el.certify_mpsd(t).certified
+
+
+def test_case1_redecomposition_does_not_depend_on_the_alpha_scale():
+    dec = case1_example(-0.5)
+    want = el.case1_positive_redecomposition(dec)
+    for c in (2.0**-60, 1e-15, 2.0**60):
+        scaled = el.StructuredDecomposition(c * dec.alphas, dec.mats)
+        red = el.case1_positive_redecomposition(scaled)
+        assert np.allclose(red.alphas, c * want.alphas, rtol=1e-12, atol=0.0), c
+        assert np.allclose(red.mats, want.mats, atol=1e-12), c
 
 
 def test_case1_redecomposition_rejects_notmpsd():
@@ -206,54 +224,62 @@ def test_case1_redecomposition_rejects_notmpsd():
 
 
 # ---------------------------------------------------------------------------
-# eta ratios
+# eta ratios, as the case checkers build them
 
 
-def choi_structure():
-    W_tilde = np.column_stack([E3[:, (s + 1) % 3] for s in range(3)])
-    sigma = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    return CaseStructure(2, np.eye(3), np.eye(3), W_tilde, None, sigma)
+class FormBuilt(Exception):
+    """Stops a case checker once it has built its ratio form."""
 
 
-def test_eta_case2_closed_form():
+def built_form(monkeypatch, check, dec):
+    """The _RatioForm and singular lines a case checker hands to sup_eta."""
+    seen = []
+
+    def capture(eta_fn, lines, *args, **kwargs):
+        seen.append((eta_fn.__self__, [np.asarray(d, dtype=float) for d in lines]))
+        raise FormBuilt
+
+    monkeypatch.setattr(cases, "sup_eta", capture)
+    with pytest.raises(FormBuilt):
+        check(dec)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_eta_case2_closed_form(monkeypatch):
     # eta(y) = sum_s y_s^2 / (2 y_s^2 + g y_{s+1}^2), hand-expanded from the
-    # frames W = I, W_tilde = cyclic shift, sigma = (1,1,1,0,0,0)
-    g = 1.0
-    cs = choi_structure()
-    alphas = np.array([2.0, 2.0, 2.0, g, g, g, -1.0])
-    for _ in range(10):
-        y = rng.standard_normal(3)
-        want = sum(
-            y[s] ** 2 / (2 * y[s] ** 2 + g * y[(s + 1) % 3] ** 2) for s in range(3)
-        )
-        assert np.isclose(el.eta_case2(cs, alphas, y), want, atol=1e-12)
+    # frames W = I, W_tilde = cyclic shift, sigma = (1,1,1,0,0,0) of the
+    # Choi-Lam terms (2, e_s e_s^T), (g, e_s e_{s+1}^T), (-1, I)
+    for g in (1.0, 1.3):
+        form, _ = built_form(monkeypatch, el.check_case2, el.choi_lam_case2_decomposition(g))
+        for _ in range(10):
+            y = rng.standard_normal(3)
+            want = sum(
+                y[s] ** 2 / (2 * y[s] ** 2 + g * y[(s + 1) % 3] ** 2) for s in range(3)
+            )
+            assert np.isclose(form.value(y), want, atol=1e-12)
 
 
-def test_eta_case2_value_at_uniform_point():
-    cs = choi_structure()
-    alphas = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0, -1.0])
+def test_eta_case2_value_at_uniform_point(monkeypatch):
+    form, _ = built_form(monkeypatch, el.check_case2, el.choi_lam_case2_decomposition(1.0))
     u = np.ones(3) / np.sqrt(3)
-    assert np.isclose(el.eta_case2(cs, alphas, u), 1.0, atol=1e-14)
+    assert np.isclose(form.value(u), 1.0, atol=1e-14)
 
 
-def test_eta_case2_singular_direction():
-    cs = choi_structure()
-    alphas = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0, -1.0])
+def test_eta_case2_singular_direction(monkeypatch):
+    form, _ = built_form(monkeypatch, el.check_case2, el.choi_lam_case2_decomposition(1.0))
     with pytest.raises(SingularDirection):
-        el.eta_case2(cs, alphas, np.array([0.0, 0.0, 1.0]))
+        form.value(np.array([0.0, 0.0, 1.0]))
 
 
-def test_eta_case3_constant_value():
-    # orthonormal triple frames make every denominator |y|^2, so eta == 1
-    W_tilde = np.column_stack([E3[:, (s + 1) % 3] for s in range(3)])
-    W_hat = np.column_stack([E3[:, (s + 2) % 3] for s in range(3)])
-    sigma = np.concatenate([np.ones(3), np.zeros(6)])
-    cs = CaseStructure(3, np.eye(3), np.eye(3), W_tilde, W_hat, sigma)
-    alphas = np.concatenate([np.ones(9), [-1.0]])
+def test_eta_case3_constant_value(monkeypatch):
+    # orthonormal triple frames make every denominator |y|^2, so eta == c^2 == 1
+    form, lines = built_form(monkeypatch, el.check_case3, case3_dec(1.0))
+    assert lines == [] and form.error_cls is DegenerateDenominator
     for _ in range(5):
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
-        assert np.isclose(el.eta_case3(cs, alphas, y), 1.0, atol=1e-12)
+        assert np.isclose(form.value(y), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +307,20 @@ def test_sup_eta_quadratic_maximum():
 
 
 def test_sup_eta_excludes_singular_lines():
-    # peak capped near an excluded line: exclusion plus the evaluation guard
-    # must keep both the grid and the refinement off the pole
+    # peak capped near an excluded line: the evaluation guard (None and -inf
+    # within 0.3 rad of the pole) must keep the grid, the refinement and the
+    # probe rings off it
+    cap = np.cos(0.3) ** 2
+
     def f(y):
         yn = np.asarray(y, dtype=float)
         yn = yn / np.linalg.norm(yn)
         v = float(yn[2] ** 2)
-        return None if v > 1.0 - 1e-6 else v
+        return None if v > cap else v
 
     def f_many(ys):
         v = ys[:, 2] ** 2
-        return np.where(v > 1.0 - 1e-6, -np.inf, v)
+        return np.where(v > cap, -np.inf, v)
 
     def grad(y):
         n2 = y @ y
@@ -300,13 +329,12 @@ def test_sup_eta_excludes_singular_lines():
     res = el.sup_eta(
         f,
         [np.array([0.0, 0.0, 1.0])],
-        angular_tol=0.3,
         grid_n=2000,
         eta_many=f_many,
         grad_fn=grad,
     )
     assert res.excluded > 0
-    assert res.value <= 1.0 - 9e-7
+    assert res.value <= cap
 
 
 def test_sup_eta_empty_domain():
@@ -330,17 +358,17 @@ def test_sup_eta_propagates_foreign_grad_errors():
 
 
 def test_sup_eta_leaves_the_callers_values_alone():
-    # the grid values may be a read-only view of the cached lattice, or an
-    # array the caller keeps; excluded points must not be written into it
+    # the grid values may be a read-only array, or an array the caller
+    # keeps; sup_eta only reads them, -inf (excluded) points included
     line = [np.array([0.0, 0.0, 1.0])]
-    height = fibonacci_hemisphere(2000)[:, 2]
-    assert not height.flags.writeable
+    z = fibonacci_hemisphere(2000)[:, 2]
+    height = np.where(z > np.cos(0.3), -np.inf, z)
+    height.setflags(write=False)
     kept = height.copy()
     for values in (height, kept):
         res = el.sup_eta(
             lambda y: float(y[2]),
             line,
-            angular_tol=0.3,
             grid_n=2000,
             eta_many=lambda ys: values,
             grad_fn=lambda y: np.array([0.0, 0.0, 1.0]),
@@ -530,12 +558,6 @@ class EinsumRatioForm:
             raise self.error_cls("denominator vanished at this direction")
         return float(np.sum(num_lin**2 / den))
 
-    def value_or_none(self, y):
-        try:
-            return self.value(y)
-        except self.error_cls:
-            return None
-
     def value_many(self, ys):
         p = np.einsum("gis,ni->gns", self.frames, ys)
         num = np.sum(self.sigma[:, None, :] * p, axis=0) ** 2
@@ -572,25 +594,6 @@ def rotated(dec, gen):
     return el.StructuredDecomposition(dec.alphas.copy(), left @ dec.mats @ right.T)
 
 
-class FormBuilt(Exception):
-    """Stops a case checker once it has built its ratio form."""
-
-
-def built_form(monkeypatch, check, dec):
-    """The _RatioForm and singular lines a case checker hands to sup_eta."""
-    seen = []
-
-    def capture(eta_fn, lines, *args, **kwargs):
-        seen.append((eta_fn.__self__, [np.asarray(d, dtype=float) for d in lines]))
-        raise FormBuilt
-
-    monkeypatch.setattr(cases, "sup_eta", capture)
-    with pytest.raises(FormBuilt):
-        check(dec)
-    monkeypatch.undo()
-    return seen[0]
-
-
 def outcome(fn, y):
     try:
         return fn(y)
@@ -610,13 +613,13 @@ def same_bits(a, b):
     return a.tobytes() == b.tobytes()
 
 
-def near_lines(lines, gen, per_line=100):
-    """Points exactly on each line and up to 1e-6 rad off it."""
+def near_lines(lines, gen, per_line=100, max_exp=-6):
+    """Points exactly on each line and 1e-16 to 10^max_exp rad off it."""
     pts = []
     for d in lines:
         u1, u2 = cases._orthonormal_complement(d / np.linalg.norm(d))
         pts.append(d)
-        for theta in np.logspace(-16, -6, per_line):
+        for theta in np.logspace(-16, max_exp, per_line):
             phi = gen.uniform(0.0, 2.0 * np.pi)
             off = np.cos(phi) * u1 + np.sin(phi) * u2
             pts.append(np.cos(theta) * d + np.sin(theta) * off)
@@ -673,6 +676,26 @@ def test_ratio_checkers_at_extreme_scales_match_einsum_reference(
     else:
         base, check = case3_dec(0.5), el.check_case3
     dec = el.StructuredDecomposition(base.alphas * alpha_scale, base.mats * mat_scale)
+    assert_checker_matches_einsum_reference(monkeypatch, check, dec)
+
+
+@pytest.mark.parametrize("kind", ["case2", "case3"])
+def test_ratio_checkers_with_tiny_positive_alphas_match_einsum_reference(monkeypatch, kind):
+    # The form's alphas are scaled to bring -alpha_neg into [1, 2), so a
+    # common scale never underflows a squared denominator; positive alphas
+    # 1e-300 times alpha_neg still do.
+    if kind == "case2":
+        base, check = el.choi_lam_case2_decomposition(1.0), el.check_case2
+    else:
+        base, check = case3_dec(0.5), el.check_case3
+    alphas = base.alphas.copy()
+    alphas[:-1] *= 1e-300
+    assert_checker_matches_einsum_reference(
+        monkeypatch, check, el.StructuredDecomposition(alphas, base.mats)
+    )
+
+
+def assert_checker_matches_einsum_reference(monkeypatch, check, dec):
     ys = np.random.default_rng(37).standard_normal((500, 3))
     ys /= np.linalg.norm(ys, axis=1)[:, None]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -686,6 +709,123 @@ def test_ratio_checkers_at_extreme_scales_match_einsum_reference(
         monkeypatch.setattr(cases, "_RatioForm", EinsumRatioForm)
         want = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
     assert got == want
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("gamma", [0.8, 1.0, 1.6])
+def test_guard_rejects_every_grid_point_near_a_singular_line(monkeypatch, gamma, rotate):
+    # sup_eta drops grid points near a singular line through the -inf of
+    # value_many alone. Within theta of a line d = w x w~, w.y and w~.y are
+    # both at most sin(theta) |w| resp. |w~|, so at theta <= 1e-8 each
+    # denominator term is below 1e-16 times its scale, far under the guard.
+    gen = np.random.default_rng([43, int(10 * gamma), int(rotate)])
+    dec = el.choi_lam_case2_decomposition(gamma)
+    if rotate:
+        dec = rotated(dec, gen)
+    form, lines = built_form(monkeypatch, el.check_case2, dec)
+    assert len(lines) == 3
+    assert np.all(form.value_many(near_lines(lines, gen, max_exp=-8)) == -np.inf)
+
+
+def case1_near_cancelling(seed):
+    # positive alphas (1, 1, 1) and negative ones -(1 - 1e-9), -(1 - 1e-9), -1
+    # on the same r_s r_s^T of a rotated frame: C = diag(1e-9, 1e-9, 0) in
+    # exact arithmetic, an MPSD boundary form whose C cancels to rounding
+    r = rotation(np.random.default_rng([47, seed]))
+    mats = np.stack([np.outer(r[:, s], r[:, s]) for s in range(3)] * 2)
+    alphas = np.array([1.0, 1.0, 1.0, -(1.0 - 1e-9), -(1.0 - 1e-9), -1.0])
+    return el.StructuredDecomposition(alphas, mats)
+
+
+def choi_lam_just_above(gamma, sup, gap):
+    # Choi-Lam with -alpha_neg moved so that sup eta exceeds the threshold by gap
+    dec = el.choi_lam_case2_decomposition(gamma)
+    alphas = dec.alphas.copy()
+    alphas[-1] = -1.0 / (sup - gap)
+    return el.StructuredDecomposition(alphas, dec.mats)
+
+
+CASE_EXAMPLES = {
+    "case1-boundary": lambda: case1_example(-0.5),
+    "case1-negative": lambda: case1_example(-1.5),
+    "case1-near-cancelling": lambda: case1_near_cancelling(0),
+    "case2-0.8": lambda: el.choi_lam_case2_decomposition(0.8),
+    "case2-0.8-just-above": lambda: choi_lam_just_above(0.8, 15.0 / 14.0, 1e-5),
+    "case2-1": lambda: el.choi_lam_case2_decomposition(1.0),
+    "case2-1.3": lambda: el.choi_lam_case2_decomposition(1.3),
+    "case3-0.5": lambda: case3_dec(0.5),
+    "case3-1": lambda: case3_dec(1.0),
+    "case3-2": lambda: case3_dec(2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CASE_EXAMPLES))
+def test_case_verdicts_do_not_depend_on_the_alpha_scale(name):
+    # scaling every alpha by c scales C (case 1), and eta and the threshold
+    # (cases 2 and 3) by c resp. 1 / c, which no verdict test may see
+    dec = CASE_EXAMPLES[name]()
+    want = el.check_case(dec, grid_n=2000)
+    assert want.structure_ok
+    for c in [2.0**k for k in (-60, -30, 30, 60)] + [1e-9]:
+        rep = el.check_case(el.StructuredDecomposition(c * dec.alphas, dec.mats), grid_n=2000)
+        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), c
+        if want.eta_sup is not None and c != 1e-9:
+            # the ratio cases estimate eta on the same numbers at every 2^k
+            assert rep.eta_sup == want.eta_sup / c and rep.threshold == want.threshold / c
+
+
+def test_case1_near_cancelling_c_is_an_mpsd_boundary():
+    # the rounding in C is about eps times its terms, here eps times 1, not
+    # eps times ||C|| = 1.4e-9, so every rotation must stay on the boundary
+    for seed in range(20):
+        rep = el.check_case1(case1_near_cancelling(seed))
+        assert (rep.verdict, rep.boundary) == (el.CASE_MPSD, True), seed
+
+
+def test_choi_lam_just_above_the_threshold_is_refuted():
+    # sup eta = 15/14 at (1, 1, 1) / sqrt(3) for gamma = 0.8; the grid alone
+    # reaches 1.071243, below the threshold 15/14 - 1e-5, so only an ascent
+    # that leaves its grid start refutes (the scale test repeats this at 2^k)
+    rep = el.check_case2(choi_lam_just_above(0.8, 15.0 / 14.0, 1e-5), grid_n=2000)
+    assert rep.verdict == el.CASE_NOT_MPSD
+    assert abs(rep.eta_sup - 15.0 / 14.0) < 1e-12
+    assert np.allclose(np.abs(rep.eta_argmax), np.full(3, 1.0 / np.sqrt(3.0)))
+
+
+def test_choi_lam_with_tiny_alphas_is_mpsd():
+    dec = el.choi_lam_case2_decomposition(1.0)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        tiny = el.StructuredDecomposition(1e-300 * dec.alphas, dec.mats)
+        rep = el.check_case2(tiny, grid_n=2000)
+    assert rep.verdict == el.CASE_MPSD and rep.boundary
+
+
+@pytest.mark.parametrize("alpha_neg", [-1e-300, -1e-310])
+def test_ratio_case_with_alphas_spread_past_the_float_range_is_mpsd(alpha_neg):
+    # positives 1e10 against alpha_neg: eta ~ 1e-10, far under the threshold,
+    # and no power of two brings alpha_neg near 1 with the positives finite
+    dec = el.choi_lam_case2_decomposition(1.0)
+    alphas = 1e10 * dec.alphas
+    alphas[-1] = alpha_neg
+    rep = el.check_case2(el.StructuredDecomposition(alphas, dec.mats), grid_n=2000)
+    assert rep.verdict == el.CASE_MPSD and not rep.boundary
+    assert rep.threshold == 1.0 / -alpha_neg and 0.0 < rep.eta_sup < 1e-9
+
+
+def test_check_decides_tiny_alpha_decompositions_as_at_unit_scale():
+    # case 1: alphas (1, 1, 1, -2) on e_s e_s^T and I, form minimum -5/3 at
+    # x = y = (1, 1, 1) / sqrt(3); case 2: Choi-Lam, M-PSD with zeros
+    case1 = el.StructuredDecomposition(
+        1e-9 * np.array([1.0, 1.0, 1.0, -2.0]),
+        np.stack([axis_outer(s, s) for s in range(3)] + [E3]),
+    )
+    choi = el.choi_lam_case2_decomposition(1.0)
+    choi = el.StructuredDecomposition(1e-9 * choi.alphas, choi.mats)
+    assert el.check_case1(case1).verdict == el.CASE_NOT_MPSD
+    assert el.check_case2(choi, grid_n=2000).verdict == el.CASE_MPSD
+    for dec, verdict in ((case1, "NotMPSD"), (choi, "MPSD")):
+        rep = el.check(el.tensor_from_rank_one_terms(dec.alphas, dec.mats), dec)
+        assert rep.verdict == verdict
 
 
 # ---------------------------------------------------------------------------

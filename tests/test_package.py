@@ -1,0 +1,44 @@
+"""The package surface: every exported name exists, and the README's
+Python example runs as written."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import ellipticity_lab as el
+
+PACKAGE = Path(el.__file__).resolve().parent
+README = PACKAGE.parents[1] / "README.md"
+
+
+def test_every_all_entry_exists():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":
+            continue  # importing it runs the CLI
+        module = importlib.import_module(f"ellipticity_lab.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (path.stem, name)
+
+
+def test_package_names_are_public_names_of_their_modules():
+    # every `from .module import name` in the package is a name the module
+    # lists in its __all__, where it has one
+    found = 0
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"ellipticity_lab.{node.module}")
+            public = getattr(module, "__all__", None)
+            for alias in node.names:
+                found += 1
+                assert getattr(el, alias.name) is getattr(module, alias.name)
+                assert public is None or alias.name in public, (node.module, alias.name)
+    assert found > 0
+
+
+def test_readme_python_example_runs():
+    text = README.read_text()
+    section = text[text.index("## Python API") :]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -213,11 +213,12 @@ def test_biquadratic_matches_unfold_quadratic_form():
     assert np.isclose(el.biquadratic(t, x, y), z @ m @ z, atol=1e-12)
 
 
-def test_contract_zz_matches_unfold():
+def test_unfold_quadratic_form_in_a_matrix():
+    # vec(Z)^T unfold(t) vec(Z) = sum t[ijkl] Z[i,k] Z[j,l]
     t = el.random_tensor(rng)
     z = rng.standard_normal((3, 3))
     v = el.vec(z)
-    assert np.isclose(el.contract_zz(t, z), v @ el.unfold(t) @ v, atol=1e-12)
+    assert np.isclose(v @ el.unfold(t) @ v, np.einsum("ijkl,ik,jl->", t.a, z, z), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def test_tensor_e_form_is_product_of_norms():
 def test_two_squares_closed_form():
     # form = 2 (x1 y1 + x2 y2)^2 + 2 x3^2 y3^2
     t = el.tensor_two_squares()
-    assert t.norm() == 4.0
+    assert np.linalg.norm(t.a) == 4.0
     for _ in range(10):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
@@ -353,4 +354,4 @@ def test_random_spd_tensor_is_spd():
 
 def test_random_tensor_unit_norm():
     t = el.random_tensor(np.random.default_rng(0))
-    assert np.isclose(t.norm(), 1.0, atol=1e-12)
+    assert np.isclose(np.linalg.norm(t.a), 1.0, atol=1e-12)
