@@ -14,13 +14,19 @@ sufficient positivity conditions:
   negative term): same ratio bound, now with a denominator positive on the
   whole sphere, and a strict inequality certifies strict positivity.
 
-The supremum estimator is grid + projected gradient ascent; its value is a
-lower bound on the true supremum, so affirmative verdicts additionally
-require the ascent stage to have stabilized.
+The supremum estimator is a hemisphere grid, a Riemannian Newton ascent
+from the best grid point of each basin, and rings of probe points around
+the singular lines; an ascent that comes within the innermost ring of a
+line stops there and leaves the line to the rings. Its value is a lower
+bound on the true supremum, so affirmative verdicts additionally require
+the estimate to have stabilized. The ratio cases scale the term matrices
+and the coefficients by powers of two before estimating, so every 2^k
+multiple of a decomposition runs the same numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +77,10 @@ TOL_STRICT = 1e-8
 GROUP_ANGLE_TOL = 1e-6
 # spectral_decomposition drops eigenvalues below this times ||A||.
 SPECTRAL_REL_TOL = 1e-12
-# sup_eta: ascents start from this many best grid points, stop once the
-# tangent gradient is below ASCENT_TOL times max(1, |eta|) or after
-# ASCENT_STEPS steps, and each singular line is probed on rings at these
-# angles.
+# sup_eta: ascents start from this many best grid points, one per basin,
+# stop once the tangent gradient is below ASCENT_TOL times max(1, |eta|) or
+# after ASCENT_STEPS steps, and each singular line is probed on rings at
+# these angles; an ascent that reaches the last of them stops there.
 REFINE_K = 10
 ASCENT_TOL = 1e-10
 ASCENT_STEPS = 300
@@ -241,7 +247,7 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
     if dec.q != 3:
         raise NotCase1(f"expected exactly 3 positive terms, found {dec.q}")
     diag: dict = {}
-    split, bad = _split_rank_ones(dec, 3, tol)
+    split, bad = _split_rank_ones(dec.mats, 3, tol)
     if split is None:
         return _mismatch(1, f"positive term {bad} is not rank-one", diag)
     V = np.column_stack(split[0])
@@ -324,6 +330,8 @@ _GUARD = 1e-13
 # At G = 3 a temporary is 72 KiB; at 2048 rows (144 KiB) each case-3 check
 # took ~200 fresh pages in some processes, depending on earlier allocations.
 _BLOCK_ROWS = 1024
+# Index pairs (i, j) of the upper triangle of a symmetric 3x3 matrix.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class _RatioForm:
@@ -333,16 +341,21 @@ class _RatioForm:
     from directions where some denominator term vanishes.
 
     The order of every floating-point operation is a contract: eta values,
-    gradients and hence the case reports must match the einsum reference
-    in tests/test_cases.py bit for bit. p[g, s] = w[g, s].y adds the
-    products for i = 0, 1, 2 in order; every sum over g or over s runs in
-    index order; denominator terms are (alpha * p) * p; the gradient's
-    d den_s / dy is 2 * (sum_g (alpha * p) * w) in g order, which neither
+    gradients, Hessians and hence the case reports must match the einsum
+    reference in tests/test_cases.py bit for bit. p[g, s] = w[g, s].y adds
+    the products for i = 0, 1, 2 in order; every sum over g or over s runs
+    in index order; denominator terms are (alpha * p) * p; m_s = sum_g
+    (alpha * p) * w in g order is half of d den_s / dy, which neither
     alpha * (p * w) nor (alpha * w) * p reproduces. Squares are not
     interchangeable: `value` and `value_many` square with x * x (numpy's
     `** 2` on arrays), `grad` with `** 2` on scalars, which is libm pow and
-    differs from x * x in the last bit now and then. The squared norm of y
-    stays numpy's `y @ y`, a BLAS dot that may use fused multiply-adds.
+    differs from x * x in the last bit now and then. With n_s = d num_lin_s
+    / dy, q = num_lin_s / den_s and v = n_s - (2 q) m_s, term s adds
+    (2 / den_s) (v_i v_j) - (q M_ij) (2 q) to the Hessian, where M_ij =
+    sum_g alpha (w_i w_j) in g order; so every Hessian is symmetric bit for
+    bit. The squared norm of y is y0 * y0 + y1 * y1 + y2 * y2 on Python
+    floats, never a BLAS dot, whose rounding depends on the kernel that the
+    BLAS library picks at run time.
     """
 
     def __init__(self, alphas, frames, sigma, error_cls):
@@ -355,8 +368,9 @@ class _RatioForm:
             "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
         )
         # Python-float tables for the scalar kernels: terms[s] lists
-        # (sigma, alpha, w_0, w_1, w_2) per frame g, and num_dir[s] is the
-        # constant d num_lin_s / dy = sum_g sigma w.
+        # (sigma, alpha, w_0, w_1, w_2) per frame g, num_dir[s] is the
+        # constant n_s = d num_lin_s / dy = sum_g sigma w, and den_mat[s]
+        # holds the _UPPER entries of M with den_s = y.M y.
         self._terms = [
             [
                 (sg, ag, *w)
@@ -370,13 +384,22 @@ class _RatioForm:
         ]
         self._den_scale = self.den_scale.tolist()
         self._num_dir = np.einsum("gs,gis->is", self.sigma, self.frames).T.tolist()
+        self._den_mat = []
+        for terms in self._terms:
+            # a plain loop: sum() of floats is compensated from Python 3.12 on
+            mat = [0.0] * len(_UPPER)
+            for _, ag, *w in terms:
+                for k, (i, j) in enumerate(_UPPER):
+                    mat[k] += ag * (w[i] * w[j])
+            self._den_mat.append(mat)
 
-    def _parts(self, yv: np.ndarray, nrm2: float):
+    def _parts(self, y):
         """p[s][g] = w[g,s].y, num_lin[s] = sum_g sigma p, den[s] = sum_g alpha p^2.
 
-        Raises error_cls where some den[s] is at most _GUARD nrm2 den_scale[s].
+        Raises error_cls where some den[s] is at most _GUARD |y|^2 den_scale[s],
+        which includes y = 0.
         """
-        y0, y1, y2 = yv.tolist()
+        y0, y1, y2 = np.asarray(y, dtype=float).tolist()
         p, num_lin, den = [], [], []
         for terms in self._terms:
             ps = []
@@ -389,18 +412,27 @@ class _RatioForm:
             p.append(ps)
             num_lin.append(nl)
             den.append(dn)
-        floor = _GUARD * nrm2
+        floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
         for d, scale in zip(den, self._den_scale):
             if d <= floor * scale:
                 raise self.error_cls("denominator vanished at this direction")
         return p, num_lin, den
 
+    def _half_den_grads(self, p):
+        """m_s = sum_g (alpha p) w for each term s, half of d den_s / dy."""
+        ms = []
+        for terms, ps in zip(self._terms, p):
+            m0 = m1 = m2 = 0.0
+            for (_, ag, w0, w1, w2), pg in zip(terms, ps):
+                ap = ag * pg
+                m0 += ap * w0
+                m1 += ap * w1
+                m2 += ap * w2
+            ms.append((m0, m1, m2))
+        return ms
+
     def value(self, y) -> float:
-        yv = np.asarray(y, dtype=float)
-        nrm2 = float(yv @ yv)
-        if nrm2 == 0.0:
-            raise self.error_cls("zero direction")
-        _, num_lin, den = self._parts(yv, nrm2)
+        _, num_lin, den = self._parts(y)
         total = 0.0
         for n, d in zip(num_lin, den):
             total += n * n / d
@@ -426,31 +458,49 @@ class _RatioForm:
         return vals
 
     def grad(self, y) -> np.ndarray:
-        yv = np.asarray(y, dtype=float)
-        p, num_lin, den = self._parts(yv, float(yv @ yv))
+        p, num_lin, den = self._parts(y)
+        ms = self._half_den_grads(p)
         try:
-            return self._grad_sum(p, num_lin, den)
+            return self._grad_sum(ms, num_lin, den)
         except (OverflowError, ZeroDivisionError):
             # Python floats raise where numpy scalars give inf, 0 or nan with
             # a RuntimeWarning (a square past 1e308, or one that underflows to
             # 0 as divisor); the same operations on numpy scalars round alike.
-            return self._grad_sum(p, list(map(np.float64, num_lin)), list(map(np.float64, den)))
+            return self._grad_sum(ms, list(map(np.float64, num_lin)), list(map(np.float64, den)))
 
-    def _grad_sum(self, p, num_lin, den) -> np.ndarray:
+    def _grad_sum(self, ms, num_lin, den) -> np.ndarray:
         g0 = g1 = g2 = 0.0
-        for terms, ps, nl, d, (n0, n1, n2) in zip(self._terms, p, num_lin, den, self._num_dir):
-            # d den_s / dy = 2 sum_g alpha[g,s] p[g,s] w[g,s]; d num_lin_s / dy = n
-            dd0 = dd1 = dd2 = 0.0
-            for (_, ag, w0, w1, w2), pg in zip(terms, ps):
-                ap = ag * pg
-                dd0 += ap * w0
-                dd1 += ap * w1
-                dd2 += ap * w2
+        for (m0, m1, m2), nl, d, (n0, n1, n2) in zip(ms, num_lin, den, self._num_dir):
             two_nl, nl_sq, d_sq = 2.0 * nl, nl**2, d**2
-            g0 += (two_nl * n0 * d - nl_sq * (2.0 * dd0)) / d_sq
-            g1 += (two_nl * n1 * d - nl_sq * (2.0 * dd1)) / d_sq
-            g2 += (two_nl * n2 * d - nl_sq * (2.0 * dd2)) / d_sq
+            g0 += (two_nl * n0 * d - nl_sq * (2.0 * m0)) / d_sq
+            g1 += (two_nl * n1 * d - nl_sq * (2.0 * m1)) / d_sq
+            g2 += (two_nl * n2 * d - nl_sq * (2.0 * m2)) / d_sq
         return np.array([g0, g1, g2])
+
+    def hess(self, y) -> np.ndarray:
+        """The Hessian of eta at y in R^3, as a symmetric 3x3 array.
+
+        Written through q = num_lin / den, it uses no power of den beyond
+        the first: where a product still overflows or den is subnormal, the
+        entries come out inf or nan (Python floats raise only on division by
+        zero, which the guard rules out), and _ascend falls back to a
+        gradient step.
+        """
+        p, num_lin, den = self._parts(y)
+        h00 = h01 = h02 = h11 = h12 = h22 = 0.0
+        for (m0, m1, m2), nl, d, (n0, n1, n2), (a00, a01, a02, a11, a12, a22) in zip(
+            self._half_den_grads(p), num_lin, den, self._num_dir, self._den_mat
+        ):
+            q = nl / d
+            two_q, two_over_d = 2.0 * q, 2.0 / d
+            v0, v1, v2 = n0 - two_q * m0, n1 - two_q * m1, n2 - two_q * m2
+            h00 += two_over_d * (v0 * v0) - (q * a00) * two_q
+            h01 += two_over_d * (v0 * v1) - (q * a01) * two_q
+            h02 += two_over_d * (v0 * v2) - (q * a02) * two_q
+            h11 += two_over_d * (v1 * v1) - (q * a11) * two_q
+            h12 += two_over_d * (v1 * v2) - (q * a12) * two_q
+            h22 += two_over_d * (v2 * v2) - (q * a22) * two_q
+        return np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
 
 
 @dataclass(frozen=True)
@@ -473,41 +523,92 @@ _RATIO_CASES = {
 # Supremum estimation
 
 
-def _orthonormal_complement(d: np.ndarray):
-    probe = np.zeros(3)
-    probe[int(np.argmin(np.abs(d)))] = 1.0
-    u1 = np.cross(d, probe)
-    u1 /= np.linalg.norm(u1)
-    return u1, np.cross(d, u1)
+def _unit(y0: float, y1: float, y2: float) -> tuple:
+    nrm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+    return y0 / nrm, y1 / nrm, y2 / nrm
 
 
-def _ascend(y0, value, grad):
-    y = np.asarray(y0, dtype=float)
-    y = y / np.linalg.norm(y)
-    fy = value(y)
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _orthonormal_complement(d) -> tuple:
+    """Unit u1, u2 with (u1, u2, d) orthonormal, for a unit d, on Python floats.
+
+    u1 is d x e_k normalised, e_k the first axis on which |d| is smallest,
+    and u2 = d x u1.
+    """
+    k = min(range(3), key=lambda i: abs(d[i]))
+    u1 = _unit(*_cross(d, [float(i == k) for i in range(3)]))
+    return u1, _cross(d, u1)
+
+
+def _ascend(start, value, grad, hess, lines):
+    """Riemannian Newton ascent of eta on the unit sphere from start.
+
+    eta is 0-homogeneous, so y.grad = 0 and the Riemannian Hessian is
+    P H P, P the projector onto y-perp (Absil, Mahony & Sepulchre, 2008,
+    ch. 6). Each step solves that 2x2 system in a basis of y-perp and
+    backtracks from the full step; where the tangent Hessian is not
+    negative definite it takes a gradient step instead. Steps are accepted
+    once they gain 1e-4 of their first-order increase.
+
+    Returns (y, eta(y), converged, near_line). converged: the tangent
+    gradient fell to ASCENT_TOL max(1, |eta|), or no step improves at any
+    scale. near_line: the ascent reached PROBE_THETAS[-1] of a singular
+    line and stopped there; the probe rings cover that line.
+    """
+    y = _unit(*map(float, start))
+    fy = value(np.array(y))
     if fy is None:
-        return y, -np.inf, True
+        return np.array(y), -np.inf, True, False
+    near = math.cos(PROBE_THETAS[-1])
     step = 0.5
     converged = False
     for _ in range(ASCENT_STEPS):
+        if any(abs(_dot(y, d)) >= near for d in lines):
+            return np.array(y), float(fy), False, True
+        ya = np.array(y)
         try:
-            gr = grad(y)
+            gr = [float(c) for c in grad(ya)]
         except (SingularDirection, DegenerateDenominator):
             break
-        gt = gr - (gr @ y) * y
-        gn = float(np.linalg.norm(gt))
+        gy = _dot(gr, y)
+        gt = [gr[i] - gy * y[i] for i in range(3)]
+        gn = math.sqrt(_dot(gt, gt))
         if gn <= ASCENT_TOL * max(1.0, abs(fy)):
             converged = True
             break
-        s = step
+        try:
+            h = np.asarray(hess(ya), dtype=float).tolist()
+        except (SingularDirection, DegenerateDenominator):
+            break
+        u1, u2 = _orthonormal_complement(y)
+        hu1, hu2 = [_dot(row, u1) for row in h], [_dot(row, u2) for row in h]
+        h11, h12, h22 = _dot(u1, hu1), _dot(u1, hu2), _dot(u2, hu2)
+        det = h11 * h22 - h12 * h12
+        b1, b2 = _dot(u1, gt), _dot(u2, gt)
+        newton = h11 < 0.0 and det > 0.0
+        if newton:
+            c1 = (h12 * b2 - h22 * b1) / det
+            c2 = (h12 * b1 - h11 * b2) / det
+            direction = [c1 * u1[i] + c2 * u2[i] for i in range(3)]
+            slope, length, s = b1 * c1 + b2 * c2, math.sqrt(c1 * c1 + c2 * c2), 1.0
+        else:
+            direction, slope, length, s = gt, gn * gn, gn, step
         moved = False
-        while s > 1e-16:
-            cand = y + s * gt
-            cand /= np.linalg.norm(cand)
-            fc = value(cand)
-            if fc is not None and fc > fy + 1e-4 * s * gn * gn:
+        # Steps shorter than 1e-16 move the unit y by less than its rounding.
+        while s * length > 1e-16:
+            cand = _unit(*(y[i] + s * direction[i] for i in range(3)))
+            fc = value(np.array(cand))
+            if fc is not None and fc > fy + 1e-4 * s * slope:
                 y, fy = cand, fc
-                step = min(1.0, 2.0 * s)
+                if not newton:
+                    step = min(1.0, 2.0 * s)
                 moved = True
                 break
             s *= 0.5
@@ -515,7 +616,7 @@ def _ascend(y0, value, grad):
             # No ascent step improves at any scale: stationary to rounding.
             converged = True
             break
-    return y, float(fy), converged
+    return np.array(y), float(fy), converged, False
 
 
 def _trend_settled(vals) -> bool:
@@ -534,36 +635,57 @@ def _trend_settled(vals) -> bool:
     return inc_last <= max(0.5 * inc_prev, floor)
 
 
-def sup_eta(eta_fn, singular_lines, *, grad_fn, eta_many, grid_n: int = 20000) -> SupEtaResult:
+def _best_indices(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest finite values, largest first, ties by index.
+
+    The smallest of the finite maxima of the k strided slices vals[j::k]
+    is at most the k-th largest finite value, so only the values at or
+    above it are sorted: no grid-sized copy or index array is made.
+    """
+    cut = min(
+        np.max(part, initial=-np.inf, where=np.isfinite(part))
+        for part in (vals[j::k] for j in range(k))
+    )
+    idx = np.flatnonzero(vals >= cut)
+    idx = idx[np.isfinite(vals[idx])]
+    return idx[np.lexsort((idx, -vals[idx]))][:k]
+
+
+def sup_eta(
+    eta_fn, singular_lines, *, grad_fn, hess_fn, eta_many, grid_n: int = 20000
+) -> SupEtaResult:
     """Estimate sup eta over unit directions off the singular lines.
 
     eta_many maps an (N, 3) array of unit directions to N values, -inf where
-    eta is not defined, and its array is only read; grad_fn is the gradient
-    of eta_fn. Stage 1 evaluates a deterministic hemisphere lattice and
+    eta is not defined, and its array is only read; grad_fn and hess_fn are
+    the gradient and the 3x3 Hessian in R^3 of eta_fn, which must be
+    0-homogeneous. Stage 1 evaluates a deterministic hemisphere lattice and
     skips its -inf points, which for the ratio form include every point
-    near a singular line (its guard). Stage 2 runs projected gradient
-    ascent with backtracking from the REFINE_K best grid points.
+    near a singular line (its guard). Stage 2 runs a Riemannian Newton
+    ascent (_ascend) from the REFINE_K best grid points, one per basin: a
+    point within four lattice spacings, 4 sqrt(2 pi / grid_n), of a start
+    kept before it, up to sign, is dropped. An ascent that steps within
+    PROBE_THETAS[-1] of a singular line stops there; its value enters the
+    supremum, but neither the convergence test nor the interior maximum.
     Singular lines are additionally probed along shrinking geodesic rings;
     probe values are legitimate domain points and enter the supremum, and
     their trend is reported for diagnosis.
 
     The result is a lower bound on the true supremum. `converged` marks a
-    stabilized estimate: either every ascent reached stationarity in the
-    interior, or the maximum is approached along an excluded line and the
-    probe trend settles toward a finite limit. Affirmative verdicts require
-    it; refutations only need the (always sound) value.
+    stabilized estimate: either every ascent that stayed off the lines
+    reached stationarity in the interior, or the maximum is approached
+    along an excluded line and the probe trend settles toward a finite
+    limit. Affirmative verdicts require it; refutations only need the
+    (always sound) value.
     """
     ys = fibonacci_hemisphere(grid_n)
     lines = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in singular_lines]
+    line_floats = [d.tolist() for d in lines]
     vals = np.asarray(eta_many(ys), dtype=float)
-    finite = np.isfinite(vals)
-    n_excluded = int(np.sum(~finite))
-    if not np.any(finite):
+    n_finite = int(np.count_nonzero(np.isfinite(vals)))
+    if n_finite == 0:
         raise EmptyDomain("every grid point was excluded or guarded")
-
-    k = min(REFINE_K, int(np.sum(finite)))
-    part = np.argpartition(-vals, k - 1)[:k]
-    starts = part[np.lexsort((part, -vals[part]))]
+    starts = _best_indices(vals, min(REFINE_K, n_finite))
 
     # eta_fn may raise, return None, or return non-finite values on excluded
     # directions; normalize all three to None.
@@ -572,16 +694,23 @@ def sup_eta(eta_fn, singular_lines, *, grad_fn, eta_many, grid_n: int = 20000) -
             v = eta_fn(y)
         except (SingularDirection, DegenerateDenominator):
             return None
-        return v if v is not None and np.isfinite(v) else None
+        return v if v is not None and math.isfinite(v) else None
 
     best_val = float(vals[starts[0]])
     best_arg = ys[starts[0]].copy()
     all_converged = True
     refined_best = -np.inf
-    for idx in starts:
-        yr, fr, conv = _ascend(ys[idx], safe_value, grad_fn)
-        all_converged &= conv
-        refined_best = max(refined_best, fr)
+    same_basin = math.cos(4.0 * math.sqrt(2.0 * math.pi / grid_n))
+    basins = []
+    for idx in starts.tolist():
+        y0 = ys[idx].tolist()
+        if any(abs(_dot(y0, b)) >= same_basin for b in basins):
+            continue
+        basins.append(y0)
+        yr, fr, conv, near_line = _ascend(y0, safe_value, grad_fn, hess_fn, line_floats)
+        if not near_line:
+            all_converged &= conv
+            refined_best = max(refined_best, fr)
         if fr > best_val:
             best_val, best_arg = fr, yr
 
@@ -589,7 +718,7 @@ def sup_eta(eta_fn, singular_lines, *, grad_fn, eta_many, grid_n: int = 20000) -
     probe_best = -np.inf
     probes_settled = True
     for d in lines:
-        u1, u2 = _orthonormal_complement(d)
+        u1, u2 = map(np.array, _orthonormal_complement(d.tolist()))
         trend = []
         for theta in PROBE_THETAS:
             ring_best = -np.inf
@@ -612,16 +741,19 @@ def sup_eta(eta_fn, singular_lines, *, grad_fn, eta_many, grid_n: int = 20000) -
     # The estimate counts as stabilized in two situations: the maximum lies
     # in the interior and every ascent reached stationarity there, or it is
     # approached along an excluded line and the probe values form a settling
-    # (geometrically decaying) trend toward a finite limit.
+    # (geometrically decaying) trend toward a finite limit. With every
+    # ascent handed to the probe rings, only the second can hold.
     slack = max(1e-12, 1e-9 * abs(refined_best))
-    interior_stable = all_converged and probe_best <= refined_best + slack
+    interior_stable = (
+        all_converged and refined_best > -np.inf and probe_best <= refined_best + slack
+    )
     boundary_stable = probe_best > refined_best and probes_settled
     converged = interior_stable or boundary_stable
     return SupEtaResult(
         value=float(best_val),
         argmax=best_arg,
         converged=bool(converged),
-        excluded=n_excluded,
+        excluded=vals.size - n_finite,
         probes=tuple(probes),
     )
 
@@ -655,10 +787,10 @@ def _group_shared_v(vs, group_size: int):
     return groups if len(groups) == 3 else None
 
 
-def _split_rank_ones(dec: StructuredDecomposition, count: int, tol: float):
+def _split_rank_ones(mats: np.ndarray, count: int, tol: float):
     vs, ws = [], []
     for s in range(count):
-        vw = detect_rank_one(dec.mats[s], tol)
+        vw = detect_rank_one(mats[s], tol)
         if vw is None:
             return None, s
         vs.append(vw[0])
@@ -695,7 +827,13 @@ def _check_ratio_case(
     if (dec.r, dec.q) != (q + 1, q):
         raise spec.shape_error(f"expected (r, q) = ({q + 1}, {q}), found ({dec.r}, {dec.q})")
     diag: dict = {}
-    split, bad = _split_rank_ones(dec, q, tol)
+    # The term matrices are taken times 2^-f, f putting their max |entry| in
+    # [0.5, 1). That scales the right vectors, and so the frames, by 2^-f
+    # exactly; sigma and eta do not change, the guard's den_scale stays far
+    # from overflow and underflow, and the frames are reported times 2^f.
+    f = int(np.frexp(np.max(np.abs(dec.mats)))[1])
+    mats = np.ldexp(dec.mats, -f)
+    split, bad = _split_rank_ones(mats, q, tol)
     if split is None:
         return _mismatch(case_id, f"positive term {bad} is not rank-one", diag)
     vs, ws = split
@@ -749,7 +887,7 @@ def _check_ratio_case(
         lines = []
 
     basis = [np.outer(v_cols[s], w_cols[slot][s]) for slot in range(g) for s in range(3)]
-    sigma, rel_resid = _recover_sigma(basis, dec.mats[q])
+    sigma, rel_resid = _recover_sigma(basis, mats[q])
     diag["sigma_residual"] = rel_resid
     if rel_resid > tol:
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
@@ -762,7 +900,14 @@ def _check_ratio_case(
     form = _RatioForm(
         np.ldexp(np.array(alpha_cols), -e), frames, sigma.reshape(g, 3), spec.guard_error
     )
-    sup = sup_eta(form.value, lines, grad_fn=form.grad, eta_many=form.value_many, grid_n=grid_n)
+    sup = sup_eta(
+        form.value,
+        lines,
+        grad_fn=form.grad,
+        hess_fn=form.hess,
+        eta_many=form.value_many,
+        grid_n=grid_n,
+    )
     threshold = 1.0 / (-float(dec.alphas[q]))
     limit = float(np.ldexp(threshold, e))  # the scaled threshold
     diag["sup_converged"] = sup.converged
@@ -790,7 +935,9 @@ def _check_ratio_case(
         eta_argmax=sup.argmax,
         threshold=threshold,
         boundary=abs(sup.value - limit) <= TOL_STRICT,
-        structure=CaseStructure(V, W, W_tilde, W_hat),
+        structure=CaseStructure(
+            V, *[None if F is None else np.ldexp(F, f) for F in (W, W_tilde, W_hat)]
+        ),
         diagnostics=diag,
     )
 

@@ -36,7 +36,9 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     shares one array; copy rows before changing them. The cache pays only
     when one process asks for the same n again, as a run of many case
     checks at one grid size does; a single check builds the lattice once
-    either way.
+    either way. The rows are a view of a C-contiguous (3, n) array, so
+    `pts.T` is the coordinate-major layout that a vectorised kernel reads
+    without a grid-sized copy.
     """
     if n < 1:
         raise ValueError("lattice needs at least one point")
@@ -44,6 +46,6 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     z = (i + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * GOLDEN_ANGLE
-    pts = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
-    pts.setflags(write=False)
-    return pts
+    coords = np.stack((r * np.cos(phi), r * np.sin(phi), z))
+    coords.setflags(write=False)
+    return coords.T

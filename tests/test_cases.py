@@ -1,5 +1,7 @@
 """Structured-decomposition analysis: shapes, eta ratios, supremum bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -286,7 +288,30 @@ def test_eta_case3_constant_value(monkeypatch):
 # sup_eta
 
 
+def quadratic_hess(u):
+    # Hessian of f(y) = 2 (y.u) / |y| - 1
+    def hess(y):
+        n = np.linalg.norm(y)
+        yu = y @ u
+        uy = np.outer(u, y)
+        return 2.0 * (
+            -(uy + uy.T + yu * np.eye(3)) / n**3 + 3.0 * yu * np.outer(y, y) / n**5
+        )
+
+    return hess
+
+
 def test_sup_eta_quadratic_maximum():
+    assert_quadratic_maximum(exact_hess=True)
+
+
+def test_sup_eta_gradient_steps_where_the_hessian_is_not_negative_definite():
+    # a zero Hessian is never negative definite, so every step is a
+    # gradient step, and the ascent still reaches the maximum
+    assert_quadratic_maximum(exact_hess=False)
+
+
+def assert_quadratic_maximum(exact_hess):
     # f(y) = 2 y.u - 1 on the sphere peaks at u with value 1
     u = np.array([0.0, 0.6, 0.8])
 
@@ -299,7 +324,14 @@ def test_sup_eta_quadratic_maximum():
         n = np.linalg.norm(y)
         return 2.0 * (u - (y @ u) * y / n**2) / n
 
-    res = el.sup_eta(f, [], grid_n=2000, eta_many=lambda ys: 2.0 * ys @ u - 1.0, grad_fn=grad)
+    res = el.sup_eta(
+        f,
+        [],
+        grid_n=2000,
+        eta_many=lambda ys: 2.0 * ys @ u - 1.0,
+        grad_fn=grad,
+        hess_fn=quadratic_hess(u) if exact_hess else lambda y: np.zeros((3, 3)),
+    )
     assert res.converged
     assert abs(res.value - 1.0) < 1e-9
     assert np.linalg.norm(res.argmax - u) < 1e-4
@@ -332,6 +364,7 @@ def test_sup_eta_excludes_singular_lines():
         grid_n=2000,
         eta_many=f_many,
         grad_fn=grad,
+        hess_fn=lambda y: np.zeros((3, 3)),
     )
     assert res.excluded > 0
     assert res.value <= cap
@@ -345,6 +378,7 @@ def test_sup_eta_empty_domain():
             grid_n=200,
             eta_many=lambda ys: np.full(len(ys), -np.inf),
             grad_fn=lambda y: np.zeros(3),
+            hess_fn=lambda y: np.zeros((3, 3)),
         )
 
 
@@ -354,7 +388,14 @@ def test_sup_eta_propagates_foreign_grad_errors():
         raise TypeError("broken gradient")
 
     with pytest.raises(TypeError):
-        el.sup_eta(lambda y: float(y[2]), [], grad_fn=grad, eta_many=lambda ys: ys[:, 2], grid_n=200)
+        el.sup_eta(
+            lambda y: float(y[2]),
+            [],
+            grad_fn=grad,
+            hess_fn=lambda y: np.zeros((3, 3)),
+            eta_many=lambda ys: ys[:, 2],
+            grid_n=200,
+        )
 
 
 def test_sup_eta_leaves_the_callers_values_alone():
@@ -372,6 +413,7 @@ def test_sup_eta_leaves_the_callers_values_alone():
             grid_n=2000,
             eta_many=lambda ys: values,
             grad_fn=lambda y: np.array([0.0, 0.0, 1.0]),
+            hess_fn=lambda y: np.zeros((3, 3)),
         )
         assert res.excluded > 0
     assert np.array_equal(kept, height)
@@ -550,7 +592,7 @@ class EinsumRatioForm:
 
     def value(self, y):
         yv = np.asarray(y, dtype=float)
-        nrm2 = float(yv @ yv)
+        nrm2 = float(yv[0] * yv[0] + yv[1] * yv[1] + yv[2] * yv[2])
         if nrm2 == 0.0:
             raise self.error_cls("zero direction")
         _, num_lin, den = self._parts(yv)
@@ -568,11 +610,16 @@ class EinsumRatioForm:
         vals[bad] = -np.inf
         return vals
 
-    def grad(self, y):
+    def _guarded_parts(self, y):
         yv = np.asarray(y, dtype=float)
         p, num_lin, den = self._parts(yv)
-        if np.any(den <= self.guard * float(yv @ yv) * self.den_scale):
+        nrm2 = float(yv[0] * yv[0] + yv[1] * yv[1] + yv[2] * yv[2])
+        if np.any(den <= self.guard * nrm2 * self.den_scale):
             raise self.error_cls("denominator vanished at this direction")
+        return p, num_lin, den
+
+    def grad(self, y):
+        p, num_lin, den = self._guarded_parts(y)
         num_dir = np.einsum("gs,gis->is", self.sigma, self.frames)
         den_dir = 2.0 * np.einsum("gs,gs,gis->is", self.alphas, p, self.frames)
         grad = np.zeros(3)
@@ -582,6 +629,22 @@ class EinsumRatioForm:
                 - num_lin[s] ** 2 * den_dir[:, s]
             ) / den[s] ** 2
         return grad
+
+    def hess(self, y):
+        # term s of eta is N^2 / D with N = n.y, D = y.M y and m = M y:
+        # its Hessian is (2 / D) v v^T - 2 q^2 M, q = N / D, v = n - 2 q m
+        p, num_lin, den = self._guarded_parts(y)
+        num_dir = np.einsum("gs,gis->is", self.sigma, self.frames)
+        half_den_dir = np.einsum("gs,gs,gis->is", self.alphas, p, self.frames)
+        # M = sum_g alpha (w_i w_j), symmetric bit for bit
+        ww = np.einsum("gis,gjs->gijs", self.frames, self.frames)
+        den_mat = np.einsum("gs,gijs->sij", self.alphas, ww)
+        hess = np.zeros((3, 3))
+        for s in range(3):
+            q = num_lin[s] / den[s]
+            v = num_dir[:, s] - (2.0 * q) * half_den_dir[:, s]
+            hess += (2.0 / den[s]) * np.einsum("i,j->ij", v, v) - (q * den_mat[s]) * (2.0 * q)
+        return hess
 
 
 def rotation(gen):
@@ -617,7 +680,7 @@ def near_lines(lines, gen, per_line=100, max_exp=-6):
     """Points exactly on each line and 1e-16 to 10^max_exp rad off it."""
     pts = []
     for d in lines:
-        u1, u2 = cases._orthonormal_complement(d / np.linalg.norm(d))
+        u1, u2 = map(np.array, cases._orthonormal_complement(d / np.linalg.norm(d)))
         pts.append(d)
         for theta in np.logspace(-16, max_exp, per_line):
             phi = gen.uniform(0.0, 2.0 * np.pi)
@@ -652,7 +715,7 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
     ys /= np.linalg.norm(ys, axis=1)[:, None]
     extra = near_lines(lines, gen) if lines else np.empty((0, 3))
     for y in np.vstack([ys, extra, np.zeros((1, 3))]):
-        for name in ("value", "grad"):
+        for name in ("value", "grad", "hess"):
             got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
             assert same(got, want), (name, y, got, want)
     # the guard is exercised: the zero vector and points on the lines
@@ -662,6 +725,17 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
 
     for batch in (fibonacci_hemisphere(20000), ys, extra / np.linalg.norm(extra, axis=1)[:, None]):
         assert np.array_equal(form.value_many(batch), ref.value_many(batch))
+
+    # the Hessian is the derivative of the gradient: central differences
+    # with step 1e-6 agree within 1e-6 of max(1, |H|) (within 1e-8 on these
+    # forms)
+    h = 1e-6
+    for y in ys[:500]:
+        hess = form.hess(y)
+        diff = np.column_stack(
+            [(form.grad(y + h * e) - form.grad(y - h * e)) / (2.0 * h) for e in E3]
+        )
+        assert np.max(np.abs(diff - hess)) <= 1e-6 * max(1.0, np.max(np.abs(hess))), y
 
 
 @pytest.mark.parametrize("kind", ["case2", "case3"])
@@ -702,9 +776,10 @@ def assert_checker_matches_einsum_reference(monkeypatch, check, dec):
         form, _ = built_form(monkeypatch, check, dec)
         ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls)
         for y in ys:
-            got, want = outcome(form.grad, y), outcome(ref.grad, y)
-            # bit for bit, so that nan gradients compare too
-            assert same_bits(got, want), (y, got, want)
+            for name in ("grad", "hess"):
+                got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
+                # bit for bit, so that nan gradients compare too
+                assert same_bits(got, want), (name, y, got, want)
         got = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
         monkeypatch.setattr(cases, "_RatioForm", EinsumRatioForm)
         want = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
@@ -790,6 +865,109 @@ def test_choi_lam_just_above_the_threshold_is_refuted():
     assert rep.verdict == el.CASE_NOT_MPSD
     assert abs(rep.eta_sup - 15.0 / 14.0) < 1e-12
     assert np.allclose(np.abs(rep.eta_argmax), np.full(3, 1.0 / np.sqrt(3.0)))
+
+
+# eta_sup and eta_argmax at the default grid, as float.hex; the argmax of
+# Choi-Lam 0.8 and 1 is one of (+-1, +-1, +-1) / sqrt(3), of Choi-Lam 1.6 a
+# point near a singular line, and eta is constant for these case-3 forms
+PINNED = {
+    "case2-0.8": (
+        el.choi_lam_case2_decomposition(0.8),
+        "0x1.124924924924ap+0",
+        ["-0x1.279a7459fcc35p-1", "-0x1.279a745479988p-1", "0x1.279a745c93399p-1"],
+    ),
+    "case2-1": (
+        el.choi_lam_case2_decomposition(1.0),
+        "0x1.0000000000000p+0",
+        ["0x1.279a7457b2636p-1", "-0x1.279a7459d30e7p-1", "0x1.279a745984238p-1"],
+    ),
+    "case2-1.6": (
+        el.choi_lam_case2_decomposition(1.6),
+        "0x1.ffffffffffb3ep-1",
+        ["-0x1.2dd10029752aap-44", "0x1.ffffffffffa4cp-1", "0x1.31b6e7bfd9bb2p-21"],
+    ),
+    "case3-0.5": (
+        case3_dec(0.5),
+        "0x1.0000000000001p-2",
+        ["-0x1.3bfbb710514a0p-2", "0x1.e702ef4927457p-1", "0x1.930be0ded288dp-9"],
+    ),
+    "case3-1.2": (
+        case3_dec(1.2),
+        "0x1.70a3d70a3d70cp+0",
+        ["0x1.37854c130267ap-1", "0x1.9652d6095f6c1p-1", "0x1.6f0068db8bac7p-13"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_sup_eta_results_are_pinned(name):
+    dec, eta_sup, eta_argmax = PINNED[name]
+    rep = el.check_case(dec)
+    assert rep.eta_sup.hex() == eta_sup
+    assert [float(t).hex() for t in rep.eta_argmax] == eta_argmax
+    # the checker scales the term matrices to a max |entry| in [0.5, 1), so
+    # a 2^k multiple of them gives the same report, with frames times 2^k
+    want = el.dumps_report(case_report_to_doc(rep))
+    for k in (-600, -30, 1, 30, 600):
+        got = el.check_case(el.StructuredDecomposition(dec.alphas, np.ldexp(dec.mats, k)))
+        frames = {
+            key: None if F is None else np.ldexp(F, -k)
+            for key, F in vars(got.structure).items()
+            if key != "V"
+        }
+        unscaled = replace(got, structure=replace(got.structure, **frames))
+        assert el.dumps_report(case_report_to_doc(unscaled)) == want, k
+
+
+def count_ascent_work(monkeypatch):
+    """(gradient evaluations, near_line) per ascent; the gradients are counted
+    through the callables handed to sup_eta."""
+    grads, per_ascent = [0], []
+    sup_eta, ascend = cases.sup_eta, cases._ascend
+
+    def counting_sup_eta(eta_fn, lines, *, grad_fn, **kwargs):
+        def grad(y):
+            grads[0] += 1
+            return grad_fn(y)
+
+        return sup_eta(eta_fn, lines, grad_fn=grad, **kwargs)
+
+    def counting_ascend(*args):
+        before = grads[0]
+        result = ascend(*args)
+        per_ascent.append((grads[0] - before, result[3]))
+        return result
+
+    monkeypatch.setattr(cases, "sup_eta", counting_sup_eta)
+    monkeypatch.setattr(cases, "_ascend", counting_ascend)
+    return per_ascent
+
+
+@pytest.mark.parametrize("gamma, most", [(0.8, 10), (1.6, cases.ASCENT_STEPS - 1)])
+def test_ascents_take_newton_steps(monkeypatch, gamma, most):
+    # gamma 0.8: interior maxima, where Newton steps converge in a few
+    # gradients; gamma 1.6: the supremum lies on the singular lines, and
+    # each ascent stops once it comes within PROBE_THETAS[-1] of one
+    per_ascent = count_ascent_work(monkeypatch)
+    rep = el.check_case2(el.choi_lam_case2_decomposition(gamma))
+    assert rep.diagnostics["sup_converged"] and per_ascent
+    assert max(grads for grads, _ in per_ascent) <= most, per_ascent
+    assert all(near_line == (gamma > 1.0) for _, near_line in per_ascent), per_ascent
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e80, 1e-160])
+@pytest.mark.parametrize("kind", ["case2", "case3"])
+def test_ratio_checkers_with_extreme_term_matrices(kind, scale):
+    # eta does not change when every term matrix is scaled, but unscaled
+    # matrices overflowed the guard's den_scale at 1e160 and 1e80, and at
+    # 1e-160 the pair sines underflowed to a mismatch
+    if kind == "case2":
+        base, want = el.choi_lam_case2_decomposition(1.0), (el.CASE_MPSD, True, 1.0)
+    else:
+        base, want = case3_dec(0.5), (el.CASE_MPD, False, 0.25)
+    rep = el.check_case(el.StructuredDecomposition(base.alphas, scale * base.mats), grid_n=2000)
+    assert (rep.verdict, rep.boundary) == want[:2]
+    assert abs(rep.eta_sup - want[2]) < 1e-12
 
 
 def test_choi_lam_with_tiny_alphas_is_mpsd():
