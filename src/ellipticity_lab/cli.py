@@ -221,7 +221,12 @@ def _cmd_pocs(args) -> int:
     lines = [
         f"input: {args.input}" + (f" ({name})" if name else ""),
         f"verdict: {rep.verdict} after {rep.iterations} sweeps, "
-        f"final gap {rep.final_gap:.6e} (threshold {rep.converge_threshold:.6e})",
+        f"final gap {rep.final_gap:.6e} (threshold {rep.converge_threshold:.6e})"
+        + (
+            f", separation margin {rep.separation_margin:.6e}"
+            if rep.separation_margin is not None
+            else ""
+        ),
     ]
     _emit(args, doc, lines)
     return EXIT_DECIDED if rep.verdict != pocs.VERDICT_INCONCLUSIVE else EXIT_UNDECIDED

@@ -5,7 +5,17 @@ symmetric tensors whose pair sums match A, t[ijkl] + t[jikl] = 2 a[ijkl];
 every member induces the same bi-quadratic form as A. The cone S collects
 tensors with PSD unfolding. A point in the intersection is a matrix-level
 positivity certificate for the form, so alternating projections between the
-two sets either certify nonnegativity of the form or expose a persistent gap.
+two sets either certify nonnegativity of the form or expose a gap.
+
+A gap is only reported once it is proved. For disjoint sets the gap vector
+of the iterates converges to the displacement vector between them (Bauschke
+and Borwein 1993), which separates them: when the gap stalls, Z = cur - b,
+made exactly symmetric under i <-> j, and shifted by a proved upper bound
+delta of its largest unfolding eigenvalue, gives Z' = Z - delta E with
+<Z', s> <= 0 on S and <Z', t> = <Z', A> on T_A. If <Z', A> clears its
+rounding bound, no member of T_A is S-PSD, and every one lies at least
+<Z', A> / ||Z'|| from S. That rules out this certificate, not M-PSD itself:
+the Choi-Lam form is nonnegative, yet its slice misses S.
 
 The strict variant shifts A by -eps * tensor_e() first: the form of A
 is positive definite iff the shifted form is still nonnegative for some
@@ -14,14 +24,23 @@ eps > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidEpsilon
 from .io import decimate, tensor_to_doc
-from .spectral import psd_project
-from .tensors import Elast4, Pair4, fold_array, tensor_e, unfold, unfold_array
+from .spectral import ROUNDOFF, SUBNORMAL, eigenvalue_bounds, psd_project
+from .tensors import (
+    Elast4,
+    Pair4,
+    fold_array,
+    pow2_rescale,
+    tensor_e,
+    unfold,
+    unfold_array,
+)
 
 __all__ = [
     "VERDICT_FOUND",
@@ -43,10 +62,20 @@ VERDICT_GAP = "GapPositive"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 # A sweep that lowers the gap by less than this share of it counts as
-# stalled; this many stalled sweeps in a row above the convergence threshold
-# yield GapPositive.
+# stalled. Each stalled sweep tests the separator, and a proved one ends the
+# run GapPositive; this many stalled sweeps in a row without a proof end it
+# Inconclusive.
 TOL_STALL = 1e-6
 STALL_WINDOW = 50
+
+# run_pocs iterates on the 81 entries of the unfolding, row by row. In that
+# order, _SWAP sends the entry of t[ijkl] to that of t[jikl] (a transpose
+# inside each 3x3 block), _TENSOR_ORDER lists the entries in the (3, 3, 3, 3)
+# array's order, and _DIAG picks the diagonal of the unfolding.
+_UNFOLD_INDEX = fold_array(np.arange(81).reshape(9, 9))
+_SWAP = unfold_array(_UNFOLD_INDEX.transpose(1, 0, 2, 3)).reshape(81)
+_TENSOR_ORDER = _UNFOLD_INDEX.reshape(81)
+_DIAG = np.arange(0, 81, 10)
 
 
 @dataclass(frozen=True)
@@ -79,6 +108,8 @@ class PocsReport:
     limit_A lies in the affine slice, limit_B in the PSD cone; final_gap is
     the Frobenius distance between them after the last sweep. gap_trace holds
     the full per-sweep gap history (nonincreasing up to rounding).
+    separation_margin, set on GapPositive only, is a proved lower bound on
+    the distance between the affine slice and the cone.
     """
 
     verdict: str
@@ -90,13 +121,15 @@ class PocsReport:
     reference_norm: float
     converge_threshold: float
     epsilon_shift: float = 0.0
+    separation_margin: float | None = None
 
 
 @dataclass(frozen=True)
 class CertifyResult:
     """Certification attempt outcome. `certified` False is NOT a refutation:
-    the alternating projections prove membership when they converge, but a
-    positive gap only shows this particular matrix-level route failed."""
+    the alternating projections prove membership when they converge, and a
+    proved gap only shows that no S-PSD representative exists, so this
+    matrix-level route cannot certify the form."""
 
     certified: bool
     report: PocsReport
@@ -107,12 +140,12 @@ def project_T(a_ref: Elast4, b: Pair4) -> Pair4:
 
     Entrywise: keep the reference value where the pair sum pins the entry
     (i == j or k == l), else move to a[ijkl] + (b[ijkl] - b[jikl]) / 2.
-    The single vectorized expression in _slice_project covers both cases
-    because the correction vanishes identically on pinned entries.
+    The single vectorized expression covers both cases because the
+    correction vanishes identically on pinned entries.
     """
     if not isinstance(a_ref, Elast4):
         raise TypeError("reference must be an Elast4")
-    return Pair4(_slice_project(a_ref.a, b.a))
+    return Pair4(a_ref.a + 0.5 * (b.a - b.a.transpose(1, 0, 2, 3)))
 
 
 def project_S(b: Pair4) -> Pair4:
@@ -120,9 +153,43 @@ def project_S(b: Pair4) -> Pair4:
     return Pair4(fold_array(psd_project(unfold(b))))
 
 
-def _slice_project(a_ref: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """project_T on arrays, as run_pocs's sweep calls it."""
-    return a_ref + 0.5 * (b - b.transpose(1, 0, 2, 3))
+def _separation_margin(a_ref: np.ndarray, z: np.ndarray) -> float | None:
+    """Proved distance between T_a_ref and S from the stalled gap z, or None.
+
+    Both arguments are in unfolding order. z = cur - b after a sweep is made
+    exactly symmetric under i <-> j; with delta >= 0 a proved upper bound of
+    the largest eigenvalue of its unfolding, Z' = Z - delta E separates the
+    two sets once <Z', a_ref> exceeds the rounding bound of its dot product.
+    (delta stays at 0 when the unfolding of Z is negative definite: Z itself
+    separates then, and a negative delta would cancel it where Z is close
+    to a multiple of -E.)
+    The separator and a_ref are taken at power-of-two scales, which changes
+    neither the sign of <Z', a_ref> nor the direction of Z', so no extreme
+    scale overflows or underflows; the margin is scaled back exactly.
+    """
+    zs, _ = pow2_rescale(0.5 * (z + z[_SWAP]))
+    a, exp = pow2_rescale(a_ref)
+    delta = max(float(eigenvalue_bounds(zs.reshape(9, 9))[1][-1]), 0.0)
+    # <Z', a> = <Z, a> - delta tr(unfold a), as one dot product of 90 terms.
+    x = np.concatenate((zs, np.full(9, -delta)))
+    y = np.concatenate((a, a[_DIAG]))
+    value = float(x @ y)
+    # |fl(x.y) - x.y| <= gamma_90 |x|.|y|, plus half a subnormal per product
+    # and |x_i| times half a subnormal per entry of a that the rescale may
+    # have rounded; twice that also covers the rounding of the bound itself.
+    ax = np.abs(x)
+    rounding = (
+        2.0 * (x.size + 2) * ROUNDOFF * float(ax @ np.abs(y))
+        + (x.size + float(ax.sum())) * SUBNORMAL
+    )
+    if not value > rounding:
+        return None
+    sep = zs.copy()
+    sep[_DIAG] -= delta
+    # ||Z'|| (its underflow included) and the quotient carry under 100 units
+    # of rounding; the factor 1 - 2**-40 takes off far more than that.
+    norm = math.sqrt(sep @ sep + sep.size * SUBNORMAL)
+    return math.ldexp((value - rounding) / norm * (1.0 - 2.0**-40), exp)
 
 
 def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
@@ -131,27 +198,35 @@ def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
     Each sweep projects onto the PSD cone, then back onto the affine slice;
     iterate t holds both point sequences. Every affine iterate keeps the
     bi-quadratic form of the (shifted) input, so IntersectionFound certifies
-    the form is nonnegative.
+    the form is nonnegative. GapPositive is a proved separation (see the
+    module docstring); a stall that proves nothing ends Inconclusive.
+
+    The sweeps run on the 81 entries of the unfolding and fold back at the
+    end; the gap is summed in the tensor's own order, so every number is
+    the one project_S and project_T give.
     """
     if opts is None:
         opts = PocsOptions()
-    a_ref = a.a.copy()
+    a_ref = a.a
     if opts.epsilon_shift > 0.0:
         a_ref = a_ref - opts.epsilon_shift * tensor_e().a
     ref_norm = float(np.linalg.norm(a_ref))
     threshold = opts.tol_converge * max(1.0, ref_norm)
 
-    cur = a_ref.copy()
+    a9 = unfold_array(a_ref).reshape(81)
+    cur = b = a9
     gaps: list[float] = []
     verdict = VERDICT_INCONCLUSIVE
+    margin = None
     stall_run = 0
     prev_gap = None
-    b_arr = cur
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        b_arr = fold_array(psd_project(unfold_array(cur)))
-        cur = _slice_project(a_ref, b_arr)
-        gap = float(np.linalg.norm(cur - b_arr))
+        b = psd_project(cur.reshape(9, 9)).reshape(81)
+        cur = a9 + 0.5 * (b - b[_SWAP])
+        diff = cur - b
+        in_order = diff[_TENSOR_ORDER]
+        gap = math.sqrt(in_order.dot(in_order))
         gaps.append(gap)
         if gap <= threshold:
             verdict = VERDICT_FOUND
@@ -159,23 +234,27 @@ def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
         if prev_gap is not None and prev_gap > 0.0:
             if (prev_gap - gap) < TOL_STALL * prev_gap:
                 stall_run += 1
+                margin = _separation_margin(a9, diff)
+                if margin is not None:
+                    verdict = VERDICT_GAP
+                    break
+                if stall_run >= STALL_WINDOW:
+                    break
             else:
                 stall_run = 0
-            if stall_run >= STALL_WINDOW:
-                verdict = VERDICT_GAP
-                break
         prev_gap = gap
 
     return PocsReport(
         verdict=verdict,
         iterations=iterations,
         final_gap=gaps[-1],
-        limit_A=Pair4(cur),
-        limit_B=Pair4(b_arr),
+        limit_A=Pair4(fold_array(cur.reshape(9, 9))),
+        limit_B=Pair4(fold_array(b.reshape(9, 9))),
         gap_trace=np.asarray(gaps),
         reference_norm=ref_norm,
         converge_threshold=threshold,
         epsilon_shift=opts.epsilon_shift,
+        separation_margin=margin,
     )
 
 
@@ -200,8 +279,9 @@ def certify_mpd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:
 
 
 def pocs_report_to_doc(report: PocsReport) -> dict:
-    """JSON-ready document; the gap trace is decimated to at most 1000 points."""
-    return {
+    """JSON-ready document; the gap trace is decimated to at most 1000 points.
+    separation_margin appears on GapPositive reports only."""
+    doc = {
         "verdict": report.verdict,
         "iterations": report.iterations,
         "final_gap": report.final_gap,
@@ -213,3 +293,6 @@ def pocs_report_to_doc(report: PocsReport) -> dict:
         "limit_A": tensor_to_doc(report.limit_A),
         "limit_B": tensor_to_doc(report.limit_B),
     }
+    if report.separation_margin is not None:
+        doc["separation_margin"] = report.separation_margin
+    return doc

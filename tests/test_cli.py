@@ -1,5 +1,6 @@
 """End-to-end command line runs through real subprocesses."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -198,6 +199,43 @@ def test_pocs_choi_lam_gap(tensor_files):
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "GapPositive"
     assert doc["final_gap"] > 1e-3
+    assert 0.0 < doc["separation_margin"] <= doc["final_gap"]
+    human = run_cli("pocs", "-i", tensor_files["choi"])
+    assert "separation margin" in human.stdout
+
+
+def test_pocs_inconclusive_is_undecided(tensor_files):
+    proc = run_cli("pocs", "-i", tensor_files["choi"], "--max-iter", "1", "--json")
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "Inconclusive"
+    assert doc["iterations"] == 1
+    assert "separation_margin" not in doc
+
+
+# sha256 of the canonical reports, recorded with numpy 2.4 and OpenBLAS 0.3.31
+# on x86_64 (the check reports hold oracle and case digits, whose last bits
+# follow the BLAS kernels). The two-squares check holds one GapPositive
+# stage, pocs-mpd, which ends at its separation proof after 56 sweeps.
+PINNED_REPORTS = {
+    ("E", "pocs"): "f348c7b0036963b8a09f85e72f1a415b514cbb9d43f817fc6ef1bdc8a995576e",
+    ("E", "check"): "dbdac1138bef3248e160ac88a7f9cf25aeb74233f2b394074759f3fb9e44fe54",
+    ("counterexample-s2", "pocs"): "d152b912fb8190e6955e5642aa681a755245ce75ca79765cbb6b4ab174d1549e",
+    ("counterexample-s2", "check"): "1febf36ae07fc1c70c0aab5af9adbd4e4b73edc06d4c6082674d5e7f114fdc18",
+    ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
+    ("isotropic", "check"): "a6e5cdc5e605ece86fc682101d8cac320b7c7daeb5e60527e57db69a27fd8e51",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_REPORTS))
+def test_reports_are_pinned(name, command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    extra = ("--lambda", "1", "--mu", "1") if name == "isotropic" else ()
+    assert cli.main(["gen", name, *extra, "-o", "t.json"]) == cli.EXIT_DECIDED
+    capsys.readouterr()
+    assert cli.main([command, "-i", "t.json", "--json"]) == cli.EXIT_DECIDED
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_REPORTS[name, command]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Alternating projections: the two projections and the certification loop."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import ellipticity_lab as el
+from ellipticity_lab import pocs
 from ellipticity_lab.errors import InvalidEpsilon
-from ellipticity_lab.pocs import project_S, project_T
+from ellipticity_lab.pocs import STALL_WINDOW, TOL_STALL, project_S, project_T
+from ellipticity_lab.spectral import eigenvalue_bounds
+from ellipticity_lab.tensors import pow2_rescale
 
 rng = np.random.default_rng(4321)
 
@@ -71,20 +77,47 @@ def test_project_s_matches_matrix_projection():
     assert np.array_equal(s.a, el.fold(want).a)
 
 
+def _public_sweeps(t, shift, sweeps):
+    """The iterates (cur, b) and gaps of `sweeps` sweeps of project_S / project_T."""
+    ref = el.Elast4(t.a - shift * el.tensor_e().a) if shift else t
+    cur, out = ref, []
+    for _ in range(sweeps):
+        b = project_S(cur)
+        cur = project_T(ref, b)
+        out.append((cur, b, float(np.linalg.norm(cur.a - b.a))))
+    return ref, out
+
+
+# (tensor, max_iter, verdict, sweeps) at each shift: whole runs to either
+# end, and runs cut at max_iter; None leaves the field unchecked
+WHOLE_RUNS = {
+    0.0: [
+        (el.tensor_two_squares(), 20000, el.VERDICT_FOUND, 76),
+        (el.tensor_choi_lam(1.0), 20000, el.VERDICT_GAP, None),
+        (el.random_tensor(rng), 7, None, None),
+    ],
+    1e-6: [
+        (el.tensor_isotropic(1.0, 1.0), 20000, el.VERDICT_FOUND, None),
+        (el.tensor_choi_lam(1.0), 20000, el.VERDICT_GAP, None),
+        (el.tensor_two_squares(), 7, el.VERDICT_INCONCLUSIVE, 7),
+        (el.random_tensor(rng), 7, None, None),
+    ],
+}
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e-6])
 def test_run_pocs_sweeps_are_the_public_projections(shift):
-    # the sweep runs the same kernels as project_S / project_T, bit for bit
-    for t in (el.tensor_two_squares(), el.tensor_choi_lam(1.0), el.random_tensor(rng)):
-        rep = el.run_pocs(t, el.PocsOptions(max_iter=7, epsilon_shift=shift))
-        ref = el.Elast4(t.a - shift * el.tensor_e().a) if shift else t
-        cur, gaps = ref, []
-        for _ in range(rep.iterations):
-            b = project_S(cur)
-            cur = project_T(ref, b)
-            gaps.append(float(np.linalg.norm(cur.a - b.a)))
+    # the sweep on the unfolding gives the numbers of project_S / project_T,
+    # bit for bit, over whole runs
+    for t, max_iter, verdict, sweeps in WHOLE_RUNS[shift]:
+        rep = el.run_pocs(t, el.PocsOptions(max_iter=max_iter, epsilon_shift=shift))
+        assert verdict is None or rep.verdict == verdict
+        assert sweeps is None or rep.iterations == sweeps
+        _, run = _public_sweeps(t, shift, rep.iterations)
+        cur, b, _ = run[-1]
         assert np.array_equal(rep.limit_B.a, b.a)
         assert np.array_equal(rep.limit_A.a, cur.a)
-        assert np.array_equal(rep.gap_trace, gaps)
+        assert np.array_equal(rep.gap_trace, [gap for _, _, gap in run])
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +165,112 @@ def test_choi_lam_gap_positive():
     rep = el.run_pocs(el.tensor_choi_lam(1.0), el.PocsOptions())
     assert rep.verdict == el.VERDICT_GAP
     assert rep.final_gap > 1e-3
+    assert 0.0 < rep.separation_margin <= rep.final_gap
+
+
+# ---------------------------------------------------------------------------
+# the separation certificate behind GapPositive
+
+
+def _gap_positive_runs():
+    with pytest.warns(UserWarning):
+        tensors = [el.tensor_choi_lam(0.9)]
+    tensors += [el.tensor_choi_lam(gamma) for gamma in (1.0, 1.3, 2.0)]
+    tensors += [el.tensor_isotropic(lam, mu) for lam, mu in ((-3.0, 0.1), (-1.0, 1.0), (-2.5, 1.0))]
+    local = np.random.default_rng(17)
+    return tensors + [el.random_tensor(local) for _ in range(20)]
+
+
+def test_gap_positive_runs_carry_a_margin_below_the_gap():
+    seen = 0
+    for t in _gap_positive_runs():
+        for scale in (1.0, 2.0**-20, 1e100):
+            for shift in (0.0, 1e-6):
+                rep = el.run_pocs(el.Elast4(scale * t.a), el.PocsOptions(epsilon_shift=shift))
+                assert rep.verdict != el.VERDICT_INCONCLUSIVE
+                if rep.verdict == el.VERDICT_GAP:
+                    seen += 1
+                    assert 0.0 < rep.separation_margin <= rep.final_gap
+                    assert rep.iterations < STALL_WINDOW
+                else:
+                    assert rep.separation_margin is None
+    assert seen >= 150
+
+
+def test_gap_positive_margin_scales_with_the_tensor():
+    rep = el.run_pocs(el.tensor_choi_lam(1.0))
+    # k keeps the gap above the absolute convergence floor and its norm
+    # finite; beyond that, runs end on those before any certificate
+    for k in (-20, -1, 1, 20, 400):
+        scaled = el.run_pocs(el.Elast4(np.ldexp(el.tensor_choi_lam(1.0).a, k)))
+        assert scaled.verdict == el.VERDICT_GAP
+        assert scaled.separation_margin == math.ldexp(rep.separation_margin, k)
+
+
+def _runs_where_the_slice_meets_the_cone():
+    found = el.VERDICT_FOUND
+    yield el.tensor_e(), el.PocsOptions(), found
+    yield el.tensor_two_squares(), el.PocsOptions(), found
+    yield el.tensor_isotropic(1.0, 1.0), el.PocsOptions(), found
+    yield el.tensor_isotropic(1.0, 1.0), el.PocsOptions(epsilon_shift=1e-6), found
+    local = np.random.default_rng(23)
+    for _ in range(20):
+        yield el.random_spd_tensor(local), el.PocsOptions(epsilon_shift=1e-6), found
+    # run on past its convergence floor, two-squares stalls without a proof
+    opts = el.PocsOptions(max_iter=400, tol_converge=1e-16)
+    yield el.tensor_two_squares(), opts, el.VERDICT_INCONCLUSIVE
+
+
+def test_no_certificate_verifies_where_the_slice_meets_the_cone():
+    # a verified separator at any sweep of these runs would be a false proof
+    for t, opts, verdict in _runs_where_the_slice_meets_the_cone():
+        rep = el.run_pocs(t, opts)
+        assert rep.verdict == verdict
+        ref, run = _public_sweeps(t, opts.epsilon_shift, rep.iterations)
+        a9 = el.unfold(ref).reshape(81)
+        for cur, b, _ in run:
+            z = el.unfold(el.Pair4(cur.a - b.a)).reshape(81)
+            assert pocs._separation_margin(a9, z) is None
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-6])
+def test_separation_margin_holds_in_exact_arithmetic(offset):
+    # Separators whose value <Z', a> is zero up to rounding (offset 0), or
+    # just above it: a granted margin must hold in rational arithmetic,
+    # whichever way the floating-point sum rounds.
+    local = np.random.default_rng(31)
+    eye = np.eye(9).reshape(81)
+    granted = 0
+    for _ in range(100):
+        z = el.unfold(el.random_tensor(local)).reshape(81)
+        a0 = el.unfold(el.random_tensor(local)).reshape(81)
+        zs, _ = pow2_rescale(z)  # the separator the helper builds from z
+        delta = max(float(eigenvalue_bounds(zs.reshape(9, 9))[1][-1]), 0.0)
+        sep = zs - delta * eye
+        a9 = a0 + (offset - float(sep @ a0)) / float(sep @ eye) * eye
+        margin = pocs._separation_margin(a9, z)
+        if margin is None:
+            continue
+        granted += 1
+        # Z' = zs - delta E exactly: delta comes off the unfolding's diagonal
+        exact_sep = [
+            Fraction(float(v)) - (Fraction(delta) if k % 10 == 0 else 0)
+            for k, v in enumerate(zs)
+        ]
+        value = sum(p * Fraction(float(q)) for p, q in zip(exact_sep, a9))
+        assert value > 0
+        assert Fraction(margin) ** 2 * sum(p * p for p in exact_sep) <= value**2
+    assert granted == (0 if offset == 0.0 else 100)
+
+
+def test_stall_without_a_proof_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(pocs, "_separation_margin", lambda a9, z: None)
+    rep = el.run_pocs(el.tensor_choi_lam(1.0))
+    assert rep.verdict == el.VERDICT_INCONCLUSIVE
+    assert rep.separation_margin is None
+    assert rep.iterations > STALL_WINDOW
+    prev, gaps = rep.gap_trace[-STALL_WINDOW - 1 : -1], rep.gap_trace[-STALL_WINDOW:]
+    assert np.all(prev - gaps < TOL_STALL * prev)
 
 
 def test_certify_mpsd_ignores_shift_option():
@@ -182,4 +321,7 @@ def test_report_doc_serializable_and_decimated():
     doc = pocs_report_to_doc(rep)
     assert len(doc["gap_trace"]) <= 1000
     assert doc["gap_trace_length"] == rep.iterations
+    assert doc["separation_margin"] == rep.separation_margin
     el.dumps_report(doc)
+    found = pocs_report_to_doc(el.run_pocs(el.tensor_two_squares()))
+    assert "separation_margin" not in found

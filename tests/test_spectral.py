@@ -1,5 +1,7 @@
 """Symmetric eigensolver wrapper and the PSD cone projection."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import ellipticity_lab as el
 from ellipticity_lab.errors import AsymmetricInput
+from ellipticity_lab.spectral import SYMMETRY_TOL, eigenvalue_bounds
 
 rng = np.random.default_rng(99)
 
@@ -99,3 +102,118 @@ def test_psd_project_properties(raw):
     assert np.linalg.eigvalsh(p)[0] >= -1e-12
     # projection difference is orthogonal to the result: <m - p, p> = 0
     assert abs(np.sum((m - p) * p)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the symmetry check in front of every eigensolve
+
+
+def _psd_project_of_symmetric_part(m):
+    """psd_project as it runs on 0.5 * (m + m.T), spelled out."""
+    values, vectors = np.linalg.eigh(0.5 * (m + m.T))
+    rebuilt = (vectors * np.maximum(values, 0.0)) @ vectors.T
+    return 0.5 * (rebuilt + rebuilt.T)
+
+
+def test_psd_project_exactly_symmetric_input_same_bits():
+    for scale in (1.0, 2.0**-600, 2.0**600, 1e-310):
+        m = scale * rand_sym()
+        m[3, 5] = m[5, 3] = 0.0
+        assert np.array_equal(0.5 * (m + m.T), m)
+        want = _psd_project_of_symmetric_part(m)
+        assert el.psd_project(m).tobytes() == want.tobytes()
+
+
+def test_psd_project_rejects_asymmetry_above_tolerance():
+    m = rand_sym()
+    m[0, 1] += 10.0 * SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m))))
+    with pytest.raises(AsymmetricInput):
+        el.psd_project(m)
+
+
+def test_psd_project_symmetrizes_within_tolerance():
+    for gap in (1e-15, 0.5 * SYMMETRY_TOL):
+        m = rand_sym()
+        m[2, 7] += gap
+        assert not np.array_equal(m, m.T)
+        want = _psd_project_of_symmetric_part(m)
+        assert el.psd_project(m).tobytes() == want.tobytes()
+    # opposite zeros are equal but not the same bits: symmetrized to +0
+    m = rand_sym()
+    m[1, 4], m[4, 1] = -0.0, 0.0
+    want = _psd_project_of_symmetric_part(m)
+    assert el.psd_project(m).tobytes() == want.tobytes()
+
+
+def test_psd_project_nan_input_as_before():
+    # NaN never equals itself, so it takes the tolerance path as it always did
+    on_diagonal, off_diagonal = np.eye(9), rand_sym()
+    on_diagonal[0, 0] = np.nan
+    off_diagonal[0, 1] = off_diagonal[1, 0] = np.nan
+    assert np.isnan(el.psd_project(on_diagonal)).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        _psd_project_of_symmetric_part(off_diagonal)
+    with pytest.raises(np.linalg.LinAlgError):
+        el.psd_project(off_diagonal)
+
+
+def test_psd_project_entries_beyond_half_the_float_limit():
+    # m + m.T overflows, as it always did: warned, and the projection is NaN
+    m = rand_sym()
+    m[2, 3] = m[3, 2] = 2.0**1023
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        p = el.psd_project(m)
+    assert np.isnan(p).all()
+
+
+# ---------------------------------------------------------------------------
+# proved eigenvalue enclosures, checked in exact rational arithmetic
+
+
+def _negative_pivots(m, shift: Fraction) -> int:
+    """Negative eigenvalues of m - shift I: the pivot signs of its exact LDL^T.
+
+    Without pivoting, so a zero pivot (probability zero here) fails the test.
+    """
+    n = m.shape[0]
+    a = [[Fraction(float(m[i, j])) - (shift if i == j else 0) for j in range(n)] for i in range(n)]
+    negatives = 0
+    for k in range(n):
+        pivot = a[k][k]
+        assert pivot != 0
+        negatives += pivot < 0
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= factor * a[k][j]
+    return negatives
+
+
+def _test_matrices():
+    q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    clustered = (q * np.array([-1.0, -1.0 + 2e-16, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0 + 1e-15])) @ q.T
+    g = rng.standard_normal((9, 3))
+    yield "random", rand_sym()
+    yield "clustered", 0.5 * (clustered + clustered.T)
+    gram = g @ g.T
+    gram = 0.5 * (gram + gram.T)
+    yield "rank-deficient", gram
+    yield "negative-definite", -gram - np.eye(9)
+    yield "diagonal", np.diag(np.arange(9.0))
+    for k in (-1000, -300, -60, 60, 300, 1000):
+        yield f"random-2^{k}", np.ldexp(rand_sym(), k)
+
+
+def test_eigenvalue_bounds_enclose_every_eigenvalue_exactly():
+    for label, m in _test_matrices():
+        assert np.array_equal(m, m.T), label  # the bounds are for m itself
+        lower, upper = eigenvalue_bounds(m)
+        assert np.all(lower <= upper), label
+        for k in range(9):
+            # lambda_k < upper[k]: at least k + 1 eigenvalues lie below upper[k]
+            assert _negative_pivots(m, Fraction(float(upper[k]))) >= k + 1, (label, k)
+            # lambda_k >= lower[k]: at most k eigenvalues lie below lower[k]
+            assert _negative_pivots(m, Fraction(float(lower[k]))) <= k, (label, k)
+        # the enclosures are tight, within a few hundred units of the spectrum
+        width = float(np.max(upper - lower))
+        assert width <= 1e-12 * max(float(np.max(np.abs(m))), 1e-300), label
