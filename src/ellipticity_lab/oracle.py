@@ -11,6 +11,7 @@ the strict verdict stays hedged (MPD_likely).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -65,13 +66,69 @@ class OracleVerdict:
 # Rows per block of the lattice scan, never fewer: a lone row would take
 # numpy's matrix-vector path, whose bits can differ from t9[rows] @ xx.T.
 _SCAN_BLOCK = 64
-# Taken off each row's lower bound to cover rounding; see grid_top_candidates.
+# A row is skipped only if its matrix less (cut + _BOUND_SLACK) I is proved
+# positive definite; see _min_pivot and grid_top_candidates.
 _BOUND_SLACK = 1e-12
 
 
-def _row_bounds(t_mats: np.ndarray) -> np.ndarray:
-    """lambda_min(T_m) - _BOUND_SLACK for each 3x3 row matrix T_m."""
-    return np.linalg.eigvalsh(t_mats)[:, 0] - _BOUND_SLACK
+@functools.lru_cache(maxsize=4)
+def _lattice(n: int):
+    """The n-point sphere lattice and its (n, 9) outer products x x^T,
+    cached per n and read-only."""
+    pts = fibonacci_sphere(n)
+    xx = (pts[:, :, None] * pts[:, None, :]).reshape(n, 9)
+    pts.setflags(write=False)
+    xx.setflags(write=False)
+    return pts, xx
+
+
+def _lambda_min_estimate(t9: np.ndarray) -> np.ndarray:
+    """lambda_min of each symmetric 3x3 row matrix (flattened to 9 entries)
+    by the closed trigonometric formula. Its rounding is not bounded, so it
+    only orders the scan and never decides that a row is skipped."""
+    a00, a01, a02, _, a11, a12, _, _, a22 = t9.T
+    # The mean diagonal, exact where the diagonal is constant, so that
+    # multiples of I (all rows of E) keep the order of their values.
+    q = a00 + ((a11 - a00) + (a22 - a00)) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p2 = (b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0
+    det = (
+        b00 * (b11 * b22 - a12 * a12)
+        - a01 * (a01 * b22 - a12 * a02)
+        + a02 * (a01 * a12 - b11 * a02)
+    )
+    p = np.sqrt(p2)
+    den = 2.0 * p2 * p
+    r = np.clip(np.divide(det, den, out=np.zeros_like(det), where=den > 0.0), -1.0, 1.0)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+
+
+def _min_pivot(t9: np.ndarray, level) -> np.ndarray:
+    """The smallest pivot of the LDL^T factorisation without pivoting of
+    T - level I, for each symmetric 3x3 row matrix T flattened to 9 entries
+    (level a float, or one per row).
+
+    If all three computed pivots are positive, T - level I is positive
+    definite up to the backward error of the factorisation (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1):
+    the computed factors satisfy L D L^T = M + dM with M the shifted matrix,
+    |dM| <= gamma_4 |L| D |L^T| <= gamma_4 / (1 - gamma_4) sqrt(m_ii m_jj)
+    entrywise, so ||dM||_2 <= 4.5e-16 trace(M). With |T| <= 3 entrywise and
+    |level| <= 9 + 1e-12, as on the rescaled tensor, that is below 2.5e-14;
+    the rounding of the shifted diagonal adds 2e-15 and underflow less than
+    1e-300. So a row with all pivots positive has lambda_min(T) > level -
+    1e-13. No pivot exceeds its diagonal entry, and the inf or NaN that a
+    tiny or zero pivot leads to fails the test, never passes it.
+    """
+    m = t9.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d0 = m[0] - level
+        l1 = m[1] / d0
+        l2 = m[2] / d0
+        d1 = (m[4] - level) - l1 * m[1]
+        e = m[5] - l2 * m[1]
+        d2 = (m[8] - level) - l2 * m[2] - (e / d1) * e
+    return np.minimum(np.minimum(d0, d1), d2)
 
 
 def _scan_block(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray, keep: int, cut: float):
@@ -101,15 +158,18 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
 
     Deterministic: pairs are ordered by value, and ties (including ties at
     the keep-th place) are broken by the lattice index y_index * n + x_index.
-    Rows are pruned by a lower bound: the minimum over unit x at y_m is
-    lambda_min(T_m), T_m = A y_m^2, so no value of that row lies below it.
-    On the rescaled tensor |T_m| <= 9, so rounding moves the computed values
-    and eigenvalue by less than 1e-13, and _BOUND_SLACK keeps the bound below
-    every computed value. Rows are evaluated in blocks in ascending bound
-    order until the next bound is strictly above the keep-th best value so
-    far: all later values are then strictly larger and cannot enter the
-    result even by a tie, while ties at the cut among the evaluated values
-    are still broken by lattice index.
+    Rows are taken in ascending order of an estimate of lambda_min(T_m),
+    T_m = A y_m^2, the minimum over unit x at y_m. After the first block of
+    _SCAN_BLOCK rows, with cut the keep-th best value so far, a row is
+    skipped if T_m less (cut + _BOUND_SLACK) I passes the LDL^T test of
+    _min_pivot: then lambda_min(T_m) > cut + 9e-13. On the rescaled tensor
+    the computed lattice values of the row differ from the exact form at
+    the lattice points by less than 1e-13, so every one of them is strictly
+    above the cut and cannot enter the result even by a tie, while ties at
+    the cut among the evaluated values are still broken by lattice index.
+    The estimate only sets the order and never decides a skip. The rows
+    that fail the test are evaluated in blocks of at least _SCAN_BLOCK
+    rows.
     """
     if n < MIN_GRID_N:
         raise ValueError(f"grid needs n >= {MIN_GRID_N} points per sphere")
@@ -118,19 +178,27 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     # the float limit no longer overflows to inf/NaN. Candidates are
     # re-evaluated on the original tensor.
     a, _ = pow2_rescale(t.a)
-    pts = fibonacci_sphere(n)
+    pts, xx = _lattice(n)
     t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
     t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
-    bounds = _row_bounds(t_mats)
-    order = np.argsort(bounds)
     t9 = t_mats.reshape(n, 9)
-    xx = (pts[:, :, None] * pts[:, None, :]).reshape(n, 9)
-    best, cut, start = [], math.inf, 0
-    while start < n and bounds[order[start]] <= cut:
-        # A remainder shorter than a block joins the block before it.
-        stop = start + _SCAN_BLOCK if n - start >= 2 * _SCAN_BLOCK else n
-        best = sorted(best + _scan_block(t9, xx, order[start:stop], keep, cut))[:keep]
-        cut = best[-1][0] if best and len(best) == keep else cut
+    order = np.argsort(_lambda_min_estimate(t9))
+    # A remainder shorter than a block joins the block before it.
+    head = _SCAN_BLOCK if n >= 2 * _SCAN_BLOCK else n
+    best = _scan_block(t9, xx, order[:head], keep, math.inf)
+    rest = order[head:]
+    if len(best) == keep:
+        proved = (_min_pivot(t9, best[-1][0] + _BOUND_SLACK) > 0.0)[rest]
+        failed = np.count_nonzero(~proved)
+        # The rows that fail go first, in estimate order; fewer than a block
+        # are padded with skipped rows, whose values cannot enter the result.
+        rest = np.concatenate((rest[~proved], rest[proved]))
+        rest = rest[: max(failed, _SCAN_BLOCK) if failed else 0]
+    start = 0
+    while start < rest.size:
+        stop = start + _SCAN_BLOCK if rest.size - start >= 2 * _SCAN_BLOCK else rest.size
+        cut = best[-1][0] if len(best) == keep else math.inf
+        best = sorted(best + _scan_block(t9, xx, rest[start:stop], keep, cut))[:keep]
         start = stop
     pairs = [(pts[flat % n].copy(), pts[flat // n].copy()) for _, flat in best]
     return [(biquadratic(t, x, y), x, y) for x, y in pairs]
@@ -196,8 +264,12 @@ def _newton_step(scaled, b9, y, lam, vecs):
     k = int(np.argmin(np.abs(y)))
     u = -y[k] * y
     u[k] += 1.0
-    u /= np.linalg.norm(u)
-    q = np.stack((u, np.cross(y, u)))
+    # math.sqrt(u.dot(u)) is np.linalg.norm(u), and the Python products and
+    # differences round as np.cross does, without numpy's small-array cost.
+    u /= math.sqrt(u.dot(u))
+    y0, y1, y2 = y.tolist()
+    u0, u1, u2 = u.tolist()
+    q = np.array(((u0, u1, u2), (y1 * u2 - y2 * u1, y2 * u0 - y0 * u2, y0 * u1 - y1 * u0)))
     g0, g1 = (q @ grad).tolist()
     if math.hypot(g0, g1) <= _STATIONARY:
         return None
@@ -263,7 +335,7 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
             alpha = 1.0
             for _ in range(_BACKTRACKS):
                 cand_y = y + alpha * eta
-                cand_y = _gauge(cand_y / np.linalg.norm(cand_y))
+                cand_y = _gauge(cand_y / math.sqrt(cand_y.dot(cand_y)))
                 cand_lam, cand_vecs, cand_x = exact_x(cand_y)
                 if cand_lam[0] <= lam[0] + _ARMIJO * alpha * slope:
                     kept = (cand_x, cand_y, cand_lam, cand_vecs)

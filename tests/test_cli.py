@@ -224,16 +224,31 @@ PINNED_REPORTS = {
     ("counterexample-s2", "check"): "1febf36ae07fc1c70c0aab5af9adbd4e4b73edc06d4c6082674d5e7f114fdc18",
     ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
     ("isotropic", "check"): "a6e5cdc5e605ece86fc682101d8cac320b7c7daeb5e60527e57db69a27fd8e51",
+    ("random", "check"): "b14474dfa713a9f2382972b67203f79c2d983d3b099a29839f9aa19f3bb3a9ff",
+    ("random", "oracle"): "537ddacca02afcfb4ef5dc7f7ad9c7a3dfe7a35a04530346a9acf3c1d9c9f1aa",
+    ("choi-lam", "check"): "2d015842c25aaff27dda29d04841968dd6da0243649b3f5287e80b94f33e622a",
+    ("choi-lam", "oracle"): "9f75b2462f3f368ee78a1b2f9eff5b6a19174ca223cf589242e66255f6ff8ecf",
+}
+# gen options of each pinned input, and the exit code of its pinned
+# commands. E, two-squares and isotropic scan all lattice rows; the random
+# tensor (NotMPSD, a refined witness) and Choi-Lam (MPSD_boundary, check
+# Undecided) take the pruned scan.
+PIN_INPUTS = {
+    "E": ((), cli.EXIT_DECIDED),
+    "counterexample-s2": ((), cli.EXIT_DECIDED),
+    "isotropic": (("--lambda", "1", "--mu", "1"), cli.EXIT_DECIDED),
+    "random": (("--seed", "0"), cli.EXIT_DECIDED),
+    "choi-lam": (("--gamma", "1"), cli.EXIT_UNDECIDED),
 }
 
 
 @pytest.mark.parametrize("name, command", sorted(PINNED_REPORTS))
 def test_reports_are_pinned(name, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    extra = ("--lambda", "1", "--mu", "1") if name == "isotropic" else ()
+    extra, exit_code = PIN_INPUTS[name]
     assert cli.main(["gen", name, *extra, "-o", "t.json"]) == cli.EXIT_DECIDED
     capsys.readouterr()
-    assert cli.main([command, "-i", "t.json", "--json"]) == cli.EXIT_DECIDED
+    assert cli.main([command, "-i", "t.json", "--json"]) == exit_code
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_REPORTS[name, command]
 

@@ -1,5 +1,7 @@
 """Brute-force minimization: lattices, grid scan, Newton refinement, basins."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -91,13 +93,15 @@ def test_grid_top_candidates_sorted_and_deterministic():
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
-def _lattice_order(t, n):
-    """Every lattice value and its flat index y_index * n + x_index, in
-    (value, index) order: the exhaustive reference for the pruned scan.
+def _lattice_order(t, n, keep):
+    """The flat indices y_index * n + x_index of the first keep lattice
+    values in (value, index) order: the exhaustive reference for the pruned
+    scan.
 
     Values come from a chunked einsum over 256 rows at a time, the scan's
     arithmetic before it pruned rows; the pruned scan must reproduce them
-    bit for bit."""
+    bit for bit. Only the values up to the keep-th smallest are sorted,
+    which gives the same first keep entries, ties included."""
     pts = fibonacci_sphere(n)
     vals = []
     for start in range(0, n, 256):
@@ -106,8 +110,9 @@ def _lattice_order(t, n):
         t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
         vals.append(np.einsum("xi,mij,xj->mx", pts, t_mats, pts, optimize=True))
     flat_vals = np.concatenate(vals).reshape(-1)
-    order = np.lexsort((np.arange(flat_vals.size), flat_vals))
-    return pts, flat_vals, order
+    near = np.flatnonzero(flat_vals <= np.partition(flat_vals, keep - 1)[keep - 1])
+    order = near[np.lexsort((near, flat_vals[near]))][:keep]
+    return pts, order
 
 
 def _rotation(rng):
@@ -143,10 +148,10 @@ def test_grid_top_candidates_exact_tie_order(n, keep):
     # lexicographic (value, lattice index) order, ties at the cut included,
     # whether the scan prunes almost every row or none
     for t in _scan_tensors():
-        pts, flat_vals, order = _lattice_order(t, n)
+        pts, order = _lattice_order(t, n, keep)
         cands = el.grid_top_candidates(t, n=n, keep=keep)
         assert len(cands) == keep
-        for (_, x, y), idx in zip(cands, order[:keep]):
+        for (_, x, y), idx in zip(cands, order):
             assert np.array_equal(x, pts[idx % n])
             assert np.array_equal(y, pts[idx // n])
 
@@ -156,23 +161,92 @@ def _pow2_copy(t, e):
     return el.Elast4(np.ldexp(t.a, e - np.frexp(np.max(np.abs(t.a)))[1]))
 
 
-def test_row_bounds_are_below_every_lattice_value():
-    # the bound of each row is below every lattice value of the row, as
-    # computed, for the rescaled tensor the scan works on, with room to
-    # spare: rounding moves values and eigenvalue by less than 1e-13, a
-    # tenth of the slack
-    n = 300
+def _positive_definite(row, shift):
+    """Whether the symmetric 3x3 matrix row (9 floats) less shift I is
+    positive definite, by its leading minors in exact arithmetic."""
+    (a, b, c), (_, d, e), (_, _, f) = (
+        [Fraction(float(v)) for v in row[i : i + 3]] for i in (0, 3, 6)
+    )
+    a, d, f = a - shift, d - shift, f - shift
+    det = a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+    return a > 0 and a * d - b * b > 0 and det > 0
+
+
+def _unproved_skips(skips, t9, levels):
+    """The rows that skips(t9, levels) drops although lambda_min <= level -
+    1e-13, in exact arithmetic, and the number of rows it drops. With level
+    = cut + _BOUND_SLACK a row with lambda_min > level - 1e-13 has every
+    lattice value, which rounding moves by less than 1e-13, above the cut."""
+    levels = np.broadcast_to(levels, len(t9))
+    dropped = np.flatnonzero(skips(t9, levels))
+    bad = [
+        m for m in dropped
+        if not _positive_definite(t9[m], Fraction(float(levels[m])) - Fraction(1e-13))
+    ]
+    return bad, dropped.size
+
+
+def _scan_rows(t, n):
+    """The (n, 9) row matrices A y^2 of the scan, on the rescaled tensor."""
+    a, _ = pow2_rescale(t.a)
+    pts = fibonacci_sphere(n)
+    t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
+    return (0.5 * (t_mats + t_mats.transpose(0, 2, 1))).reshape(n, 9)
+
+
+def _rows_near_level(rng, level, count):
+    """Symmetric rows with lambda_min within 1e-12 of level, the next
+    eigenvalue from 0 to 1 above it, so near-double minima included."""
+    gaps = np.concatenate(([0.0, 1e-16, 1e-14, 1e-12], 10.0 ** rng.uniform(-10, 0, count - 4)))
+    rows = []
+    for gap in gaps:
+        q = _rotation(rng)
+        low = level + rng.uniform(-1e-12, 1e-12)
+        m = q @ np.diag([low, low + gap, low + gap + rng.uniform(0, 2)]) @ q.T
+        rows.append((0.5 * (m + m.T)).reshape(9))
+    return np.array(rows)
+
+
+def _skip_test_cases():
     rng = np.random.default_rng(29)
-    tensors = _scan_tensors() + [el.random_tensor(rng) for _ in range(6)]
+    m = rng.uniform(-3, 3, (400, 3, 3))
+    yield (0.5 * (m + m.transpose(0, 2, 1))).reshape(400, 9), rng.uniform(-9, 9, 400)
+    tensors = _scan_tensors() + [el.random_tensor(rng) for _ in range(3)]
     for t in tensors + [_pow2_copy(t, 1024) for t in tensors]:
-        a, _ = pow2_rescale(t.a)
-        pts, flat_vals, _ = _lattice_order(el.Pair4(a), n)
-        t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
-        t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
-        bounds = oracle._row_bounds(t_mats)
-        row_min = flat_vals.reshape(n, n).min(axis=1)
-        assert np.all(row_min >= bounds)
-        assert np.all(row_min - bounds >= oracle._BOUND_SLACK - 1e-13)
+        t9 = _scan_rows(t, 200)
+        lam = np.linalg.eigvalsh(t9.reshape(-1, 3, 3))[:, 0]
+        # the level of the scan's cut, and levels within 1e-12 of each row's
+        # smallest eigenvalue, where the test has to be exact
+        yield t9, np.quantile(lam, 0.02) + oracle._BOUND_SLACK
+        yield t9, lam + rng.uniform(-1e-12, 1e-12, lam.size)
+    for level in (-9.0, -2.5, 0.0, 1e-13, 0.7, 3.0, 9.0):
+        yield _rows_near_level(rng, level, 150), level
+
+
+def test_skipped_rows_are_proved_above_the_cut():
+    # _min_pivot drops a row at level c only where T - (c - 1e-13) I is
+    # positive definite in exact arithmetic, the margin the 1e-12 slack needs
+    def skips(t9, levels):
+        return oracle._min_pivot(t9, levels) > 0.0
+
+    total = 0
+    for t9, levels in _skip_test_cases():
+        bad, dropped = _unproved_skips(skips, t9, levels)
+        assert bad == []
+        total += dropped
+    assert total > 1000
+
+
+def test_skip_test_bites():
+    # a copy that also accepts slightly negative pivots drops rows whose
+    # smallest eigenvalue lies below the level, and the check above sees it
+    def loose(t9, levels):
+        return oracle._min_pivot(t9, levels) > -1e-12
+
+    rng = np.random.default_rng(37)
+    for level in (-2.5, 0.0, 0.7):
+        bad, _ = _unproved_skips(loose, _rows_near_level(rng, level, 150), level)
+        assert bad
 
 
 def test_scan_prunes_rows_only_where_bounds_allow(monkeypatch):
@@ -202,7 +276,7 @@ def test_scan_prunes_rows_only_where_bounds_allow(monkeypatch):
 
 def test_grid_min_is_first_lattice_pair():
     for t in (_rotated_choi_lam(), el.tensor_isotropic(-3.0, 0.1)):
-        pts, _, order = _lattice_order(t, 600)
+        pts, order = _lattice_order(t, 600, 1)
         rep = el.grid_min_biquadratic(t, n=600)
         assert np.array_equal(rep.argmin_x, pts[order[0] % 600])
         assert np.array_equal(rep.argmin_y, pts[order[0] // 600])
