@@ -14,14 +14,16 @@ sufficient positivity conditions:
   negative term): same ratio bound, now with a denominator positive on the
   whole sphere, and a strict inequality certifies strict positivity.
 
-The supremum estimator is a hemisphere grid, a Riemannian Newton ascent
-from the best grid point of each basin, and rings of probe points around
-the singular lines; an ascent that comes within the innermost ring of a
-line stops there and leaves the line to the rings. Its value is a lower
-bound on the true supremum, so affirmative verdicts additionally require
-the estimate to have stabilized. The ratio cases scale the term matrices
-and the coefficients by powers of two before estimating, so every 2^k
-multiple of a decomposition runs the same numbers.
+The supremum estimator is a hemisphere grid and a Riemannian Newton ascent
+from the best grid point of each basin; an ascent that comes within
+LINE_STOP of a singular line stops there. Its value is a lower bound on
+the supremum, so affirmative verdicts also need every ascent that stayed
+off the lines to have converged. On each case-2 singular line the limit
+superior of eta has a closed form (Cauchy-Schwarz, see _line_limit), and
+the supremum is the larger of the interior estimate and these limits. The
+ratio cases scale the term matrices and the coefficients by powers of two
+before estimating, so every 2^k multiple of a decomposition runs the same
+numbers.
 """
 
 from __future__ import annotations
@@ -79,12 +81,12 @@ GROUP_ANGLE_TOL = 1e-6
 SPECTRAL_REL_TOL = 1e-12
 # sup_eta: ascents start from this many best grid points, one per basin,
 # stop once the tangent gradient is below ASCENT_TOL times max(1, |eta|) or
-# after ASCENT_STEPS steps, and each singular line is probed on rings at
-# these angles; an ascent that reaches the last of them stops there.
+# after ASCENT_STEPS steps, or once they come within LINE_STOP rad of a
+# singular line.
 REFINE_K = 10
 ASCENT_TOL = 1e-10
 ASCENT_STEPS = 300
-PROBE_THETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+LINE_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,6 @@ class SupEtaResult:
     argmax: np.ndarray
     converged: bool
     excluded: int
-    probes: tuple
 
 
 def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
@@ -559,14 +560,14 @@ def _ascend(start, value, grad, hess, lines):
 
     Returns (y, eta(y), converged, near_line). converged: the tangent
     gradient fell to ASCENT_TOL max(1, |eta|), or no step improves at any
-    scale. near_line: the ascent reached PROBE_THETAS[-1] of a singular
-    line and stopped there; the probe rings cover that line.
+    scale. near_line: the ascent came within LINE_STOP of a singular line
+    and stopped there.
     """
     y = _unit(*map(float, start))
     fy = value(np.array(y))
     if fy is None:
         return np.array(y), -np.inf, True, False
-    near = math.cos(PROBE_THETAS[-1])
+    near = math.cos(LINE_STOP)
     step = 0.5
     converged = False
     for _ in range(ASCENT_STEPS):
@@ -619,22 +620,6 @@ def _ascend(start, value, grad, hess, lines):
     return np.array(y), float(fy), converged, False
 
 
-def _trend_settled(vals) -> bool:
-    """True when the final increment of a probe trend has decayed.
-
-    A supremum approached along an excluded line shows geometrically
-    shrinking increments (quadratic in the ring angle); a denominator sign
-    violation shows growing ones. Fewer than three finite values carry no
-    evidence of growth and count as settled."""
-    finite = [v for v in vals if np.isfinite(v)]
-    if len(finite) < 3:
-        return True
-    inc_prev = finite[-2] - finite[-3]
-    inc_last = finite[-1] - finite[-2]
-    floor = 1e-12 * max(1.0, abs(finite[-1]))
-    return inc_last <= max(0.5 * inc_prev, floor)
-
-
 def _best_indices(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest finite values, largest first, ties by index.
 
@@ -665,22 +650,16 @@ def sup_eta(
     ascent (_ascend) from the REFINE_K best grid points, one per basin: a
     point within four lattice spacings, 4 sqrt(2 pi / grid_n), of a start
     kept before it, up to sign, is dropped. An ascent that steps within
-    PROBE_THETAS[-1] of a singular line stops there; its value enters the
-    supremum, but neither the convergence test nor the interior maximum.
-    Singular lines are additionally probed along shrinking geodesic rings;
-    probe values are legitimate domain points and enter the supremum, and
-    their trend is reported for diagnosis.
+    LINE_STOP of a singular line stops there; its value enters the
+    supremum, but not the convergence test.
 
     The result is a lower bound on the true supremum. `converged` marks a
-    stabilized estimate: either every ascent that stayed off the lines
-    reached stationarity in the interior, or the maximum is approached
-    along an excluded line and the probe trend settles toward a finite
-    limit. Affirmative verdicts require it; refutations only need the
-    (always sound) value.
+    stabilized estimate: every ascent that stayed off the lines reached
+    stationarity, and at least one did. Values on the lines themselves are
+    the caller's to add (case 2 has them in closed form, _line_limit).
     """
     ys = fibonacci_hemisphere(grid_n)
-    lines = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in singular_lines]
-    line_floats = [d.tolist() for d in lines]
+    lines = [_unit(*map(float, d)) for d in singular_lines]
     vals = np.asarray(eta_many(ys), dtype=float)
     n_finite = int(np.count_nonzero(np.isfinite(vals)))
     if n_finite == 0:
@@ -698,8 +677,7 @@ def sup_eta(
 
     best_val = float(vals[starts[0]])
     best_arg = ys[starts[0]].copy()
-    all_converged = True
-    refined_best = -np.inf
+    converged, off_line = True, False
     same_basin = math.cos(4.0 * math.sqrt(2.0 * math.pi / grid_n))
     basins = []
     for idx in starts.tolist():
@@ -707,55 +685,52 @@ def sup_eta(
         if any(abs(_dot(y0, b)) >= same_basin for b in basins):
             continue
         basins.append(y0)
-        yr, fr, conv, near_line = _ascend(y0, safe_value, grad_fn, hess_fn, line_floats)
+        yr, fr, conv, near_line = _ascend(y0, safe_value, grad_fn, hess_fn, lines)
         if not near_line:
-            all_converged &= conv
-            refined_best = max(refined_best, fr)
+            converged &= conv
+            off_line = True
         if fr > best_val:
             best_val, best_arg = fr, yr
-
-    probes = []
-    probe_best = -np.inf
-    probes_settled = True
-    for d in lines:
-        u1, u2 = map(np.array, _orthonormal_complement(d.tolist()))
-        trend = []
-        for theta in PROBE_THETAS:
-            ring_best = -np.inf
-            for a in range(8):
-                phi = 2.0 * np.pi * a / 8.0
-                y = np.cos(theta) * d + np.sin(theta) * (
-                    np.cos(phi) * u1 + np.sin(phi) * u2
-                )
-                v = safe_value(y)
-                if v is not None and v > ring_best:
-                    ring_best = v
-                    if v > best_val:
-                        best_val, best_arg = v, y
-                    if v > probe_best:
-                        probe_best = v
-            trend.append((float(theta), ring_best))
-        probes_settled &= _trend_settled([v for _, v in trend])
-        probes.append({"line": [float(t) for t in d], "trend": trend})
-
-    # The estimate counts as stabilized in two situations: the maximum lies
-    # in the interior and every ascent reached stationarity there, or it is
-    # approached along an excluded line and the probe values form a settling
-    # (geometrically decaying) trend toward a finite limit. With every
-    # ascent handed to the probe rings, only the second can hold.
-    slack = max(1e-12, 1e-9 * abs(refined_best))
-    interior_stable = (
-        all_converged and refined_best > -np.inf and probe_best <= refined_best + slack
-    )
-    boundary_stable = probe_best > refined_best and probes_settled
-    converged = interior_stable or boundary_stable
     return SupEtaResult(
         value=float(best_val),
         argmax=best_arg,
-        converged=bool(converged),
+        converged=converged and off_line,
         excluded=vals.size - n_finite,
-        probes=tuple(probes),
     )
+
+
+def _line_limit(form, s: int, d) -> float | None:
+    """lim sup of eta toward the case-2 singular line d of term s, on Python
+    floats; None where another term's denominator is within _GUARD on d,
+    that is, where two singular lines coincide.
+
+    Near d, term s is (sigma.p)^2 / sum_g alpha p_g^2 with p_g = w[g,s].y,
+    and p takes every direction of R^2 across d. By Cauchy-Schwarz the
+    term is at most L_s = sum_g sigma[g,s]^2 / alpha[g,s], with equality
+    where p is parallel to sigma / alpha. The other terms are continuous
+    at d, so the limit is L_s plus their values at d, and points of the
+    domain approach it. Only form.alphas, form.frames and form.sigma are
+    read.
+    """
+    total = 0.0
+    for t in range(3):
+        alphas, sigma = form.alphas[:, t].tolist(), form.sigma[:, t].tolist()
+        if t == s:
+            term = 0.0
+            for ag, sg in zip(alphas, sigma):
+                term += sg * sg / ag
+        else:
+            num = den = scale = 0.0
+            for ag, sg, w in zip(alphas, sigma, form.frames[:, :, t].tolist()):
+                pg = _dot(w, d)
+                num += sg * pg
+                den += ag * pg * pg
+                scale += ag * _dot(w, w)
+            if den <= _GUARD * scale:
+                return None
+            term = num * num / den
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +841,7 @@ def _check_ratio_case(
     # pair must not be collinear. Triples: each must be independent, which
     # keeps the denominator positive on the whole sphere.
     if g == 2:
-        crosses = [np.cross(W[:, s], W_tilde[:, s]) for s in range(3)]
+        crosses = [_cross(W[:, s].tolist(), W_tilde[:, s].tolist()) for s in range(3)]
         sines = []
         for s in range(3):
             denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
@@ -874,7 +849,7 @@ def _check_ratio_case(
         diag["pair_sines"] = sines
         if min(sines) < tol:
             return _mismatch(case_id, "paired right vectors are collinear", diag)
-        lines = [cr / np.linalg.norm(cr) for cr in crosses]
+        lines = [_unit(*cr) for cr in crosses]
     else:
         dets = []
         for s in range(3):
@@ -900,6 +875,9 @@ def _check_ratio_case(
     form = _RatioForm(
         np.ldexp(np.array(alpha_cols), -e), frames, sigma.reshape(g, 3), spec.guard_error
     )
+    line_limits = [_line_limit(form, s, d) for s, d in enumerate(lines)]
+    if None in line_limits:
+        return _mismatch(case_id, "singular lines coincide", diag)
     sup = sup_eta(
         form.value,
         lines,
@@ -910,19 +888,22 @@ def _check_ratio_case(
     )
     threshold = 1.0 / (-float(dec.alphas[q]))
     limit = float(np.ldexp(threshold, e))  # the scaled threshold
-    diag["sup_converged"] = sup.converged
+    # sup eta is the larger of the interior estimate and the line limits;
+    # a limit is exact, so where one is larger the estimate is stable.
+    value, argmax, stable = sup.value, sup.argmax, sup.converged
+    for d, v in zip(lines, line_limits):
+        if v > value:
+            value, argmax, stable = v, np.array(d), True
+    diag["sup_converged"] = stable
     if g == 2:
-        diag["singular_lines"] = [[float(t) for t in d] for d in lines]
-        diag["probes"] = [
-            {**p, "trend": [(th, float(np.ldexp(v, -e))) for th, v in p["trend"]]}
-            for p in sup.probes
-        ]
+        diag["singular_lines"] = [list(d) for d in lines]
+        diag["line_limits"] = [float(np.ldexp(v, -e)) for v in line_limits]
 
-    if sup.value > limit + tol:
+    if value > limit + tol:
         verdict = CASE_NOT_MPSD
-    elif not sup.converged:
+    elif not stable:
         return _mismatch(case_id, "supremum estimate did not stabilize", diag)
-    elif case_id == 3 and sup.value < limit - TOL_STRICT:
+    elif case_id == 3 and value < limit - TOL_STRICT:
         verdict = CASE_MPD
     else:
         verdict = CASE_MPSD
@@ -931,10 +912,10 @@ def _check_ratio_case(
         verdict,
         structure_ok=True,
         sigma=np.asarray(sigma),
-        eta_sup=float(np.ldexp(sup.value, -e)),
-        eta_argmax=sup.argmax,
+        eta_sup=float(np.ldexp(value, -e)),
+        eta_argmax=argmax,
         threshold=threshold,
-        boundary=abs(sup.value - limit) <= TOL_STRICT,
+        boundary=abs(value - limit) <= TOL_STRICT,
         structure=CaseStructure(
             V, *[None if F is None else np.ldexp(F, f) for F in (W, W_tilde, W_hat)]
         ),

@@ -37,6 +37,7 @@ from .tensors import (
     Pair4,
     fold_array,
     pow2_rescale,
+    symmetrize_pairs,
     tensor_e,
     unfold,
     unfold_array,
@@ -85,7 +86,8 @@ class PocsOptions:
     tol_converge is relative: the run stops successfully once the gap falls
     below tol_converge * max(1, ||A||). epsilon_shift > 0 subtracts that
     multiple of the identity-form tensor before iterating (the
-    strict-definiteness probe).
+    strict-definiteness probe). Every value must be finite: an infinite
+    tolerance would certify any form, and a NaN slips past every range check.
     """
 
     max_iter: int = 20000
@@ -93,12 +95,12 @@ class PocsOptions:
     epsilon_shift: float = 0.0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.tol_converge <= 0.0:
-            raise ValueError("tol_converge must be positive")
-        if self.epsilon_shift < 0.0:
-            raise ValueError("epsilon_shift must be nonnegative")
+        if not (math.isfinite(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be finite and at least 1")
+        if not (math.isfinite(self.tol_converge) and self.tol_converge > 0.0):
+            raise ValueError("tol_converge must be finite and positive")
+        if not (math.isfinite(self.epsilon_shift) and self.epsilon_shift >= 0.0):
+            raise ValueError("epsilon_shift must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def _separation_margin(a_ref: np.ndarray, z: np.ndarray) -> float | None:
     return math.ldexp((value - rounding) / norm * (1.0 - 2.0**-40), exp)
 
 
-def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
+def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     """Alternate projections starting from A (shifted if requested).
 
     Each sweep projects onto the PSD cone, then back onto the affine slice;
@@ -203,11 +205,14 @@ def run_pocs(a: Elast4, opts: PocsOptions | None = None) -> PocsReport:
 
     The sweeps run on the 81 entries of the unfolding and fold back at the
     end; the gap is summed in the tensor's own order, so every number is
-    the one project_S and project_T give.
+    the one project_S and project_T give. The slice is that of the form of
+    a, symmetrize_pairs(a.a): the affine step projects onto it only from a
+    pair-symmetric reference, and a Pair4 input need not be one. For an
+    Elast4 this is a.a itself, bit for bit.
     """
     if opts is None:
         opts = PocsOptions()
-    a_ref = a.a
+    a_ref = symmetrize_pairs(a.a)
     if opts.epsilon_shift > 0.0:
         a_ref = a_ref - opts.epsilon_shift * tensor_e().a
     ref_norm = float(np.linalg.norm(a_ref))

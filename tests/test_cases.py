@@ -1,5 +1,6 @@
 """Structured-decomposition analysis: shapes, eta ratios, supremum bounds."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -340,8 +341,7 @@ def assert_quadratic_maximum(exact_hess):
 
 def test_sup_eta_excludes_singular_lines():
     # peak capped near an excluded line: the evaluation guard (None and -inf
-    # within 0.3 rad of the pole) must keep the grid, the refinement and the
-    # probe rings off it
+    # within 0.3 rad of the pole) must keep the grid and the refinement off it
     cap = np.cos(0.3) ** 2
 
     def f(y):
@@ -440,7 +440,7 @@ def test_case2_boundary():
 
 def test_case2_interior_strictly_below():
     # for gamma > 1 the supremum 1 is approached only toward the excluded
-    # axes; the probe trend is what stabilizes the estimate
+    # axes; their exact limit is what stabilizes the estimate
     rep = el.check_case2(el.choi_lam_case2_decomposition(1.2))
     assert rep.verdict == el.CASE_MPSD
     assert rep.boundary
@@ -802,6 +802,88 @@ def test_guard_rejects_every_grid_point_near_a_singular_line(monkeypatch, gamma,
     assert np.all(form.value_many(near_lines(lines, gen, max_exp=-8)) == -np.inf)
 
 
+# ---------------------------------------------------------------------------
+# limits on the case-2 singular lines
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.6, 2.0])
+def test_choi_lam_line_limits_are_one(gamma):
+    # on the line e_{s+2}, term s tends to at most 1/2 (Cauchy-Schwarz), term
+    # s + 2 is 1/2 and term s + 1 is 0; the limit 1 is the supremum
+    rep = el.check_case2(el.choi_lam_case2_decomposition(gamma))
+    limits = rep.diagnostics["line_limits"]
+    assert len(limits) == 3
+    assert all(abs(v - 1.0) <= 4 * math.ulp(1.0) for v in limits), limits
+    assert (rep.verdict, rep.boundary, rep.diagnostics["sup_converged"]) == (
+        el.CASE_MPSD, True, True
+    )
+    assert rep.eta_sup == max(limits)
+
+
+@pytest.mark.parametrize("gamma", [0.8, 1.2, 1.6, 2.0])
+def test_eta_near_a_singular_line_approaches_its_limit(monkeypatch, gamma):
+    # eta on a ring of radius 1e-7 around each line, at 3600 directions,
+    # stays below the limit and comes within 1e-6 of it; the reference
+    # without a guard evaluates eta that close to the line
+    gen = np.random.default_rng([71, int(10 * gamma)])
+    form, lines = built_form(
+        monkeypatch, el.check_case2, rotated(el.choi_lam_case2_decomposition(gamma), gen)
+    )
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls, guard=0.0)
+    phi = 2.0 * np.pi * np.arange(3600) / 3600
+    for s, d in enumerate(lines):
+        limit = cases._line_limit(form, s, d.tolist())
+        u1, u2 = map(np.array, cases._orthonormal_complement(d.tolist()))
+        off = np.cos(phi)[:, None] * u1 + np.sin(phi)[:, None] * u2
+        vals = ref.value_many(np.cos(1e-7) * d + np.sin(1e-7) * off)
+        assert np.max(vals) <= limit + 1e-6, s
+        assert np.max(vals) >= limit - 1e-6, s
+
+
+def ridge_case2(beta):
+    """W = I, W_tilde[:, s] = cos(beta) e_s + sin(beta) e_{s+1}, every
+    positive alpha 1, and the negative term sum_s e_s (e_s - W_tilde[:, s])^T
+    with alpha -0.4 (threshold 2.5). Each line limit is 3, but term s peaks
+    in a window only about beta wide around its line."""
+    wt = [np.cos(beta) * E3[:, s] + np.sin(beta) * E3[:, (s + 1) % 3] for s in range(3)]
+    mats = [axis_outer(s, s) for s in range(3)] + [np.outer(E3[:, s], wt[s]) for s in range(3)]
+    mats.append(sum(np.outer(E3[:, s], E3[:, s] - wt[s]) for s in range(3)))
+    return el.StructuredDecomposition(np.array([1.0] * 6 + [-0.4]), np.stack(mats))
+
+
+def test_ridge_that_rings_of_probe_points_miss_is_refuted():
+    # at beta = 1e-3 the peak of term s is 1e-3 rad wide around its line, so
+    # a few sampled directions around the line see about 2, not 3
+    rep = el.check_case2(ridge_case2(1e-3))
+    assert rep.verdict == el.CASE_NOT_MPSD
+    assert rep.threshold == 2.5
+    assert all(abs(v - 3.0) < 1e-9 for v in rep.diagnostics["line_limits"])
+    assert rep.eta_sup == max(rep.diagnostics["line_limits"])
+    assert any(np.array_equal(rep.eta_argmax, d) for d in rep.diagnostics["singular_lines"])
+
+
+def test_coincident_singular_lines_are_a_structure_mismatch():
+    # pairs (e_1, e_2) and (e_2, e_1) share the line e_3, where the limit is
+    # a maximum of two ratios over directions, which no closed form gives
+    mats = [axis_outer(s, s) for s in range(3)]
+    mats += [axis_outer(0, 1), axis_outer(1, 0), np.outer(E3[:, 2], E3[:, 0] + E3[:, 2])]
+    mats.append(np.eye(3))
+    rep = el.check_case2(el.StructuredDecomposition(np.array([1.0] * 6 + [-1.0]), np.stack(mats)))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert rep.diagnostics["reason"] == "singular lines coincide"
+
+
+def test_an_estimate_without_converged_ascents_decides_only_on_a_line_limit(monkeypatch):
+    # with no ascent step, no ascent converges: case 3 has no line limit and
+    # must not claim MPD; Choi-Lam 1.6 stays MPSD on its exact line limit
+    monkeypatch.setattr(cases, "ASCENT_STEPS", 0)
+    rep = el.check_case3(case3_dec(0.5))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert rep.diagnostics["reason"] == "supremum estimate did not stabilize"
+    rep = el.check_case2(el.choi_lam_case2_decomposition(1.6))
+    assert (rep.verdict, rep.eta_sup, rep.diagnostics["sup_converged"]) == (el.CASE_MPSD, 1.0, True)
+
+
 def case1_near_cancelling(seed):
     # positive alphas (1, 1, 1) and negative ones -(1 - 1e-9), -(1 - 1e-9), -1
     # on the same r_s r_s^T of a rotated frame: C = diag(1e-9, 1e-9, 0) in
@@ -868,8 +950,9 @@ def test_choi_lam_just_above_the_threshold_is_refuted():
 
 
 # eta_sup and eta_argmax at the default grid, as float.hex; the argmax of
-# Choi-Lam 0.8 and 1 is one of (+-1, +-1, +-1) / sqrt(3), of Choi-Lam 1.6 a
-# point near a singular line, and eta is constant for these case-3 forms
+# Choi-Lam 0.8 and 1 is one of (+-1, +-1, +-1) / sqrt(3), of Choi-Lam 1.6 the
+# singular line e_3, whose limit 1 dominates, and eta is constant for these
+# case-3 forms
 PINNED = {
     "case2-0.8": (
         el.choi_lam_case2_decomposition(0.8),
@@ -883,8 +966,8 @@ PINNED = {
     ),
     "case2-1.6": (
         el.choi_lam_case2_decomposition(1.6),
-        "0x1.ffffffffffb3ep-1",
-        ["-0x1.2dd10029752aap-44", "0x1.ffffffffffa4cp-1", "0x1.31b6e7bfd9bb2p-21"],
+        "0x1.0000000000000p+0",
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
     ),
     "case3-0.5": (
         case3_dec(0.5),
@@ -947,7 +1030,7 @@ def count_ascent_work(monkeypatch):
 def test_ascents_take_newton_steps(monkeypatch, gamma, most):
     # gamma 0.8: interior maxima, where Newton steps converge in a few
     # gradients; gamma 1.6: the supremum lies on the singular lines, and
-    # each ascent stops once it comes within PROBE_THETAS[-1] of one
+    # each ascent stops once it comes within LINE_STOP of one
     per_ascent = count_ascent_work(monkeypatch)
     rep = el.check_case2(el.choi_lam_case2_decomposition(gamma))
     assert rep.diagnostics["sup_converged"] and per_ascent
@@ -1053,7 +1136,7 @@ def test_case_report_doc_serializable():
 def test_ratio_case_diagnostic_keys():
     common = {"groups", "cond_V", "cond_W", "cond_W_tilde", "sigma_residual", "sup_converged"}
     rep2 = el.check_case2(el.choi_lam_case2_decomposition(1.0))
-    assert set(rep2.diagnostics) == common | {"pair_sines", "singular_lines", "probes"}
+    assert set(rep2.diagnostics) == common | {"pair_sines", "singular_lines", "line_limits"}
     rep3 = el.check_case3(case3_dec(0.5))
     assert set(rep3.diagnostics) == common | {"cond_W_hat", "triple_dets"}
 

@@ -228,27 +228,35 @@ PINNED_REPORTS = {
     ("random", "oracle"): "537ddacca02afcfb4ef5dc7f7ad9c7a3dfe7a35a04530346a9acf3c1d9c9f1aa",
     ("choi-lam", "check"): "2d015842c25aaff27dda29d04841968dd6da0243649b3f5287e80b94f33e622a",
     ("choi-lam", "oracle"): "9f75b2462f3f368ee78a1b2f9eff5b6a19174ca223cf589242e66255f6ff8ecf",
+    ("choi-lam-1.6", "case"): "f46c0293ba763513a592727f861621b59be5d04cbf3032b92e92aa81814d2cdf",
+    ("choi-lam-1.6", "check"): "86bf46bf12c05aa38b2df7180f75454019c83e6900ff53c3e40dd7f07b31dd8c",
 }
-# gen options of each pinned input, and the exit code of its pinned
-# commands. E, two-squares and isotropic scan all lattice rows; the random
-# tensor (NotMPSD, a refined witness) and Choi-Lam (MPSD_boundary, check
-# Undecided) take the pruned scan.
+# gen arguments of each pinned input, the arguments its commands add, and
+# their exit code. E, two-squares and isotropic scan all lattice rows; the
+# random tensor (NotMPSD, a refined witness) and Choi-Lam (MPSD_boundary,
+# check Undecided) take the pruned scan. Choi-Lam 1.6 runs case 2 on its
+# own decomposition, whose supremum is the limit 1 on the singular lines.
 PIN_INPUTS = {
-    "E": ((), cli.EXIT_DECIDED),
-    "counterexample-s2": ((), cli.EXIT_DECIDED),
-    "isotropic": (("--lambda", "1", "--mu", "1"), cli.EXIT_DECIDED),
-    "random": (("--seed", "0"), cli.EXIT_DECIDED),
-    "choi-lam": (("--gamma", "1"), cli.EXIT_UNDECIDED),
+    "E": (("E",), (), cli.EXIT_DECIDED),
+    "counterexample-s2": (("counterexample-s2",), (), cli.EXIT_DECIDED),
+    "isotropic": (("isotropic", "--lambda", "1", "--mu", "1"), (), cli.EXIT_DECIDED),
+    "random": (("random", "--seed", "0"), (), cli.EXIT_DECIDED),
+    "choi-lam": (("choi-lam", "--gamma", "1"), (), cli.EXIT_UNDECIDED),
+    "choi-lam-1.6": (
+        ("choi-lam", "--gamma", "1.6", "--decomp-output", "d.json"),
+        ("--decomp", "d.json"),
+        cli.EXIT_DECIDED,
+    ),
 }
 
 
 @pytest.mark.parametrize("name, command", sorted(PINNED_REPORTS))
 def test_reports_are_pinned(name, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    extra, exit_code = PIN_INPUTS[name]
-    assert cli.main(["gen", name, *extra, "-o", "t.json"]) == cli.EXIT_DECIDED
+    gen, extra, exit_code = PIN_INPUTS[name]
+    assert cli.main(["gen", *gen, "-o", "t.json"]) == cli.EXIT_DECIDED
     capsys.readouterr()
-    assert cli.main([command, "-i", "t.json", "--json"]) == exit_code
+    assert cli.main([command, "-i", "t.json", *extra, "--json"]) == exit_code
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_REPORTS[name, command]
 

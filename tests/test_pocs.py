@@ -11,7 +11,7 @@ from ellipticity_lab import pocs
 from ellipticity_lab.errors import InvalidEpsilon
 from ellipticity_lab.pocs import STALL_WINDOW, TOL_STALL, project_S, project_T
 from ellipticity_lab.spectral import eigenvalue_bounds
-from ellipticity_lab.tensors import pow2_rescale
+from ellipticity_lab.tensors import fold_array, pow2_rescale
 
 rng = np.random.default_rng(4321)
 
@@ -129,6 +129,15 @@ def test_options_validation():
         el.PocsOptions(max_iter=0)
     with pytest.raises(ValueError):
         el.PocsOptions(tol_converge=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["max_iter", "tol_converge", "epsilon_shift"])
+def test_options_reject_non_finite_values(name, value):
+    # an infinite tolerance would certify isotropic(-3, 0.1), whose form has
+    # minimum -2.8, and a NaN slips past every range check
+    with pytest.raises(ValueError):
+        el.PocsOptions(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +312,31 @@ def test_certify_mpd_interior_isotropic():
     # so this exercises the genuinely M-PD-but-not-S-PD regime
     res = el.certify_mpd(el.tensor_isotropic(1.0, 1.0))
     assert res.certified
+
+
+def pair4_with_pair_antisymmetric_part(gen):
+    """P = Q + K: Q weakly symmetric with a positive definite unfolding, K
+    antisymmetric in (i, j) and in (k, l), exactly. K adds nothing to the
+    form, so Q lies in the slice of P's form and in the cone."""
+    m = gen.standard_normal((9, 9))
+    q = fold_array(m @ m.T + np.eye(9))
+    r = gen.standard_normal((3, 3, 3, 3))
+    r = r - r.transpose(1, 0, 2, 3)
+    k = r - r.transpose(0, 1, 3, 2)
+    return el.make_pair4(q + k)
+
+
+def test_run_pocs_projects_a_pair4_onto_the_slice_of_its_form():
+    # the affine step a + (b - b^ij) / 2 is the projection onto T_a only for
+    # a pair-symmetric a, so the run must start from the form's tensor
+    gen = np.random.default_rng(59)
+    for _ in range(20):
+        p = pair4_with_pair_antisymmetric_part(gen)
+        assert not np.array_equal(p.a, p.a.transpose(1, 0, 2, 3))
+        got = pocs.pocs_report_to_doc(el.run_pocs(p))
+        want = pocs.pocs_report_to_doc(el.run_pocs(el.Elast4(el.symmetrize_pairs(p.a))))
+        assert el.dumps_report(got) == el.dumps_report(want)
+        assert got["verdict"] == el.VERDICT_FOUND
 
 
 def test_fejer_monotone_random_instances():
