@@ -23,6 +23,7 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -102,6 +103,10 @@ _GENERATORS = {
 }
 
 
+# Built once per process, so in-process callers of main do not rebuild it
+# per call: parse_args leaves the parser unchanged and returns a fresh
+# namespace every time.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ellipticity-lab")
     sub = parser.add_subparsers(dest="command", required=True)

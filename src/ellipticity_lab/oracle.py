@@ -73,10 +73,12 @@ _BOUND_SLACK = 1e-12
 
 @functools.lru_cache(maxsize=4)
 def _lattice(n: int):
-    """The n-point sphere lattice and its (n, 9) outer products x x^T,
-    cached per n and read-only."""
-    pts = fibonacci_sphere(n)
-    xx = (pts[:, :, None] * pts[:, None, :]).reshape(n, 9)
+    """The upper half of the n-point sphere lattice, its first (n + 1) // 2
+    points, all with z >= 0, and their (m, 9) outer products x x^T, cached
+    per n and read-only. The form is even in x and in y, so the half keeps
+    the point density of the n-point lattice at a quarter of the pairs."""
+    pts = fibonacci_sphere(n)[: (n + 1) // 2]
+    xx = (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), 9)
     pts.setflags(write=False)
     xx.setflags(write=False)
     return pts, xx
@@ -132,7 +134,7 @@ def _min_pivot(t9: np.ndarray, level) -> np.ndarray:
 
 
 def _scan_block(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray, keep: int, cut: float):
-    """The keep best (value, y_index * n + x_index) pairs at most cut in the
+    """The keep best (value, y_index * m + x_index) pairs at most cut in the
     lattice rows `rows`, by value and then index. Only rows whose minimum is
     at most the keep-th smallest row minimum can hold one: any other row
     has keep strictly smaller values ahead of each of its values. All their
@@ -154,10 +156,17 @@ def _scan_block(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray, keep: int, cut
 
 
 def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
-    """The keep best (value, x, y) pairs over the n x n lattice, best first.
+    """The keep best (value, x, y) pairs over the m x m upper-half lattice,
+    best first.
+
+    x and y range over the m = (n + 1) // 2 points of the n-point sphere
+    lattice with z >= 0 (see _lattice). The form is even in x and in y, so
+    every pair of the full lattice has the value of a pair with both
+    vectors in the closed upper hemisphere, and the half lattice covers
+    that domain at the density of the full one.
 
     Deterministic: pairs are ordered by value, and ties (including ties at
-    the keep-th place) are broken by the lattice index y_index * n + x_index.
+    the keep-th place) are broken by the lattice index y_index * m + x_index.
     Rows are taken in ascending order of an estimate of lambda_min(T_m),
     T_m = A y_m^2, the minimum over unit x at y_m. After the first block of
     _SCAN_BLOCK rows, with cut the keep-th best value so far, a row is
@@ -179,12 +188,13 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     # re-evaluated on the original tensor.
     a, _ = pow2_rescale(t.a)
     pts, xx = _lattice(n)
+    m = len(pts)
     t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
     t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
-    t9 = t_mats.reshape(n, 9)
+    t9 = t_mats.reshape(m, 9)
     order = np.argsort(_lambda_min_estimate(t9))
     # A remainder shorter than a block joins the block before it.
-    head = _SCAN_BLOCK if n >= 2 * _SCAN_BLOCK else n
+    head = _SCAN_BLOCK if m >= 2 * _SCAN_BLOCK else m
     best = _scan_block(t9, xx, order[:head], keep, math.inf)
     rest = order[head:]
     if len(best) == keep:
@@ -200,12 +210,13 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
         cut = best[-1][0] if len(best) == keep else math.inf
         best = sorted(best + _scan_block(t9, xx, rest[start:stop], keep, cut))[:keep]
         start = stop
-    pairs = [(pts[flat % n].copy(), pts[flat // n].copy()) for _, flat in best]
+    pairs = [(pts[flat % m].copy(), pts[flat // m].copy()) for _, flat in best]
     return [(biquadratic(t, x, y), x, y) for x, y in pairs]
 
 
 def grid_min_biquadratic(t: Pair4, n: int = 2000) -> OracleReport:
-    """Minimum of the form over the n x n Fibonacci lattice of (x, y) pairs."""
+    """Minimum of the form over the Fibonacci lattice pairs of
+    grid_top_candidates (the upper half of the n-point lattice)."""
     best = grid_top_candidates(t, n=n, keep=1)[0]
     value, x, y = best
     return OracleReport(
@@ -235,7 +246,7 @@ _BACKTRACKS = 10
 _REFINE_TOL = 1e-14
 _REFINE_STEPS = 200
 # Lattice candidates that oracle_verdict considers for refinement.
-_TOP_K = 10
+_TOP_K = 5
 
 
 def _newton_step(scaled, b9, y, lam, vecs):

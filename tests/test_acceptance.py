@@ -57,9 +57,10 @@ def test_acceptance_2_choi_lam_boundary():
         # The form vanishes at x = y = S(1,1,1)/sqrt(3) for every diagonal
         # sign matrix S, and near the coordinate-axis pairs. Which zero a
         # lattice argmin lands on depends on n; from the n = 1000 lattice the
-        # refinement converges into a uniform-magnitude zero, and
-        # the angle test below is sign-insensitive, so any of those four
-        # basins passes it.
+        # refinement converges into the zero at +-(1,1,1)/sqrt(3). The angle
+        # test below ignores only the overall sign of each vector, so it
+        # accepts that basin alone: the other three sign patterns lie
+        # 1.231 rad from (1,1,1)/sqrt(3).
         grid = el.grid_min_biquadratic(t, n=1000)
         ref = el.refine_min(t, grid.argmin_x, grid.argmin_y)
         assert abs(ref.min_value) <= 1e-6

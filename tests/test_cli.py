@@ -221,13 +221,13 @@ PINNED_REPORTS = {
     ("E", "pocs"): "f348c7b0036963b8a09f85e72f1a415b514cbb9d43f817fc6ef1bdc8a995576e",
     ("E", "check"): "dbdac1138bef3248e160ac88a7f9cf25aeb74233f2b394074759f3fb9e44fe54",
     ("counterexample-s2", "pocs"): "d152b912fb8190e6955e5642aa681a755245ce75ca79765cbb6b4ab174d1549e",
-    ("counterexample-s2", "check"): "1febf36ae07fc1c70c0aab5af9adbd4e4b73edc06d4c6082674d5e7f114fdc18",
+    ("counterexample-s2", "check"): "262c0f3a023cbc6f297a983ec387ae12865ce9d1622470c3a84673cb644990ab",
     ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
-    ("isotropic", "check"): "a6e5cdc5e605ece86fc682101d8cac320b7c7daeb5e60527e57db69a27fd8e51",
-    ("random", "check"): "b14474dfa713a9f2382972b67203f79c2d983d3b099a29839f9aa19f3bb3a9ff",
-    ("random", "oracle"): "537ddacca02afcfb4ef5dc7f7ad9c7a3dfe7a35a04530346a9acf3c1d9c9f1aa",
-    ("choi-lam", "check"): "2d015842c25aaff27dda29d04841968dd6da0243649b3f5287e80b94f33e622a",
-    ("choi-lam", "oracle"): "9f75b2462f3f368ee78a1b2f9eff5b6a19174ca223cf589242e66255f6ff8ecf",
+    ("isotropic", "check"): "77b96184348731cfd1e6b6f0470de154a32015ad660e23f5ecfd44c96267ab31",
+    ("random", "check"): "bb562f8c56ddd34acfd1abe1bb9b40474e31c215c09c3966771c859cf5ad0766",
+    ("random", "oracle"): "2eeb6d1d537882e60e49e73f30fe0ffc8e0e6ad570e6903f52ab142d8a307239",
+    ("choi-lam", "check"): "5c37f40600afd8351e3d7ff1e594efa039dc4139764ded1d1db7c4c52f085973",
+    ("choi-lam", "oracle"): "8d549ecaffecd6bf6d80182f2ee27c2942df335aaf4a44f9267c49018fec1544",
     ("choi-lam-1.6", "case"): "f46c0293ba763513a592727f861621b59be5d04cbf3032b92e92aa81814d2cdf",
     ("choi-lam-1.6", "check"): "86bf46bf12c05aa38b2df7180f75454019c83e6900ff53c3e40dd7f07b31dd8c",
 }
@@ -259,6 +259,21 @@ def test_reports_are_pinned(name, command, tmp_path, monkeypatch, capsys):
     assert cli.main([command, "-i", "t.json", *extra, "--json"]) == exit_code
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_REPORTS[name, command]
+
+
+def test_repeated_main_calls_share_one_parser(tensor_files, capsys):
+    # the parser is built once per process; a second run prints the same
+    # bytes, and a usage error after a successful run still exits 1
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["check", "-i", tensor_files["iso-neg"], "--json"]
+    assert cli.main(argv) == cli.EXIT_DECIDED
+    first = capsys.readouterr().out
+    assert cli.main(argv) == cli.EXIT_DECIDED
+    assert capsys.readouterr().out == first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "-i", tensor_files["iso-neg"], "--tol", "-1"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "error: argument --tol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
