@@ -77,12 +77,11 @@ def test_half_lattice_minimum_matches_full_lattice_refinement():
     # ends no lower than the oracle, up to rounding
     n = 2000
     full = fibonacci_sphere(n)
-    full_xx = (full[:, :, None] * full[:, None, :]).reshape(n, 9)
+    full_xx = _outer9(full)
     rng = np.random.default_rng(41)
     for _ in range(100):
         t = el.random_tensor(rng)
-        t_mats = np.einsum("ijkl,mk,ml->mij", t.a, full, full)
-        vals = 0.5 * (t_mats + t_mats.transpose(0, 2, 1)).reshape(n, 9) @ full_xx.T
+        vals = _row_mats(t.a, full) @ full_xx.T
         iy, ix = np.unravel_index(np.argmin(vals), vals.shape)
         ref = el.refine_min(t, full[ix], full[iy])
         got = el.oracle_verdict(t, n=n).report.min_value
@@ -121,11 +120,23 @@ def test_grid_top_candidates_sorted_and_deterministic():
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
+def _outer9(pts):
+    """The outer products x x^T of the points, flattened to 9 entries."""
+    return (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), 9)
+
+
+def _row_mats(a, pts):
+    """The row matrices A y^2 at the points, symmetrised as the scan does
+    and flattened to 9 entries."""
+    t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
+    return (0.5 * (t_mats + t_mats.transpose(0, 2, 1))).reshape(len(pts), 9)
+
+
 def _half_lattice(n):
     """The upper half of the n-point sphere lattice, as the scan takes it,
-    and its outer products x x^T flattened to 9 entries."""
+    and its outer products."""
     pts = fibonacci_sphere(n)[: (n + 1) // 2]
-    return pts, (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), 9)
+    return pts, _outer9(pts)
 
 
 def _lattice_order(t, n, keep):
@@ -221,10 +232,7 @@ def _unproved_skips(skips, t9, levels):
 def _scan_rows(t, n):
     """The (m, 9) row matrices A y^2 of the scan over the m-point half
     lattice, on the rescaled tensor."""
-    a, _ = pow2_rescale(t.a)
-    pts, _ = _half_lattice(n)
-    t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
-    return (0.5 * (t_mats + t_mats.transpose(0, 2, 1))).reshape(len(pts), 9)
+    return _row_mats(pow2_rescale(t.a)[0], _half_lattice(n)[0])
 
 
 def _rows_near_level(rng, level, count):
