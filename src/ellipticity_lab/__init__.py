@@ -32,6 +32,7 @@ from .errors import (
     CaseShapeError,
     DecompositionMismatch,
     DegenerateDenominator,
+    EigensolverFailure,
     EllipticityError,
     EmptyDomain,
     InvalidEpsilon,
@@ -71,6 +72,7 @@ from .pocs import (
     VERDICT_FOUND,
     VERDICT_GAP,
     VERDICT_INCONCLUSIVE,
+    VERDICT_MARGIN,
     CertifyResult,
     PocsOptions,
     PocsReport,

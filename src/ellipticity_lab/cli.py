@@ -231,6 +231,11 @@ def _cmd_pocs(args) -> int:
             f", separation margin {rep.separation_margin:.6e}"
             if rep.separation_margin is not None
             else ""
+        )
+        + (
+            f", form lower bound {rep.form_lower_bound:.6e}"
+            if rep.form_lower_bound is not None
+            else ""
         ),
     ]
     _emit(args, doc, lines)
@@ -328,6 +333,11 @@ def _stage_line(s: dict) -> str:
     return (
         f"{label}: {s['verdict']} after {s['iterations']} sweeps, final gap "
         f"{s['final_gap']:.3e}"
+        + (
+            f", form lower bound {s['form_lower_bound']:.3e}"
+            if "form_lower_bound" in s
+            else ""
+        )
         + (f" -> certified {target}" if s["certified"] else " -> not certified")
     )
 

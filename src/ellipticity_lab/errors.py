@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from numpy.linalg import LinAlgError
+
 
 class EllipticityError(Exception):
     """Base class for every error raised by this package."""
@@ -22,6 +24,11 @@ class NonFiniteEntries(EllipticityError, ValueError):
 
 class AsymmetricInput(EllipticityError):
     """A matrix that must be symmetric is not, beyond the tolerance."""
+
+
+class EigensolverFailure(EllipticityError, LinAlgError):
+    """The symmetric eigensolver did not converge, as at entries near the
+    float limit. Still a numpy LinAlgError for callers that catch that."""
 
 
 class InvalidEpsilon(EllipticityError):

@@ -2,7 +2,8 @@
 
 Stages, each recorded as one JSON-ready dict: spsd-eigen (the unfolding is
 PSD or PD), pocs-mpd (alternating projections on the epsilon-shifted
-tensor, skipped once M-PD is certified), pocs-mpsd (on the tensor itself,
+tensor, skipped once M-PD is certified; a run that proves its margin
+records the form_lower_bound), pocs-mpsd (on the tensor itself,
 skipped once M-PSD is certified), case (structured-case analysis) and
 oracle (the brute-force minimizer, always run). A certificate together with
 a refutation is a Conflict: a bug or a violated tolerance, reported here and
@@ -123,9 +124,14 @@ def check(
 
 
 def _pocs_record(res: pocs.CertifyResult) -> dict:
-    return {
+    """Verdict, work and outcome of a POCS stage; a MarginProved run adds the
+    form_lower_bound it proved."""
+    record = {
         "verdict": res.report.verdict,
         "iterations": res.report.iterations,
         "final_gap": res.report.final_gap,
         "certified": res.certified,
     }
+    if res.report.form_lower_bound is not None:
+        record["form_lower_bound"] = res.report.form_lower_bound
+    return record

@@ -19,7 +19,12 @@ the Choi-Lam form is nonnegative, yet its slice misses S.
 
 The strict variant shifts A by -eps * tensor_e() first: the form of A
 is positive definite iff the shifted form is still nonnegative for some
-eps > 0.
+eps > 0. A shifted run need not converge to prove that. Every slice iterate
+t has the form of A - eps E, so the form of A is at least
+eps + lambda_min(unfold t) up to rounding; once the gap falls below eps,
+a proved lower bound of that eigenvalue (Rump, Acta Numerica 2010) is
+tried, and a positive bound ends the run MarginProved with it. The bound is
+proved for the iterate at hand, not the best one over the slice.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "VERDICT_FOUND",
     "VERDICT_GAP",
     "VERDICT_INCONCLUSIVE",
+    "VERDICT_MARGIN",
     "PocsOptions",
     "PocsReport",
     "CertifyResult",
@@ -61,6 +67,7 @@ __all__ = [
 VERDICT_FOUND = "IntersectionFound"
 VERDICT_GAP = "GapPositive"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+VERDICT_MARGIN = "MarginProved"
 
 # A sweep that lowers the gap by less than this share of it counts as
 # stalled. Each stalled sweep tests the separator, and a proved one ends the
@@ -111,7 +118,10 @@ class PocsReport:
     the Frobenius distance between them after the last sweep. gap_trace holds
     the full per-sweep gap history (nonincreasing up to rounding).
     separation_margin, set on GapPositive only, is a proved lower bound on
-    the distance between the affine slice and the cone.
+    the distance between the affine slice and the cone. form_lower_bound,
+    set on MarginProved only, is a proved lower bound on the form of the
+    unshifted input over unit x and y, read off limit_A; it is not the
+    largest such bound the slice holds.
     """
 
     verdict: str
@@ -124,12 +134,15 @@ class PocsReport:
     converge_threshold: float
     epsilon_shift: float = 0.0
     separation_margin: float | None = None
+    form_lower_bound: float | None = None
 
 
 @dataclass(frozen=True)
 class CertifyResult:
-    """Certification attempt outcome. `certified` False is NOT a refutation:
-    the alternating projections prove membership when they converge, and a
+    """Certification attempt outcome. certified is True on IntersectionFound,
+    and for certify_mpd also on MarginProved, whose report carries the
+    proved form_lower_bound. `certified` False is NOT a refutation: the
+    alternating projections prove membership when they converge, and a
     proved gap only shows that no S-PSD representative exists, so this
     matrix-level route cannot certify the form."""
 
@@ -194,6 +207,39 @@ def _separation_margin(a_ref: np.ndarray, z: np.ndarray) -> float | None:
     return math.ldexp((value - rounding) / norm * (1.0 - 2.0**-40), exp)
 
 
+def _mpd_margin(a9: np.ndarray, cur: np.ndarray, eps: float) -> float | None:
+    """Proved lower bound on the form of the unshifted input over unit x and
+    y, from the slice iterate cur, or None unless that bound is positive.
+
+    Both arrays are in unfolding order: a9 is the computed shift
+    sym(a) - eps E, cur a computed member of its slice. For unit x, y and
+    z = vec(x y^T), |z| = 1, and every t in the slice of sym(a) - eps E has
+    form(a) = eps + z^T unfold(t) z. One such t is cur - D / 2 + X, with
+    D = cur + cur^(i<->j) - 2 a9 the slice defect of cur and
+    X = sym(a) - eps E - a9 the rounding of the shift, so by Weyl
+        form(a) >= eps + lambda_lo(unfold cur) - ||unfold(D / 2 - X)||_2,
+    and rho bounds that norm by the largest row sum of |D| / 2 + |X|.
+    |d - D| <= 3u (|cur| + |cur^(i<->j)| + |a9|) for the computed d: two
+    roundings, and a sum whose result is subnormal is exact. The first stage
+    of sym(a) rounds each pair sum of the weakly symmetric input once,
+    relative to its result; the second averages equal values; the shift
+    rounds the diagonal once. So |X| <= 2u |a9| (plus 2u eps on the
+    diagonal), and a subnormal per halving. The factor `up` covers the rounding of
+    rho itself, and the floor every underflow on the way.
+    """
+    lam = float(eigenvalue_bounds(cur.reshape(9, 9))[0][0])
+    swapped = cur[_SWAP]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = cur + swapped - 2.0 * a9
+        err = np.abs(d) + ROUNDOFF * (3.0 * (np.abs(cur) + np.abs(swapped)) + 8.0 * np.abs(a9))
+    up = 1.0 + 4.0 * 19 * ROUNDOFF
+    rows = float(err.reshape(9, 9).sum(axis=1).max())
+    rho = up * (0.5 * rows + 2.0 * ROUNDOFF * eps) + 64.0 * SUBNORMAL
+    # fsum rounds once, relative to the result; 1 - 2**-40 takes that off.
+    margin = math.fsum((eps, lam, -rho)) * (1.0 - 2.0**-40)
+    return margin if 0.0 < margin < math.inf else None
+
+
 def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     """Alternate projections starting from A (shifted if requested).
 
@@ -201,7 +247,12 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     iterate t holds both point sequences. Every affine iterate keeps the
     bi-quadratic form of the (shifted) input, so IntersectionFound certifies
     the form is nonnegative. GapPositive is a proved separation (see the
-    module docstring); a stall that proves nothing ends Inconclusive.
+    module docstring); a stall that proves nothing ends Inconclusive. A
+    shifted run (epsilon_shift > 0) that has not converged tries
+    _mpd_margin once its gap falls below next_try, which starts at
+    epsilon_shift and halves after each failed try; a positive bound ends
+    it MarginProved. An unshifted run never tries, so its report is the one
+    of plain alternating projections.
 
     The sweeps run on the 81 entries of the unfolding and fold back at the
     end; the gap is summed in the tensor's own order, so every number is
@@ -222,7 +273,8 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     cur = b = a9
     gaps: list[float] = []
     verdict = VERDICT_INCONCLUSIVE
-    margin = None
+    margin = bound = None
+    next_try = opts.epsilon_shift
     stall_run = 0
     prev_gap = None
     iterations = 0
@@ -236,6 +288,12 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
         if gap <= threshold:
             verdict = VERDICT_FOUND
             break
+        if gap < next_try:
+            bound = _mpd_margin(a9, cur, opts.epsilon_shift)
+            if bound is not None:
+                verdict = VERDICT_MARGIN
+                break
+            next_try *= 0.5
         if prev_gap is not None and prev_gap > 0.0:
             if (prev_gap - gap) < TOL_STALL * prev_gap:
                 stall_run += 1
@@ -260,6 +318,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
         converge_threshold=threshold,
         epsilon_shift=opts.epsilon_shift,
         separation_margin=margin,
+        form_lower_bound=bound,
     )
 
 
@@ -274,18 +333,22 @@ def certify_mpsd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:
 
 def certify_mpd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:
     """Certify strict positivity (M-PD) via one run shifted by
-    opts.epsilon_shift, which must be positive (default 1e-6)."""
+    opts.epsilon_shift, which must be positive (default 1e-6). The run
+    certifies on IntersectionFound and on MarginProved."""
     if opts is None:
         opts = PocsOptions(epsilon_shift=1e-6)
     if not opts.epsilon_shift > 0.0:
         raise InvalidEpsilon("certify_mpd needs epsilon_shift > 0")
     report = run_pocs(a, opts)
-    return CertifyResult(certified=report.verdict == VERDICT_FOUND, report=report)
+    return CertifyResult(
+        certified=report.verdict in (VERDICT_FOUND, VERDICT_MARGIN), report=report
+    )
 
 
 def pocs_report_to_doc(report: PocsReport) -> dict:
     """JSON-ready document; the gap trace is decimated to at most 1000 points.
-    separation_margin appears on GapPositive reports only."""
+    separation_margin appears on GapPositive reports only, form_lower_bound
+    on MarginProved reports only."""
     doc = {
         "verdict": report.verdict,
         "iterations": report.iterations,
@@ -300,4 +363,6 @@ def pocs_report_to_doc(report: PocsReport) -> dict:
     }
     if report.separation_margin is not None:
         doc["separation_margin"] = report.separation_margin
+    if report.form_lower_bound is not None:
+        doc["form_lower_bound"] = report.form_lower_bound
     return doc

@@ -1,5 +1,9 @@
 """Symmetric eigendecomposition with a deterministic gauge, rigorous eigenvalue
-enclosures, and the PSD projection."""
+enclosures, and the PSD projection.
+
+Every eigensolve goes through _solve, so a solver that does not converge
+(numpy's LinAlgError, as at entries near the float limit) raises
+EigensolverFailure, an EllipticityError."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricInput
+from .errors import AsymmetricInput, EigensolverFailure
 
 __all__ = ["EigPair", "sym_eig", "min_eigenvalue", "eigenvalue_bounds", "psd_project"]
 
@@ -45,6 +49,14 @@ def _require_symmetric(m) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _solve(solver, mat):
+    """solver(mat), with numpy's LinAlgError raised as EigensolverFailure."""
+    try:
+        return solver(mat)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"symmetric eigensolver failed: {exc}") from exc
+
+
 def sym_eig(m) -> EigPair:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -54,7 +66,7 @@ def sym_eig(m) -> EigPair:
     basis; callers must not rely on individual vectors inside a cluster.
     """
     mat = _require_symmetric(m)
-    values, vectors = np.linalg.eigh(mat)
+    values, vectors = _solve(np.linalg.eigh, mat)
     if vectors.size:
         cols = np.arange(vectors.shape[1])
         peak = vectors[np.argmax(np.abs(vectors), axis=0), cols]
@@ -65,7 +77,7 @@ def sym_eig(m) -> EigPair:
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     mat = _require_symmetric(m)
-    return float(np.linalg.eigvalsh(mat)[0])
+    return float(_solve(np.linalg.eigvalsh, mat)[0])
 
 
 def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +98,7 @@ def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
     """
     mat = _require_symmetric(m)
     n = mat.shape[0]
-    w, v = np.linalg.eigh(mat)
+    w, v = _solve(np.linalg.eigh, mat)
     av = np.abs(v)
     # Each computed entry is an n-term dot product (plus at most two more
     # operations): its error is at most gamma_(n+2) times the same sum taken
@@ -117,7 +129,7 @@ def psd_project(m) -> np.ndarray:
     reconstruction is symmetrized exactly, so the output is a symmetric
     matrix bit-for-bit and the map is idempotent up to rounding.
     """
-    values, vectors = np.linalg.eigh(_require_symmetric(m))
+    values, vectors = _solve(np.linalg.eigh, _require_symmetric(m))
     clamped = np.maximum(values, 0.0)
     rebuilt = (vectors * clamped) @ vectors.T
     return 0.5 * (rebuilt + rebuilt.T)

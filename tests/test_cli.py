@@ -204,6 +204,25 @@ def test_pocs_choi_lam_gap(tensor_files):
     assert "separation margin" in human.stdout
 
 
+def test_pocs_shifted_run_proves_a_margin(tensor_files):
+    # isotropic(1, 1): its unfolding has a zero eigenvalue, its form minimum 1
+    proc = run_cli("pocs", "-i", tensor_files["iso-pos"], "--epsilon", "1e-6", "--json")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "MarginProved"
+    assert 0.0 < doc["form_lower_bound"] <= 1.0
+    assert "separation_margin" not in doc
+    human = run_cli("pocs", "-i", tensor_files["iso-pos"], "--epsilon", "1e-6")
+    assert human.returncode == 0
+    assert "verdict: MarginProved" in human.stdout
+    assert "form lower bound" in human.stdout
+    check = run_cli("check", "-i", tensor_files["iso-pos"])
+    assert check.returncode == 0
+    stage = [line for line in check.stdout.splitlines() if line.startswith("pocs-mpd")]
+    assert "MarginProved" in stage[0] and "form lower bound" in stage[0]
+    assert "-> certified M-PD" in stage[0]
+
+
 def test_pocs_inconclusive_is_undecided(tensor_files):
     proc = run_cli("pocs", "-i", tensor_files["choi"], "--max-iter", "1", "--json")
     assert proc.returncode == 2
@@ -216,14 +235,15 @@ def test_pocs_inconclusive_is_undecided(tensor_files):
 # sha256 of the canonical reports, recorded with numpy 2.4 and OpenBLAS 0.3.31
 # on x86_64 (the check reports hold oracle and case digits, whose last bits
 # follow the BLAS kernels). The two-squares check holds one GapPositive
-# stage, pocs-mpd, which ends at its separation proof after 56 sweeps.
+# stage, pocs-mpd, which ends at its separation proof after 56 sweeps; the
+# isotropic check's pocs-mpd stage ends MarginProved after 3 sweeps.
 PINNED_REPORTS = {
     ("E", "pocs"): "f348c7b0036963b8a09f85e72f1a415b514cbb9d43f817fc6ef1bdc8a995576e",
     ("E", "check"): "dbdac1138bef3248e160ac88a7f9cf25aeb74233f2b394074759f3fb9e44fe54",
     ("counterexample-s2", "pocs"): "d152b912fb8190e6955e5642aa681a755245ce75ca79765cbb6b4ab174d1549e",
     ("counterexample-s2", "check"): "262c0f3a023cbc6f297a983ec387ae12865ce9d1622470c3a84673cb644990ab",
     ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
-    ("isotropic", "check"): "77b96184348731cfd1e6b6f0470de154a32015ad660e23f5ecfd44c96267ab31",
+    ("isotropic", "check"): "cf2f8458d001a2243a2e6606d7187aef728b6d6187438877a98d2d5a5e96f0ab",
     ("random", "check"): "bb562f8c56ddd34acfd1abe1bb9b40474e31c215c09c3966771c859cf5ad0766",
     ("random", "oracle"): "2eeb6d1d537882e60e49e73f30fe0ffc8e0e6ad570e6903f52ab142d8a307239",
     ("choi-lam", "check"): "5c37f40600afd8351e3d7ff1e594efa039dc4139764ded1d1db7c4c52f085973",
@@ -409,6 +429,18 @@ def test_overflowing_tensor_is_a_typed_error():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: tensor entries must be finite")
+
+
+def test_eigensolver_failure_is_an_input_error(tmp_path):
+    # at max|a| = 1.7e308 eigh does not converge: a typed error, exit 1
+    t = el.tensor_choi_lam(1.0)
+    path = tmp_path / "huge.json"
+    el.save_tensor(path, el.Elast4(t.a / np.abs(t.a).max() * 1.7e308))
+    for command in ("check", "pocs"):
+        proc = run_cli(command, "-i", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: symmetric eigensolver failed" in proc.stderr
 
 
 def test_output_file_matches_stdout_json(tensor_files, tmp_path):

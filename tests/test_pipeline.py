@@ -51,6 +51,17 @@ def test_check_deciding_stage(t, dec, verdict, field, tag):
     ]
 
 
+def test_pocs_mpd_stage_carries_the_proved_margin():
+    # isotropic(-1.9, 1) has form minimum min(mu, lambda + 2 mu) = 0.1
+    stage = el.check(el.tensor_isotropic(-1.9, 1.0)).stages[1]
+    assert stage["stage"] == "pocs-mpd"
+    assert (stage["verdict"], stage["certified"]) == (el.VERDICT_MARGIN, True)
+    assert 0.0 < stage["form_lower_bound"] <= 0.1
+    # a stage that proves no margin has no such field
+    for s in el.check(el.tensor_two_squares()).stages:
+        assert "form_lower_bound" not in s
+
+
 def test_check_rejects_a_decomposition_of_another_tensor():
     with pytest.raises(el.DecompositionMismatch):
         el.check(el.tensor_isotropic(-3.0, 0.1), el.choi_lam_case2_decomposition(1.0))

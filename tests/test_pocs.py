@@ -1,5 +1,6 @@
 """Alternating projections: the two projections and the certification loop."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 
 import ellipticity_lab as el
 from ellipticity_lab import pocs
-from ellipticity_lab.errors import InvalidEpsilon
+from ellipticity_lab.errors import EigensolverFailure, EllipticityError, InvalidEpsilon
 from ellipticity_lab.pocs import STALL_WINDOW, TOL_STALL, project_S, project_T
 from ellipticity_lab.spectral import eigenvalue_bounds
-from ellipticity_lab.tensors import fold_array, pow2_rescale
+from ellipticity_lab.tensors import fold_array, pow2_rescale, unfold_array
 
 rng = np.random.default_rng(4321)
 
@@ -97,7 +98,7 @@ WHOLE_RUNS = {
         (el.random_tensor(rng), 7, None, None),
     ],
     1e-6: [
-        (el.tensor_isotropic(1.0, 1.0), 20000, el.VERDICT_FOUND, None),
+        (el.tensor_isotropic(1.0, 1.0), 20000, el.VERDICT_MARGIN, 3),
         (el.tensor_choi_lam(1.0), 20000, el.VERDICT_GAP, None),
         (el.tensor_two_squares(), 7, el.VERDICT_INCONCLUSIVE, 7),
         (el.random_tensor(rng), 7, None, None),
@@ -221,7 +222,7 @@ def _runs_where_the_slice_meets_the_cone():
     yield el.tensor_e(), el.PocsOptions(), found
     yield el.tensor_two_squares(), el.PocsOptions(), found
     yield el.tensor_isotropic(1.0, 1.0), el.PocsOptions(), found
-    yield el.tensor_isotropic(1.0, 1.0), el.PocsOptions(epsilon_shift=1e-6), found
+    yield el.tensor_isotropic(1.0, 1.0), el.PocsOptions(epsilon_shift=1e-6), el.VERDICT_MARGIN
     local = np.random.default_rng(23)
     for _ in range(20):
         yield el.random_spd_tensor(local), el.PocsOptions(epsilon_shift=1e-6), found
@@ -272,6 +273,226 @@ def test_separation_margin_holds_in_exact_arithmetic(offset):
     assert granted == (0 if offset == 0.0 else 100)
 
 
+# ---------------------------------------------------------------------------
+# the form lower bound behind MarginProved
+
+
+def _pair_antisymmetric(gen):
+    """K antisymmetric in (i, j) and in (k, l), exactly: a direction of every
+    slice, and weakly symmetric, so its unfolding is symmetric."""
+    r = gen.standard_normal((3, 3, 3, 3))
+    r = r - r.transpose(1, 0, 2, 3)
+    return r - r.transpose(0, 1, 3, 2)
+
+
+def _psd_exactly(rows) -> bool:
+    """Whether a symmetric matrix of Fractions is PSD, by its exact LDL^T: a
+    negative pivot refutes, and a zero pivot needs a zero column below it."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot == 0:
+            if any(a[i][k] != 0 for i in range(k + 1, n)):
+                return False
+            continue
+        if pivot < 0:
+            return False
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= factor * a[k][j]
+    return True
+
+
+def _margin_holds_exactly(a, eps, cur, margin) -> bool:
+    """form(a) >= margin on unit x, y, in rational arithmetic.
+
+    a_ref = sym(a) - eps E is taken exactly, so t* = a_ref + (cur - cur^(i<->j)) / 2
+    lies exactly in its slice, and form(a) = eps + form(t*) >= margin once
+    unfold(t*) + (eps - margin) I is PSD."""
+    exact = np.vectorize(Fraction, otypes=[object])
+    c, s = exact(cur), exact(a)
+    s = s + s.transpose(1, 0, 2, 3)
+    a_ref = (s + s.transpose(0, 1, 3, 2)) / 4 - Fraction(eps) * exact(el.tensor_e().a)
+    m = unfold_array(a_ref + (c - c.transpose(1, 0, 2, 3)) / 2)
+    shift = Fraction(eps) - Fraction(margin)
+    return _psd_exactly([[m[i, j] + (shift if i == j else 0) for j in range(9)] for i in range(9)])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-6])
+@pytest.mark.parametrize(
+    "skew, drift", [(0.0, 0.0), (1e3, 0.0), (0.0, 1e-9)], ids=["plain", "pair4", "off-slice"]
+)
+def test_mpd_margin_holds_in_exact_arithmetic(offset, skew, drift):
+    # Iterates cur whose least unfolding eigenvalue, plus eps, is zero up to
+    # rounding (offset 0) or just above it: a granted margin must hold in
+    # rational arithmetic. The reference sym(a) - eps E and cur are computed
+    # in floating point as run_pocs computes them. A pair-antisymmetric part
+    # of size `skew` in a drops out of its form, and out of sym(a), whose
+    # rounding must not grow with it; `drift` moves cur off the slice by a
+    # pair-symmetric part, which the bound must take off.
+    local = np.random.default_rng(37)
+    eps, e = 1e-6, el.tensor_e().a
+    granted = 0
+    for _ in range(100):
+        q, k = el.random_tensor(local).a, _pair_antisymmetric(local)
+        p = drift * el.random_tensor(local).a
+        q = q + (offset - el.min_eigenvalue(unfold_array(q + k + p))) * e
+        a = q + skew * _pair_antisymmetric(local)
+        a_ref = el.symmetrize_pairs(a) - eps * e
+        cur = a_ref + k + p
+        margin = pocs._mpd_margin(
+            unfold_array(a_ref).reshape(81), unfold_array(cur).reshape(81), eps
+        )
+        if margin is None:
+            continue
+        granted += 1
+        assert _margin_holds_exactly(a, eps, cur, margin)
+    assert granted == (0 if offset == 0.0 else 100)
+
+
+def _gap_tensor(seed):
+    """R + c E with c halfway across (c_M, c_S) of a random R, the way the
+    benchmark's gap tensors are built: -c_M is the oracle's form minimum and
+    -c_S the least unfolding eigenvalue of R, so the form is positive while
+    the unfolding is indefinite."""
+    r = el.random_tensor(np.random.default_rng(seed))
+    c_m = -el.oracle_verdict(r).report.min_value
+    c_s = -el.min_eigenvalue(el.unfold(r))
+    return el.Elast4(r.a + 0.5 * (c_m + c_s) * el.tensor_e().a)
+
+
+MARGIN_RUNS = {
+    "isotropic(1,1)": lambda: el.tensor_isotropic(1.0, 1.0),
+    "isotropic(-1.9,1)": lambda: el.tensor_isotropic(-1.9, 1.0),
+    "gap-5": lambda: _gap_tensor(5),
+    "gap-1": lambda: _gap_tensor(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_RUNS))
+def test_margin_proved_runs_hold_in_exact_arithmetic(name):
+    t = MARGIN_RUNS[name]()
+    assert el.min_eigenvalue(el.unfold(t)) <= 0.0  # only POCS can certify these
+    rep = el.run_pocs(t, el.PocsOptions(epsilon_shift=1e-6))
+    assert rep.verdict == el.VERDICT_MARGIN
+    assert rep.final_gap < 1e-6
+    assert 0.0 < rep.form_lower_bound < 1e-6
+    assert _margin_holds_exactly(t.a, 1e-6, rep.limit_A.a, rep.form_lower_bound)
+
+
+def _not_positive():
+    yield el.tensor_two_squares()
+    yield el.tensor_choi_lam(1.0)
+    # min(mu, lambda + 2 mu) is 0, 0, -2.8 and -1
+    for lam, mu in ((-2.0, 1.0), (1.0, 0.0), (-3.0, 0.1), (0.0, -0.5)):
+        yield el.tensor_isotropic(lam, mu)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+def test_margin_never_certifies_a_form_that_is_not_positive(eps):
+    for t in _not_positive():
+        rep = el.certify_mpd(t, el.PocsOptions(epsilon_shift=eps)).report
+        assert rep.verdict != el.VERDICT_MARGIN
+        assert rep.form_lower_bound is None
+
+
+def test_margin_stays_below_the_isotropic_form_minimum():
+    # the form of isotropic(lambda, mu) has minimum min(mu, lambda + 2 mu)
+    # over unit x and y; shifts up to 0.9 of it push the bound towards it
+    proved = 0
+    for lam in np.linspace(-2.5, 2.0, 7):
+        for mu in (0.05, 0.3, 1.0, 2.0):
+            low = min(mu, lam + 2.0 * mu)
+            t = el.tensor_isotropic(lam, mu)
+            for eps in (1e-6, 0.5 * abs(low), 0.9 * abs(low)):
+                rep = el.run_pocs(t, el.PocsOptions(epsilon_shift=eps))
+                if rep.verdict == el.VERDICT_MARGIN:
+                    proved += 1
+                    assert 0.0 < rep.form_lower_bound <= low
+                else:
+                    assert rep.form_lower_bound is None
+    assert proved >= 30
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_margin_at_extreme_scales_warns_nothing(scale):
+    # tier-1 turns every warning into an error. The shift and the threshold
+    # scale with the tensor, so the run reaches a proof attempt there.
+    for lam, mu in ((1.0, 1.0), (-1.9, 1.0)):
+        t = el.Elast4(scale * el.tensor_isotropic(lam, mu).a)
+        opts = el.PocsOptions(epsilon_shift=1e-6 * scale, tol_converge=1e-10 * min(1.0, scale))
+        rep = el.run_pocs(t, opts)
+        assert rep.verdict == el.VERDICT_MARGIN
+        assert 0.0 < rep.form_lower_bound <= scale * min(mu, lam + 2.0 * mu)
+
+
+def test_unshifted_reports_keep_their_bytes(monkeypatch):
+    # sha256 over the canonical certify_mpsd reports, recorded (numpy 2.4,
+    # OpenBLAS 0.3.31, x86_64) before shifted runs could prove a margin:
+    # unshifted runs never try one
+    monkeypatch.setattr(pocs, "_mpd_margin", None)
+    local = np.random.default_rng(2024)
+    tensors = [
+        el.tensor_two_squares(),
+        el.tensor_choi_lam(1.0),
+        el.tensor_isotropic(1.0, 1.0),
+        el.tensor_isotropic(-1.9, 1.0),
+    ]
+    tensors += [el.random_tensor(local) for _ in range(6)]
+    tensors += [el.random_spd_tensor(local) for _ in range(6)]
+    digest = hashlib.sha256()
+    for t in tensors:
+        digest.update(el.dumps_report(pocs.pocs_report_to_doc(el.certify_mpsd(t).report)).encode())
+    assert digest.hexdigest() == "70eb6c6b0e4581798b7a10a11e743df52b0d667ccb38605bb1d5e3f7fe2480fd"
+
+
+@pytest.mark.parametrize("proofs", ["hold", "fail"])
+def test_proof_attempts_are_bounded(proofs, monkeypatch):
+    # Every pocs.eigenvalue_bounds call of a run without a stalled sweep is
+    # a proof attempt. A run tries once its gap falls below eps and, after
+    # each failed try, below half the last target: a proof that holds ends
+    # the run at its first try, and failing ones take at most
+    # 1 + log2(eps / threshold) tries before the run converges as it did
+    # without them.
+    calls = []
+    bounds = pocs.eigenvalue_bounds
+
+    def counted(m):
+        calls.append(m)
+        lower, upper = bounds(m)
+        return (lower if proofs == "hold" else np.full_like(lower, -np.inf)), upper
+
+    monkeypatch.setattr(pocs, "eigenvalue_bounds", counted)
+    for name in sorted(MARGIN_RUNS):
+        t = MARGIN_RUNS[name]()
+        calls.clear()
+        rep = el.run_pocs(t, el.PocsOptions(epsilon_shift=1e-6))
+        prev, gaps = rep.gap_trace[:-1], rep.gap_trace[1:]
+        assert np.all(prev - gaps >= TOL_STALL * prev), name
+        if proofs == "hold":
+            assert rep.verdict == el.VERDICT_MARGIN
+            assert len(calls) == 1, name
+        else:
+            assert rep.verdict == el.VERDICT_FOUND
+            assert 1 <= len(calls) <= 1 + math.log2(1e-6 / rep.converge_threshold), name
+
+
+def test_eigensolver_failure_is_typed():
+    # at max|a| = 1.7e308 the symmetric part overflows and eigh does not
+    # converge; this tests the error type, so the overflow warnings before
+    # it are silenced
+    t = el.tensor_choi_lam(1.0)
+    huge = el.Elast4(t.a / np.abs(t.a).max() * 1.7e308)
+    assert issubclass(EigensolverFailure, EllipticityError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EigensolverFailure):
+            el.run_pocs(huge)
+        with pytest.raises(EigensolverFailure):
+            el.min_eigenvalue(el.unfold(huge))
+
+
 def test_stall_without_a_proof_is_inconclusive(monkeypatch):
     monkeypatch.setattr(pocs, "_separation_margin", lambda a9, z: None)
     rep = el.run_pocs(el.tensor_choi_lam(1.0))
@@ -320,10 +541,7 @@ def pair4_with_pair_antisymmetric_part(gen):
     form, so Q lies in the slice of P's form and in the cone."""
     m = gen.standard_normal((9, 9))
     q = fold_array(m @ m.T + np.eye(9))
-    r = gen.standard_normal((3, 3, 3, 3))
-    r = r - r.transpose(1, 0, 2, 3)
-    k = r - r.transpose(0, 1, 3, 2)
-    return el.make_pair4(q + k)
+    return el.make_pair4(q + _pair_antisymmetric(gen))
 
 
 def test_run_pocs_projects_a_pair4_onto_the_slice_of_its_form():
