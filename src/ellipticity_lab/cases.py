@@ -44,7 +44,14 @@ from .errors import (
 )
 from .spectral import sym_eig
 from .spheres import fibonacci_hemisphere
-from .tensors import Elast4, symmetrize_pairs, tensor_from_rank_one_terms, unfold, unvec
+from .tensors import (
+    Elast4,
+    pow2_rescale,
+    symmetrize_pairs,
+    tensor_from_rank_one_terms,
+    unfold,
+    unvec,
+)
 
 __all__ = [
     "CASE_MPSD",
@@ -127,10 +134,6 @@ class StructuredDecomposition:
     def q(self) -> int:
         return int(np.sum(self.alphas > 0.0))
 
-    @property
-    def terms(self):
-        return [(float(a), u) for a, u in zip(self.alphas, self.mats)]
-
 
 @dataclass(frozen=True)
 class CaseStructure:
@@ -164,7 +167,6 @@ class SupEtaResult:
     value: float
     argmax: np.ndarray
     converged: bool
-    excluded: int
 
 
 def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
@@ -172,9 +174,12 @@ def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
 
     Eigenvalues below SPECTRAL_REL_TOL * ||A|| in magnitude are dropped;
     the term matrices devectorize the eigenvectors, so r <= 9 on this route.
+    ||A|| is taken at a power-of-two scale, where its squares neither
+    overflow nor underflow, and scaled back exactly.
     """
     m = unfold(a)
-    scale = float(np.linalg.norm(m))
+    ms, exp = pow2_rescale(m)
+    scale = math.ldexp(float(np.linalg.norm(ms)), exp)
     pair = sym_eig(m)
     keep = np.abs(pair.values) > SPECTRAL_REL_TOL * scale
     if not np.any(keep):
@@ -695,7 +700,6 @@ def sup_eta(
         value=float(best_val),
         argmax=best_arg,
         converged=converged and off_line,
-        excluded=vals.size - n_finite,
     )
 
 

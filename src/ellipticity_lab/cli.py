@@ -3,14 +3,16 @@
 Subcommands:
 
 * gen     -- write one of the bundled example tensors as JSON
-* check   -- full certification pipeline with an independent grid cross-check
+* check   -- full certification pipeline with an independent grid cross-check;
+             its case stage runs only on a --decomp file
 * pocs    -- raw alternating-projection run against the S-PSD cone
-* case    -- structured-decomposition analysis: the case 1, 2 or 3 checker
-             whose shape (r, q) the decomposition has
+* case    -- structured-decomposition analysis of a --decomp file (required):
+             the case 1, 2 or 3 checker whose shape (r, q) it has
 * oracle  -- brute-force grid + refinement minimizer of the biquadratic form
 
 A --decomp file must describe the --input tensor: a decomposition of
-another tensor is bad input.
+another tensor is bad input. check's --grid-n sets the oracle lattice only;
+its POCS stages run at the defaults of certify_mpd and certify_mpsd.
 
 Exit codes: 0 a definite verdict was reached, 1 bad input, 2 undecided,
 3 internal contradiction between a certificate and the brute-force check
@@ -142,12 +144,6 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="run the full certification pipeline")
     common(check)
     check.add_argument(
-        "--epsilon", type=_POSITIVE, default=1e-6, help="strictness shift for the M-PD stage"
-    )
-    check.add_argument(
-        "--max-iter", type=_COUNT, default=20000, help="alternating projection budget"
-    )
-    check.add_argument(
         "--decomp", help="decomposition JSON for the structured-case stage"
     )
     check.set_defaults(func=_cmd_check)
@@ -167,7 +163,7 @@ def _build_parser() -> _Parser:
 
     case = sub.add_parser("case", help="structured-decomposition analysis")
     common(case, _COUNT, 20000)
-    case.add_argument("--decomp", help="decomposition JSON (default: eigendecomposition)")
+    case.add_argument("--decomp", required=True, help="decomposition JSON")
     case.set_defaults(func=_cmd_case)
 
     orc = sub.add_parser("oracle", help="brute-force minimization of the form")
@@ -242,19 +238,14 @@ def _cmd_pocs(args) -> int:
     return EXIT_DECIDED if rep.verdict != pocs.VERDICT_INCONCLUSIVE else EXIT_UNDECIDED
 
 
-def _load_decomposition_arg(args) -> cases.StructuredDecomposition | None:
-    if args.decomp:
-        return cases.StructuredDecomposition(*io.load_decomposition(args.decomp))
-    return None
+def _load_decomposition(path) -> cases.StructuredDecomposition:
+    return cases.StructuredDecomposition(*io.load_decomposition(path))
 
 
 def _cmd_case(args) -> int:
     t, name = io.load_tensor(args.input)
-    dec = _load_decomposition_arg(args)
-    if dec is None:
-        dec = cases.spectral_decomposition(t)
-    else:
-        cases.require_decomposition_of(t, dec, args.tol)
+    dec = _load_decomposition(args.decomp)
+    cases.require_decomposition_of(t, dec, args.tol)
     rep = cases.check_case(dec, args.tol, args.grid_n)
     if rep is None:
         doc = {
@@ -309,16 +300,16 @@ def _cmd_oracle(args) -> int:
 def _stage_line(s: dict) -> str:
     """One human-readable line for a stage record of pipeline.check."""
     name = s["stage"]
-    if name == "case":
-        if "skipped" in s:
+    if "skipped" in s:
+        if "r" in s:
             return f"case: (r, q) = ({s['r']}, {s['q']}) -> no matching shape"
+        return f"{name}: skipped ({s['skipped']})"
+    if name == "case":
         return f"case {s['case_id']}: {s['verdict']}" + (
             f" (sup eta {s['eta_sup']:.9g} vs threshold {s['threshold']:.9g})"
             if s["eta_sup"] is not None
             else ""
         )
-    if "skipped" in s:
-        return f"{name}: skipped ({s['skipped']})"
     if name == "spsd-eigen":
         kind = "S-PD" if s["spd"] else ("S-PSD" if s["spsd"] else "indefinite")
         return f"spsd-eigen: min unfolding eigenvalue {s['min_eigenvalue']:.6e} -> {kind}"
@@ -344,14 +335,8 @@ def _stage_line(s: dict) -> str:
 
 def _cmd_check(args) -> int:
     t, name = io.load_tensor(args.input)
-    rep = pipeline.check(
-        t,
-        _load_decomposition_arg(args),
-        tol=args.tol,
-        grid_n=args.grid_n,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-    )
+    dec = _load_decomposition(args.decomp) if args.decomp else None
+    rep = pipeline.check(t, dec, tol=args.tol, grid_n=args.grid_n)
     lines = [f"input: {args.input}" + (f" ({name})" if name else "")]
     lines += [_stage_line(s) for s in rep.stages]
     certified_by = rep.certified_mpd_by or rep.certified_mpsd_by
@@ -370,7 +355,6 @@ def _cmd_check(args) -> int:
         "name": name,
         "tol": args.tol,
         "grid_n": args.grid_n,
-        "epsilon": args.epsilon,
         **vars(rep),
         "exit_code": code,
     }

@@ -28,7 +28,8 @@ class AsymmetricInput(EllipticityError):
 
 class EigensolverFailure(EllipticityError, LinAlgError):
     """The symmetric eigensolver did not converge, as at entries near the
-    float limit. Still a numpy LinAlgError for callers that catch that."""
+    float limit, or its matrix has no finite symmetric part. Still a numpy
+    LinAlgError for callers that catch that."""
 
 
 class InvalidEpsilon(EllipticityError):

@@ -1,13 +1,13 @@
 """The check pipeline: sufficient conditions in turn, then the oracle cross-check.
 
 Stages, each recorded as one JSON-ready dict: spsd-eigen (the unfolding is
-PSD or PD), pocs-mpd (alternating projections on the epsilon-shifted
-tensor, skipped once M-PD is certified; a run that proves its margin
-records the form_lower_bound), pocs-mpsd (on the tensor itself,
-skipped once M-PSD is certified), case (structured-case analysis) and
-oracle (the brute-force minimizer, always run). A certificate together with
-a refutation is a Conflict: a bug or a violated tolerance, reported here and
-not raised.
+PSD or PD), pocs-mpd (alternating projections on the tensor shifted by the
+default epsilon of certify_mpd, skipped once M-PD is certified; a run that
+proves its margin records the form_lower_bound), pocs-mpsd (on the tensor
+itself, skipped once M-PSD is certified), case (the structured-case checker
+of a given decomposition; skipped without one) and oracle (the brute-force
+minimizer, always run). A certificate together with a refutation is a
+Conflict: a bug or a violated tolerance, reported here and not raised.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ def check(
     *,
     tol: float = 1e-8,
     grid_n: int = 2000,
-    epsilon: float = 1e-6,
-    max_iter: int = 20000,
 ) -> CheckReport:
-    """Run the five stages on t; dec=None uses the spectral decomposition.
+    """Run the five stages on t; grid_n sets the oracle's lattice only.
 
-    A given dec must build t: otherwise DecompositionMismatch is raised
-    before any stage runs.
+    The case stage runs the case checker of dec at its own default grid,
+    and is skipped when dec is None. A given dec must build t: otherwise
+    DecompositionMismatch is raised before any stage runs.
     """
     if dec is not None:
         cases.require_decomposition_of(t, dec, tol)
@@ -57,7 +56,7 @@ def check(
     refuted_by: str | None = None
 
     m = unfold(t)
-    scale = max(1.0, float(np.linalg.norm(m)))
+    scale = float(np.linalg.norm(m))
     lam_min = min_eigenvalue(m)
     spd = lam_min > 1e-10 * scale
     spsd = lam_min >= -1e-10 * scale
@@ -70,9 +69,7 @@ def check(
         mpsd_by = "spsd-eigen"
 
     if mpd_by is None:
-        res = pocs.certify_mpd(
-            t, pocs.PocsOptions(max_iter=max_iter, epsilon_shift=epsilon)
-        )
+        res = pocs.certify_mpd(t)
         stages.append(
             {"stage": "pocs-mpd", "epsilon": res.report.epsilon_shift, **_pocs_record(res)}
         )
@@ -83,7 +80,7 @@ def check(
         stages.append({"stage": "pocs-mpd", "skipped": "already certified"})
 
     if mpsd_by is None:
-        res = pocs.certify_mpsd(t, pocs.PocsOptions(max_iter=max_iter))
+        res = pocs.certify_mpsd(t)
         stages.append({"stage": "pocs-mpsd", **_pocs_record(res)})
         if res.certified:
             mpsd_by = "pocs-mpsd"
@@ -91,21 +88,22 @@ def check(
         stages.append({"stage": "pocs-mpsd", "skipped": "already certified"})
 
     if dec is None:
-        dec = cases.spectral_decomposition(t)
-    case_rep = cases.check_case(dec, tol, max(grid_n, 20000))
-    stage = {"stage": "case", "r": dec.r, "q": dec.q}
-    if case_rep is None:
-        stage["skipped"] = "no matching shape"
+        stages.append({"stage": "case", "skipped": "no decomposition given"})
     else:
-        stage.update(cases.case_report_to_doc(case_rep))
-        tag = f"case{case_rep.case_id}"
-        if case_rep.verdict == cases.CASE_MPD:
-            mpd_by = mpd_by or tag
-        if case_rep.verdict in (cases.CASE_MPD, cases.CASE_MPSD):
-            mpsd_by = mpsd_by or tag
-        elif case_rep.verdict == cases.CASE_NOT_MPSD:
-            refuted_by = refuted_by or tag
-    stages.append(stage)
+        case_rep = cases.check_case(dec, tol)
+        stage = {"stage": "case", "r": dec.r, "q": dec.q}
+        if case_rep is None:
+            stage["skipped"] = "no matching shape"
+        else:
+            stage.update(cases.case_report_to_doc(case_rep))
+            tag = f"case{case_rep.case_id}"
+            if case_rep.verdict == cases.CASE_MPD:
+                mpd_by = mpd_by or tag
+            if case_rep.verdict in (cases.CASE_MPD, cases.CASE_MPSD):
+                mpsd_by = mpsd_by or tag
+            elif case_rep.verdict == cases.CASE_NOT_MPSD:
+                refuted_by = refuted_by or tag
+        stages.append(stage)
 
     ov = oracle.oracle_verdict(t, n=grid_n, tol=tol)
     stages.append({"stage": "oracle", **oracle.oracle_verdict_to_doc(ov)})

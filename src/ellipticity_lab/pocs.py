@@ -91,7 +91,8 @@ class PocsOptions:
     """Iteration controls.
 
     tol_converge is relative: the run stops successfully once the gap falls
-    below tol_converge * max(1, ||A||). epsilon_shift > 0 subtracts that
+    to tol_converge * ||A||, with A the (shifted) reference, so the test
+    scales with the tensor at every size. epsilon_shift > 0 subtracts that
     multiple of the identity-form tensor before iterating (the
     strict-definiteness probe). Every value must be finite: an infinite
     tolerance would certify any form, and a NaN slips past every range check.
@@ -245,7 +246,8 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
 
     Each sweep projects onto the PSD cone, then back onto the affine slice;
     iterate t holds both point sequences. Every affine iterate keeps the
-    bi-quadratic form of the (shifted) input, so IntersectionFound certifies
+    bi-quadratic form of the (shifted) input, so IntersectionFound, a gap of
+    at most tol_converge times the norm of the (shifted) reference, certifies
     the form is nonnegative. GapPositive is a proved separation (see the
     module docstring); a stall that proves nothing ends Inconclusive. A
     shifted run (epsilon_shift > 0) that has not converged tries
@@ -267,7 +269,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     if opts.epsilon_shift > 0.0:
         a_ref = a_ref - opts.epsilon_shift * tensor_e().a
     ref_norm = float(np.linalg.norm(a_ref))
-    threshold = opts.tol_converge * max(1.0, ref_norm)
+    threshold = opts.tol_converge * ref_norm
 
     a9 = unfold_array(a_ref).reshape(81)
     cur = b = a9

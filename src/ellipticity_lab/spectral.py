@@ -3,7 +3,8 @@ enclosures, and the PSD projection.
 
 Every eigensolve goes through _solve, so a solver that does not converge
 (numpy's LinAlgError, as at entries near the float limit) raises
-EigensolverFailure, an EllipticityError."""
+EigensolverFailure, an EllipticityError. So does a matrix whose symmetric
+part overflows, before any solve."""
 
 from __future__ import annotations
 
@@ -40,13 +41,21 @@ def _require_symmetric(m) -> np.ndarray:
     bits = mat.view(np.int64)
     if (bits == bits.T).all() and np.abs(mat).max(initial=0.0) < 2.0**1023:
         return mat
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+    # Otherwise the sums below may overflow: a symmetric part that is not
+    # finite ends here, since eigh would return NaN for it and not raise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+        sym = 0.5 * (mat + mat.T)
     scale = max(1.0, float(np.max(np.abs(mat)))) if mat.size else 1.0
     if asym > SYMMETRY_TOL * scale:
         raise AsymmetricInput(
             f"relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_TOL:.3e}"
         )
-    return 0.5 * (mat + mat.T)
+    if not np.isfinite(sym).all():
+        raise EigensolverFailure(
+            "symmetric eigensolver failed: the symmetric part of the matrix is not finite"
+        )
+    return sym
 
 
 def _solve(solver, mat):

@@ -67,7 +67,7 @@ def test_require_decomposition_of():
 def test_spectral_decomposition_reconstructs():
     t = el.random_tensor(rng)
     dec = el.spectral_decomposition(t)
-    m = sum(a * np.outer(el.vec(u), el.vec(u)) for a, u in dec.terms)
+    m = sum(a * np.outer(el.vec(u), el.vec(u)) for a, u in zip(dec.alphas, dec.mats))
     assert np.allclose(m, el.unfold(t), atol=1e-10)
     # positives first, each block descending
     al = dec.alphas
@@ -85,6 +85,17 @@ def test_spectral_decomposition_two_squares_shape():
 def test_spectral_decomposition_zero_tensor():
     dec = el.spectral_decomposition(el.Elast4(np.zeros((3, 3, 3, 3))))
     assert dec.r == 0
+
+
+@pytest.mark.parametrize("scale", [1e-160, 2.0**-500, 2.0**500, 1e160])
+def test_spectral_decomposition_at_extreme_scales(scale):
+    # eigenvalues are dropped relative to ||A||, whose squares overflow at
+    # 1e160: an inf norm would drop every one of them (r = 0)
+    t = el.tensor_isotropic(-3.0, 0.1)
+    want = el.spectral_decomposition(t)
+    dec = el.spectral_decomposition(el.Elast4(scale * t.a))
+    assert (dec.r, dec.q) == (want.r, want.q) == (9, 3)
+    assert np.allclose(dec.alphas / scale, want.alphas, rtol=1e-12)
 
 
 def contract_terms_yy(dec, y):
@@ -336,7 +347,6 @@ def assert_quadratic_maximum(exact_hess):
     assert res.converged
     assert abs(res.value - 1.0) < 1e-9
     assert np.linalg.norm(res.argmax - u) < 1e-4
-    assert res.excluded == 0
 
 
 def test_sup_eta_excludes_singular_lines():
@@ -366,7 +376,7 @@ def test_sup_eta_excludes_singular_lines():
         grad_fn=grad,
         hess_fn=lambda y: np.zeros((3, 3)),
     )
-    assert res.excluded > 0
+    assert np.isneginf(f_many(fibonacci_hemisphere(2000))).any()
     assert res.value <= cap
 
 
@@ -405,9 +415,10 @@ def test_sup_eta_leaves_the_callers_values_alone():
     z = fibonacci_hemisphere(2000)[:, 2]
     height = np.where(z > np.cos(0.3), -np.inf, z)
     height.setflags(write=False)
+    assert np.isneginf(height).any()
     kept = height.copy()
     for values in (height, kept):
-        res = el.sup_eta(
+        el.sup_eta(
             lambda y: float(y[2]),
             line,
             grid_n=2000,
@@ -415,7 +426,6 @@ def test_sup_eta_leaves_the_callers_values_alone():
             grad_fn=lambda y: np.array([0.0, 0.0, 1.0]),
             hess_fn=lambda y: np.zeros((3, 3)),
         )
-        assert res.excluded > 0
     assert np.array_equal(kept, height)
 
 

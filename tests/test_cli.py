@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,17 +241,17 @@ def test_pocs_inconclusive_is_undecided(tensor_files):
 # isotropic check's pocs-mpd stage ends MarginProved after 3 sweeps.
 PINNED_REPORTS = {
     ("E", "pocs"): "f348c7b0036963b8a09f85e72f1a415b514cbb9d43f817fc6ef1bdc8a995576e",
-    ("E", "check"): "dbdac1138bef3248e160ac88a7f9cf25aeb74233f2b394074759f3fb9e44fe54",
+    ("E", "check"): "a8459fa4838355dc15a37629a5a0cfddfa2debbb7b34fd0caaa26ea8290913b9",
     ("counterexample-s2", "pocs"): "d152b912fb8190e6955e5642aa681a755245ce75ca79765cbb6b4ab174d1549e",
-    ("counterexample-s2", "check"): "262c0f3a023cbc6f297a983ec387ae12865ce9d1622470c3a84673cb644990ab",
+    ("counterexample-s2", "check"): "34acfc9443061e80849fe0bd0ce2a23bf9fa36c416e1959dc2a53d91625fca2a",
     ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
-    ("isotropic", "check"): "cf2f8458d001a2243a2e6606d7187aef728b6d6187438877a98d2d5a5e96f0ab",
-    ("random", "check"): "bb562f8c56ddd34acfd1abe1bb9b40474e31c215c09c3966771c859cf5ad0766",
+    ("isotropic", "check"): "8ffe2ce2deb1e097b227f1a8b7354c1358fa74c25e15c8b615b72a44363502d5",
+    ("random", "check"): "d0154108f3fa422c934958125254343fddab84aaad7252fc5e74ba28545b0645",
     ("random", "oracle"): "2eeb6d1d537882e60e49e73f30fe0ffc8e0e6ad570e6903f52ab142d8a307239",
-    ("choi-lam", "check"): "5c37f40600afd8351e3d7ff1e594efa039dc4139764ded1d1db7c4c52f085973",
+    ("choi-lam", "check"): "27d31b3df2d4fd989d0a26bdc77bc15f35a4ad09d6b8fe72cd9374154e921474",
     ("choi-lam", "oracle"): "8d549ecaffecd6bf6d80182f2ee27c2942df335aaf4a44f9267c49018fec1544",
     ("choi-lam-1.6", "case"): "f46c0293ba763513a592727f861621b59be5d04cbf3032b92e92aa81814d2cdf",
-    ("choi-lam-1.6", "check"): "86bf46bf12c05aa38b2df7180f75454019c83e6900ff53c3e40dd7f07b31dd8c",
+    ("choi-lam-1.6", "check"): "2fde7dbd2bde6d946a36bf0f8657accf65b054af17f734252648b8a3146efb7f",
 }
 # gen arguments of each pinned input, the arguments its commands add, and
 # their exit code. E, two-squares and isotropic scan all lattice rows; the
@@ -296,6 +298,21 @@ def test_repeated_main_calls_share_one_parser(tensor_files, capsys):
     assert "error: argument --tol" in capsys.readouterr().err
 
 
+def test_readme_command_lines_parse():
+    # every command line of the README's CLI block parses with the real
+    # parser, so the docs cannot keep an option that is gone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["ellipticity-lab"]]
+    assert {argv[0] for argv in commands} == {"gen", "check", "pocs", "case", "oracle"}
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: ellipticity-lab {shlex.join(argv)}")
+
+
 # ---------------------------------------------------------------------------
 # case
 
@@ -311,20 +328,38 @@ def test_case_choi_lam_decomp(tensor_files):
     assert doc["boundary"] is True
 
 
-def test_case_no_matching_shape(tensor_files):
-    proc = run_cli("case", "-i", tensor_files["e"], "--json")
+def spectral_decomp_file(tensor_file, directory):
+    """Write the spectral decomposition of a tensor file; return its path."""
+    t, _ = el.load_tensor(tensor_file)
+    dec = el.spectral_decomposition(t)
+    path = directory / "spectral-dec.json"
+    el.save_decomposition(path, dec.alphas, dec.mats)
+    return str(path)
+
+
+def test_case_no_matching_shape(tensor_files, tmp_path):
+    dec = spectral_decomp_file(tensor_files["e"], tmp_path)
+    proc = run_cli("case", "-i", tensor_files["e"], "--decomp", dec, "--json")
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "NoMatchingShape"
     assert (doc["r"], doc["q"]) == (9, 9)
 
 
-def test_case_structure_mismatch_is_undecided(tensor_files):
+def test_case_structure_mismatch_is_undecided(tensor_files, tmp_path):
     # spectral terms of this tensor have q = 3 but are not rank-one
-    proc = run_cli("case", "-i", tensor_files["iso-neg"], "--json")
+    dec = spectral_decomp_file(tensor_files["iso-neg"], tmp_path)
+    proc = run_cli("case", "-i", tensor_files["iso-neg"], "--decomp", dec, "--json")
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "StructureMismatch"
+
+
+def test_case_requires_a_decomposition(tensor_files):
+    proc = run_cli("case", "-i", tensor_files["e"], "--json")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "the following arguments are required: --decomp" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["check", "case"])
@@ -390,13 +425,10 @@ def test_missing_required_flag():
         (("pocs", "--epsilon", "-1"), "two-squares"),
         (("pocs", "--epsilon", "inf"), "two-squares"),
         (("pocs", "--max-iter", "0"), "two-squares"),
-        (("check", "--max-iter", "0"), "two-squares"),
         (("oracle", "--tol", "-1"), "iso-pos"),
         (("check", "--tol", "-1"), "iso-pos"),
         (("oracle", "--tol", "nan"), "iso-neg"),
         (("check", "--tol", "nan"), "iso-pos"),
-        (("check", "--epsilon", "-1"), "e"),
-        (("check", "--epsilon", "inf"), "two-squares"),
         (("gen", "random", "--seed", "-1"), None),
         (("gen", "isotropic", "--lambda", "nan"), None),
         (("gen", "isotropic", "--mu=-inf"), None),
@@ -409,6 +441,15 @@ def test_out_of_range_numbers_are_usage_errors(tensor_files, argv, key):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error: argument" in proc.stderr
+
+
+@pytest.mark.parametrize("option", [("--epsilon", "1e-6"), ("--max-iter", "100")])
+def test_check_takes_no_pocs_options(tensor_files, option):
+    # check's POCS stages run at the certify defaults; use pocs to set them
+    proc = run_cli("check", "-i", tensor_files["e"], *option)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"error: unrecognized arguments: {' '.join(option)}" in proc.stderr
 
 
 def test_tensor_near_float_limit_gets_a_verdict(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import cli, oracle
+from ellipticity_lab import cases, cli, oracle
 
 
 @pytest.mark.parametrize(
@@ -60,6 +60,37 @@ def test_pocs_mpd_stage_carries_the_proved_margin():
     # a stage that proves no margin has no such field
     for s in el.check(el.tensor_two_squares()).stages:
         assert "form_lower_bound" not in s
+
+
+def test_check_without_a_decomposition_runs_no_case_checker(monkeypatch):
+    # the case conditions test a given decomposition; check makes none up
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called without a decomposition")
+
+    names = ("spectral_decomposition", "check_case", "check_case1", "check_case2", "check_case3")
+    for name in names:
+        monkeypatch.setattr(cases, name, forbidden)
+    for t in (el.tensor_e(), el.tensor_two_squares(), el.tensor_isotropic(-3.0, 0.1)):
+        record = el.check(t).stages[3]
+        assert record == {"stage": "case", "skipped": "no decomposition given"}
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        el.tensor_isotropic(-2.5, 0.5),
+        el.tensor_isotropic(-3.0, 0.1),
+        el.random_tensor(np.random.default_rng(0)),
+    ],
+    ids=["iso-neg", "isotropic(-3,0.1)", "random-neg"],
+)
+def test_refutation_holds_at_every_scale(t):
+    # form values scale with the tensor, so the tolerances of stage 1 and of
+    # pocs-mpsd must too: an absolute floor certifies M-PSD at small scales,
+    # a Conflict with the oracle's witness
+    for scale in [2.0**k for k in range(-500, 501, 50)] + [1e-160, 1e-150]:
+        rep = el.check(el.Elast4(scale * t.a))
+        assert (rep.verdict, rep.refuted_by) == ("NotMPSD", "oracle"), scale
 
 
 def test_check_rejects_a_decomposition_of_another_tensor():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ellipticity_lab as el
-from ellipticity_lab.errors import AsymmetricInput
+from ellipticity_lab.errors import AsymmetricInput, EigensolverFailure
 from ellipticity_lab.spectral import SYMMETRY_TOL, eigenvalue_bounds
 
 rng = np.random.default_rng(99)
@@ -146,24 +146,44 @@ def test_psd_project_symmetrizes_within_tolerance():
 
 
 def test_psd_project_nan_input_as_before():
-    # NaN never equals itself, so it takes the tolerance path as it always did
+    # NaN never equals itself, so it takes the tolerance path as it always
+    # did; its symmetric part is not finite, a typed error on either place
     on_diagonal, off_diagonal = np.eye(9), rand_sym()
     on_diagonal[0, 0] = np.nan
     off_diagonal[0, 1] = off_diagonal[1, 0] = np.nan
-    assert np.isnan(el.psd_project(on_diagonal)).all()
     with pytest.raises(np.linalg.LinAlgError):
         _psd_project_of_symmetric_part(off_diagonal)
-    with pytest.raises(np.linalg.LinAlgError):
-        el.psd_project(off_diagonal)
+    for m in (on_diagonal, off_diagonal):
+        with pytest.raises(EigensolverFailure, match="not finite"):
+            el.psd_project(m)
 
 
 def test_psd_project_entries_beyond_half_the_float_limit():
-    # m + m.T overflows, as it always did: warned, and the projection is NaN
+    # m + m.T overflows: a typed error, with no warning and no NaN projection
     m = rand_sym()
     m[2, 3] = m[3, 2] = 2.0**1023
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        p = el.psd_project(m)
-    assert np.isnan(p).all()
+    with pytest.raises(EigensolverFailure, match="symmetric part"):
+        el.psd_project(m)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: el.tensor_choi_lam(1.0),
+        lambda: el.tensor_isotropic(-3.0, 0.1),
+        lambda: el.tensor_isotropic(-1.0, 1.0),
+        el.tensor_e,
+    ],
+    ids=["choi-lam", "isotropic(-3,0.1)", "isotropic(-1,1)", "E"],
+)
+def test_overflowing_symmetric_part_is_a_typed_error(make):
+    # at max|entry| = 1.7e308 the unfolding is bit-symmetric, but beyond
+    # 2**1023, so its symmetric part overflows; eigh of that returns NaN
+    m = el.unfold(make())
+    m = m / np.abs(m).max() * 1.7e308
+    for solve in (el.sym_eig, el.psd_project, el.min_eigenvalue, eigenvalue_bounds):
+        with pytest.raises(EigensolverFailure, match="symmetric eigensolver failed"):
+            solve(m)
 
 
 # ---------------------------------------------------------------------------
