@@ -80,8 +80,9 @@ CASE_MPD = "MPD"
 CASE_NOT_MPSD = "NotMPSD"
 CASE_MISMATCH = "StructureMismatch"
 
-# Verdict margin separating strict positivity from the boundary in case 3.
-TOL_STRICT = 1e-8
+# Certification tolerance: the relative cutoffs of the structure tests, and
+# the band around each verdict's limit that is the boundary (not strict).
+TOL = 1e-8
 # Angular tolerance for matching shared left vectors during grouping.
 GROUP_ANGLE_TOL = 1e-6
 # spectral_decomposition drops eigenvalues below this times ||A||.
@@ -189,11 +190,11 @@ def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
     return StructuredDecomposition(alphas, mats)
 
 
-def require_decomposition_of(t: Elast4, dec: StructuredDecomposition, tol: float) -> None:
+def require_decomposition_of(t: Elast4, dec: StructuredDecomposition) -> None:
     """Raise DecompositionMismatch unless the terms of dec build the tensor t.
 
     The form of an elasticity tensor fixes every entry, so the entries are
-    compared, within tol times the larger max|entry| of the two tensors;
+    compared, within TOL times the larger max|entry| of the two tensors;
     symmetrize_pairs(t.a) is the elasticity tensor of t's form.
     """
     built = tensor_from_rank_one_terms(dec.alphas, dec.mats).a
@@ -201,10 +202,10 @@ def require_decomposition_of(t: Elast4, dec: StructuredDecomposition, tol: float
     with np.errstate(over="ignore"):
         gap = float(np.max(np.abs(built - given)))
     scale = max(float(np.max(np.abs(built))), float(np.max(np.abs(given))))
-    if gap > tol * scale:
+    if gap > TOL * scale:
         raise DecompositionMismatch(
             f"the decomposition builds a different tensor: entries differ by up "
-            f"to {gap:.3e}, against a tolerance of {tol * scale:.3e}"
+            f"to {gap:.3e}, against a tolerance of {TOL * scale:.3e}"
         )
 
 
@@ -226,10 +227,10 @@ def detect_rank_one(u, tol: float = 1e-10):
     return sign * v, sign * s[0] * right[0, :]
 
 
-def _nonsingular(mat: np.ndarray, tol: float):
+def _nonsingular(mat: np.ndarray):
     """(ok, condition number) via singular values; relative cutoff."""
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= TOL * sv[0]:
         return False, float("inf")
     return True, float(sv[0] / sv[-1])
 
@@ -242,7 +243,7 @@ def _mismatch(case_id: int, reason: str, diagnostics: dict) -> CaseReport:
 # Case 1
 
 
-def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
+def check_case1(dec: StructuredDecomposition) -> CaseReport:
     """Exact nonnegativity test for the three-positive-terms shape.
 
     Structure: the positive U_s must be rank-one v_s w_s^T with nonsingular
@@ -253,13 +254,13 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
     if dec.q != 3:
         raise NotCase1(f"expected exactly 3 positive terms, found {dec.q}")
     diag: dict = {}
-    split, bad = _split_rank_ones(dec.mats, 3, tol)
+    split, bad = _split_rank_ones(dec.mats, 3)
     if split is None:
         return _mismatch(1, f"positive term {bad} is not rank-one", diag)
     V = np.column_stack(split[0])
     W = np.column_stack(split[1])
-    ok_v, cond_v = _nonsingular(V, tol)
-    ok_w, cond_w = _nonsingular(W, tol)
+    ok_v, cond_v = _nonsingular(V)
+    ok_w, cond_w = _nonsingular(W)
     diag["cond_V"] = cond_v
     diag["cond_W"] = cond_w
     if not ok_v or not ok_w:
@@ -275,7 +276,7 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
         off = m - np.diag(np.diag(m))
         resid = float(np.linalg.norm(off))
         offdiag_resid.append(resid)
-        if resid > tol * max(1.0, float(np.linalg.norm(m))):
+        if resid > TOL * max(1.0, float(np.linalg.norm(m))):
             diag["offdiag_residuals"] = offdiag_resid
             return _mismatch(1, f"negative term {idx} is not diagonal in the frame", diag)
         sigma[idx] = np.diag(m)
@@ -291,11 +292,11 @@ def check_case1(dec: StructuredDecomposition, tol: float = 1e-8) -> CaseReport:
     scale = max(float(dec.alphas[0]), float(np.linalg.norm(C)))
     return CaseReport(
         1,
-        CASE_MPSD if lam_min >= -tol * scale else CASE_NOT_MPSD,
+        CASE_MPSD if lam_min >= -TOL * scale else CASE_NOT_MPSD,
         structure_ok=True,
         sigma=sigma,
         C_matrix=C,
-        boundary=abs(lam_min) <= TOL_STRICT * scale,
+        boundary=abs(lam_min) <= TOL * scale,
         structure=CaseStructure(V, W, None, None),
         diagnostics=diag,
     )
@@ -766,10 +767,10 @@ def _group_shared_v(vs, group_size: int):
     return groups if len(groups) == 3 else None
 
 
-def _split_rank_ones(mats: np.ndarray, count: int, tol: float):
+def _split_rank_ones(mats: np.ndarray, count: int):
     vs, ws = [], []
     for s in range(count):
-        vw = detect_rank_one(mats[s], tol)
+        vw = detect_rank_one(mats[s], TOL)
         if vw is None:
             return None, s
         vs.append(vw[0])
@@ -792,9 +793,7 @@ def _recover_sigma(basis_mats, target: np.ndarray):
     return sol, float(np.linalg.norm(m @ sol - rhs)) / max(rhs_norm, 1e-300)
 
 
-def _check_ratio_case(
-    dec: StructuredDecomposition, case_id: int, tol: float, grid_n: int
-) -> CaseReport:
+def _check_ratio_case(dec: StructuredDecomposition, case_id: int, grid_n: int) -> CaseReport:
     """The ratio test shared by cases 2 and 3: sup eta against 1 / (-alpha_neg).
 
     The positive terms come in g = 2 (pairs) or g = 3 (triples) per shared
@@ -812,7 +811,7 @@ def _check_ratio_case(
     # from overflow and underflow, and the frames are reported times 2^f.
     f = int(np.frexp(np.max(np.abs(dec.mats)))[1])
     mats = np.ldexp(dec.mats, -f)
-    split, bad = _split_rank_ones(mats, q, tol)
+    split, bad = _split_rank_ones(mats, q)
     if split is None:
         return _mismatch(case_id, f"positive term {bad} is not rank-one", diag)
     vs, ws = split
@@ -836,7 +835,7 @@ def _check_ratio_case(
     frames = [np.column_stack(w_cols[slot]) for slot in range(g)]
     W, W_tilde, W_hat = (frames + [None])[:3]
     for name, mat in zip(("V", "W", "W_tilde", "W_hat"), [V] + frames):
-        ok, cond = _nonsingular(mat, tol)
+        ok, cond = _nonsingular(mat)
         diag[f"cond_{name}"] = cond
         if not ok:
             return _mismatch(case_id, f"frame {name} is singular", diag)
@@ -851,7 +850,7 @@ def _check_ratio_case(
             denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
             sines.append(float(np.linalg.norm(crosses[s]) / max(denom, 1e-300)))
         diag["pair_sines"] = sines
-        if min(sines) < tol:
+        if min(sines) < TOL:
             return _mismatch(case_id, "paired right vectors are collinear", diag)
         lines = [_unit(*cr) for cr in crosses]
     else:
@@ -861,14 +860,14 @@ def _check_ratio_case(
             scale = np.prod([np.linalg.norm(trip[:, c]) for c in range(3)])
             dets.append(float(abs(np.linalg.det(trip)) / max(scale, 1e-300)))
         diag["triple_dets"] = dets
-        if min(dets) < tol:
+        if min(dets) < TOL:
             return _mismatch(case_id, "a right-vector triple is linearly dependent", diag)
         lines = []
 
     basis = [np.outer(v_cols[s], w_cols[slot][s]) for slot in range(g) for s in range(3)]
     sigma, rel_resid = _recover_sigma(basis, mats[q])
     diag["sigma_residual"] = rel_resid
-    if rel_resid > tol:
+    if rel_resid > TOL:
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
 
     # eta is estimated for the alphas times 2^-e, e putting -alpha_neg in
@@ -903,11 +902,11 @@ def _check_ratio_case(
         diag["singular_lines"] = [list(d) for d in lines]
         diag["line_limits"] = [float(np.ldexp(v, -e)) for v in line_limits]
 
-    if value > limit + tol:
+    if value > limit + TOL:
         verdict = CASE_NOT_MPSD
     elif not stable:
         return _mismatch(case_id, "supremum estimate did not stabilize", diag)
-    elif case_id == 3 and value < limit - TOL_STRICT:
+    elif case_id == 3 and value < limit - TOL:
         verdict = CASE_MPD
     else:
         verdict = CASE_MPSD
@@ -919,7 +918,7 @@ def _check_ratio_case(
         eta_sup=float(np.ldexp(value, -e)),
         eta_argmax=argmax,
         threshold=threshold,
-        boundary=abs(value - limit) <= TOL_STRICT,
+        boundary=abs(value - limit) <= TOL,
         structure=CaseStructure(
             V, *[None if F is None else np.ldexp(F, f) for F in (W, W_tilde, W_hat)]
         ),
@@ -927,9 +926,7 @@ def _check_ratio_case(
     )
 
 
-def check_case2(
-    dec: StructuredDecomposition, tol: float = 1e-8, grid_n: int = 20000
-) -> CaseReport:
+def check_case2(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport:
     """Necessary-and-sufficient nonnegativity test for the (r, q) = (7, 6) shape.
 
     Structure: six rank-one positive terms pairing three shared left vectors,
@@ -938,12 +935,10 @@ def check_case2(
     sup eta <= 1 / (-alpha_7) over directions off the three singular lines.
     This shape is never strictly positive.
     """
-    return _check_ratio_case(dec, 2, tol, grid_n)
+    return _check_ratio_case(dec, 2, grid_n)
 
 
-def check_case3(
-    dec: StructuredDecomposition, tol: float = 1e-8, grid_n: int = 20000
-) -> CaseReport:
+def check_case3(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport:
     """Positivity test for the (r, q) = (10, 9) shape; can certify strictness.
 
     Structure: nine rank-one positive terms tripling three shared left
@@ -953,20 +948,18 @@ def check_case3(
     positivity, equality within tolerance gives the boundary verdict, and
     excess refutes nonnegativity.
     """
-    return _check_ratio_case(dec, 3, tol, grid_n)
+    return _check_ratio_case(dec, 3, grid_n)
 
 
-def check_case(
-    dec: StructuredDecomposition, tol: float = 1e-8, grid_n: int = 20000
-) -> CaseReport | None:
+def check_case(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport | None:
     """Run the case checker whose shape matches dec: case 1 for q = 3 (any r),
     case 2 for (r, q) = (7, 6), case 3 for (10, 9); None for any other shape."""
     if dec.q == 3:
-        return check_case1(dec, tol=tol)
+        return check_case1(dec)
     if (dec.r, dec.q) == (7, 6):
-        return check_case2(dec, tol=tol, grid_n=grid_n)
+        return check_case2(dec, grid_n=grid_n)
     if (dec.r, dec.q) == (10, 9):
-        return check_case3(dec, tol=tol, grid_n=grid_n)
+        return check_case3(dec, grid_n=grid_n)
     return None
 
 

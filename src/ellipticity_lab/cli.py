@@ -12,7 +12,8 @@ Subcommands:
 
 A --decomp file must describe the --input tensor: a decomposition of
 another tensor is bad input. check's --grid-n sets the oracle lattice only;
-its POCS stages run at the defaults of certify_mpd and certify_mpsd.
+its POCS stages run at the defaults of certify_mpd and certify_mpsd. Only
+pocs takes --tol, the relative convergence tolerance of its run.
 
 Exit codes: 0 a definite verdict was reached, 1 bad input, 2 undecided,
 3 internal contradiction between a certificate and the brute-force check
@@ -136,10 +137,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--input", "-i", required=True, help="tensor JSON file")
         p.add_argument("--output", "-o", help="write the JSON report here")
         p.add_argument("--json", action="store_true", help="print JSON to stdout")
-        p.add_argument("--tol", type=_POSITIVE, default=1e-8, help="certification tolerance")
-        p.add_argument(
-            "--grid-n", type=grid_type, default=grid_default, help="sphere lattice size"
-        )
+        if grid_type is not None:
+            p.add_argument(
+                "--grid-n", type=grid_type, default=grid_default, help="sphere lattice size"
+            )
 
     check = sub.add_parser("check", help="run the full certification pipeline")
     common(check)
@@ -149,9 +150,7 @@ def _build_parser() -> _Parser:
     check.set_defaults(func=_cmd_check)
 
     pocs_p = sub.add_parser("pocs", help="raw alternating projection run")
-    pocs_p.add_argument("--input", "-i", required=True, help="tensor JSON file")
-    pocs_p.add_argument("--output", "-o", help="write the JSON report here")
-    pocs_p.add_argument("--json", action="store_true", help="print JSON to stdout")
+    common(pocs_p, None)
     pocs_p.add_argument(
         "--tol", type=_POSITIVE, default=1e-10, help="relative convergence tolerance"
     )
@@ -245,8 +244,8 @@ def _load_decomposition(path) -> cases.StructuredDecomposition:
 def _cmd_case(args) -> int:
     t, name = io.load_tensor(args.input)
     dec = _load_decomposition(args.decomp)
-    cases.require_decomposition_of(t, dec, args.tol)
-    rep = cases.check_case(dec, args.tol, args.grid_n)
+    cases.require_decomposition_of(t, dec)
+    rep = cases.check_case(dec, args.grid_n)
     if rep is None:
         doc = {
             "command": "case",
@@ -282,7 +281,7 @@ def _cmd_case(args) -> int:
 
 def _cmd_oracle(args) -> int:
     t, name = io.load_tensor(args.input)
-    ov = oracle.oracle_verdict(t, n=args.grid_n, tol=args.tol)
+    ov = oracle.oracle_verdict(t, n=args.grid_n)
     doc = {"command": "oracle", "input": args.input, "name": name}
     doc.update(oracle.oracle_verdict_to_doc(ov))
     rep = ov.report
@@ -336,7 +335,7 @@ def _stage_line(s: dict) -> str:
 def _cmd_check(args) -> int:
     t, name = io.load_tensor(args.input)
     dec = _load_decomposition(args.decomp) if args.decomp else None
-    rep = pipeline.check(t, dec, tol=args.tol, grid_n=args.grid_n)
+    rep = pipeline.check(t, dec, grid_n=args.grid_n)
     lines = [f"input: {args.input}" + (f" ({name})" if name else "")]
     lines += [_stage_line(s) for s in rep.stages]
     certified_by = rep.certified_mpd_by or rep.certified_mpsd_by
@@ -353,7 +352,6 @@ def _cmd_check(args) -> int:
         "command": "check",
         "input": args.input,
         "name": name,
-        "tol": args.tol,
         "grid_n": args.grid_n,
         **vars(rep),
         "exit_code": code,

@@ -41,6 +41,8 @@ ORACLE_MPD_LIKELY = "MPD_likely"
 ORACLE_BOUNDARY = "MPSD_boundary"
 # Fewest lattice points per sphere that grid_top_candidates accepts.
 MIN_GRID_N = 100
+# Witnesses within TOL * max|a| of zero give the boundary verdict.
+TOL = 1e-8
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -59,7 +61,6 @@ class OracleVerdict:
     verdict: str
     report: OracleReport
     scale: float
-    tol: float
     witness_value: float | None = None
 
 
@@ -393,7 +394,7 @@ def _distinct_basins(candidates, n: int) -> list:
     return kept
 
 
-def oracle_verdict(t: Pair4, n: int = 2000, tol: float = 1e-8) -> OracleVerdict:
+def oracle_verdict(t: Pair4, n: int = 2000) -> OracleVerdict:
     """Grid scan plus refinement from the _TOP_K best candidates, one per basin.
 
     A candidate within a few lattice spacings of a better one starts in the
@@ -411,7 +412,7 @@ def oracle_verdict(t: Pair4, n: int = 2000, tol: float = 1e-8) -> OracleVerdict:
     assert best is not None
     best = replace(best, grid_n=n)
     scale = float(np.max(np.abs(t.a)))
-    cut = tol * max(scale, 1e-300)
+    cut = TOL * max(scale, 1e-300)
     witness = float(biquadratic(t, best.argmin_x, best.argmin_y))
     if witness < -cut:
         verdict = ORACLE_NOT_MPSD
@@ -423,7 +424,6 @@ def oracle_verdict(t: Pair4, n: int = 2000, tol: float = 1e-8) -> OracleVerdict:
         verdict=verdict,
         report=best,
         scale=scale,
-        tol=tol,
         witness_value=witness if verdict == ORACLE_NOT_MPSD else None,
     )
 
@@ -444,7 +444,6 @@ def oracle_verdict_to_doc(v: OracleVerdict) -> dict:
     return {
         "verdict": v.verdict,
         "scale": v.scale,
-        "tol": v.tol,
         "witness_value": v.witness_value,
         "report": oracle_report_to_doc(v.report),
     }

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cases, oracle, pocs
 from .spectral import min_eigenvalue
-from .tensors import Elast4, unfold
+from .tensors import Elast4, pow2_rescale, unfold
 
 __all__ = ["CheckReport", "check"]
 
@@ -36,11 +36,7 @@ class CheckReport:
 
 
 def check(
-    t: Elast4,
-    dec: cases.StructuredDecomposition | None = None,
-    *,
-    tol: float = 1e-8,
-    grid_n: int = 2000,
+    t: Elast4, dec: cases.StructuredDecomposition | None = None, *, grid_n: int = 2000
 ) -> CheckReport:
     """Run the five stages on t; grid_n sets the oracle's lattice only.
 
@@ -49,17 +45,17 @@ def check(
     DecompositionMismatch is raised before any stage runs.
     """
     if dec is not None:
-        cases.require_decomposition_of(t, dec, tol)
+        cases.require_decomposition_of(t, dec)
     stages: list[dict] = []
     mpd_by: str | None = None
     mpsd_by: str | None = None
     refuted_by: str | None = None
 
     m = unfold(t)
-    scale = float(np.linalg.norm(m))
     lam_min = min_eigenvalue(m)
-    spd = lam_min > 1e-10 * scale
-    spsd = lam_min >= -1e-10 * scale
+    ms, e = pow2_rescale(m)  # compared at unit scale, where no norm overflows
+    lam, cut = float(np.ldexp(lam_min, -e)), 1e-10 * float(np.linalg.norm(ms))
+    spd, spsd = lam > cut, lam >= -cut
     stages.append(
         {"stage": "spsd-eigen", "min_eigenvalue": lam_min, "spsd": spsd, "spd": spd}
     )
@@ -90,7 +86,7 @@ def check(
     if dec is None:
         stages.append({"stage": "case", "skipped": "no decomposition given"})
     else:
-        case_rep = cases.check_case(dec, tol)
+        case_rep = cases.check_case(dec)
         stage = {"stage": "case", "r": dec.r, "q": dec.q}
         if case_rep is None:
             stage["skipped"] = "no matching shape"
@@ -105,7 +101,7 @@ def check(
                 refuted_by = refuted_by or tag
         stages.append(stage)
 
-    ov = oracle.oracle_verdict(t, n=grid_n, tol=tol)
+    ov = oracle.oracle_verdict(t, n=grid_n)
     stages.append({"stage": "oracle", **oracle.oracle_verdict_to_doc(ov)})
     if ov.verdict == oracle.ORACLE_NOT_MPSD:
         refuted_by = refuted_by or "oracle"

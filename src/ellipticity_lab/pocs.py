@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidEpsilon
+from .errors import InvalidEpsilon, NonFiniteEntries
 from .io import decimate, tensor_to_doc
 from .spectral import ROUNDOFF, SUBNORMAL, eigenvalue_bounds, psd_project
 from .tensors import (
@@ -178,21 +178,19 @@ def _separation_margin(a_ref: np.ndarray, z: np.ndarray) -> float | None:
     two sets once <Z', a_ref> exceeds the rounding bound of its dot product.
     (delta stays at 0 when the unfolding of Z is negative definite: Z itself
     separates then, and a negative delta would cancel it where Z is close
-    to a multiple of -E.)
-    The separator and a_ref are taken at power-of-two scales, which changes
-    neither the sign of <Z', a_ref> nor the direction of Z', so no extreme
-    scale overflows or underflows; the margin is scaled back exactly.
+    to a multiple of -E.) run_pocs passes a_ref at unit scale, and z above
+    its convergence threshold, so nothing here overflows or underflows.
     """
-    zs, _ = pow2_rescale(0.5 * (z + z[_SWAP]))
-    a, exp = pow2_rescale(a_ref)
+    zs = 0.5 * (z + z[_SWAP])
     delta = max(float(eigenvalue_bounds(zs.reshape(9, 9))[1][-1]), 0.0)
     # <Z', a> = <Z, a> - delta tr(unfold a), as one dot product of 90 terms.
     x = np.concatenate((zs, np.full(9, -delta)))
-    y = np.concatenate((a, a[_DIAG]))
+    y = np.concatenate((a_ref, a_ref[_DIAG]))
     value = float(x @ y)
     # |fl(x.y) - x.y| <= gamma_90 |x|.|y|, plus half a subnormal per product
-    # and |x_i| times half a subnormal per entry of a that the rescale may
-    # have rounded; twice that also covers the rounding of the bound itself.
+    # and |x_i| times half a subnormal per entry of a_ref that the rescale of
+    # run_pocs may have rounded; twice that also covers the rounding of the
+    # bound itself.
     ax = np.abs(x)
     rounding = (
         2.0 * (x.size + 2) * ROUNDOFF * float(ax @ np.abs(y))
@@ -205,7 +203,7 @@ def _separation_margin(a_ref: np.ndarray, z: np.ndarray) -> float | None:
     # ||Z'|| (its underflow included) and the quotient carry under 100 units
     # of rounding; the factor 1 - 2**-40 takes off far more than that.
     norm = math.sqrt(sep @ sep + sep.size * SUBNORMAL)
-    return math.ldexp((value - rounding) / norm * (1.0 - 2.0**-40), exp)
+    return (value - rounding) / norm * (1.0 - 2.0**-40)
 
 
 def _mpd_margin(a9: np.ndarray, cur: np.ndarray, eps: float) -> float | None:
@@ -225,20 +223,20 @@ def _mpd_margin(a9: np.ndarray, cur: np.ndarray, eps: float) -> float | None:
     of sym(a) rounds each pair sum of the weakly symmetric input once,
     relative to its result; the second averages equal values; the shift
     rounds the diagonal once. So |X| <= 2u |a9| (plus 2u eps on the
-    diagonal), and a subnormal per halving. The factor `up` covers the rounding of
-    rho itself, and the floor every underflow on the way.
+    diagonal), and a subnormal per halving and per entry that the rescale of
+    run_pocs rounds. The factor `up` covers the rounding of rho itself, and
+    the floor every underflow on the way.
     """
     lam = float(eigenvalue_bounds(cur.reshape(9, 9))[0][0])
     swapped = cur[_SWAP]
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = cur + swapped - 2.0 * a9
-        err = np.abs(d) + ROUNDOFF * (3.0 * (np.abs(cur) + np.abs(swapped)) + 8.0 * np.abs(a9))
+    d = cur + swapped - 2.0 * a9
+    err = np.abs(d) + ROUNDOFF * (3.0 * (np.abs(cur) + np.abs(swapped)) + 8.0 * np.abs(a9))
     up = 1.0 + 4.0 * 19 * ROUNDOFF
     rows = float(err.reshape(9, 9).sum(axis=1).max())
     rho = up * (0.5 * rows + 2.0 * ROUNDOFF * eps) + 64.0 * SUBNORMAL
     # fsum rounds once, relative to the result; 1 - 2**-40 takes that off.
     margin = math.fsum((eps, lam, -rho)) * (1.0 - 2.0**-40)
-    return margin if 0.0 < margin < math.inf else None
+    return margin if margin > 0.0 else None
 
 
 def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
@@ -261,13 +259,17 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     the one project_S and project_T give. The slice is that of the form of
     a, symmetrize_pairs(a.a): the affine step projects onto it only from a
     pair-symmetric reference, and a Pair4 input need not be one. For an
-    Elast4 this is a.a itself, bit for bit.
+    Elast4 this is a.a itself, bit for bit. The sweeps run on the pow2_rescale
+    of the (shifted) reference, and every reported number is scaled back
+    exactly; one that does not fit a float raises NonFiniteEntries.
     """
     if opts is None:
         opts = PocsOptions()
     a_ref = symmetrize_pairs(a.a)
     if opts.epsilon_shift > 0.0:
         a_ref = a_ref - opts.epsilon_shift * tensor_e().a
+    a_ref, e = pow2_rescale(a_ref)
+    eps = math.ldexp(opts.epsilon_shift, -e)
     ref_norm = float(np.linalg.norm(a_ref))
     threshold = opts.tol_converge * ref_norm
 
@@ -276,7 +278,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     gaps: list[float] = []
     verdict = VERDICT_INCONCLUSIVE
     margin = bound = None
-    next_try = opts.epsilon_shift
+    next_try = eps
     stall_run = 0
     prev_gap = None
     iterations = 0
@@ -291,7 +293,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
             verdict = VERDICT_FOUND
             break
         if gap < next_try:
-            bound = _mpd_margin(a9, cur, opts.epsilon_shift)
+            bound = _mpd_margin(a9, cur, eps)
             if bound is not None:
                 verdict = VERDICT_MARGIN
                 break
@@ -309,19 +311,31 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
                 stall_run = 0
         prev_gap = gap
 
+    gap_trace = _scaled_back(np.asarray(gaps), e)
     return PocsReport(
         verdict=verdict,
         iterations=iterations,
-        final_gap=gaps[-1],
-        limit_A=Pair4(fold_array(cur.reshape(9, 9))),
-        limit_B=Pair4(fold_array(b.reshape(9, 9))),
-        gap_trace=np.asarray(gaps),
-        reference_norm=ref_norm,
-        converge_threshold=threshold,
+        final_gap=float(gap_trace[-1]),
+        limit_A=Pair4(fold_array(_scaled_back(cur, e).reshape(9, 9))),
+        limit_B=Pair4(fold_array(_scaled_back(b, e).reshape(9, 9))),
+        gap_trace=gap_trace,
+        reference_norm=_scaled_back(ref_norm, e),
+        converge_threshold=_scaled_back(threshold, e),
         epsilon_shift=opts.epsilon_shift,
-        separation_margin=margin,
-        form_lower_bound=bound,
+        separation_margin=_scaled_back(margin, e),
+        form_lower_bound=_scaled_back(bound, e),
     )
+
+
+def _scaled_back(x, e: int):
+    """x times 2**e, None as it is; NonFiniteEntries if a value overflows."""
+    if x is None:
+        return None
+    with np.errstate(over="ignore"):
+        y = np.ldexp(x, e)
+    if not np.isfinite(y).all():
+        raise NonFiniteEntries(f"a POCS report value overflows when scaled back by 2**{e}")
+    return y if np.ndim(y) else float(y)
 
 
 def certify_mpsd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:

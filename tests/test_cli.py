@@ -165,10 +165,9 @@ def test_check_human_output(tensor_files):
 
 
 def test_check_human_output_at_extreme_scale(tmp_path):
-    # the report of this check holds an inf, which the JSON encoder rejects;
-    # human mode does not serialise it, so it prints its stage lines. The
+    # human mode prints the stage lines without serialising the report. The
     # verdict itself is not pinned: positivity is scale invariant, but the
-    # certifiers' absolute floors are not yet
+    # epsilon of certify_mpd is absolute, so this M-PSD tensor gets MPD
     path = tmp_path / "big.json"
     el.save_tensor(path, el.Elast4(1e160 * el.tensor_two_squares().a))
     proc = run_cli("check", "-i", str(path))
@@ -241,17 +240,17 @@ def test_pocs_inconclusive_is_undecided(tensor_files):
 # isotropic check's pocs-mpd stage ends MarginProved after 3 sweeps.
 PINNED_REPORTS = {
     ("E", "pocs"): "f348c7b0036963b8a09f85e72f1a415b514cbb9d43f817fc6ef1bdc8a995576e",
-    ("E", "check"): "a8459fa4838355dc15a37629a5a0cfddfa2debbb7b34fd0caaa26ea8290913b9",
+    ("E", "check"): "f8442beeaa038c8a47395af6cb3c110b08c7ab792ccc94fa446cec83908730c1",
     ("counterexample-s2", "pocs"): "d152b912fb8190e6955e5642aa681a755245ce75ca79765cbb6b4ab174d1549e",
-    ("counterexample-s2", "check"): "34acfc9443061e80849fe0bd0ce2a23bf9fa36c416e1959dc2a53d91625fca2a",
+    ("counterexample-s2", "check"): "77499791dae19dacc894ae7353c55b3baf876b815c3ff716cdab1ec8f7c0912b",
     ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
-    ("isotropic", "check"): "8ffe2ce2deb1e097b227f1a8b7354c1358fa74c25e15c8b615b72a44363502d5",
-    ("random", "check"): "d0154108f3fa422c934958125254343fddab84aaad7252fc5e74ba28545b0645",
-    ("random", "oracle"): "2eeb6d1d537882e60e49e73f30fe0ffc8e0e6ad570e6903f52ab142d8a307239",
-    ("choi-lam", "check"): "27d31b3df2d4fd989d0a26bdc77bc15f35a4ad09d6b8fe72cd9374154e921474",
-    ("choi-lam", "oracle"): "8d549ecaffecd6bf6d80182f2ee27c2942df335aaf4a44f9267c49018fec1544",
+    ("isotropic", "check"): "0933fa0560e99f5caad32e521dad759c43d6870d8564e3cfd69d530c4716a8a4",
+    ("random", "check"): "6ecd1cf646da45aba1d08c28d457cede2404fad1228ad042776217107b70aac4",
+    ("random", "oracle"): "b9f9ae923cecf4d5b52419447b5c1e99504466fdca70e8fe29c4adfc2510a66a",
+    ("choi-lam", "check"): "08eeab87833e42eeb1fca9f3c796f02177e3e623eba6fae4f01b96463c36917d",
+    ("choi-lam", "oracle"): "eb5ac9bc45e9b0c4ef55559e94f34cbde89bf1c16c0d04d67e6e57401cd1f8b6",
     ("choi-lam-1.6", "case"): "f46c0293ba763513a592727f861621b59be5d04cbf3032b92e92aa81814d2cdf",
-    ("choi-lam-1.6", "check"): "2fde7dbd2bde6d946a36bf0f8657accf65b054af17f734252648b8a3146efb7f",
+    ("choi-lam-1.6", "check"): "9c75dfb5eaa4078e401d260c5c71dc0965c056727965fe9d355a6c1eddfdc0c8",
 }
 # gen arguments of each pinned input, the arguments its commands add, and
 # their exit code. E, two-squares and isotropic scan all lattice rows; the
@@ -293,9 +292,9 @@ def test_repeated_main_calls_share_one_parser(tensor_files, capsys):
     assert cli.main(argv) == cli.EXIT_DECIDED
     assert capsys.readouterr().out == first
     with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "-i", tensor_files["iso-neg"], "--tol", "-1"])
+        cli.main(["check", "-i", tensor_files["iso-neg"], "--grid-n", "50"])
     assert exc.value.code == cli.EXIT_INPUT
-    assert "error: argument --tol" in capsys.readouterr().err
+    assert "error: argument --grid-n" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():
@@ -425,10 +424,6 @@ def test_missing_required_flag():
         (("pocs", "--epsilon", "-1"), "two-squares"),
         (("pocs", "--epsilon", "inf"), "two-squares"),
         (("pocs", "--max-iter", "0"), "two-squares"),
-        (("oracle", "--tol", "-1"), "iso-pos"),
-        (("check", "--tol", "-1"), "iso-pos"),
-        (("oracle", "--tol", "nan"), "iso-neg"),
-        (("check", "--tol", "nan"), "iso-pos"),
         (("gen", "random", "--seed", "-1"), None),
         (("gen", "isotropic", "--lambda", "nan"), None),
         (("gen", "isotropic", "--mu=-inf"), None),
@@ -452,6 +447,17 @@ def test_check_takes_no_pocs_options(tensor_files, option):
     assert f"error: unrecognized arguments: {' '.join(option)}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "case", "oracle"])
+def test_certifying_commands_take_no_tolerance(tensor_files, command):
+    # their tolerances are constants of each route; pocs --tol is the
+    # convergence tolerance of its run
+    decomp = ("--decomp", tensor_files["choi-dec"]) if command == "case" else ()
+    proc = run_cli(command, "-i", tensor_files["choi"], *decomp, "--tol", "1e-6")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error: unrecognized arguments: --tol 1e-6" in proc.stderr
+
+
 def test_tensor_near_float_limit_gets_a_verdict(tmp_path):
     # gamma = 1e308 is finite, but averaging its orbit as (a + b) / 2 ran
     # to inf and the loader ended in an untyped traceback
@@ -473,15 +479,20 @@ def test_overflowing_tensor_is_a_typed_error():
 
 
 def test_eigensolver_failure_is_an_input_error(tmp_path):
-    # at max|a| = 1.7e308 eigh does not converge: a typed error, exit 1
+    # at max|a| = 1.7e308 check's eigensolve of the unfolding does not
+    # converge, and pocs, which runs at unit scale, has a report whose norm
+    # does not fit a float: typed errors, exit 1
     t = el.tensor_choi_lam(1.0)
     path = tmp_path / "huge.json"
     el.save_tensor(path, el.Elast4(t.a / np.abs(t.a).max() * 1.7e308))
-    for command in ("check", "pocs"):
+    for command, message in (
+        ("check", "error: symmetric eigensolver failed"),
+        ("pocs", "error: a POCS report value overflows"),
+    ):
         proc = run_cli(command, "-i", str(path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "error: symmetric eigensolver failed" in proc.stderr
+        assert message in proc.stderr
 
 
 def test_output_file_matches_stdout_json(tensor_files, tmp_path):

@@ -93,20 +93,37 @@ def test_refutation_holds_at_every_scale(t):
         assert (rep.verdict, rep.refuted_by) == ("NotMPSD", "oracle"), scale
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-165, 1e-160, 1e-150, 1e150, 1e160, 1e200, 1e300])
+def test_extreme_scales_end_in_no_false_certificate(scale):
+    # stage 1 compares, and POCS iterates, at unit scale: no norm or gap
+    # under- or overflows into a false certificate or an inf in the report
+    tensors = {
+        "iso-neg": el.tensor_isotropic(-3.0, 0.1),
+        "E": el.tensor_e(),
+        "two-squares": el.tensor_two_squares(),
+        "choi-lam": el.tensor_choi_lam(1.0),
+    }
+    reps = {name: el.check(el.Elast4(scale * t.a)) for name, t in tensors.items()}
+    assert (reps["iso-neg"].verdict, reps["iso-neg"].refuted_by) == ("NotMPSD", "oracle")
+    assert (reps["E"].verdict, reps["E"].certified_mpd_by) == ("MPD", "spsd-eigen")
+    for rep in reps.values():
+        assert rep.verdict != "Conflict"
+        el.dumps_report(vars(rep))
+
+
 def test_check_rejects_a_decomposition_of_another_tensor():
     with pytest.raises(el.DecompositionMismatch):
         el.check(el.tensor_isotropic(-3.0, 0.1), el.choi_lam_case2_decomposition(1.0))
 
 
-def _fake_refutation(t, n=2000, tol=1e-8):
+def _fake_refutation(t, n=2000):
     x = y = np.array([1.0, 0.0, 0.0])
     report = oracle.OracleReport(
         min_value=-1.0, argmin_x=x, argmin_y=y, grid_n=n, refined=True,
         objective_trace=(-1.0,),
     )
     return oracle.OracleVerdict(
-        verdict=oracle.ORACLE_NOT_MPSD, report=report, scale=1.0, tol=tol,
-        witness_value=-1.0,
+        verdict=oracle.ORACLE_NOT_MPSD, report=report, scale=1.0, witness_value=-1.0,
     )
 
 

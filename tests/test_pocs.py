@@ -9,10 +9,15 @@ import pytest
 
 import ellipticity_lab as el
 from ellipticity_lab import pocs
-from ellipticity_lab.errors import EigensolverFailure, EllipticityError, InvalidEpsilon
+from ellipticity_lab.errors import (
+    EigensolverFailure,
+    EllipticityError,
+    InvalidEpsilon,
+    NonFiniteEntries,
+)
 from ellipticity_lab.pocs import STALL_WINDOW, TOL_STALL, project_S, project_T
 from ellipticity_lab.spectral import eigenvalue_bounds
-from ellipticity_lab.tensors import fold_array, pow2_rescale, unfold_array
+from ellipticity_lab.tensors import fold_array, unfold_array
 
 rng = np.random.default_rng(4321)
 
@@ -209,12 +214,47 @@ def test_gap_positive_runs_carry_a_margin_below_the_gap():
 
 def test_gap_positive_margin_scales_with_the_tensor():
     rep = el.run_pocs(el.tensor_choi_lam(1.0))
-    # k keeps the gap above the absolute convergence floor and its norm
-    # finite; beyond that, runs end on those before any certificate
     for k in (-20, -1, 1, 20, 400):
         scaled = el.run_pocs(el.Elast4(np.ldexp(el.tensor_choi_lam(1.0).a, k)))
         assert scaled.verdict == el.VERDICT_GAP
         assert scaled.separation_margin == math.ldexp(rep.separation_margin, k)
+
+
+def _scaled_report_numbers(rep, k):
+    """Every number of a POCS report times 2**k, margins None as they are."""
+    return (
+        rep.verdict,
+        rep.iterations,
+        np.ldexp(rep.gap_trace, k).tolist(),
+        math.ldexp(rep.final_gap, k),
+        np.ldexp(rep.limit_A.a, k).tolist(),
+        np.ldexp(rep.limit_B.a, k).tolist(),
+        math.ldexp(rep.reference_norm, k),
+        math.ldexp(rep.converge_threshold, k),
+        None if rep.separation_margin is None else math.ldexp(rep.separation_margin, k),
+        None if rep.form_lower_bound is None else math.ldexp(rep.form_lower_bound, k),
+    )
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-6])
+def test_runs_scale_with_the_tensor_bit_for_bit(shift):
+    # run_pocs iterates on the power-of-two rescale of its shifted reference,
+    # so a 2^k multiple of the input, with its shift, runs the same numbers:
+    # no square under- or overflows and no threshold is absolute
+    local = np.random.default_rng(8)
+    tensors = [
+        el.tensor_e(),
+        el.tensor_two_squares(),
+        el.tensor_choi_lam(1.0),
+        el.tensor_isotropic(-3.0, 0.1),
+    ] + [el.random_tensor(local) for _ in range(3)]
+    for t in tensors:
+        want = el.run_pocs(t, el.PocsOptions(epsilon_shift=shift))
+        for k in range(-900, 901, 100):
+            opts = el.PocsOptions(epsilon_shift=math.ldexp(shift, k))
+            rep = el.run_pocs(el.Elast4(np.ldexp(t.a, k)), opts)
+            assert rep.epsilon_shift == opts.epsilon_shift
+            assert _scaled_report_numbers(rep, 0) == _scaled_report_numbers(want, k), k
 
 
 def _runs_where_the_slice_meets_the_cone():
@@ -254,7 +294,7 @@ def test_separation_margin_holds_in_exact_arithmetic(offset):
     for _ in range(100):
         z = el.unfold(el.random_tensor(local)).reshape(81)
         a0 = el.unfold(el.random_tensor(local)).reshape(81)
-        zs, _ = pow2_rescale(z)  # the separator the helper builds from z
+        zs = 0.5 * (z + z[pocs._SWAP])  # the separator the helper builds from z
         delta = max(float(eigenvalue_bounds(zs.reshape(9, 9))[1][-1]), 0.0)
         sep = zs - delta * eye
         a9 = a0 + (offset - float(sep @ a0)) / float(sep @ eye) * eye
@@ -484,15 +524,19 @@ def test_proof_attempts_are_bounded(proofs, monkeypatch):
 def test_eigensolver_failure_is_typed():
     # at max|a| = 1.7e308 the symmetric part overflows and eigh does not
     # converge; this tests the error type, so the overflow warnings before
-    # it are silenced
+    # it are silenced. run_pocs iterates at unit scale, where eigh converges,
+    # and only its reference norm does not fit a float when scaled back
     t = el.tensor_choi_lam(1.0)
     huge = el.Elast4(t.a / np.abs(t.a).max() * 1.7e308)
     assert issubclass(EigensolverFailure, EllipticityError)
+    assert issubclass(NonFiniteEntries, EllipticityError)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EigensolverFailure):
-            el.run_pocs(huge)
+            el.psd_project(el.unfold(huge))
         with pytest.raises(EigensolverFailure):
             el.min_eigenvalue(el.unfold(huge))
+    with pytest.raises(NonFiniteEntries, match="POCS report value overflows"):
+        el.run_pocs(huge)
 
 
 def test_stall_without_a_proof_is_inconclusive(monkeypatch):
