@@ -16,6 +16,7 @@ with the same configuration produces a byte-identical document.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ def _entries_to_array(entries) -> np.ndarray:
             raise ParseError(f"entry {pos} is malformed: {exc}") from exc
         if any(not 1 <= t <= 3 for t in idx):
             raise ParseError(f"entry {pos} has indices outside 1..3: {idx}")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ParseError(f"entry {pos} has a non-finite value")
         if idx in seen:
             raise ParseError(f"duplicate entry for indices {idx}")
@@ -155,17 +156,17 @@ def doc_to_decomposition(doc) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"term {pos} is not an object")
         try:
             a = _number(term["alpha"])
-            u = np.asarray([_number(x) for x in term["U"]], dtype=float)
+            u = [_number(x) for x in term["U"]]
         except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"term {pos} is malformed: {exc}") from exc
-        if u.shape != (9,):
+        if len(u) != 9:
             raise ParseError(f"term {pos}: U must hold 9 numbers (row-major)")
-        if not np.isfinite(a) or not np.all(np.isfinite(u)):
+        if not all(map(math.isfinite, [a, *u])):
             raise ParseError(f"term {pos} has non-finite values")
         if a == 0.0:
             raise ParseError(f"term {pos} has alpha == 0")
         alphas.append(a)
-        mats.append(u.reshape(3, 3))
+        mats.append(np.reshape(u, (3, 3)))
     return np.asarray(alphas), np.asarray(mats)
 
 

@@ -4,7 +4,9 @@ Stages, each recorded as one JSON-ready dict: spsd-eigen (the unfolding is
 PSD or PD), pocs-mpd (alternating projections on the tensor shifted by the
 default epsilon of certify_mpd, skipped once M-PD is certified; a run that
 proves its margin records the form_lower_bound), pocs-mpsd (on the tensor
-itself, skipped once M-PSD is certified), case (the structured-case checker
+itself, skipped once M-PSD is certified; either POCS stage is also skipped
+when its report does not fit the float range, as from max|a| ~8e307, where
+its Frobenius reference norm overflows), case (the structured-case checker
 of a given decomposition; skipped without one) and oracle (the brute-force
 minimizer, always run). A certificate together with a refutation is a
 Conflict: a bug or a violated tolerance, reported here and not raised.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cases, oracle, pocs
+from .errors import NonFiniteEntries
 from .spectral import min_eigenvalue
 from .tensors import Elast4, pow2_rescale, unfold
 
@@ -65,20 +68,18 @@ def check(
         mpsd_by = "spsd-eigen"
 
     if mpd_by is None:
-        res = pocs.certify_mpd(t)
-        stages.append(
-            {"stage": "pocs-mpd", "epsilon": res.report.epsilon_shift, **_pocs_record(res)}
-        )
-        if res.certified:
+        record, certified = _pocs_stage("pocs-mpd", pocs.certify_mpd, t)
+        stages.append(record)
+        if certified:
             mpd_by = "pocs-mpd"
             mpsd_by = mpsd_by or "pocs-mpd"
     else:
         stages.append({"stage": "pocs-mpd", "skipped": "already certified"})
 
     if mpsd_by is None:
-        res = pocs.certify_mpsd(t)
-        stages.append({"stage": "pocs-mpsd", **_pocs_record(res)})
-        if res.certified:
+        record, certified = _pocs_stage("pocs-mpsd", pocs.certify_mpsd, t)
+        stages.append(record)
+        if certified:
             mpsd_by = "pocs-mpsd"
     else:
         stages.append({"stage": "pocs-mpsd", "skipped": "already certified"})
@@ -117,15 +118,24 @@ def check(
     return CheckReport(tuple(stages), mpd_by, mpsd_by, refuted_by, verdict)
 
 
-def _pocs_record(res: pocs.CertifyResult) -> dict:
-    """Verdict, work and outcome of a POCS stage; a MarginProved run adds the
-    form_lower_bound it proved."""
-    record = {
-        "verdict": res.report.verdict,
-        "iterations": res.report.iterations,
-        "final_gap": res.report.final_gap,
-        "certified": res.certified,
-    }
-    if res.report.form_lower_bound is not None:
-        record["form_lower_bound"] = res.report.form_lower_bound
-    return record
+def _pocs_stage(stage: str, certify, t: Elast4) -> tuple[dict, bool]:
+    """The record of the POCS stage certify(t): verdict, work and outcome, the
+    epsilon of a shifted run and the form_lower_bound of a MarginProved one;
+    and whether it certified. A report beyond the float range skips it."""
+    try:
+        res = certify(t)
+    except NonFiniteEntries:
+        return {"stage": stage, "skipped": "report overflows the float range"}, False
+    rep = res.report
+    record = {"stage": stage}
+    if rep.epsilon_shift > 0.0:
+        record["epsilon"] = rep.epsilon_shift
+    record.update(
+        verdict=rep.verdict,
+        iterations=rep.iterations,
+        final_gap=rep.final_gap,
+        certified=res.certified,
+    )
+    if rep.form_lower_bound is not None:
+        record["form_lower_bound"] = rep.form_lower_bound
+    return record, res.certified

@@ -36,7 +36,14 @@ import numpy as np
 
 from .errors import InvalidEpsilon, NonFiniteEntries
 from .io import decimate, tensor_to_doc
-from .spectral import ROUNDOFF, SUBNORMAL, eigenvalue_bounds, psd_project
+from .spectral import (
+    ROUNDOFF,
+    SUBNORMAL,
+    _psd_clamp,
+    _require_symmetric,
+    eigenvalue_bounds,
+    psd_project,
+)
 from .tensors import (
     Elast4,
     Pair4,
@@ -262,6 +269,13 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     Elast4 this is a.a itself, bit for bit. The sweeps run on the pow2_rescale
     of the (shifted) reference, and every reported number is scaled back
     exactly; one that does not fit a float raises NonFiniteEntries.
+
+    Validation happens once, on the unfolded reference a9
+    (spectral._require_symmetric); each sweep then calls psd_project's clamp
+    kernel, _psd_clamp, alone. Its argument a9 + (b - b^(i<->j)) / 2 is
+    bit-symmetric (a9 is, b is symmetrized exactly, and the i <-> j swap
+    commutes with the transpose) and finite at unit scale, so psd_project's
+    check would pass on every sweep.
     """
     if opts is None:
         opts = PocsOptions()
@@ -273,7 +287,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     ref_norm = float(np.linalg.norm(a_ref))
     threshold = opts.tol_converge * ref_norm
 
-    a9 = unfold_array(a_ref).reshape(81)
+    a9 = _require_symmetric(unfold_array(a_ref)).reshape(81)
     cur = b = a9
     gaps: list[float] = []
     verdict = VERDICT_INCONCLUSIVE
@@ -283,7 +297,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     prev_gap = None
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        b = psd_project(cur.reshape(9, 9)).reshape(81)
+        b = _psd_clamp(cur.reshape(9, 9)).reshape(81)
         cur = a9 + 0.5 * (b - b[_SWAP])
         diff = cur - b
         in_order = diff[_TENSOR_ORDER]

@@ -4,7 +4,10 @@ enclosures, and the PSD projection.
 Every eigensolve goes through _solve, so a solver that does not converge
 (numpy's LinAlgError, as at entries near the float limit) raises
 EigensolverFailure, an EllipticityError. So does a matrix whose symmetric
-part overflows, before any solve."""
+part overflows, before any solve. Every public function validates its input
+through _require_symmetric; pocs.run_pocs validates its reference once per
+run and calls the clamp kernel _psd_clamp on each sweep, whose iterates are
+bit-symmetric and finite by construction."""
 
 from __future__ import annotations
 
@@ -38,8 +41,7 @@ def _require_symmetric(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     # Bit-for-bit symmetric with every |entry| below 2**1023 (so no NaN): the
     # matrix is its own symmetric part, and there is no asymmetry to measure.
-    bits = mat.view(np.int64)
-    if (bits == bits.T).all() and np.abs(mat).max(initial=0.0) < 2.0**1023:
+    if mat.tobytes() == mat.T.tobytes() and np.abs(mat).max(initial=0.0) < 2.0**1023:
         return mat
     # Otherwise the sums below may overflow: a symmetric part that is not
     # finite ends here, since eigh would return NaN for it and not raise.
@@ -136,9 +138,15 @@ def psd_project(m) -> np.ndarray:
     No sign gauge is needed: flipping an eigenvector's sign leaves
     V diag(w+) V^T unchanged bit for bit, because negation is exact. The
     reconstruction is symmetrized exactly, so the output is a symmetric
-    matrix bit-for-bit and the map is idempotent up to rounding.
+    matrix bit-for-bit and the map is idempotent up to rounding. The input
+    is validated here; the clamp itself is _psd_clamp.
     """
-    values, vectors = _solve(np.linalg.eigh, _require_symmetric(m))
-    clamped = np.maximum(values, 0.0)
-    rebuilt = (vectors * clamped) @ vectors.T
+    return _psd_clamp(_require_symmetric(m))
+
+
+def _psd_clamp(mat: np.ndarray) -> np.ndarray:
+    """The clamp of psd_project on a matrix that _require_symmetric returned,
+    or one that is bit-symmetric and finite by construction (the POCS sweep)."""
+    values, vectors = _solve(np.linalg.eigh, mat)
+    rebuilt = (vectors * np.maximum(values, 0.0)) @ vectors.T
     return 0.5 * (rebuilt + rebuilt.T)

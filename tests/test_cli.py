@@ -495,6 +495,27 @@ def test_eigensolver_failure_is_an_input_error(tmp_path):
         assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "make, verdict, code",
+    [
+        (lambda: el.tensor_isotropic(-3.0, 0.1), "NotMPSD", cli.EXIT_DECIDED),
+        (lambda: el.tensor_choi_lam(1.0), "Undecided", cli.EXIT_UNDECIDED),
+    ],
+    ids=["iso-neg", "choi-lam"],
+)
+def test_check_near_the_float_limit_skips_the_pocs_stages(make, verdict, code, tmp_path, capsys):
+    # from max|a| ~8e307 a POCS report overflows; check ends as at 4e307
+    t = make()
+    for peak in (4e307, 8e307):
+        path = tmp_path / f"{peak:g}.json"
+        el.save_tensor(path, el.Elast4(t.a / np.abs(t.a).max() * peak))
+        assert cli.main(["check", "-i", str(path), "--json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == verdict
+        skipped = [s.get("skipped") for s in doc["stages"][1:3]]
+        assert skipped == ([None] * 2 if peak < 8e307 else ["report overflows the float range"] * 2)
+
+
 def test_output_file_matches_stdout_json(tensor_files, tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("oracle", "-i", tensor_files["iso-neg"], "--json", "-o", str(out))

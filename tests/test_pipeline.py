@@ -111,6 +111,25 @@ def test_extreme_scales_end_in_no_false_certificate(scale):
         el.dumps_report(vars(rep))
 
 
+NEAR_THE_FLOAT_LIMIT = [
+    (lambda: el.tensor_isotropic(-3.0, 0.1), "NotMPSD"),
+    (lambda: el.tensor_choi_lam(1.0), "Undecided"),
+]
+
+
+@pytest.mark.parametrize("make, verdict", NEAR_THE_FLOAT_LIMIT, ids=["iso-neg", "choi-lam"])
+def test_a_pocs_report_beyond_the_float_range_skips_its_stage(make, verdict):
+    # at max|a| = 8e307 the reference norm of either POCS report does not
+    # fit a float; stage 1 and the oracle decide as they do at 4e307
+    t = make()
+    reps = {peak: el.check(el.Elast4(t.a / np.abs(t.a).max() * peak)) for peak in (4e307, 8e307)}
+    assert reps[4e307].verdict == reps[8e307].verdict == verdict
+    for stage in reps[8e307].stages[1:3]:
+        assert stage == {"stage": stage["stage"], "skipped": "report overflows the float range"}
+    assert [s["stage"] for s in reps[4e307].stages[1:3]] == ["pocs-mpd", "pocs-mpsd"]
+    assert "skipped" not in reps[4e307].stages[1]
+
+
 def test_check_rejects_a_decomposition_of_another_tensor():
     with pytest.raises(el.DecompositionMismatch):
         el.check(el.tensor_isotropic(-3.0, 0.1), el.choi_lam_case2_decomposition(1.0))

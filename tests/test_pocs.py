@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import pocs
+from ellipticity_lab import cli, pocs, spectral
 from ellipticity_lab.errors import (
     EigensolverFailure,
     EllipticityError,
@@ -488,6 +488,122 @@ def test_unshifted_reports_keep_their_bytes(monkeypatch):
     for t in tensors:
         digest.update(el.dumps_report(pocs.pocs_report_to_doc(el.certify_mpsd(t).report)).encode())
     assert digest.hexdigest() == "ae4aa2c6faa0ce6c1645d193e02b9a8bcb4ee4add74c9bffcbc3e5a3f353118b"
+
+
+def _report_digest(certify, tensors, verdict):
+    digest = hashlib.sha256()
+    for t in tensors:
+        rep = certify(t).report
+        assert rep.verdict == verdict
+        digest.update(el.dumps_report(pocs.pocs_report_to_doc(rep)).encode())
+    return digest.hexdigest()
+
+
+def test_margin_proved_reports_keep_their_bytes():
+    # sha256 over the canonical certify_mpd reports, recorded (numpy 2.4,
+    # OpenBLAS 0.3.31, x86_64) while every sweep still validated its iterate
+    tensors = [
+        el.tensor_isotropic(lam, mu)
+        for lam, mu in ((1.0, 1.0), (-1.9, 1.0), (0.5, 0.3), (-0.5, 0.3), (2.0, 0.2))
+    ]
+    tensors += [_gap_tensor(seed) for seed in (1, 5, 9)]
+    assert _report_digest(el.certify_mpd, tensors, el.VERDICT_MARGIN) == (
+        "31ba536cfc013ac8a35f829227fb192c90d0ac9cd40bc6b1104c464ecb325615"
+    )
+
+
+def test_gap_positive_reports_keep_their_bytes():
+    # recorded as above, over certify_mpsd reports that prove a separation
+    local = np.random.default_rng(2026)
+    tensors = [el.tensor_choi_lam(gamma) for gamma in (1.0, 1.3, 1.6, 2.0)]
+    tensors += [el.tensor_isotropic(-3.0, 0.1), el.tensor_isotropic(-2.5, 1.0)]
+    tensors += [el.random_tensor(local) for _ in range(2)]
+    assert _report_digest(el.certify_mpsd, tensors, el.VERDICT_GAP) == (
+        "ca0f26f4e670a5922ed3500517c4689b7c69ce1fad55d8b1d93800183b4888f7"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the sweep: one validation per run, then the clamp kernel alone
+
+
+def _sweep_runs():
+    """(tensor, options) over shifted and unshifted runs, a Pair4 with a large
+    pair-antisymmetric part, and the scales 2**-900, 1 and 2**900."""
+    gen = np.random.default_rng(67)
+    skewed = el.make_pair4(el.random_tensor(gen).a + 1e3 * _pair_antisymmetric(gen))
+    tensors = [el.tensor_two_squares(), el.tensor_choi_lam(1.0), el.tensor_isotropic(-1.9, 1.0)]
+    for t in tensors + [skewed, el.random_tensor(gen)]:
+        for k in (-900, 0, 900):
+            scaled = type(t)(np.ldexp(t.a, k))
+            for shift in (0.0, 1e-6):
+                yield scaled, el.PocsOptions(epsilon_shift=math.ldexp(shift, k))
+
+
+def test_every_sweep_hands_the_kernel_a_symmetric_finite_matrix(monkeypatch):
+    # the invariant that lets run_pocs skip the check psd_project makes
+    kernel, seen = pocs._psd_clamp, []
+
+    def checked(mat):
+        assert mat.tobytes() == mat.T.tobytes()
+        assert np.isfinite(mat).all()
+        seen.append(mat)
+        return kernel(mat)
+
+    monkeypatch.setattr(pocs, "_psd_clamp", checked)
+    sweeps = 0
+    for t, opts in _sweep_runs():
+        sweeps += el.run_pocs(t, opts).iterations
+    assert len(seen) == sweeps > 500
+
+
+def test_the_reference_is_validated_once_per_run(monkeypatch):
+    # _require_symmetric runs once at entry and once per proof attempt (each
+    # eigenvalue_bounds call), never once per sweep
+    validated, attempts = [], []
+    require, bounds = spectral._require_symmetric, pocs.eigenvalue_bounds
+
+    def counted_require(m):
+        validated.append(m)
+        return require(m)
+
+    def counted_bounds(m):
+        attempts.append(m)
+        return bounds(m)
+
+    monkeypatch.setattr(spectral, "_require_symmetric", counted_require)
+    monkeypatch.setattr(pocs, "_require_symmetric", counted_require)
+    monkeypatch.setattr(pocs, "eigenvalue_bounds", counted_bounds)
+    iterations = []
+    for t, opts in _sweep_runs():
+        validated.clear()
+        attempts.clear()
+        iterations.append(el.run_pocs(t, opts).iterations)
+        assert 1 <= len(validated) <= 1 + len(attempts)
+    assert max(iterations) > 50
+
+
+def test_a_sweep_eigensolver_failure_is_typed(monkeypatch, tmp_path, capsys):
+    # two-squares takes 76 sweeps, so the 5th eigensolve is a sweep's
+    eigh, calls = np.linalg.eigh, []
+
+    def flaky(m):
+        calls.append(m)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    t = el.tensor_two_squares()
+    path = tmp_path / "t.json"
+    el.save_tensor(path, t)
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    with pytest.raises(EigensolverFailure, match="did not converge"):
+        el.run_pocs(t)
+    assert len(calls) == 5
+    calls.clear()
+    assert cli.main(["pocs", "-i", str(path)]) == cli.EXIT_INPUT
+    assert "error: symmetric eigensolver failed" in capsys.readouterr().err
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("proofs", ["hold", "fail"])

@@ -1,10 +1,13 @@
 """Smoke runs of the scripts in scripts/ as separate processes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import ellipticity_lab as el
 
@@ -40,3 +43,11 @@ def test_certify_gallery_prints_check_verdicts():
 def test_isotropic_sweep_agrees_with_closed_form():
     out = run_script("isotropic_sweep.py", "--n-lam", "5", "--n-mu", "3", "--grid-n", "500")
     assert "disagreements with the closed form: 0" in out
+
+
+def test_bench_layers_prints_one_json_object():
+    doc = json.loads(run_script("bench_layers.py", "--repeats", "1", "--calls", "1"))
+    assert set(doc["us_per_call"]) == {"psd_project", "min_eigenvalue", "eigenvalue_bounds"}
+    assert all(us > 0.0 for us in doc["us_per_call"].values())
+    assert doc["pocs"]["us_per_sweep"] > 0.0 and doc["pocs"]["sweeps"] >= doc["pocs"]["runs"] == 16
+    assert doc["numpy"] == np.__version__ and doc["blas"]["name"]

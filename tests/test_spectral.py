@@ -10,7 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 import ellipticity_lab as el
 from ellipticity_lab.errors import AsymmetricInput, EigensolverFailure
-from ellipticity_lab.spectral import SYMMETRY_TOL, eigenvalue_bounds
+from ellipticity_lab.spectral import (
+    SYMMETRY_TOL,
+    _psd_clamp,
+    _require_symmetric,
+    eigenvalue_bounds,
+)
 
 rng = np.random.default_rng(99)
 
@@ -122,6 +127,40 @@ def test_psd_project_exactly_symmetric_input_same_bits():
         assert np.array_equal(0.5 * (m + m.T), m)
         want = _psd_project_of_symmetric_part(m)
         assert el.psd_project(m).tobytes() == want.tobytes()
+
+
+def test_psd_project_is_the_kernel_on_the_validated_matrix():
+    # psd_project is _require_symmetric followed by the clamp kernel that
+    # run_pocs calls on each sweep
+    for m in (rand_sym(), np.ldexp(rand_sym(), -900), rand_sym() + 1e-15 * np.eye(9, k=1)):
+        valid = _require_symmetric(m)
+        assert el.psd_project(m).tobytes() == _psd_clamp(valid).tobytes()
+
+
+def test_bit_symmetric_finite_input_takes_the_fast_path():
+    for m in (rand_sym(), np.ldexp(rand_sym(), 1000), np.zeros((0, 0))):
+        assert _require_symmetric(m) is m
+
+
+def test_mirrored_signed_zeros_take_the_slow_path():
+    # -0.0 == 0.0, but the bits differ: symmetrized to +0 as before
+    m = rand_sym()
+    m[1, 4], m[4, 1] = -0.0, 0.0
+    got = _require_symmetric(m)
+    assert got is not m
+    assert got.tobytes() == (0.5 * (m + m.T)).tobytes()
+    assert not np.signbit(got[[1, 4], [4, 1]]).any()
+
+
+@pytest.mark.parametrize("peak", [2.0**1023, -(2.0**1023), np.nan])
+def test_nan_and_entries_at_two_to_the_1023_take_the_slow_path(peak):
+    # bit-symmetric, but the symmetric part of these is not finite
+    for i, j in ((0, 0), (2, 3)):
+        m = rand_sym()
+        m[i, j] = m[j, i] = peak
+        assert m.tobytes() == m.T.tobytes()
+        with pytest.raises(EigensolverFailure, match="symmetric part of the matrix is not finite"):
+            _require_symmetric(m)
 
 
 def test_psd_project_rejects_asymmetry_above_tolerance():
