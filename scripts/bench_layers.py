@@ -1,10 +1,10 @@
 """Time the spectral layer and the POCS sweep; print one JSON object.
 
-Usage: python3 scripts/bench_layers.py [--repeats 15] [--calls 200]
+Usage: python3 scripts/bench_layers.py [--repeats 15]
 
 Each figure is the median over repeats. Per call: psd_project,
-min_eigenvalue and eigenvalue_bounds on the unfoldings of the gallery
-tensors (scripts/certify_gallery.py). Per POCS sweep: the wall time of
+min_eigenvalue and eigenvalue_bounds, CALLS times on each unfolding of the
+gallery tensors (scripts/certify_gallery.py). Per POCS sweep: the wall time of
 run_pocs, unshifted and shifted by 1e-6, over the gallery tensors, divided
 by the sweeps those runs take. The object also carries the Python, numpy,
 BLAS and machine details the figures depend on. BLAS runs on one thread
@@ -29,16 +29,19 @@ import ellipticity_lab as el  # noqa: E402
 from ellipticity_lab.spectral import eigenvalue_bounds  # noqa: E402
 from certify_gallery import gallery  # noqa: E402
 
+# Calls of each function per matrix and repeat.
+CALLS = 200
 
-def us_per_call(fn, mats, calls, repeats):
+
+def us_per_call(fn, mats, repeats):
     """Median over repeats of the mean time of fn on each matrix, in µs."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for _ in range(calls):
+        for _ in range(CALLS):
             for m in mats:
                 fn(m)
-        times.append((time.perf_counter() - start) / (calls * len(mats)))
+        times.append((time.perf_counter() - start) / (CALLS * len(mats)))
     return 1e6 * statistics.median(times)
 
 
@@ -73,15 +76,14 @@ def machine():
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=15)
-    ap.add_argument("--calls", type=int, default=200)
     args = ap.parse_args()
-    if args.repeats < 1 or args.calls < 1:
-        ap.error("--repeats and --calls must be at least 1")
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
 
     tensors = [t for _, t, _ in gallery()]
     mats = [el.unfold(t) for t in tensors]
     layers = {
-        name: us_per_call(fn, mats, args.calls, args.repeats)
+        name: us_per_call(fn, mats, args.repeats)
         for name, fn in (
             ("psd_project", el.psd_project),
             ("min_eigenvalue", el.min_eigenvalue),
@@ -91,7 +93,6 @@ def main():
     sweep, sweeps = us_per_sweep(tensors, args.repeats)
     doc = {
         "repeats": args.repeats,
-        "calls": args.calls,
         "us_per_call": layers,
         "pocs": {"us_per_sweep": sweep, "sweeps": sweeps, "runs": 2 * len(tensors)},
         **machine(),

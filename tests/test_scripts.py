@@ -46,7 +46,7 @@ def test_isotropic_sweep_agrees_with_closed_form():
 
 
 def test_bench_layers_prints_one_json_object():
-    doc = json.loads(run_script("bench_layers.py", "--repeats", "1", "--calls", "1"))
+    doc = json.loads(run_script("bench_layers.py", "--repeats", "1"))
     assert set(doc["us_per_call"]) == {"psd_project", "min_eigenvalue", "eigenvalue_bounds"}
     assert all(us > 0.0 for us in doc["us_per_call"].values())
     assert doc["pocs"]["us_per_sweep"] > 0.0 and doc["pocs"]["sweeps"] >= doc["pocs"]["runs"] == 16
