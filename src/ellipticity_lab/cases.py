@@ -209,8 +209,8 @@ def require_decomposition_of(t: Elast4, dec: StructuredDecomposition) -> None:
         )
 
 
-def detect_rank_one(u, tol: float = 1e-10):
-    """Split U ~ v w^T; None if the trailing singular mass exceeds tol * ||U||_F.
+def detect_rank_one(u):
+    """Split U ~ v w^T; None if the trailing singular mass exceeds TOL * ||U||_F.
 
     v is unit with its largest-magnitude entry positive; w carries the scale,
     so the split is unique and outer(v, w) reproduces U within the tolerance.
@@ -220,7 +220,7 @@ def detect_rank_one(u, tol: float = 1e-10):
     if fro == 0.0:
         return None
     left, s, right = np.linalg.svd(um)
-    if float(np.hypot(s[1], s[2])) > tol * fro:
+    if float(np.hypot(s[1], s[2])) > TOL * fro:
         return None
     v = left[:, 0]
     sign = 1.0 if v[int(np.argmax(np.abs(v)))] > 0.0 else -1.0
@@ -253,22 +253,20 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
     """
     if dec.q != 3:
         raise NotCase1(f"expected exactly 3 positive terms, found {dec.q}")
-    diag: dict = {}
     split, bad = _split_rank_ones(dec.mats, 3)
     if split is None:
-        return _mismatch(1, f"positive term {bad} is not rank-one", diag)
+        return _mismatch(1, f"positive term {bad} is not rank-one", {})
     V = np.column_stack(split[0])
     W = np.column_stack(split[1])
     ok_v, cond_v = _nonsingular(V)
     ok_w, cond_w = _nonsingular(W)
-    diag["cond_V"] = cond_v
-    diag["cond_W"] = cond_w
+    diag = {"cond_V": cond_v, "cond_W": cond_w}
     if not ok_v or not ok_w:
         return _mismatch(1, "frame V or W is singular", diag)
 
     n_neg = dec.r - 3
     sigma = np.zeros((n_neg, 3))
-    offdiag_resid = []
+    diag["offdiag_residuals"] = offdiag_resid = []
     for idx in range(n_neg):
         u = dec.mats[3 + idx]
         m = np.linalg.solve(V, u)
@@ -276,11 +274,9 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
         off = m - np.diag(np.diag(m))
         resid = float(np.linalg.norm(off))
         offdiag_resid.append(resid)
-        if resid > TOL * max(1.0, float(np.linalg.norm(m))):
-            diag["offdiag_residuals"] = offdiag_resid
+        if resid > TOL * float(np.linalg.norm(m)):
             return _mismatch(1, f"negative term {idx} is not diagonal in the frame", diag)
         sigma[idx] = np.diag(m)
-    diag["offdiag_residuals"] = offdiag_resid
 
     C = np.diag(dec.alphas[:3]) + np.einsum(
         "s,si,sj->ij", dec.alphas[3:], sigma, sigma
@@ -289,7 +285,9 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
     diag["min_eig_C"] = lam_min
     # Rounding in C is eps times its terms, at most a few times the largest
     # alpha or ||C||: a scale-free bound that keeps a near-cancelling C MPSD.
-    scale = max(float(dec.alphas[0]), float(np.linalg.norm(C)))
+    # ||C|| is taken at a power-of-two scale, where its squares cannot overflow.
+    cs, e = pow2_rescale(C)
+    scale = max(float(dec.alphas[0]), math.ldexp(float(np.linalg.norm(cs)), e))
     return CaseReport(
         1,
         CASE_MPSD if lam_min >= -TOL * scale else CASE_NOT_MPSD,
@@ -316,7 +314,9 @@ def case1_positive_redecomposition(
         raise ValueError(f"needs an MPSD case-1 decomposition, got {rep.verdict}")
     assert rep.C_matrix is not None and rep.structure is not None
     pair = sym_eig(rep.C_matrix)
-    keep = pair.values > 1e-12 * max(float(dec.alphas[0]), float(np.linalg.norm(rep.C_matrix)))
+    cs, e = pow2_rescale(rep.C_matrix)
+    scale = max(float(dec.alphas[0]), math.ldexp(float(np.linalg.norm(cs)), e))
+    keep = pair.values > SPECTRAL_REL_TOL * scale
     if not np.any(keep):
         raise ValueError("decomposition is identically zero")
     V, W = rep.structure.V, rep.structure.W
@@ -770,7 +770,7 @@ def _group_shared_v(vs, group_size: int):
 def _split_rank_ones(mats: np.ndarray, count: int):
     vs, ws = [], []
     for s in range(count):
-        vw = detect_rank_one(mats[s], TOL)
+        vw = detect_rank_one(mats[s])
         if vw is None:
             return None, s
         vs.append(vw[0])

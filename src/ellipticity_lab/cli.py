@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cases, io, oracle, pipeline, pocs
+from . import cases, io, oracle, pipeline, pocs, spheres
 from .errors import EllipticityError, SoundnessTripwire, UnknownGenerator
 # Not called here; elbench/layers.py wraps these two names in cli.
 from .spectral import min_eigenvalue  # noqa: F401
@@ -62,9 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _checked(convert, low=None, strict=False):
-    """An argparse type: convert the text, then require a finite value that
-    is at least low (above it if strict). Failures reach _Parser.error."""
+def _checked(convert, low=None, strict=False, high=None):
+    """An argparse type: convert the text, then require a finite value that is
+    at least low (above it if strict) and at most high. Failures reach _Parser.error."""
 
     def parse(text: str):
         value = convert(text)
@@ -73,6 +73,8 @@ def _checked(convert, low=None, strict=False):
         if low is not None and (value <= low if strict else value < low):
             relation = ">" if strict else ">="
             raise argparse.ArgumentTypeError(f"{text!r} is not {relation} {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{text!r} is not <= {high}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
@@ -84,7 +86,7 @@ _POSITIVE = _checked(float, 0.0, strict=True)
 _NONNEGATIVE = _checked(float, 0.0)
 _COUNT = _checked(int, 1)
 _SEED = _checked(int, 0)
-_LATTICE_N = _checked(int, oracle.MIN_GRID_N)
+_LATTICE_N = _checked(int, oracle.MIN_GRID_N, high=oracle.MAX_GRID_N)
 
 # Generator name -> builder of (tensor, label) from the parsed gen arguments.
 _GENERATORS = {
@@ -161,7 +163,7 @@ def _build_parser() -> _Parser:
     pocs_p.set_defaults(func=_cmd_pocs)
 
     case = sub.add_parser("case", help="structured-decomposition analysis")
-    common(case, _COUNT, 20000)
+    common(case, _checked(int, 1, high=spheres.MAX_HEMISPHERE_N), 20000)
     case.add_argument("--decomp", required=True, help="decomposition JSON")
     case.set_defaults(func=_cmd_case)
 
@@ -270,9 +272,7 @@ def _cmd_case(args) -> int:
             f"threshold = {rep.threshold:.12g}"
         )
     if rep.C_matrix is not None:
-        lines.append(
-            f"case 1: min eig C = {np.linalg.eigvalsh(rep.C_matrix)[0]:.6e}"
-        )
+        lines.append(f"case 1: min eig C = {rep.diagnostics['min_eig_C']:.6e}")
     lines.append(f"verdict: {rep.verdict}" + (" (boundary)" if rep.boundary else ""))
     _emit(args, doc, lines)
     decided = rep.verdict in (cases.CASE_MPSD, cases.CASE_MPD, cases.CASE_NOT_MPSD)

@@ -4,7 +4,7 @@ Formats:
 
 * ``elast4-v1`` / ``pair4-v1``: ``{"format": ..., "entries": [{"i","j","k","l","v"}...]}``
   with 1-based indices, unlisted entries zero, values taken before
-  canonicalization (the loader symmetrizes and enforces the class tolerance).
+  canonicalization (the loader averages orbits, within tensors.ORBIT_TOL max|v|).
   An optional ``"name"`` string is carried through round-trips.
 * ``decomp-v1``: ``{"format": "decomp-v1", "terms": [{"alpha": a, "U": [9 floats]}...]}``
   with U row-major.
@@ -122,12 +122,17 @@ def save_tensor(path, t: Pair4, name: str | None = None) -> None:
     Path(path).write_text(dumps_report(tensor_to_doc(t, name)))
 
 
-def load_tensor(path) -> tuple[Pair4, str | None]:
+def _read_json(path, what: str):
+    """The JSON document in a file; ParseError if it cannot be read, decoded
+    (UnicodeDecodeError, JSONDecodeError: ValueError) or nests too deep."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read tensor file {path}: {exc}") from exc
-    return doc_to_tensor(doc)
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_tensor(path) -> tuple[Pair4, str | None]:
+    return doc_to_tensor(_read_json(path, "tensor"))
 
 
 def decomposition_to_doc(alphas, mats) -> dict:
@@ -175,11 +180,7 @@ def save_decomposition(path, alphas, mats) -> None:
 
 
 def load_decomposition(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read decomposition file {path}: {exc}") from exc
-    return doc_to_decomposition(doc)
+    return doc_to_decomposition(_read_json(path, "decomposition"))
 
 
 def dumps_report(obj) -> str:

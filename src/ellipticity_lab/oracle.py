@@ -39,8 +39,9 @@ __all__ = [
 ORACLE_NOT_MPSD = "NotMPSD"
 ORACLE_MPD_LIKELY = "MPD_likely"
 ORACLE_BOUNDARY = "MPSD_boundary"
-# Fewest lattice points per sphere that grid_top_candidates accepts.
+# Lattice points per sphere that grid_top_candidates accepts (a scan block: 26 MB at most).
 MIN_GRID_N = 100
+MAX_GRID_N = 100_000
 # Witnesses within TOL * max|a| of zero give the boundary verdict.
 TOL = 1e-8
 
@@ -181,8 +182,8 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     that fail the test are evaluated in blocks of at least _SCAN_BLOCK
     rows.
     """
-    if n < MIN_GRID_N:
-        raise ValueError(f"grid needs n >= {MIN_GRID_N} points per sphere")
+    if not MIN_GRID_N <= n <= MAX_GRID_N:
+        raise ValueError(f"grid needs {MIN_GRID_N} <= n <= {MAX_GRID_N} points per sphere")
     # Scan the exact power-of-two rescale: the lattice values scale by the
     # same factor, so their order and ties are unchanged, and a tensor near
     # the float limit no longer overflows to inf/NaN. Candidates are
@@ -413,10 +414,9 @@ def oracle_verdict(t: Pair4, n: int = 2000) -> OracleVerdict:
     best = replace(best, grid_n=n)
     scale = float(np.max(np.abs(t.a)))
     cut = TOL * max(scale, 1e-300)
-    witness = float(biquadratic(t, best.argmin_x, best.argmin_y))
-    if witness < -cut:
+    if best.min_value < -cut:
         verdict = ORACLE_NOT_MPSD
-    elif witness > cut:
+    elif best.min_value > cut:
         verdict = ORACLE_MPD_LIKELY
     else:
         verdict = ORACLE_BOUNDARY
@@ -424,7 +424,7 @@ def oracle_verdict(t: Pair4, n: int = 2000) -> OracleVerdict:
         verdict=verdict,
         report=best,
         scale=scale,
-        witness_value=witness if verdict == ORACLE_NOT_MPSD else None,
+        witness_value=best.min_value if verdict == ORACLE_NOT_MPSD else None,
     )
 
 

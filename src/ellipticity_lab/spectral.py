@@ -19,7 +19,7 @@ from .errors import AsymmetricInput, EigensolverFailure
 
 __all__ = ["EigPair", "sym_eig", "min_eigenvalue", "eigenvalue_bounds", "psd_project"]
 
-# Largest asymmetry accepted, relative to max(1, max |entry|).
+# Largest asymmetry accepted, relative to max |entry|: a cutoff scaling with m.
 SYMMETRY_TOL = 1e-12
 
 # Unit roundoff and smallest subnormal of float64, for rounding-error bounds.
@@ -46,9 +46,9 @@ def _require_symmetric(m) -> np.ndarray:
     # Otherwise the sums below may overflow: a symmetric part that is not
     # finite ends here, since eigh would return NaN for it and not raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+        asym = float(np.max(np.abs(mat - mat.T)))
         sym = 0.5 * (mat + mat.T)
-    scale = max(1.0, float(np.max(np.abs(mat)))) if mat.size else 1.0
+    scale = float(np.max(np.abs(mat)))
     if asym > SYMMETRY_TOL * scale:
         raise AsymmetricInput(
             f"relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_TOL:.3e}"

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricInput, NonFiniteEntries, SymmetryViolation
+from .errors import NonFiniteEntries, SymmetryViolation
+from .spectral import _require_symmetric
 
 __all__ = [
     "Pair4",
@@ -138,23 +139,28 @@ def orbit_spread(raw) -> float:
         return float(np.max(variants.max(axis=0) - variants.min(axis=0)))
 
 
-def make_elast4(raw, tol: float = 1e-8) -> Elast4:
+# make_elast4 and make_pair4 average away orbit spreads up to this times max|raw|.
+ORBIT_TOL = 1e-8
+
+
+def make_elast4(raw) -> Elast4:
     """Canonicalize raw entries into an Elast4 by orbit averaging.
 
     Raises SymmetryViolation when entries inside one orbit disagree by more
-    than tol; small disagreements (measurement noise) are averaged away.
+    than ORBIT_TOL * max|raw| (inf always does); less is averaged away.
     """
-    spread = orbit_spread(raw)
+    spread, tol = orbit_spread(raw), ORBIT_TOL * float(np.max(np.abs(raw)))
     if spread > tol:
         raise SymmetryViolation(spread, tol)
     return Elast4(symmetrize_pairs(raw))
 
 
-def make_pair4(raw, tol: float = 1e-8) -> Pair4:
-    """Canonicalize raw entries into a Pair4 (joint-swap average)."""
+def make_pair4(raw) -> Pair4:
+    """Canonicalize raw entries into a Pair4 (joint-swap average), as make_elast4."""
     arr = _as_tensor_array(raw)
     with np.errstate(over="ignore"):
         spread = float(np.max(np.abs(arr - arr.transpose(1, 0, 3, 2))))
+    tol = ORBIT_TOL * float(np.max(np.abs(arr)))
     if spread > tol:
         raise SymmetryViolation(spread, tol)
     return Pair4(_mean(arr, arr.transpose(1, 0, 3, 2)))
@@ -187,23 +193,14 @@ def unfold(t: Pair4) -> np.ndarray:
     return unfold_array(t.a)
 
 
-def fold(m, tol: float = 1e-8) -> Pair4:
-    """Inverse of unfold. The input must be symmetric within tol.
+def fold(m) -> Pair4:
+    """Inverse of unfold, for a 9x9 m symmetric within SYMMETRY_TOL * max|m|
+    (else AsymmetricInput); from max|m| = 2**1023, EigensolverFailure.
 
-    The matrix is symmetrized exactly before folding so the result always
-    satisfies the weak-symmetry invariant bit-for-bit; for an already
-    symmetric input this is the identity and unfold(fold(m)) == m.
+    The matrix is symmetrized exactly, so the result satisfies the weak-symmetry
+    invariant bit-for-bit and unfold(fold(m)) == m for a symmetric m.
     """
-    mat = np.asarray(m, dtype=float)
-    if mat.shape != (9, 9):
-        raise ValueError(f"expected shape (9,9), got {mat.shape}")
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > tol:
-        raise AsymmetricInput(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
-        )
-    sym = 0.5 * (mat + mat.T)
-    return Pair4(fold_array(sym))
+    return Pair4(fold_array(_require_symmetric(m)))
 
 
 def vec(z) -> np.ndarray:
@@ -300,7 +297,7 @@ def tensor_isotropic(lam: float, mu: float) -> Elast4:
         a = mu * np.einsum("ij,kl->ijkl", eye, eye) + _mean(lam, mu) * (
             np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
         )
-    return make_elast4(a, tol=1e-12)
+    return make_elast4(a)
 
 
 def tensor_two_squares() -> Elast4:
@@ -359,7 +356,7 @@ def random_spd_tensor(rng: np.random.Generator) -> Elast4:
     for _ in range(SPD_MAX_TRIES):
         g = rng.standard_normal((9, 9))
         m = g @ g.T / 9.0
-        folded = fold(m, tol=1e-12)
+        folded = fold(m)
         cand = Elast4(symmetrize_pairs(folded.a))
         w = np.linalg.eigvalsh(unfold(cand))
         if w[0] >= SPD_MIN_EIG_FRAC * max(1e-30, float(np.linalg.norm(cand.a))):

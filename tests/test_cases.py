@@ -211,6 +211,63 @@ def test_case1_general_frames():
     )
 
 
+def near_diagonal_case1(s):
+    """Terms (1, 1, 1, -0.33 / s^2) on (e0 e0^T, e1 e1^T, e2 e2^T, s (I + 0.01 (J - I))):
+    the negative term is not diagonal in the frame at any s, and the form is
+    1/3 - 0.33 * 1.02^2, about -0.01, at x = y = (1, 1, 1) / sqrt(3)."""
+    neg = s * (np.eye(3) + 0.01 * (np.ones((3, 3)) - np.eye(3)))
+    mats = np.stack([axis_outer(0, 0), axis_outer(1, 1), axis_outer(2, 2), neg])
+    return el.StructuredDecomposition(np.array([1.0, 1.0, 1.0, -0.33 / s**2]), mats)
+
+
+NEAR_DIAGONAL_SCALES = [1.0, 1e-3, 1e-7, 2.0**-500]
+
+
+@pytest.mark.parametrize("s", NEAR_DIAGONAL_SCALES)
+def test_case1_offdiagonal_test_is_relative(s):
+    # an absolute floor would take the off-diagonal part for rounding once
+    # the term matrix is small, and certify this indefinite form MPSD
+    dec = near_diagonal_case1(s)
+    t = el.tensor_from_rank_one_terms(dec.alphas, dec.mats)
+    x = np.ones(3) / np.sqrt(3.0)
+    assert el.biquadratic(t, x, x) == pytest.approx(1 / 3 - 0.33 * 1.02**2, rel=1e-9)
+    rep = el.check_case1(dec)
+    assert rep.verdict == el.CASE_MISMATCH
+    assert "diagonal" in rep.diagnostics["reason"]
+
+
+def general_case1(alpha_neg, seed):
+    """Case-1 terms on random nonsingular frames V, W, the negative term
+    V diag(sigma) W^T."""
+    gen = np.random.default_rng(seed)
+    V = gen.standard_normal((3, 3)) + 2 * np.eye(3)
+    W = gen.standard_normal((3, 3)) + 2 * np.eye(3)
+    mats = [np.outer(V[:, s], W[:, s]) for s in range(3)]
+    mats.append(V @ np.diag([0.7, -0.4, 1.1]) @ W.T)
+    return el.StructuredDecomposition(np.array([1.0, 1.2, 0.9, alpha_neg]), np.stack(mats))
+
+
+@pytest.mark.parametrize(
+    "dec",
+    [general_case1(-0.3, 1), general_case1(-3.0, 2), case1_example(-0.5), case1_example(-1.5)],
+    ids=["mpsd", "not-mpsd", "boundary", "axis-not-mpsd"],
+)
+def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec):
+    # alpha U (x) U = (alpha c^2) (U / c) (x) (U / c): the same form for every c
+    want = el.check_case1(dec)
+    assert want.structure_ok
+    for k in range(-500, 501, 50):
+        c = 2.0**k
+        negative = el.StructuredDecomposition(
+            np.concatenate([dec.alphas[:3], dec.alphas[3:] * c * c]),
+            np.concatenate([dec.mats[:3], dec.mats[3:] / c]),
+        )
+        every = el.StructuredDecomposition(dec.alphas * c * c, dec.mats / c)
+        for scaled in (negative, every):
+            rep = el.check_case1(scaled)
+            assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), k
+
+
 def test_case1_redecomposition():
     dec = case1_example(-0.5)
     red = el.case1_positive_redecomposition(dec)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -11,15 +12,22 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import cli
+from ellipticity_lab import cli, oracle, spheres
+
+
+SRC = str(Path(el.__file__).resolve().parents[1])
 
 
 def run_cli(*argv, cwd=None):
+    # The package directory goes first on the child's path, so the CLI runs
+    # from a plain checkout as well as from an install.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ellipticity_lab", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
         timeout=300,
     )
 
@@ -354,6 +362,24 @@ def test_case_structure_mismatch_is_undecided(tensor_files, tmp_path):
     assert doc["verdict"] == "StructureMismatch"
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7, 2.0**-500])
+def test_case1_near_diagonal_negative_term_is_no_certificate(s, tmp_path, capsys):
+    # the negative term s (I + 0.01 (J - I)) is not diagonal in the frame at
+    # any scale s; the form is about -0.01 at x = y = (1, 1, 1) / sqrt(3)
+    neg = s * (np.eye(3) + 0.01 * (np.ones((3, 3)) - np.eye(3)))
+    alphas = np.array([1.0, 1.0, 1.0, -0.33 / s**2])
+    mats = np.stack([np.diag(np.eye(3)[i]) for i in range(3)] + [neg])
+    el.save_tensor(tmp_path / "t.json", el.tensor_from_rank_one_terms(alphas, mats))
+    el.save_decomposition(tmp_path / "d.json", alphas, mats)
+    files = ["-i", str(tmp_path / "t.json"), "--decomp", str(tmp_path / "d.json"), "--json"]
+    assert cli.main(["case", *files]) == cli.EXIT_UNDECIDED
+    assert json.loads(capsys.readouterr().out)["verdict"] == "StructureMismatch"
+    assert cli.main(["check", *files]) == cli.EXIT_DECIDED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "NotMPSD"
+    assert (doc["certified_mpsd_by"], doc["refuted_by"]) == (None, "oracle")
+
+
 def test_case_requires_a_decomposition(tensor_files):
     proc = run_cli("case", "-i", tensor_files["e"], "--json")
     assert proc.returncode == 1
@@ -409,6 +435,23 @@ def test_malformed_input_file(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "nested-100000"]
+)
+@pytest.mark.parametrize("loader", ["tensor", "decomposition"])
+def test_unreadable_json_is_an_input_error(tensor_files, tmp_path, capsys, content, loader):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(el.ParseError):
+        (el.load_tensor if loader == "tensor" else el.load_decomposition)(bad)
+    if loader == "tensor":
+        argv = ["check", "-i", str(bad)]
+    else:
+        argv = ["case", "-i", tensor_files["choi"], "--decomp", str(bad)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot read {loader} file")
+
+
 def test_missing_required_flag():
     proc = run_cli("check")
     assert proc.returncode == 1
@@ -420,6 +463,10 @@ def test_missing_required_flag():
         (("check", "--grid-n", "50"), "two-squares"),
         (("oracle", "--grid-n", "50"), "two-squares"),
         (("case", "--grid-n", "0"), "choi"),
+        (("check", "--grid-n", str(oracle.MAX_GRID_N + 1)), "two-squares"),
+        (("oracle", "--grid-n", str(oracle.MAX_GRID_N + 1)), "two-squares"),
+        (("case", "--grid-n", str(spheres.MAX_HEMISPHERE_N + 1)), "choi"),
+        (("oracle", "--grid-n", "1000000000000"), "two-squares"),
         (("pocs", "--tol", "0"), "two-squares"),
         (("pocs", "--epsilon", "-1"), "two-squares"),
         (("pocs", "--epsilon", "inf"), "two-squares"),

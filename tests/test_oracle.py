@@ -168,7 +168,7 @@ def _rotated_choi_lam(seed=11):
     rng = np.random.default_rng(seed)
     p, q = _rotation(rng), _rotation(rng)
     a = np.einsum("ijkl,ai,bj,ck,dl->abcd", el.tensor_choi_lam(1.0).a, p, p, q, q)
-    return el.make_elast4(a, tol=1e-12)
+    return el.make_elast4(a)
 
 
 def _scan_tensors():

@@ -77,12 +77,16 @@ def test_orbit_spread_zero_on_symmetric():
 
 
 def test_make_elast4_tolerance():
+    # the cutoff is ORBIT_TOL = 1e-8 times max|raw|: a spread of 1e-5 of it
+    # fails, one of 1e-9 of it is averaged away
     raw = el.symmetrize_pairs(random_raw())
+    peak = float(np.max(np.abs(raw)))
     raw2 = raw.copy()
-    raw2[0, 1, 2, 2] += 1e-5
+    raw2[0, 1, 2, 2] += 1e-5 * peak
     with pytest.raises(SymmetryViolation):
-        el.make_elast4(raw2, tol=1e-8)
-    t = el.make_elast4(raw2, tol=1e-3)
+        el.make_elast4(raw2)
+    raw2[0, 1, 2, 2] = raw[0, 1, 2, 2] + 1e-9 * peak
+    t = el.make_elast4(raw2)
     assert el.orbit_spread(t.a) == 0.0
 
 
