@@ -1,6 +1,6 @@
 """Run the check pipeline on the bundled gallery of tensors and tabulate it.
 
-Usage: python3 scripts/certify_gallery.py [--grid-n 2000]
+Usage: python3 scripts/certify_gallery.py
 
 Columns: the minimum unfolding eigenvalue (the S-PSD shortcut), the
 structured-case verdict when a case shape matches, the brute-force minimum,
@@ -38,9 +38,7 @@ def decided_by(rep):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grid-n", type=int, default=2000)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     head = (
         f"{'tensor':<18} {'min eig':>10} {'case':>18} {'oracle min':>12} "
@@ -49,7 +47,7 @@ def main():
     print(head)
     print("-" * len(head))
     for name, t, dec in gallery():
-        rep = el.check(t, dec, grid_n=args.grid_n)
+        rep = el.check(t, dec)
         stages = {s["stage"]: s for s in rep.stages}
         print(
             f"{name:<18} {stages['spsd-eigen']['min_eigenvalue']:>10.3e} "

@@ -95,6 +95,8 @@ REFINE_K = 10
 ASCENT_TOL = 1e-10
 ASCENT_STEPS = 300
 LINE_STOP = 1e-6
+# Hemisphere lattice points of sup_eta, the grid of the case checkers.
+GRID_N = 20000
 
 
 @dataclass(frozen=True)
@@ -228,9 +230,17 @@ def detect_rank_one(u):
 
 
 def _nonsingular(mat: np.ndarray):
-    """(ok, condition number) via singular values; relative cutoff."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= TOL * sv[0]:
+    """(ok, condition number) of mat with unit columns, which no scale moved
+    between alpha and U changes; relative cutoff, and a zero column is
+    singular. Each column is divided by its max |entry| first, so no norm
+    underflows."""
+    peaks = np.abs(mat).max(axis=0)
+    if not peaks.all():
+        return False, float("inf")
+    cols = mat / peaks
+    cols /= np.sqrt((cols * cols).sum(axis=0))
+    sv = np.linalg.svd(cols, compute_uv=False)
+    if sv[-1] <= TOL * sv[0]:
         return False, float("inf")
     return True, float(sv[0] / sv[-1])
 
@@ -241,6 +251,13 @@ def _mismatch(case_id: int, reason: str, diagnostics: dict) -> CaseReport:
 
 # ---------------------------------------------------------------------------
 # Case 1
+
+
+def _case1_scale(dec: StructuredDecomposition, C: np.ndarray) -> float:
+    """max(alpha_1, ||C||), the scale of case 1's cutoffs on C; ||C|| is taken
+    at a power-of-two scale, where its squares cannot overflow."""
+    cs, e = pow2_rescale(C)
+    return max(float(dec.alphas[0]), math.ldexp(float(np.linalg.norm(cs)), e))
 
 
 def check_case1(dec: StructuredDecomposition) -> CaseReport:
@@ -285,9 +302,7 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
     diag["min_eig_C"] = lam_min
     # Rounding in C is eps times its terms, at most a few times the largest
     # alpha or ||C||: a scale-free bound that keeps a near-cancelling C MPSD.
-    # ||C|| is taken at a power-of-two scale, where its squares cannot overflow.
-    cs, e = pow2_rescale(C)
-    scale = max(float(dec.alphas[0]), math.ldexp(float(np.linalg.norm(cs)), e))
+    scale = _case1_scale(dec, C)
     return CaseReport(
         1,
         CASE_MPSD if lam_min >= -TOL * scale else CASE_NOT_MPSD,
@@ -314,9 +329,7 @@ def case1_positive_redecomposition(
         raise ValueError(f"needs an MPSD case-1 decomposition, got {rep.verdict}")
     assert rep.C_matrix is not None and rep.structure is not None
     pair = sym_eig(rep.C_matrix)
-    cs, e = pow2_rescale(rep.C_matrix)
-    scale = max(float(dec.alphas[0]), math.ldexp(float(np.linalg.norm(cs)), e))
-    keep = pair.values > SPECTRAL_REL_TOL * scale
+    keep = pair.values > SPECTRAL_REL_TOL * _case1_scale(dec, rep.C_matrix)
     if not np.any(keep):
         raise ValueError("decomposition is identically zero")
     V, W = rep.structure.V, rep.structure.W
@@ -333,7 +346,7 @@ def case1_positive_redecomposition(
 _GUARD = 1e-13
 # Rows per block in _RatioForm.value_many. Blocks this small keep the
 # (G, 3, rows) temporaries off freshly mapped pages: one pass over the
-# 20000-point hemisphere took ~1.8x as long, with ~1000 page faults a call.
+# GRID_N-point hemisphere took ~1.8x as long, with ~1000 page faults a call.
 # At G = 3 a temporary is 72 KiB; at 2048 rows (144 KiB) each case-3 check
 # took ~200 fresh pages in some processes, depending on earlier allocations.
 _BLOCK_ROWS = 1024
@@ -643,7 +656,7 @@ def _best_indices(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 def sup_eta(
-    eta_fn, singular_lines, *, grad_fn, hess_fn, eta_many, grid_n: int = 20000
+    eta_fn, singular_lines, *, grad_fn, hess_fn, eta_many, grid_n: int = GRID_N
 ) -> SupEtaResult:
     """Estimate sup eta over unit directions off the singular lines.
 
@@ -793,7 +806,7 @@ def _recover_sigma(basis_mats, target: np.ndarray):
     return sol, float(np.linalg.norm(m @ sol - rhs)) / max(rhs_norm, 1e-300)
 
 
-def _check_ratio_case(dec: StructuredDecomposition, case_id: int, grid_n: int) -> CaseReport:
+def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     """The ratio test shared by cases 2 and 3: sup eta against 1 / (-alpha_neg).
 
     The positive terms come in g = 2 (pairs) or g = 3 (triples) per shared
@@ -809,8 +822,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int, grid_n: int) -
     # [0.5, 1). That scales the right vectors, and so the frames, by 2^-f
     # exactly; sigma and eta do not change, the guard's den_scale stays far
     # from overflow and underflow, and the frames are reported times 2^f.
-    f = int(np.frexp(np.max(np.abs(dec.mats)))[1])
-    mats = np.ldexp(dec.mats, -f)
+    mats, f = pow2_rescale(dec.mats)
     split, bad = _split_rank_ones(mats, q)
     if split is None:
         return _mismatch(case_id, f"positive term {bad} is not rank-one", diag)
@@ -882,12 +894,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int, grid_n: int) -
     if None in line_limits:
         return _mismatch(case_id, "singular lines coincide", diag)
     sup = sup_eta(
-        form.value,
-        lines,
-        grad_fn=form.grad,
-        hess_fn=form.hess,
-        eta_many=form.value_many,
-        grid_n=grid_n,
+        form.value, lines, grad_fn=form.grad, hess_fn=form.hess, eta_many=form.value_many
     )
     threshold = 1.0 / (-float(dec.alphas[q]))
     limit = float(np.ldexp(threshold, e))  # the scaled threshold
@@ -926,7 +933,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int, grid_n: int) -
     )
 
 
-def check_case2(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport:
+def check_case2(dec: StructuredDecomposition) -> CaseReport:
     """Necessary-and-sufficient nonnegativity test for the (r, q) = (7, 6) shape.
 
     Structure: six rank-one positive terms pairing three shared left vectors,
@@ -935,10 +942,10 @@ def check_case2(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport
     sup eta <= 1 / (-alpha_7) over directions off the three singular lines.
     This shape is never strictly positive.
     """
-    return _check_ratio_case(dec, 2, grid_n)
+    return _check_ratio_case(dec, 2)
 
 
-def check_case3(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport:
+def check_case3(dec: StructuredDecomposition) -> CaseReport:
     """Positivity test for the (r, q) = (10, 9) shape; can certify strictness.
 
     Structure: nine rank-one positive terms tripling three shared left
@@ -948,18 +955,18 @@ def check_case3(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport
     positivity, equality within tolerance gives the boundary verdict, and
     excess refutes nonnegativity.
     """
-    return _check_ratio_case(dec, 3, grid_n)
+    return _check_ratio_case(dec, 3)
 
 
-def check_case(dec: StructuredDecomposition, grid_n: int = 20000) -> CaseReport | None:
+def check_case(dec: StructuredDecomposition) -> CaseReport | None:
     """Run the case checker whose shape matches dec: case 1 for q = 3 (any r),
     case 2 for (r, q) = (7, 6), case 3 for (10, 9); None for any other shape."""
     if dec.q == 3:
         return check_case1(dec)
     if (dec.r, dec.q) == (7, 6):
-        return check_case2(dec, grid_n=grid_n)
+        return check_case2(dec)
     if (dec.r, dec.q) == (10, 9):
-        return check_case3(dec, grid_n=grid_n)
+        return check_case3(dec)
     return None
 
 

@@ -11,9 +11,10 @@ Subcommands:
 * oracle  -- brute-force grid + refinement minimizer of the biquadratic form
 
 A --decomp file must describe the --input tensor: a decomposition of
-another tensor is bad input. check's --grid-n sets the oracle lattice only;
-its POCS stages run at the defaults of certify_mpd and certify_mpsd. Only
-pocs takes --tol, the relative convergence tolerance of its run.
+another tensor is bad input. check, case and oracle take no numeric option:
+their lattices are oracle.GRID_N and cases.GRID_N points, and check's POCS
+stages run at the defaults of certify_mpd and certify_mpsd. Only pocs takes
+--tol, --max-iter and --epsilon, the settings of its one run.
 
 Exit codes: 0 a definite verdict was reached, 1 bad input, 2 undecided,
 3 internal contradiction between a certificate and the brute-force check
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cases, io, oracle, pipeline, pocs, spheres
+from . import cases, io, oracle, pipeline, pocs
 from .errors import EllipticityError, SoundnessTripwire, UnknownGenerator
 # Not called here; elbench/layers.py wraps these two names in cli.
 from .spectral import min_eigenvalue  # noqa: F401
@@ -62,9 +63,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _checked(convert, low=None, strict=False, high=None):
+def _checked(convert, low=None, strict=False):
     """An argparse type: convert the text, then require a finite value that is
-    at least low (above it if strict) and at most high. Failures reach _Parser.error."""
+    at least low (above it if strict). Failures reach _Parser.error."""
 
     def parse(text: str):
         value = convert(text)
@@ -73,8 +74,6 @@ def _checked(convert, low=None, strict=False, high=None):
         if low is not None and (value <= low if strict else value < low):
             relation = ">" if strict else ">="
             raise argparse.ArgumentTypeError(f"{text!r} is not {relation} {low}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"{text!r} is not <= {high}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
@@ -86,7 +85,6 @@ _POSITIVE = _checked(float, 0.0, strict=True)
 _NONNEGATIVE = _checked(float, 0.0)
 _COUNT = _checked(int, 1)
 _SEED = _checked(int, 0)
-_LATTICE_N = _checked(int, oracle.MIN_GRID_N, high=oracle.MAX_GRID_N)
 
 # Generator name -> builder of (tensor, label) from the parsed gen arguments.
 _GENERATORS = {
@@ -135,14 +133,10 @@ def _build_parser() -> _Parser:
     )
     gen.set_defaults(func=_cmd_gen)
 
-    def common(p, grid_type=_LATTICE_N, grid_default=2000):
+    def common(p):
         p.add_argument("--input", "-i", required=True, help="tensor JSON file")
         p.add_argument("--output", "-o", help="write the JSON report here")
         p.add_argument("--json", action="store_true", help="print JSON to stdout")
-        if grid_type is not None:
-            p.add_argument(
-                "--grid-n", type=grid_type, default=grid_default, help="sphere lattice size"
-            )
 
     check = sub.add_parser("check", help="run the full certification pipeline")
     common(check)
@@ -152,7 +146,7 @@ def _build_parser() -> _Parser:
     check.set_defaults(func=_cmd_check)
 
     pocs_p = sub.add_parser("pocs", help="raw alternating projection run")
-    common(pocs_p, None)
+    common(pocs_p)
     pocs_p.add_argument(
         "--tol", type=_POSITIVE, default=1e-10, help="relative convergence tolerance"
     )
@@ -163,7 +157,7 @@ def _build_parser() -> _Parser:
     pocs_p.set_defaults(func=_cmd_pocs)
 
     case = sub.add_parser("case", help="structured-decomposition analysis")
-    common(case, _checked(int, 1, high=spheres.MAX_HEMISPHERE_N), 20000)
+    common(case)
     case.add_argument("--decomp", required=True, help="decomposition JSON")
     case.set_defaults(func=_cmd_case)
 
@@ -247,7 +241,7 @@ def _cmd_case(args) -> int:
     t, name = io.load_tensor(args.input)
     dec = _load_decomposition(args.decomp)
     cases.require_decomposition_of(t, dec)
-    rep = cases.check_case(dec, args.grid_n)
+    rep = cases.check_case(dec)
     if rep is None:
         doc = {
             "command": "case",
@@ -281,7 +275,7 @@ def _cmd_case(args) -> int:
 
 def _cmd_oracle(args) -> int:
     t, name = io.load_tensor(args.input)
-    ov = oracle.oracle_verdict(t, n=args.grid_n)
+    ov = oracle.oracle_verdict(t)
     doc = {"command": "oracle", "input": args.input, "name": name}
     doc.update(oracle.oracle_verdict_to_doc(ov))
     rep = ov.report
@@ -335,7 +329,7 @@ def _stage_line(s: dict) -> str:
 def _cmd_check(args) -> int:
     t, name = io.load_tensor(args.input)
     dec = _load_decomposition(args.decomp) if args.decomp else None
-    rep = pipeline.check(t, dec, grid_n=args.grid_n)
+    rep = pipeline.check(t, dec)
     lines = [f"input: {args.input}" + (f" ({name})" if name else "")]
     lines += [_stage_line(s) for s in rep.stages]
     certified_by = rep.certified_mpd_by or rep.certified_mpsd_by
@@ -352,7 +346,7 @@ def _cmd_check(args) -> int:
         "command": "check",
         "input": args.input,
         "name": name,
-        "grid_n": args.grid_n,
+        "grid_n": oracle.GRID_N,
         **vars(rep),
         "exit_code": code,
     }

@@ -42,6 +42,8 @@ ORACLE_BOUNDARY = "MPSD_boundary"
 # Lattice points per sphere that grid_top_candidates accepts (a scan block: 26 MB at most).
 MIN_GRID_N = 100
 MAX_GRID_N = 100_000
+# Lattice points per sphere of oracle_verdict, as check and the oracle command run it.
+GRID_N = 2000
 # Witnesses within TOL * max|a| of zero give the boundary verdict.
 TOL = 1e-8
 
@@ -157,7 +159,7 @@ def _scan_block(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray, keep: int, cut
     return [(float(vs[i]), int(flat[i])) for i in order]
 
 
-def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
+def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     """The keep best (value, x, y) pairs over the m x m upper-half lattice,
     best first.
 
@@ -216,7 +218,7 @@ def grid_top_candidates(t: Pair4, n: int = 2000, keep: int = 10):
     return [(biquadratic(t, x, y), x, y) for x, y in pairs]
 
 
-def grid_min_biquadratic(t: Pair4, n: int = 2000) -> OracleReport:
+def grid_min_biquadratic(t: Pair4, n: int = GRID_N) -> OracleReport:
     """Minimum of the form over the Fibonacci lattice pairs of
     grid_top_candidates (the upper half of the n-point lattice)."""
     best = grid_top_candidates(t, n=n, keep=1)[0]
@@ -384,7 +386,7 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
 def _distinct_basins(candidates, n: int) -> list:
     """The candidates whose pair does not lie, up to the signs of x and y,
     within four lattice spacings of a pair kept before it. The spacing of
-    n points on the unit sphere is sqrt(4 pi / n), 0.08 rad at n = 2000."""
+    n points on the unit sphere is sqrt(4 pi / n), 0.08 rad at n = GRID_N."""
     cos_r = np.cos(4.0 * np.sqrt(4.0 * np.pi / n))
     kept = []
     for _, x, y in candidates:
@@ -395,7 +397,7 @@ def _distinct_basins(candidates, n: int) -> list:
     return kept
 
 
-def oracle_verdict(t: Pair4, n: int = 2000) -> OracleVerdict:
+def oracle_verdict(t: Pair4, n: int = GRID_N) -> OracleVerdict:
     """Grid scan plus refinement from the _TOP_K best candidates, one per basin.
 
     A candidate within a few lattice spacings of a better one starts in the

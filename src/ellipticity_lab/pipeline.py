@@ -38,13 +38,12 @@ class CheckReport:
     verdict: str
 
 
-def check(
-    t: Elast4, dec: cases.StructuredDecomposition | None = None, *, grid_n: int = 2000
-) -> CheckReport:
-    """Run the five stages on t; grid_n sets the oracle's lattice only.
+def check(t: Elast4, dec: cases.StructuredDecomposition | None = None) -> CheckReport:
+    """Run the five stages on t.
 
-    The case stage runs the case checker of dec at its own default grid,
-    and is skipped when dec is None. A given dec must build t: otherwise
+    The oracle scans oracle.GRID_N lattice points per sphere, and the case
+    stage runs the case checker of dec on its cases.GRID_N-point grid; it
+    is skipped when dec is None. A given dec must build t: otherwise
     DecompositionMismatch is raised before any stage runs.
     """
     if dec is not None:
@@ -102,7 +101,7 @@ def check(
                 refuted_by = refuted_by or tag
         stages.append(stage)
 
-    ov = oracle.oracle_verdict(t, n=grid_n)
+    ov = oracle.oracle_verdict(t)
     stages.append({"stage": "oracle", **oracle.oracle_verdict_to_doc(ov)})
     if ov.verdict == oracle.ORACLE_NOT_MPSD:
         refuted_by = refuted_by or "oracle"

@@ -28,6 +28,15 @@ def axis_outer(i, j):
     return np.outer(E3[:, i], E3[:, j])
 
 
+def case3_dec(c):
+    """The case-3 terms (1, e_s e_{s+k}^T), k = 0, 1, 2, and (-1, c I): eta = c^2."""
+    mats = [axis_outer(s, s) for s in range(3)]
+    mats += [axis_outer(s, (s + 1) % 3) for s in range(3)]
+    mats += [axis_outer(s, (s + 2) % 3) for s in range(3)]
+    mats.append(c * np.eye(3))
+    return el.StructuredDecomposition(np.array([1.0] * 9 + [-1.0]), np.stack(mats))
+
+
 # ---------------------------------------------------------------------------
 # decomposition containers
 
@@ -247,25 +256,44 @@ def general_case1(alpha_neg, seed):
     return el.StructuredDecomposition(np.array([1.0, 1.2, 0.9, alpha_neg]), np.stack(mats))
 
 
+# (terms, k): write the terms dec.alphas[terms], dec.mats[terms] as
+# (alpha c^2) (U / c) (x) (U / c), c = 2^k
+CASE1_REWRITES = [
+    (terms, k) for k in range(-500, 501, 50) for terms in (slice(3, None), slice(None))
+]
+
+
+def first_positive_rewrites(ks):
+    return [(slice(0, 1), k) for k in ks]
+
+
 @pytest.mark.parametrize(
-    "dec",
-    [general_case1(-0.3, 1), general_case1(-3.0, 2), case1_example(-0.5), case1_example(-1.5)],
-    ids=["mpsd", "not-mpsd", "boundary", "axis-not-mpsd"],
+    "dec, rewrites",
+    [
+        (general_case1(-0.3, 1), CASE1_REWRITES),
+        (general_case1(-3.0, 2), CASE1_REWRITES),
+        (case1_example(-0.5), CASE1_REWRITES + first_positive_rewrites(range(-120, 121, 10))),
+        (case1_example(-1.5), CASE1_REWRITES),
+        (el.choi_lam_case2_decomposition(1.0), first_positive_rewrites(range(49))),
+        (case3_dec(0.5), first_positive_rewrites(range(49))),
+    ],
+    ids=["mpsd", "not-mpsd", "boundary", "axis-not-mpsd", "case2-choi-lam", "case3-mpd"],
 )
-def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec):
-    # alpha U (x) U = (alpha c^2) (U / c) (x) (U / c): the same form for every c
-    want = el.check_case1(dec)
+def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec, rewrites):
+    # alpha U (x) U = (alpha c^2) (U / c) (x) (U / c): the same form for every
+    # c, rewritten in the negative terms, in all terms, or in one positive
+    # term, whose frame column then carries c (the frame test uses unit
+    # columns); the ratio cases, whose slots follow alpha order, are
+    # rewritten only where the term stays first
+    want = el.check_case(dec)
     assert want.structure_ok
-    for k in range(-500, 501, 50):
+    for terms, k in rewrites:
         c = 2.0**k
-        negative = el.StructuredDecomposition(
-            np.concatenate([dec.alphas[:3], dec.alphas[3:] * c * c]),
-            np.concatenate([dec.mats[:3], dec.mats[3:] / c]),
-        )
-        every = el.StructuredDecomposition(dec.alphas * c * c, dec.mats / c)
-        for scaled in (negative, every):
-            rep = el.check_case1(scaled)
-            assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), k
+        alphas, mats = dec.alphas.copy(), dec.mats.copy()
+        alphas[terms] *= c * c
+        mats[terms] /= c
+        rep = el.check_case(el.StructuredDecomposition(alphas, mats))
+        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), (terms, k)
 
 
 def test_case1_redecomposition():
@@ -568,14 +596,6 @@ def test_case2_mismatch_negative_outside_span():
 # case 3
 
 
-def case3_dec(c):
-    mats = [axis_outer(s, s) for s in range(3)]
-    mats += [axis_outer(s, (s + 1) % 3) for s in range(3)]
-    mats += [axis_outer(s, (s + 2) % 3) for s in range(3)]
-    mats.append(c * np.eye(3))
-    return el.StructuredDecomposition(np.array([1.0] * 9 + [-1.0]), np.stack(mats))
-
-
 def test_case3_strict():
     # eta(y) = c^2 exactly (denominators are |y|^2), so c = 0.5 gives 0.25
     rep = el.check_case3(case3_dec(0.5))
@@ -847,9 +867,9 @@ def assert_checker_matches_einsum_reference(monkeypatch, check, dec):
                 got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
                 # bit for bit, so that nan gradients compare too
                 assert same_bits(got, want), (name, y, got, want)
-        got = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
+        got = el.dumps_report(case_report_to_doc(check(dec)))
         monkeypatch.setattr(cases, "_RatioForm", EinsumRatioForm)
-        want = el.dumps_report(case_report_to_doc(check(dec, grid_n=2000)))
+        want = el.dumps_report(case_report_to_doc(check(dec)))
     assert got == want
 
 
@@ -974,7 +994,7 @@ CASE_EXAMPLES = {
     "case1-negative": lambda: case1_example(-1.5),
     "case1-near-cancelling": lambda: case1_near_cancelling(0),
     "case2-0.8": lambda: el.choi_lam_case2_decomposition(0.8),
-    "case2-0.8-just-above": lambda: choi_lam_just_above(0.8, 15.0 / 14.0, 1e-5),
+    "case2-0.8-just-above": lambda: choi_lam_just_above(0.8, 15.0 / 14.0, 1e-6),
     "case2-1": lambda: el.choi_lam_case2_decomposition(1.0),
     "case2-1.3": lambda: el.choi_lam_case2_decomposition(1.3),
     "case3-0.5": lambda: case3_dec(0.5),
@@ -988,10 +1008,10 @@ def test_case_verdicts_do_not_depend_on_the_alpha_scale(name):
     # scaling every alpha by c scales C (case 1), and eta and the threshold
     # (cases 2 and 3) by c resp. 1 / c, which no verdict test may see
     dec = CASE_EXAMPLES[name]()
-    want = el.check_case(dec, grid_n=2000)
+    want = el.check_case(dec)
     assert want.structure_ok
     for c in [2.0**k for k in (-60, -30, 30, 60)] + [1e-9]:
-        rep = el.check_case(el.StructuredDecomposition(c * dec.alphas, dec.mats), grid_n=2000)
+        rep = el.check_case(el.StructuredDecomposition(c * dec.alphas, dec.mats))
         assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), c
         if want.eta_sup is not None and c != 1e-9:
             # the ratio cases estimate eta on the same numbers at every 2^k
@@ -1008,9 +1028,9 @@ def test_case1_near_cancelling_c_is_an_mpsd_boundary():
 
 def test_choi_lam_just_above_the_threshold_is_refuted():
     # sup eta = 15/14 at (1, 1, 1) / sqrt(3) for gamma = 0.8; the grid alone
-    # reaches 1.071243, below the threshold 15/14 - 1e-5, so only an ascent
+    # reaches 1.0714232, below the threshold 15/14 - 1e-6, so only an ascent
     # that leaves its grid start refutes (the scale test repeats this at 2^k)
-    rep = el.check_case2(choi_lam_just_above(0.8, 15.0 / 14.0, 1e-5), grid_n=2000)
+    rep = el.check_case2(choi_lam_just_above(0.8, 15.0 / 14.0, 1e-6))
     assert rep.verdict == el.CASE_NOT_MPSD
     assert abs(rep.eta_sup - 15.0 / 14.0) < 1e-12
     assert np.allclose(np.abs(rep.eta_argmax), np.full(3, 1.0 / np.sqrt(3.0)))
@@ -1115,7 +1135,7 @@ def test_ratio_checkers_with_extreme_term_matrices(kind, scale):
         base, want = el.choi_lam_case2_decomposition(1.0), (el.CASE_MPSD, True, 1.0)
     else:
         base, want = case3_dec(0.5), (el.CASE_MPD, False, 0.25)
-    rep = el.check_case(el.StructuredDecomposition(base.alphas, scale * base.mats), grid_n=2000)
+    rep = el.check_case(el.StructuredDecomposition(base.alphas, scale * base.mats))
     assert (rep.verdict, rep.boundary) == want[:2]
     assert abs(rep.eta_sup - want[2]) < 1e-12
 
@@ -1124,7 +1144,7 @@ def test_choi_lam_with_tiny_alphas_is_mpsd():
     dec = el.choi_lam_case2_decomposition(1.0)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         tiny = el.StructuredDecomposition(1e-300 * dec.alphas, dec.mats)
-        rep = el.check_case2(tiny, grid_n=2000)
+        rep = el.check_case2(tiny)
     assert rep.verdict == el.CASE_MPSD and rep.boundary
 
 
@@ -1135,7 +1155,7 @@ def test_ratio_case_with_alphas_spread_past_the_float_range_is_mpsd(alpha_neg):
     dec = el.choi_lam_case2_decomposition(1.0)
     alphas = 1e10 * dec.alphas
     alphas[-1] = alpha_neg
-    rep = el.check_case2(el.StructuredDecomposition(alphas, dec.mats), grid_n=2000)
+    rep = el.check_case2(el.StructuredDecomposition(alphas, dec.mats))
     assert rep.verdict == el.CASE_MPSD and not rep.boundary
     assert rep.threshold == 1.0 / -alpha_neg and 0.0 < rep.eta_sup < 1e-9
 
@@ -1150,7 +1170,7 @@ def test_check_decides_tiny_alpha_decompositions_as_at_unit_scale():
     choi = el.choi_lam_case2_decomposition(1.0)
     choi = el.StructuredDecomposition(1e-9 * choi.alphas, choi.mats)
     assert el.check_case1(case1).verdict == el.CASE_NOT_MPSD
-    assert el.check_case2(choi, grid_n=2000).verdict == el.CASE_MPSD
+    assert el.check_case2(choi).verdict == el.CASE_MPSD
     for dec, verdict in ((case1, "NotMPSD"), (choi, "MPSD")):
         rep = el.check(el.tensor_from_rank_one_terms(dec.alphas, dec.mats), dec)
         assert rep.verdict == verdict
@@ -1183,9 +1203,8 @@ def test_check_case_dispatches_on_shape(monkeypatch, r, q, want):
         monkeypatch.setattr(cases, name, record)
     alphas = np.array([1.0] * q + [-1.0] * (r - q))
     dec = el.StructuredDecomposition(alphas, np.zeros((r, 3, 3)))
-    assert cases.check_case(dec, 500) == want
-    kwargs = {} if want == "check_case1" else {"grid_n": 500}
-    assert calls == ([] if want is None else [(want, kwargs)])
+    assert cases.check_case(dec) == want
+    assert calls == ([] if want is None else [(want, {})])
 
 
 def test_case_report_doc_serializable():

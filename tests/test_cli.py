@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import cli, oracle, spheres
+from ellipticity_lab import cli
 
 
 SRC = str(Path(el.__file__).resolve().parents[1])
@@ -300,9 +300,9 @@ def test_repeated_main_calls_share_one_parser(tensor_files, capsys):
     assert cli.main(argv) == cli.EXIT_DECIDED
     assert capsys.readouterr().out == first
     with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "-i", tensor_files["iso-neg"], "--grid-n", "50"])
+        cli.main(["pocs", "-i", tensor_files["iso-neg"], "--max-iter", "0"])
     assert exc.value.code == cli.EXIT_INPUT
-    assert "error: argument --grid-n" in capsys.readouterr().err
+    assert "error: argument --max-iter" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():
@@ -460,13 +460,6 @@ def test_missing_required_flag():
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (("check", "--grid-n", "50"), "two-squares"),
-        (("oracle", "--grid-n", "50"), "two-squares"),
-        (("case", "--grid-n", "0"), "choi"),
-        (("check", "--grid-n", str(oracle.MAX_GRID_N + 1)), "two-squares"),
-        (("oracle", "--grid-n", str(oracle.MAX_GRID_N + 1)), "two-squares"),
-        (("case", "--grid-n", str(spheres.MAX_HEMISPHERE_N + 1)), "choi"),
-        (("oracle", "--grid-n", "1000000000000"), "two-squares"),
         (("pocs", "--tol", "0"), "two-squares"),
         (("pocs", "--epsilon", "-1"), "two-squares"),
         (("pocs", "--epsilon", "inf"), "two-squares"),
@@ -496,13 +489,14 @@ def test_check_takes_no_pocs_options(tensor_files, option):
 
 @pytest.mark.parametrize("command", ["check", "case", "oracle"])
 def test_certifying_commands_take_no_tolerance(tensor_files, command):
-    # their tolerances are constants of each route; pocs --tol is the
-    # convergence tolerance of its run
+    # their tolerances and lattice sizes are constants of each route; pocs
+    # --tol is the convergence tolerance of its run
     decomp = ("--decomp", tensor_files["choi-dec"]) if command == "case" else ()
-    proc = run_cli(command, "-i", tensor_files["choi"], *decomp, "--tol", "1e-6")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "error: unrecognized arguments: --tol 1e-6" in proc.stderr
+    for option in (("--tol", "1e-6"), ("--grid-n", "2000")):
+        proc = run_cli(command, "-i", tensor_files["choi"], *decomp, *option)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"error: unrecognized arguments: {' '.join(option)}" in proc.stderr
 
 
 def test_tensor_near_float_limit_gets_a_verdict(tmp_path):

@@ -96,8 +96,8 @@ def test_ratio_checkers_reach_sup_eta_and_lattice_through_cases(monkeypatch):
         np.array([1.0] * 9 + [-1.0]),
         np.stack([np.outer(eye[s], eye[(s + k) % 3]) for k in range(3) for s in range(3)] + [0.5 * eye]),
     )
-    assert el.check_case2(el.choi_lam_case2_decomposition(1.0), grid_n=2000).verdict == el.CASE_MPSD
-    assert el.check_case3(case3, grid_n=2000).verdict == el.CASE_MPD
+    assert el.check_case2(el.choi_lam_case2_decomposition(1.0)).verdict == el.CASE_MPSD
+    assert el.check_case3(case3).verdict == el.CASE_MPD
     assert len(sup_calls) == 2
     assert all(callable(grad_fn) and callable(eta_many) for grad_fn, eta_many in sup_calls)
-    assert lattice_calls == [2000, 2000]
+    assert lattice_calls == [20000, 20000]
