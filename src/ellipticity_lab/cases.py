@@ -253,11 +253,21 @@ def _mismatch(case_id: int, reason: str, diagnostics: dict) -> CaseReport:
 # Case 1
 
 
-def _case1_scale(dec: StructuredDecomposition, C: np.ndarray) -> float:
-    """max(alpha_1, ||C||), the scale of case 1's cutoffs on C; ||C|| is taken
-    at a power-of-two scale, where its squares cannot overflow."""
-    cs, e = pow2_rescale(C)
-    return max(float(dec.alphas[0]), math.ldexp(float(np.linalg.norm(cs)), e))
+def _case1_scaled_C(dec: StructuredDecomposition, C: np.ndarray):
+    """(C~, max(1, ||C~||)): C~ = A^-1/2 C A^-1/2 = I + sum alpha_s tau_s tau_s^T
+    with A = diag(alpha_1..3) and tau_s = A^-1/2 sigma_s, and the scale of
+    case 1's cutoffs on it. C~ is congruent to C, so it has C's inertia, and
+    it does not change when a term's scale moves between alpha and U, which
+    multiplies C by a diagonal on both sides. The rounding in C, over
+    sqrt(alpha_i alpha_j), is eps times I + sum |alpha_s| tau_s tau_s^T, whose
+    norm is at most 1 + ||C~||; ||C~|| is taken at a power-of-two scale,
+    where its squares cannot overflow. C is divided by alpha_1 before the
+    square roots enter, so equal alphas give the same C~ at every common
+    scale, and a tie in its spectrum stays a tie."""
+    root = np.sqrt(dec.alphas[:3] / dec.alphas[0])
+    ct = C / dec.alphas[0] / np.outer(root, root)
+    cs, e = pow2_rescale(ct)
+    return ct, max(1.0, math.ldexp(float(np.linalg.norm(cs)), e))
 
 
 def check_case1(dec: StructuredDecomposition) -> CaseReport:
@@ -266,7 +276,9 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
     Structure: the positive U_s must be rank-one v_s w_s^T with nonsingular
     frames V, W, and every negative U_s must become diagonal under V^-1 . W^-T.
     Then the form is nonnegative iff C = diag(alpha_1..3) + sum alpha_s
-    sigma_s sigma_s^T is PSD. This shape is never strictly positive.
+    sigma_s sigma_s^T is PSD. This shape is never strictly positive. The
+    diagonal and PSD tests divide by sqrt(alpha_1..3) first, so neither sees
+    how a term splits its scale between alpha and U.
     """
     if dec.q != 3:
         raise NotCase1(f"expected exactly 3 positive terms, found {dec.q}")
@@ -283,26 +295,30 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
 
     n_neg = dec.r - 3
     sigma = np.zeros((n_neg, 3))
+    root = np.sqrt(dec.alphas[:3])
     diag["offdiag_residuals"] = offdiag_resid = []
     for idx in range(n_neg):
         u = dec.mats[3 + idx]
         m = np.linalg.solve(V, u)
         m = np.linalg.solve(W, m.T).T  # m = V^-1 U W^-T
-        off = m - np.diag(np.diag(m))
-        resid = float(np.linalg.norm(off))
-        offdiag_resid.append(resid)
-        if resid > TOL * float(np.linalg.norm(m)):
+        offdiag_resid.append(float(np.linalg.norm(m - np.diag(np.diag(m)))))
+        # The test reads column s of m over sqrt(alpha_s), which no scale
+        # moved between alpha_s and U_s changes: relative to ||m|| alone, a
+        # column that carries a large scale would pass another's
+        # off-diagonal part as rounding.
+        mt = m / root
+        if np.linalg.norm(mt - np.diag(np.diag(mt))) > TOL * np.linalg.norm(mt):
             return _mismatch(1, f"negative term {idx} is not diagonal in the frame", diag)
         sigma[idx] = np.diag(m)
 
     C = np.diag(dec.alphas[:3]) + np.einsum(
         "s,si,sj->ij", dec.alphas[3:], sigma, sigma
     )
-    lam_min = float(np.linalg.eigvalsh(C)[0])
-    diag["min_eig_C"] = lam_min
-    # Rounding in C is eps times its terms, at most a few times the largest
-    # alpha or ||C||: a scale-free bound that keeps a near-cancelling C MPSD.
-    scale = _case1_scale(dec, C)
+    diag["min_eig_C"] = float(np.linalg.eigvalsh(C)[0])
+    # C is PSD iff C~ is; C~'s cutoff, unlike one on C, does not grow when a
+    # positive term is rewritten as (alpha c^2) (U / c) (x) (U / c).
+    ct, scale = _case1_scaled_C(dec, C)
+    lam_min = float(np.linalg.eigvalsh(ct)[0])
     return CaseReport(
         1,
         CASE_MPSD if lam_min >= -TOL * scale else CASE_NOT_MPSD,
@@ -320,21 +336,25 @@ def case1_positive_redecomposition(
 ) -> StructuredDecomposition:
     """All-positive terms equal to a nonnegative case-1 decomposition.
 
-    Eigendecomposing C and pushing its eigenvectors back through the frames
-    gives terms (lambda_t, V diag(e_t) W^T) with every lambda_t >= 0; near-zero
+    C = A^1/2 C~ A^1/2 (see _case1_scaled_C), so each eigenpair (lambda_t, e_t)
+    of C~ gives the term alpha_1 lambda_t g_t g_t^T of C with
+    g_t = (A / alpha_1)^1/2 e_t. Pushed back through the frames, that is
+    (alpha_1 lambda_t, V diag(g_t) W^T) with every coefficient >= 0; near-zero
     eigenvalues are dropped. The result induces the same contracted matrix.
     """
     rep = check_case1(dec)
     if rep.verdict != CASE_MPSD:
         raise ValueError(f"needs an MPSD case-1 decomposition, got {rep.verdict}")
     assert rep.C_matrix is not None and rep.structure is not None
-    pair = sym_eig(rep.C_matrix)
-    keep = pair.values > SPECTRAL_REL_TOL * _case1_scale(dec, rep.C_matrix)
+    ct, scale = _case1_scaled_C(dec, rep.C_matrix)
+    pair = sym_eig(ct)
+    keep = pair.values > SPECTRAL_REL_TOL * scale
     if not np.any(keep):
         raise ValueError("decomposition is identically zero")
+    root = np.sqrt(dec.alphas[:3] / dec.alphas[0])
     V, W = rep.structure.V, rep.structure.W
-    mats = [V @ np.diag(e) @ W.T for e in pair.vectors[:, keep].T]
-    return StructuredDecomposition(pair.values[keep], np.stack(mats))
+    mats = [V @ np.diag(root * e) @ W.T for e in pair.vectors[:, keep].T]
+    return StructuredDecomposition(dec.alphas[0] * pair.values[keep], np.stack(mats))
 
 
 # ---------------------------------------------------------------------------

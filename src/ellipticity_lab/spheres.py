@@ -13,7 +13,6 @@ import numpy as np
 
 # Golden angle in radians, the azimuthal increment of the spiral.
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-MAX_HEMISPHERE_N = 1_000_000  # the case route's grid, 24 MB of points at most
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -41,8 +40,8 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     `pts.T` is the coordinate-major layout that a vectorised kernel reads
     without a grid-sized copy.
     """
-    if not 1 <= n <= MAX_HEMISPHERE_N:
-        raise ValueError(f"lattice needs 1 to {MAX_HEMISPHERE_N} points")
+    if n < 1:
+        raise ValueError("lattice needs at least one point")
     i = np.arange(n, dtype=float)
     z = (i + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

@@ -256,44 +256,83 @@ def general_case1(alpha_neg, seed):
     return el.StructuredDecomposition(np.array([1.0, 1.2, 0.9, alpha_neg]), np.stack(mats))
 
 
-# (terms, k): write the terms dec.alphas[terms], dec.mats[terms] as
-# (alpha c^2) (U / c) (x) (U / c), c = 2^k
+# (terms, k) for rewritten: the negative terms or all terms at k = -500..500,
+# the first positive term alone at k = -120..120
 CASE1_REWRITES = [
     (terms, k) for k in range(-500, 501, 50) for terms in (slice(3, None), slice(None))
-]
+] + [(slice(0, 1), k) for k in range(-120, 121, 10)]
 
 
-def first_positive_rewrites(ks):
-    return [(slice(0, 1), k) for k in ks]
+def unequal_sigma_case1():
+    """(1, 1, 1, -1) on (e0e0^T, e1e1^T, e2e2^T, diag(0.1, 1.2, 0)): C = I - s s^T
+    with s = (0.1, 1.2, 0), so the form is -0.44 at x = y = e1."""
+    mats = np.stack(
+        [axis_outer(0, 0), axis_outer(1, 1), axis_outer(2, 2), np.diag([0.1, 1.2, 0.0])]
+    )
+    return el.StructuredDecomposition(np.array([1.0, 1.0, 1.0, -1.0]), mats)
+
+
+def rewritten(dec, terms, k):
+    """dec with the terms dec.alphas[terms], dec.mats[terms] written as
+    (alpha c^2) (U / c) (x) (U / c), c = 2^k: the same form."""
+    c = 2.0**k
+    alphas, mats = dec.alphas.copy(), dec.mats.copy()
+    alphas[terms] *= c * c
+    mats[terms] /= c
+    return el.StructuredDecomposition(alphas, mats)
 
 
 @pytest.mark.parametrize(
-    "dec, rewrites",
+    "dec",
     [
-        (general_case1(-0.3, 1), CASE1_REWRITES),
-        (general_case1(-3.0, 2), CASE1_REWRITES),
-        (case1_example(-0.5), CASE1_REWRITES + first_positive_rewrites(range(-120, 121, 10))),
-        (case1_example(-1.5), CASE1_REWRITES),
-        (el.choi_lam_case2_decomposition(1.0), first_positive_rewrites(range(49))),
-        (case3_dec(0.5), first_positive_rewrites(range(49))),
+        general_case1(-0.3, 1),
+        general_case1(-3.0, 2),
+        case1_example(-0.5),
+        case1_example(-1.5),
+        unequal_sigma_case1(),
     ],
-    ids=["mpsd", "not-mpsd", "boundary", "axis-not-mpsd", "case2-choi-lam", "case3-mpd"],
+    ids=["mpsd", "not-mpsd", "boundary", "axis-not-mpsd", "unequal-sigma-not-mpsd"],
 )
-def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec, rewrites):
-    # alpha U (x) U = (alpha c^2) (U / c) (x) (U / c): the same form for every
-    # c, rewritten in the negative terms, in all terms, or in one positive
-    # term, whose frame column then carries c (the frame test uses unit
-    # columns); the ratio cases, whose slots follow alpha order, are
-    # rewritten only where the term stays first
+def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec):
+    # the same form for every c, rewritten in the negative terms, in all
+    # terms, or in one positive term, whose frame column then carries c: the
+    # frame test uses unit columns, and the diagonal and PSD tests the
+    # coordinates weighted by sqrt(alpha_s)
+    want = el.check_case1(dec)
+    assert want.structure_ok
+    for terms, k in CASE1_REWRITES:
+        rep = el.check_case1(rewritten(dec, terms, k))
+        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), (terms, k)
+
+
+@pytest.mark.parametrize(
+    "dec",
+    [el.choi_lam_case2_decomposition(1.0), case3_dec(0.5)],
+    ids=["case2-choi-lam", "case3-mpd"],
+)
+def test_ratio_case_verdict_does_not_depend_on_how_a_positive_term_is_scaled(dec):
+    # the first positive term rewritten, where it stays first in alpha order
+    # (the slots follow it); its frame column carries c, which the frame test
+    # with unit columns does not see
     want = el.check_case(dec)
     assert want.structure_ok
-    for terms, k in rewrites:
-        c = 2.0**k
-        alphas, mats = dec.alphas.copy(), dec.mats.copy()
-        alphas[terms] *= c * c
-        mats[terms] /= c
-        rep = el.check_case(el.StructuredDecomposition(alphas, mats))
-        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), (terms, k)
+    for k in range(49):
+        rep = el.check_case(rewritten(dec, slice(0, 1), k))
+        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), k
+
+
+@pytest.mark.parametrize("k", range(-120, 121, 10))
+def test_case1_offdiagonal_part_is_not_hidden_by_a_rescaled_term(k):
+    # case1_example(-0.5) with 1e-3 off the diagonal of its negative term is
+    # not MPSD (the oracle finds about -3.9e-4); relative to ||V^-1 U W^-T||,
+    # whose first column carries c, that part passed as rounding from c = 2^20
+    neg = np.diag([1.0, 1.0, 0.0])
+    neg[1, 2] = neg[2, 1] = 1e-3
+    mats = np.stack([axis_outer(0, 0), axis_outer(1, 1), axis_outer(2, 2), neg])
+    dec = el.StructuredDecomposition(np.array([1.0, 1.0, 1.0, -0.5]), mats)
+    rep = el.check_case1(rewritten(dec, slice(0, 1), k))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert "diagonal" in rep.diagnostics["reason"]
 
 
 def test_case1_redecomposition():
@@ -315,6 +354,20 @@ def test_case1_redecomposition_does_not_depend_on_the_alpha_scale():
         red = el.case1_positive_redecomposition(scaled)
         assert np.allclose(red.alphas, c * want.alphas, rtol=1e-12, atol=0.0), c
         assert np.allclose(red.mats, want.mats, atol=1e-12), c
+
+
+@pytest.mark.parametrize("k", [-60, -20, 20, 60])
+def test_case1_redecomposition_keeps_every_term_of_a_rescaled_decomposition(k):
+    # an eigenvalue cutoff on C, which grows as c^2 here, dropped the
+    # eigenvalue-1 terms from c = 2^20
+    dec = rewritten(general_case1(-0.3, 1), slice(0, 1), k)
+    red = el.case1_positive_redecomposition(dec)
+    assert np.all(red.alphas > 0)
+    for _ in range(5):
+        y = rng.standard_normal(3)
+        want = contract_terms_yy(dec, y)
+        got = contract_terms_yy(red, y)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max()), k
 
 
 def test_case1_redecomposition_rejects_notmpsd():
