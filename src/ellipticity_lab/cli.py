@@ -13,8 +13,9 @@ Subcommands:
 A --decomp file must describe the --input tensor: a decomposition of
 another tensor is bad input. check, case and oracle take no numeric option:
 their lattices are oracle.GRID_N and cases.GRID_N points, and check's POCS
-stages run at the defaults of certify_mpd and certify_mpsd. Only pocs takes
---tol, --max-iter and --epsilon, the settings of its one run.
+stages run at the defaults of certify_mpd and certify_mpsd. pocs takes one,
+--epsilon, the shift of its run; its tolerance and sweep budget are
+pocs.TOL_CONVERGE and pocs.MAX_SWEEPS.
 
 Exit codes: 0 a definite verdict was reached, 1 bad input, 2 undecided,
 3 internal contradiction between a certificate and the brute-force check
@@ -63,17 +64,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _checked(convert, low=None, strict=False):
+def _checked(convert, low=None):
     """An argparse type: convert the text, then require a finite value that is
-    at least low (above it if strict). Failures reach _Parser.error."""
+    at least low. Failures reach _Parser.error."""
 
     def parse(text: str):
         value = convert(text)
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not finite")
-        if low is not None and (value <= low if strict else value < low):
-            relation = ">" if strict else ">="
-            raise argparse.ArgumentTypeError(f"{text!r} is not {relation} {low}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not >= {low}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
@@ -81,9 +81,7 @@ def _checked(convert, low=None, strict=False):
 
 
 _FINITE = _checked(float)
-_POSITIVE = _checked(float, 0.0, strict=True)
 _NONNEGATIVE = _checked(float, 0.0)
-_COUNT = _checked(int, 1)
 _SEED = _checked(int, 0)
 
 # Generator name -> builder of (tensor, label) from the parsed gen arguments.
@@ -148,10 +146,6 @@ def _build_parser() -> _Parser:
     pocs_p = sub.add_parser("pocs", help="raw alternating projection run")
     common(pocs_p)
     pocs_p.add_argument(
-        "--tol", type=_POSITIVE, default=1e-10, help="relative convergence tolerance"
-    )
-    pocs_p.add_argument("--max-iter", type=_COUNT, default=20000)
-    pocs_p.add_argument(
         "--epsilon", type=_NONNEGATIVE, default=0.0, help="strictness shift (0 tests M-PSD)"
     )
     pocs_p.set_defaults(func=_cmd_pocs)
@@ -206,12 +200,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_pocs(args) -> int:
     t, name = io.load_tensor(args.input)
-    opts = pocs.PocsOptions(
-        max_iter=args.max_iter,
-        tol_converge=args.tol,
-        epsilon_shift=args.epsilon,
-    )
-    rep = pocs.run_pocs(t, opts)
+    rep = pocs.run_pocs(t, pocs.PocsOptions(epsilon_shift=args.epsilon))
     doc = {"command": "pocs", "input": args.input, "name": name}
     doc.update(pocs.pocs_report_to_doc(rep))
     lines = [

@@ -56,7 +56,8 @@ def check(t: Elast4, dec: cases.StructuredDecomposition | None = None) -> CheckR
     m = unfold(t)
     lam_min = min_eigenvalue(m)
     ms, e = pow2_rescale(m)  # compared at unit scale, where no norm overflows
-    lam, cut = float(np.ldexp(lam_min, -e)), 1e-10 * float(np.linalg.norm(ms))
+    lam = float(np.ldexp(lam_min, -e))
+    cut = pocs.TOL_CONVERGE * float(np.linalg.norm(ms))  # POCS's S-PSD cut
     spd, spsd = lam > cut, lam >= -cut
     stages.append(
         {"stage": "spsd-eigen", "min_eigenvalue": lam_min, "spsd": spsd, "spd": spd}

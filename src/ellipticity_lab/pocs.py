@@ -83,6 +83,13 @@ VERDICT_MARGIN = "MarginProved"
 TOL_STALL = 1e-6
 STALL_WINDOW = 50
 
+# The sweep budget of every run, and the relative convergence tolerance: its
+# default and its upper bound. A looser tolerance would pass a gap of that
+# size as an intersection; at 0.3 it certifies Choi-Lam gamma = 0.5, whose
+# form the oracle refutes.
+MAX_SWEEPS = 20000
+TOL_CONVERGE = 1e-10
+
 # run_pocs iterates on the 81 entries of the unfolding, row by row. In that
 # order, _SWAP sends the entry of t[ijkl] to that of t[jikl] (a transpose
 # inside each 3x3 block), _TENSOR_ORDER lists the entries in the (3, 3, 3, 3)
@@ -95,25 +102,23 @@ _DIAG = np.arange(0, 81, 10)
 
 @dataclass(frozen=True)
 class PocsOptions:
-    """Iteration controls.
+    """Iteration controls; every run has the budget of MAX_SWEEPS sweeps.
 
     tol_converge is relative: the run stops successfully once the gap falls
     to tol_converge * ||A||, with A the (shifted) reference, so the test
-    scales with the tensor at every size. epsilon_shift > 0 subtracts that
-    multiple of the identity-form tensor before iterating (the
-    strict-definiteness probe). Every value must be finite: an infinite
-    tolerance would certify any form, and a NaN slips past every range check.
+    scales with the tensor at every size. It may only tighten TOL_CONVERGE:
+    a value above it, or one not positive, raises ValueError. A positive
+    epsilon_shift subtracts that multiple of the identity-form tensor before
+    iterating (the strict-definiteness probe); it must be finite, since a
+    NaN slips past every range check.
     """
 
-    max_iter: int = 20000
-    tol_converge: float = 1e-10
+    tol_converge: float = TOL_CONVERGE
     epsilon_shift: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_iter) and self.max_iter >= 1):
-            raise ValueError("max_iter must be finite and at least 1")
-        if not (math.isfinite(self.tol_converge) and self.tol_converge > 0.0):
-            raise ValueError("tol_converge must be finite and positive")
+        if not 0.0 < self.tol_converge <= TOL_CONVERGE:
+            raise ValueError(f"tol_converge must be in (0, {TOL_CONVERGE:g}]")
         if not (math.isfinite(self.epsilon_shift) and self.epsilon_shift >= 0.0):
             raise ValueError("epsilon_shift must be finite and nonnegative")
 
@@ -296,7 +301,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     stall_run = 0
     prev_gap = None
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, MAX_SWEEPS + 1):
         b = _psd_clamp(cur.reshape(9, 9)).reshape(81)
         cur = a9 + 0.5 * (b - b[_SWAP])
         diff = cur - b

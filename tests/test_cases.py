@@ -204,6 +204,15 @@ def test_case1_mismatch_offdiagonal_negative():
     assert "diagonal" in rep.diagnostics["reason"]
 
 
+def test_case1_mismatch_singular_frame():
+    # the first two positive terms share v = e1, so V = [e1, e1, e3]
+    mats = np.stack([axis_outer(0, 0), axis_outer(0, 1), axis_outer(2, 2), 0.1 * E3])
+    rep = el.check_case1(el.StructuredDecomposition(np.array([1.0, 1.0, 1.0, -0.5]), mats))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert rep.diagnostics["reason"] == "frame V or W is singular"
+    assert (rep.diagnostics["cond_V"], rep.diagnostics["cond_W"]) == (np.inf, 1.0)
+
+
 def test_case1_general_frames():
     # conjugating by nonsingular frames permutes C but keeps its spectrum
     V = rng.standard_normal((3, 3)) + 2 * np.eye(3)
@@ -546,6 +555,28 @@ def test_sup_eta_propagates_foreign_grad_errors():
         )
 
 
+@pytest.mark.parametrize("broken", ["grad_fn", "hess_fn"])
+def test_sup_eta_ends_an_ascent_quietly_on_a_guard_error(broken):
+    # a guard error from the gradient or the Hessian stops each ascent at its
+    # grid start: the grid maximum stands, and no ascent converged
+    u = np.array([0.0, 0.6, 0.8])
+
+    def guarded(y):
+        raise SingularDirection("on a singular line")
+
+    fns = {"grad_fn": lambda y: 2.0 * (u - (y @ u) * y), "hess_fn": quadratic_hess(u)}
+    fns[broken] = guarded
+    res = el.sup_eta(
+        lambda y: float(2.0 * y @ u - 1.0),
+        [],
+        grid_n=2000,
+        eta_many=lambda ys: 2.0 * ys @ u - 1.0,
+        **fns,
+    )
+    assert not res.converged
+    assert res.value == float(np.max(2.0 * fibonacci_hemisphere(2000) @ u - 1.0))
+
+
 def test_sup_eta_leaves_the_callers_values_alone():
     # the grid values may be a read-only array, or an array the caller
     # keeps; sup_eta only reads them, -inf (excluded) points included
@@ -691,6 +722,36 @@ def test_case3_mismatch_dependent_triple():
     assert "linearly dependent" in rep.diagnostics["reason"]
     dets = rep.diagnostics["triple_dets"]
     assert dets[0] < 1e-12 and min(dets[1:]) > 0.1
+
+
+def _term_replaced(dec, edits):
+    mats = dec.mats.copy()
+    for s, mat in edits.items():
+        mats[s] = mat
+    return el.StructuredDecomposition(dec.alphas.copy(), mats)
+
+
+@pytest.mark.parametrize(
+    "check, dec, reason",
+    [
+        (
+            el.check_case2,
+            _term_replaced(el.choi_lam_case2_decomposition(1.0), {3: E3}),
+            "positive term 3 is not rank-one",
+        ),
+        (
+            # the slot-0 right vectors of the three triples are all e1
+            el.check_case3,
+            _term_replaced(case3_dec(0.5), {s: axis_outer(s, 0) for s in range(3)}),
+            "frame W is singular",
+        ),
+    ],
+    ids=["case2-not-rank-one", "case3-singular-W"],
+)
+def test_ratio_case_mismatch_before_the_ratio(check, dec, reason):
+    rep = check(dec)
+    assert rep.verdict == el.CASE_MISMATCH
+    assert rep.diagnostics["reason"] == reason
 
 
 def test_case3_wrong_shape_raises():

@@ -1,5 +1,6 @@
 """End-to-end command line runs through real subprocesses."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import cli
+from ellipticity_lab import cli, pocs
 
 
 SRC = str(Path(el.__file__).resolve().parents[1])
@@ -232,10 +233,11 @@ def test_pocs_shifted_run_proves_a_margin(tensor_files):
     assert "-> certified M-PD" in stage[0]
 
 
-def test_pocs_inconclusive_is_undecided(tensor_files):
-    proc = run_cli("pocs", "-i", tensor_files["choi"], "--max-iter", "1", "--json")
-    assert proc.returncode == 2
-    doc = json.loads(proc.stdout)
+def test_pocs_inconclusive_is_undecided(tensor_files, monkeypatch, capsys):
+    # a run cut at one sweep has neither converged nor proved a gap
+    monkeypatch.setattr(pocs, "MAX_SWEEPS", 1)
+    assert cli.main(["pocs", "-i", tensor_files["choi"], "--json"]) == cli.EXIT_UNDECIDED
+    doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "Inconclusive"
     assert doc["iterations"] == 1
     assert "separation_margin" not in doc
@@ -300,9 +302,9 @@ def test_repeated_main_calls_share_one_parser(tensor_files, capsys):
     assert cli.main(argv) == cli.EXIT_DECIDED
     assert capsys.readouterr().out == first
     with pytest.raises(SystemExit) as exc:
-        cli.main(["pocs", "-i", tensor_files["iso-neg"], "--max-iter", "0"])
+        cli.main(["pocs", "-i", tensor_files["iso-neg"], "--epsilon", "-1"])
     assert exc.value.code == cli.EXIT_INPUT
-    assert "error: argument --max-iter" in capsys.readouterr().err
+    assert "error: argument --epsilon" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():
@@ -460,10 +462,8 @@ def test_missing_required_flag():
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (("pocs", "--tol", "0"), "two-squares"),
         (("pocs", "--epsilon", "-1"), "two-squares"),
         (("pocs", "--epsilon", "inf"), "two-squares"),
-        (("pocs", "--max-iter", "0"), "two-squares"),
         (("gen", "random", "--seed", "-1"), None),
         (("gen", "isotropic", "--lambda", "nan"), None),
         (("gen", "isotropic", "--mu=-inf"), None),
@@ -487,16 +487,38 @@ def test_check_takes_no_pocs_options(tensor_files, option):
     assert f"error: unrecognized arguments: {' '.join(option)}" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["check", "case", "oracle"])
+@pytest.mark.parametrize("command", ["check", "pocs", "case", "oracle"])
 def test_certifying_commands_take_no_tolerance(tensor_files, command):
-    # their tolerances and lattice sizes are constants of each route; pocs
-    # --tol is the convergence tolerance of its run
+    # their tolerances, lattice sizes and sweep budgets are constants of
+    # each route
     decomp = ("--decomp", tensor_files["choi-dec"]) if command == "case" else ()
-    for option in (("--tol", "1e-6"), ("--grid-n", "2000")):
+    for option in (("--tol", "1e-6"), ("--max-iter", "0"), ("--grid-n", "2000")):
         proc = run_cli(command, "-i", tensor_files["choi"], *decomp, *option)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert f"error: unrecognized arguments: {' '.join(option)}" in proc.stderr
+
+
+def test_numeric_options_per_subcommand():
+    # every option that takes a number, read off the parser: a new numeric
+    # knob has to be added here on purpose
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    numeric = {
+        command: {
+            action.option_strings[0]
+            for action in sub._actions
+            if getattr(action.type, "__name__", None) in ("float", "int")
+        }
+        for command, sub in subparsers.choices.items()
+    }
+    assert numeric == {
+        "gen": {"--gamma", "--lambda", "--mu", "--seed"},
+        "check": set(),
+        "pocs": {"--epsilon"},
+        "case": set(),
+        "oracle": set(),
+    }
 
 
 def test_tensor_near_float_limit_gets_a_verdict(tmp_path):

@@ -83,8 +83,10 @@ def test_load_tensor_invalid_json(tmp_path):
 def test_doc_to_tensor_rejects_bad_format():
     with pytest.raises(ParseError):
         doc_to_tensor({"format": "elast4-v999", "entries": []})
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="document must be a JSON object"):
         doc_to_tensor([1, 2, 3])
+    with pytest.raises(ParseError, match="'name' must be a string"):
+        doc_to_tensor({"format": FORMAT_ELAST4, "entries": [], "name": 3})
 
 
 def test_doc_to_tensor_rejects_bad_entries():
@@ -104,6 +106,8 @@ def test_doc_to_tensor_rejects_bad_entries():
     dup = {"i": 1, "j": 1, "k": 1, "l": 1, "v": 1.0}
     with pytest.raises(ParseError):
         doc_to_tensor({**base, "entries": [dup, dup]})
+    with pytest.raises(ParseError, match="entry 1 is not an object"):
+        doc_to_tensor({**base, "entries": [dup, [1, 1, 1, 1, 1.0]]})
 
 
 @pytest.mark.parametrize(
@@ -149,6 +153,8 @@ def test_decomposition_roundtrip(tmp_path):
 
 
 def test_decomposition_doc_rejects_malformed():
+    with pytest.raises(ParseError, match="document must be a JSON object"):
+        doc_to_decomposition([{"alpha": 1.0, "U": [1.0] * 9}])
     with pytest.raises(ParseError):
         doc_to_decomposition({"format": "nope"})
     with pytest.raises(ParseError):

@@ -62,6 +62,48 @@ def test_pocs_mpd_stage_carries_the_proved_margin():
         assert "form_lower_bound" not in s
 
 
+E3 = np.eye(3)
+
+
+def _check_cli(t, dec, tmp_path, capsys):
+    """check --decomp on t and dec: (exit code, JSON report, human lines)."""
+    el.save_tensor(tmp_path / "t.json", t)
+    el.save_decomposition(tmp_path / "d.json", dec.alphas, dec.mats)
+    argv = ["check", "-i", str(tmp_path / "t.json"), "--decomp", str(tmp_path / "d.json")]
+    code = cli.main([*argv, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.main(argv) == code
+    return code, doc, capsys.readouterr().out.splitlines()
+
+
+def test_case_stage_agreeing_with_an_earlier_certificate(tmp_path, capsys):
+    # case 3 with eta = 0.5^2: the unfolding is already PD, and case 3 agrees
+    mats = [np.outer(E3[s], E3[(s + k) % 3]) for k in range(3) for s in range(3)]
+    dec = el.StructuredDecomposition(np.array([1.0] * 9 + [-1.0]), np.stack(mats + [0.5 * E3]))
+    t = el.tensor_from_rank_one_terms(dec.alphas, dec.mats)
+    rep = el.check(t, dec)
+    assert (rep.verdict, rep.certified_mpd_by) == ("MPD", "spsd-eigen")
+    assert (rep.stages[3]["case_id"], rep.stages[3]["verdict"]) == (3, "MPD")
+    code, doc, lines = _check_cli(t, dec, tmp_path, capsys)
+    assert code == cli.EXIT_DECIDED
+    assert (doc["verdict"], doc["certified_mpd_by"]) == ("MPD", "spsd-eigen")
+    assert doc["stages"][3]["verdict"] == "MPD"
+    assert lines[4].startswith("case 3: MPD (sup eta ")
+
+
+def test_case_stage_of_a_decomposition_of_no_case_shape(tmp_path, capsys):
+    mats = [np.outer(E3[s], E3[s]) for s in range(3)]
+    mats += [np.outer(E3[0], E3[1]), np.outer(E3[1], E3[2])]
+    dec = el.StructuredDecomposition(np.ones(5), np.stack(mats))
+    t = el.tensor_from_rank_one_terms(dec.alphas, dec.mats)
+    record = {"stage": "case", "r": 5, "q": 5, "skipped": "no matching shape"}
+    assert el.check(t, dec).stages[3] == record
+    code, doc, lines = _check_cli(t, dec, tmp_path, capsys)
+    assert code == cli.EXIT_DECIDED
+    assert doc["stages"][3] == record
+    assert lines[4] == "case: (r, q) = (5, 5) -> no matching shape"
+
+
 def test_check_without_a_decomposition_runs_no_case_checker(monkeypatch):
     # the case conditions test a given decomposition; check makes none up
     def forbidden(*args, **kwargs):

@@ -94,17 +94,17 @@ def _public_sweeps(t, shift, sweeps):
     return ref, out
 
 
-# (tensor, max_iter, verdict, sweeps) at each shift: whole runs to either
-# end, and runs cut at max_iter; None leaves the field unchecked
+# (tensor, budget, verdict, sweeps) at each shift: whole runs to either
+# end, and runs cut at a budget of 7 sweeps; None leaves the field unchecked
 WHOLE_RUNS = {
     0.0: [
-        (el.tensor_two_squares(), 20000, el.VERDICT_FOUND, 76),
-        (el.tensor_choi_lam(1.0), 20000, el.VERDICT_GAP, None),
+        (el.tensor_two_squares(), pocs.MAX_SWEEPS, el.VERDICT_FOUND, 76),
+        (el.tensor_choi_lam(1.0), pocs.MAX_SWEEPS, el.VERDICT_GAP, None),
         (el.random_tensor(rng), 7, None, None),
     ],
     1e-6: [
-        (el.tensor_isotropic(1.0, 1.0), 20000, el.VERDICT_MARGIN, 3),
-        (el.tensor_choi_lam(1.0), 20000, el.VERDICT_GAP, None),
+        (el.tensor_isotropic(1.0, 1.0), pocs.MAX_SWEEPS, el.VERDICT_MARGIN, 3),
+        (el.tensor_choi_lam(1.0), pocs.MAX_SWEEPS, el.VERDICT_GAP, None),
         (el.tensor_two_squares(), 7, el.VERDICT_INCONCLUSIVE, 7),
         (el.random_tensor(rng), 7, None, None),
     ],
@@ -112,11 +112,12 @@ WHOLE_RUNS = {
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-6])
-def test_run_pocs_sweeps_are_the_public_projections(shift):
+def test_run_pocs_sweeps_are_the_public_projections(shift, monkeypatch):
     # the sweep on the unfolding gives the numbers of project_S / project_T,
     # bit for bit, over whole runs
-    for t, max_iter, verdict, sweeps in WHOLE_RUNS[shift]:
-        rep = el.run_pocs(t, el.PocsOptions(max_iter=max_iter, epsilon_shift=shift))
+    for t, budget, verdict, sweeps in WHOLE_RUNS[shift]:
+        monkeypatch.setattr(pocs, "MAX_SWEEPS", budget)
+        rep = el.run_pocs(t, el.PocsOptions(epsilon_shift=shift))
         assert verdict is None or rep.verdict == verdict
         assert sweeps is None or rep.iterations == sweeps
         _, run = _public_sweeps(t, shift, rep.iterations)
@@ -131,18 +132,25 @@ def test_run_pocs_sweeps_are_the_public_projections(shift):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        el.PocsOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        el.PocsOptions(tol_converge=-1.0)
+    # the tolerance may only be tightened: at 0.3 Choi-Lam gamma = 0.5,
+    # which the oracle refutes, ended IntersectionFound after one sweep
+    for tol in (-1.0, 0.0, 1e-9, 0.3):
+        with pytest.raises(ValueError):
+            el.PocsOptions(tol_converge=tol)
+    assert el.PocsOptions(tol_converge=2.5e-11).tol_converge == 2.5e-11
+    assert el.PocsOptions().tol_converge == pocs.TOL_CONVERGE
+    # the sweep budget is pocs.MAX_SWEEPS, not an option
+    with pytest.raises(TypeError):
+        el.PocsOptions(max_iter=5)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name", ["max_iter", "tol_converge", "epsilon_shift"])
 def test_options_reject_non_finite_values(name, value):
     # an infinite tolerance would certify isotropic(-3, 0.1), whose form has
-    # minimum -2.8, and a NaN slips past every range check
-    with pytest.raises(ValueError):
+    # minimum -2.8, and a NaN slips past every range check; max_iter is no
+    # option at all
+    with pytest.raises(TypeError if name == "max_iter" else ValueError):
         el.PocsOptions(**{name: value})
 
 
@@ -267,7 +275,8 @@ def _runs_where_the_slice_meets_the_cone():
     for _ in range(20):
         yield el.random_spd_tensor(local), el.PocsOptions(epsilon_shift=1e-6), found
     # run on past its convergence floor, two-squares stalls without a proof
-    opts = el.PocsOptions(max_iter=400, tol_converge=1e-16)
+    # (after 174 sweeps)
+    opts = el.PocsOptions(tol_converge=1e-16)
     yield el.tensor_two_squares(), opts, el.VERDICT_INCONCLUSIVE
 
 
@@ -722,7 +731,7 @@ def test_run_pocs_projects_a_pair4_onto_the_slice_of_its_form():
 def test_fejer_monotone_random_instances():
     for k in range(25):
         a = el.random_tensor(np.random.default_rng(k))
-        rep = el.run_pocs(a, el.PocsOptions(max_iter=500))
+        rep = el.run_pocs(a)
         g = rep.gap_trace
         if len(g) > 1:
             assert float(np.max(np.diff(g))) <= 1e-12
