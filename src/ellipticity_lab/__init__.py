@@ -31,15 +31,11 @@ from .errors import (
     AsymmetricInput,
     CaseShapeError,
     DecompositionMismatch,
-    DegenerateDenominator,
     EigensolverFailure,
     EllipticityError,
     EmptyDomain,
     InvalidEpsilon,
     NonFiniteEntries,
-    NotCase1,
-    NotCase2,
-    NotCase3,
     ParseError,
     SingularDirection,
     SoundnessTripwire,

@@ -33,15 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DecompositionMismatch,
-    DegenerateDenominator,
-    EmptyDomain,
-    NotCase1,
-    NotCase2,
-    NotCase3,
-    SingularDirection,
-)
+from .errors import CaseShapeError, DecompositionMismatch, EmptyDomain, SingularDirection
 from .spectral import sym_eig
 from .spheres import fibonacci_hemisphere
 from .tensors import (
@@ -281,7 +273,7 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
     how a term splits its scale between alpha and U.
     """
     if dec.q != 3:
-        raise NotCase1(f"expected exactly 3 positive terms, found {dec.q}")
+        raise CaseShapeError(f"expected exactly 3 positive terms, found {dec.q}")
     split, bad = _split_rank_ones(dec.mats, 3)
     if split is None:
         return _mismatch(1, f"positive term {bad} is not rank-one", {})
@@ -398,11 +390,10 @@ class _RatioForm:
     BLAS library picks at run time.
     """
 
-    def __init__(self, alphas, frames, sigma, error_cls):
+    def __init__(self, alphas, frames, sigma):
         self.alphas = np.asarray(alphas, dtype=float)  # (G, 3)
         self.frames = np.stack([np.asarray(f, dtype=float) for f in frames])  # (G,3,3)
         self.sigma = np.asarray(sigma, dtype=float)  # (G, 3)
-        self.error_cls = error_cls
         # Per-term denominator scale for the relative guard.
         self.den_scale = np.einsum(
             "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
@@ -436,8 +427,8 @@ class _RatioForm:
     def _parts(self, y):
         """p[s][g] = w[g,s].y, num_lin[s] = sum_g sigma p, den[s] = sum_g alpha p^2.
 
-        Raises error_cls where some den[s] is at most _GUARD |y|^2 den_scale[s],
-        which includes y = 0.
+        Raises SingularDirection where some den[s] is at most _GUARD |y|^2
+        den_scale[s], which includes y = 0.
         """
         y0, y1, y2 = np.asarray(y, dtype=float).tolist()
         p, num_lin, den = [], [], []
@@ -455,7 +446,7 @@ class _RatioForm:
         floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
         for d, scale in zip(den, self._den_scale):
             if d <= floor * scale:
-                raise self.error_cls("denominator vanished at this direction")
+                raise SingularDirection("denominator vanished at this direction")
         return p, num_lin, den
 
     def _half_den_grads(self, p):
@@ -543,22 +534,6 @@ class _RatioForm:
         return np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
 
 
-@dataclass(frozen=True)
-class _RatioCase:
-    """What tells the two ratio-function cases apart."""
-
-    group: int  # positive terms per shared left vector
-    shape_error: type
-    guard_error: type  # raised by eta where a denominator term vanishes
-    grouping_reason: str
-
-
-_RATIO_CASES = {
-    2: _RatioCase(2, NotCase2, SingularDirection, "left vectors do not pair up"),
-    3: _RatioCase(3, NotCase3, DegenerateDenominator, "left vectors do not form three triples"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Supremum estimation
 
@@ -597,6 +572,9 @@ def _ascend(start, value, grad, hess, lines):
     negative definite it takes a gradient step instead. Steps are accepted
     once they gain 1e-4 of their first-order increase.
 
+    value is eta, -inf on excluded directions; grad and hess may raise
+    SingularDirection, which ends the ascent unconverged.
+
     Returns (y, eta(y), converged, near_line). converged: the tangent
     gradient fell to ASCENT_TOL max(1, |eta|), or no step improves at any
     scale. near_line: the ascent came within LINE_STOP of a singular line
@@ -604,8 +582,8 @@ def _ascend(start, value, grad, hess, lines):
     """
     y = _unit(*map(float, start))
     fy = value(np.array(y))
-    if fy is None:
-        return np.array(y), -np.inf, True, False
+    if fy == -math.inf:
+        return np.array(y), fy, True, False
     near = math.cos(LINE_STOP)
     step = 0.5
     converged = False
@@ -615,7 +593,7 @@ def _ascend(start, value, grad, hess, lines):
         ya = np.array(y)
         try:
             gr = [float(c) for c in grad(ya)]
-        except (SingularDirection, DegenerateDenominator):
+        except SingularDirection:
             break
         gy = _dot(gr, y)
         gt = [gr[i] - gy * y[i] for i in range(3)]
@@ -625,7 +603,7 @@ def _ascend(start, value, grad, hess, lines):
             break
         try:
             h = np.asarray(hess(ya), dtype=float).tolist()
-        except (SingularDirection, DegenerateDenominator):
+        except SingularDirection:
             break
         u1, u2 = _orthonormal_complement(y)
         hu1, hu2 = [_dot(row, u1) for row in h], [_dot(row, u2) for row in h]
@@ -645,7 +623,7 @@ def _ascend(start, value, grad, hess, lines):
         while s * length > 1e-16:
             cand = _unit(*(y[i] + s * direction[i] for i in range(3)))
             fc = value(np.array(cand))
-            if fc is not None and fc > fy + 1e-4 * s * slope:
+            if fc > fy + 1e-4 * s * slope:
                 y, fy = cand, fc
                 if not newton:
                     step = min(1.0, 2.0 * s)
@@ -683,8 +661,10 @@ def sup_eta(
     eta_many maps an (N, 3) array of unit directions to N values, -inf where
     eta is not defined, and its array is only read; grad_fn and hess_fn are
     the gradient and the 3x3 Hessian in R^3 of eta_fn, which must be
-    0-homogeneous. Stage 1 evaluates a deterministic hemisphere lattice and
-    skips its -inf points, which for the ratio form include every point
+    0-homogeneous. On an excluded direction eta_fn raises SingularDirection
+    or returns a non-finite value, and grad_fn and hess_fn may raise
+    SingularDirection. Stage 1 evaluates a deterministic hemisphere lattice
+    and skips its -inf points, which for the ratio form include every point
     near a singular line (its guard). Stage 2 runs a Riemannian Newton
     ascent (_ascend) from the REFINE_K best grid points, one per basin: a
     point within four lattice spacings, 4 sqrt(2 pi / grid_n), of a start
@@ -705,14 +685,12 @@ def sup_eta(
         raise EmptyDomain("every grid point was excluded or guarded")
     starts = _best_indices(vals, min(REFINE_K, n_finite))
 
-    # eta_fn may raise, return None, or return non-finite values on excluded
-    # directions; normalize all three to None.
     def safe_value(y):
         try:
             v = eta_fn(y)
-        except (SingularDirection, DegenerateDenominator):
-            return None
-        return v if v is not None and math.isfinite(v) else None
+        except SingularDirection:
+            return -math.inf
+        return v if math.isfinite(v) else -math.inf
 
     best_val = float(vals[starts[0]])
     best_arg = ys[starts[0]].copy()
@@ -826,17 +804,24 @@ def _recover_sigma(basis_mats, target: np.ndarray):
     return sol, float(np.linalg.norm(m @ sol - rhs)) / max(rhs_norm, 1e-300)
 
 
+# Why the positive terms of case 2 or 3 do not group by left vector.
+_GROUPING_REASONS = {
+    2: "left vectors do not pair up",
+    3: "left vectors do not form three triples",
+}
+
+
 def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     """The ratio test shared by cases 2 and 3: sup eta against 1 / (-alpha_neg).
 
-    The positive terms come in g = 2 (pairs) or g = 3 (triples) per shared
-    left vector; the slot-t right vectors form the frame W, W_tilde or W_hat.
+    The positive terms come in g = case_id per shared left vector, pairs in
+    case 2 and triples in case 3; the slot-t right vectors form the frame W,
+    W_tilde or W_hat, in alpha order within each group.
     """
-    spec = _RATIO_CASES[case_id]
-    g = spec.group
+    g = case_id
     q = 3 * g
     if (dec.r, dec.q) != (q + 1, q):
-        raise spec.shape_error(f"expected (r, q) = ({q + 1}, {q}), found ({dec.r}, {dec.q})")
+        raise CaseShapeError(f"expected (r, q) = ({q + 1}, {q}), found ({dec.r}, {dec.q})")
     diag: dict = {}
     # The term matrices are taken times 2^-f, f putting their max |entry| in
     # [0.5, 1). That scales the right vectors, and so the frames, by 2^-f
@@ -849,7 +834,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     vs, ws = split
     groups = _group_shared_v(vs, g)
     if groups is None:
-        return _mismatch(case_id, spec.grouping_reason, diag)
+        return _mismatch(case_id, _GROUPING_REASONS[case_id], diag)
     diag["groups"] = [list(grp) for grp in groups]
 
     # Slot t of every group goes to frame t, with w flipped to match v's sign.
@@ -866,11 +851,15 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     V = np.column_stack(v_cols)
     frames = [np.column_stack(w_cols[slot]) for slot in range(g)]
     W, W_tilde, W_hat = (frames + [None])[:3]
-    for name, mat in zip(("V", "W", "W_tilde", "W_hat"), [V] + frames):
-        ok, cond = _nonsingular(mat)
-        diag[f"cond_{name}"] = cond
-        if not ok:
-            return _mismatch(case_id, f"frame {name} is singular", diag)
+    ok, diag["cond_V"] = _nonsingular(V)
+    if not ok:
+        return _mismatch(case_id, "frame V is singular", diag)
+    # A y^2 = V (diag(D(y)) + alpha_neg n(y) n(y)^T) V^T with D_s = sum_g
+    # alpha (w.y)^2 and n_s = sum_g sigma (w.y): eta = sum n_s^2 / D_s reads
+    # the right vectors group by group, so only V must be nonsingular. The
+    # slot frames follow alpha order, and their conditions are diagnostics.
+    for name, mat in zip(("W", "W_tilde", "W_hat"), frames):
+        diag[f"cond_{name}"] = _nonsingular(mat)[1]
 
     # Pairs: eta is singular along the cross product of each pair, so the
     # pair must not be collinear. Triples: each must be independent, which
@@ -907,9 +896,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     # That multiplies eta and the threshold by 2^e exactly, so every 2^k
     # multiple of a decomposition runs the same grid, ascent and tests.
     e = max(int(np.frexp(-dec.alphas[q])[1]) - 1, int(np.frexp(dec.alphas[0])[1]) - 300)
-    form = _RatioForm(
-        np.ldexp(np.array(alpha_cols), -e), frames, sigma.reshape(g, 3), spec.guard_error
-    )
+    form = _RatioForm(np.ldexp(np.array(alpha_cols), -e), frames, sigma.reshape(g, 3))
     line_limits = [_line_limit(form, s, d) for s, d in enumerate(lines)]
     if None in line_limits:
         return _mismatch(case_id, "singular lines coincide", diag)
@@ -956,11 +943,12 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
 def check_case2(dec: StructuredDecomposition) -> CaseReport:
     """Necessary-and-sufficient nonnegativity test for the (r, q) = (7, 6) shape.
 
-    Structure: six rank-one positive terms pairing three shared left vectors,
-    nonsingular frames, independent partner right vectors, and the negative
-    term inside the span of the six rank-one matrices. Then nonnegativity is
-    sup eta <= 1 / (-alpha_7) over directions off the three singular lines.
-    This shape is never strictly positive.
+    Structure: six rank-one positive terms pairing three shared left vectors
+    into a nonsingular frame V, independent partner right vectors, and the
+    negative term inside the span of the six rank-one matrices; the slot
+    frames W and W_tilde may be singular. Then nonnegativity is sup eta <=
+    1 / (-alpha_7) over directions off the three singular lines. This shape
+    is never strictly positive.
     """
     return _check_ratio_case(dec, 2)
 
@@ -969,11 +957,12 @@ def check_case3(dec: StructuredDecomposition) -> CaseReport:
     """Positivity test for the (r, q) = (10, 9) shape; can certify strictness.
 
     Structure: nine rank-one positive terms tripling three shared left
-    vectors, with all four frames nonsingular and each right-vector triple
+    vectors into a nonsingular frame V, with each right-vector triple
     linearly independent (which makes the ratio denominator positive on the
-    whole sphere). Then max eta < 1 / (-alpha_10) certifies strict
-    positivity, equality within tolerance gives the boundary verdict, and
-    excess refutes nonnegativity.
+    whole sphere); the slot frames W, W_tilde and W_hat may be singular.
+    Then max eta < 1 / (-alpha_10) certifies strict positivity, equality
+    within tolerance gives the boundary verdict, and excess refutes
+    nonnegativity.
     """
     return _check_ratio_case(dec, 3)
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: each is raised by name in the
+package and exported from it."""
 
 from numpy.linalg import LinAlgError
 
@@ -37,11 +38,9 @@ class InvalidEpsilon(EllipticityError):
 
 
 class SingularDirection(EllipticityError):
-    """The ratio function was evaluated on (or too close to) an excluded line."""
-
-
-class DegenerateDenominator(EllipticityError):
-    """A ratio denominator vanished where the structure promises positivity."""
+    """The ratio function of case 2 or 3 was evaluated where a denominator
+    term is within its guard of zero: on or near a case-2 singular line, or
+    at y = 0."""
 
 
 class EmptyDomain(EllipticityError):
@@ -49,19 +48,8 @@ class EmptyDomain(EllipticityError):
 
 
 class CaseShapeError(EllipticityError):
-    """The decomposition does not have the (r, q) signature of the requested case."""
-
-
-class NotCase1(CaseShapeError):
-    pass
-
-
-class NotCase2(CaseShapeError):
-    pass
-
-
-class NotCase3(CaseShapeError):
-    pass
+    """The decomposition does not have the (r, q) signature of the requested
+    case; the message names the expected and the found counts."""
 
 
 class DecompositionMismatch(EllipticityError):

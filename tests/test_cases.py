@@ -10,12 +10,9 @@ import ellipticity_lab as el
 from ellipticity_lab import cases
 from ellipticity_lab.cases import _group_shared_v, case_report_to_doc
 from ellipticity_lab.errors import (
+    CaseShapeError,
     DecompositionMismatch,
-    DegenerateDenominator,
     EmptyDomain,
-    NotCase1,
-    NotCase2,
-    NotCase3,
     SingularDirection,
 )
 from ellipticity_lab.spheres import fibonacci_hemisphere
@@ -181,7 +178,7 @@ def test_case1_no_negatives_is_mpsd():
 
 def test_case1_wrong_shape_raises():
     mats = np.stack([axis_outer(s, s) for s in range(2)])
-    with pytest.raises(NotCase1):
+    with pytest.raises(CaseShapeError, match=r"^expected exactly 3 positive terms, found 2$"):
         el.check_case1(el.StructuredDecomposition(np.array([1.0, 1.0]), mats))
 
 
@@ -316,18 +313,21 @@ def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec):
 
 @pytest.mark.parametrize(
     "dec",
-    [el.choi_lam_case2_decomposition(1.0), case3_dec(0.5)],
-    ids=["case2-choi-lam", "case3-mpd"],
+    [el.choi_lam_case2_decomposition(1.0), case3_dec(0.5), el.choi_lam_case2_decomposition(1.6)],
+    ids=["case2-choi-lam", "case3-mpd", "case2-choi-lam-1.6"],
 )
 def test_ratio_case_verdict_does_not_depend_on_how_a_positive_term_is_scaled(dec):
-    # the first positive term rewritten, where it stays first in alpha order
-    # (the slots follow it); its frame column carries c, which the frame test
-    # with unit columns does not see
+    # the first positive term rewritten at c = 2^0..2^48, where it stays first
+    # in alpha order, and every positive term at c = 2^+-1, 2^+-20, 2^+-48,
+    # which moves it to another slot of its group and can make a slot frame
+    # singular; V, whose columns carry no scale, is the only frame tested
     want = el.check_case(dec)
     assert want.structure_ok
-    for k in range(49):
-        rep = el.check_case(rewritten(dec, slice(0, 1), k))
-        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), k
+    rewrites = [(0, k) for k in range(49)]
+    rewrites += [(t, k) for t in range(dec.q) for k in (-48, -20, -1, 1, 20, 48)]
+    for t, k in rewrites:
+        rep = el.check_case(rewritten(dec, slice(t, t + 1), k))
+        assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), (t, k)
 
 
 @pytest.mark.parametrize("k", range(-120, 121, 10))
@@ -436,7 +436,9 @@ def test_eta_case2_singular_direction(monkeypatch):
 def test_eta_case3_constant_value(monkeypatch):
     # orthonormal triple frames make every denominator |y|^2, so eta == c^2 == 1
     form, lines = built_form(monkeypatch, el.check_case3, case3_dec(1.0))
-    assert lines == [] and form.error_cls is DegenerateDenominator
+    assert lines == []
+    with pytest.raises(SingularDirection):
+        form.value(np.zeros(3))
     for _ in range(5):
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
@@ -497,7 +499,7 @@ def assert_quadratic_maximum(exact_hess):
 
 
 def test_sup_eta_excludes_singular_lines():
-    # peak capped near an excluded line: the evaluation guard (None and -inf
+    # peak capped near an excluded line: the evaluation guard (nan and -inf
     # within 0.3 rad of the pole) must keep the grid and the refinement off it
     cap = np.cos(0.3) ** 2
 
@@ -505,7 +507,7 @@ def test_sup_eta_excludes_singular_lines():
         yn = np.asarray(y, dtype=float)
         yn = yn / np.linalg.norm(yn)
         v = float(yn[2] ** 2)
-        return None if v > cap else v
+        return float("nan") if v > cap else v
 
     def f_many(ys):
         v = ys[:, 2] ** 2
@@ -638,7 +640,7 @@ def test_case2_violated_threshold():
 
 
 def test_case2_wrong_shape_raises():
-    with pytest.raises(NotCase2):
+    with pytest.raises(CaseShapeError, match=r"^expected \(r, q\) = \(7, 6\), found \(5, 4\)$"):
         el.check_case2(el.spectral_decomposition(el.tensor_two_squares()))
 
 
@@ -739,14 +741,8 @@ def _term_replaced(dec, edits):
             _term_replaced(el.choi_lam_case2_decomposition(1.0), {3: E3}),
             "positive term 3 is not rank-one",
         ),
-        (
-            # the slot-0 right vectors of the three triples are all e1
-            el.check_case3,
-            _term_replaced(case3_dec(0.5), {s: axis_outer(s, 0) for s in range(3)}),
-            "frame W is singular",
-        ),
     ],
-    ids=["case2-not-rank-one", "case3-singular-W"],
+    ids=["case2-not-rank-one"],
 )
 def test_ratio_case_mismatch_before_the_ratio(check, dec, reason):
     rep = check(dec)
@@ -755,7 +751,7 @@ def test_ratio_case_mismatch_before_the_ratio(check, dec, reason):
 
 
 def test_case3_wrong_shape_raises():
-    with pytest.raises(NotCase3):
+    with pytest.raises(CaseShapeError, match=r"^expected \(r, q\) = \(10, 9\), found \(7, 6\)$"):
         el.check_case3(el.choi_lam_case2_decomposition(1.0))
 
 
@@ -767,6 +763,85 @@ def test_case3_verdicts_match_oracle():
         assert el.oracle_verdict(t, n=500).verdict == want
 
 
+def choi_lam_shaped(diag_alphas, gamma):
+    """Terms (a_s, e_s e_s^T), (gamma, e_s e_{s+1}^T) and (-1, I)."""
+    mats = [axis_outer(s, s) for s in range(3)] + [axis_outer(s, (s + 1) % 3) for s in range(3)]
+    alphas = [*diag_alphas, gamma, gamma, gamma, -1.0]
+    return el.StructuredDecomposition(np.array(alphas), np.stack(mats + [E3]))
+
+
+# Slot t of each group is its t-th term in alpha order. Diagonal alphas
+# (3, 1, 1) and gamma = 2 put e0, e2, e0 into frame W, and (1, 1, 3) e2, e1,
+# e2; the oracle finds the form -0.25 somewhere. The case-3 terms of
+# case3_dec(0.5), ordered so that the slot-0 right vectors are all e0: every
+# slot frame is singular, every triple orthonormal, and the form is MPD.
+SINGULAR_SLOT_FRAMES = {
+    "case2-alphas-3-1-1": (choi_lam_shaped((3.0, 1.0, 1.0), 2.0), el.CASE_NOT_MPSD),
+    "case2-alphas-1-1-3": (choi_lam_shaped((1.0, 1.0, 3.0), 2.0), el.CASE_NOT_MPSD),
+    "case3-singular-W": (
+        el.StructuredDecomposition(
+            np.array([1.0] * 9 + [-1.0]),
+            np.stack([axis_outer(s, t) for t in range(3) for s in range(3)] + [0.5 * E3]),
+        ),
+        el.CASE_MPD,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGULAR_SLOT_FRAMES))
+def test_singular_slot_frames_are_decided(name):
+    # A y^2 = V (diag(D(y)) + alpha_neg n(y) n(y)^T) V^T: eta needs V
+    # nonsingular, not the frames that the slots of the groups happen to form
+    dec, want = SINGULAR_SLOT_FRAMES[name]
+    rep = el.check_case(dec)
+    assert rep.verdict == want
+    assert rep.diagnostics["cond_V"] == 1.0 and rep.diagnostics["cond_W"] == np.inf
+    full = el.check(el.tensor_from_rank_one_terms(dec.alphas, dec.mats), dec)
+    agreeing = {
+        el.CASE_NOT_MPSD: ("NotMPSD", el.ORACLE_NOT_MPSD),
+        el.CASE_MPD: ("MPD", el.ORACLE_MPD_LIKELY),
+    }
+    assert (full.verdict, full.stages[-1]["verdict"]) == agreeing[want]
+    if want == el.CASE_NOT_MPSD:
+        assert full.refuted_by == f"case{rep.case_id}"
+
+
+def singular_slot0_terms(case_id, seed):
+    """Random case-2/3 positive terms and negative term matrix whose slot-0
+    frame is singular: V, the frames and sigma standard normal, the third
+    column of frame 0 the sum of its first two, and the frame-0 alphas in
+    [2.5, 3.5] above the others in [0.5, 1.5], so that frame 0 is slot 0."""
+    gen = np.random.default_rng([59, case_id, seed])
+    V = gen.standard_normal((3, 3))
+    frames = gen.standard_normal((case_id, 3, 3))
+    frames[0][:, 2] = frames[0][:, 0] + frames[0][:, 1]
+    alphas = gen.uniform(0.5, 1.5, (case_id, 3))
+    alphas[0] += 2.0
+    sigma = gen.standard_normal((case_id, 3))
+    mats = [np.outer(V[:, s], frames[g][:, s]) for g in range(case_id) for s in range(3)]
+    neg = sum(sigma[g, s] * mats[3 * g + s] for g in range(case_id) for s in range(3))
+    return alphas.reshape(-1), np.stack(mats + [neg])
+
+
+@pytest.mark.parametrize("case_id", [2, 3])
+def test_singular_slot0_frames_never_contradict_the_oracle(case_id):
+    # alpha_neg at 0.9 and 1.1 times -1 / sup eta, the checker's own estimate
+    # (sup eta does not depend on alpha_neg): 1.1 is refuted, and no MPSD or
+    # MPD of the checker may meet an oracle NotMPSD
+    for seed in range(10):
+        alphas, mats = singular_slot0_terms(case_id, seed)
+        probe = el.check_case(el.StructuredDecomposition(np.append(alphas, -1.0), mats))
+        assert probe.structure_ok and probe.diagnostics["cond_W"] == np.inf, seed
+        for factor in (0.9, 1.1):
+            dec = el.StructuredDecomposition(np.append(alphas, -factor / probe.eta_sup), mats)
+            rep = el.check_case(dec)
+            if factor > 1.0:
+                assert rep.verdict == el.CASE_NOT_MPSD, seed
+            elif rep.verdict in (el.CASE_MPSD, el.CASE_MPD):
+                t = el.tensor_from_rank_one_terms(dec.alphas, dec.mats)
+                assert el.oracle_verdict(t).verdict != el.ORACLE_NOT_MPSD, seed
+
+
 # ---------------------------------------------------------------------------
 # ratio kernels against their einsum reference
 
@@ -775,11 +850,10 @@ class EinsumRatioForm:
     """The einsum formulation of cases._RatioForm, the reference whose every
     value, gradient and guard decision the kernels must reproduce exactly."""
 
-    def __init__(self, alphas, frames, sigma, error_cls, guard=1e-13):
+    def __init__(self, alphas, frames, sigma, guard=1e-13):
         self.alphas = np.asarray(alphas, dtype=float)  # (G, 3)
         self.frames = np.stack([np.asarray(f, dtype=float) for f in frames])  # (G,3,3)
         self.sigma = np.asarray(sigma, dtype=float)  # (G, 3)
-        self.error_cls = error_cls
         self.den_scale = np.einsum(
             "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
         )
@@ -795,10 +869,10 @@ class EinsumRatioForm:
         yv = np.asarray(y, dtype=float)
         nrm2 = float(yv[0] * yv[0] + yv[1] * yv[1] + yv[2] * yv[2])
         if nrm2 == 0.0:
-            raise self.error_cls("zero direction")
+            raise SingularDirection("zero direction")
         _, num_lin, den = self._parts(yv)
         if np.any(den <= self.guard * nrm2 * self.den_scale):
-            raise self.error_cls("denominator vanished at this direction")
+            raise SingularDirection("denominator vanished at this direction")
         return float(np.sum(num_lin**2 / den))
 
     def value_many(self, ys):
@@ -816,7 +890,7 @@ class EinsumRatioForm:
         p, num_lin, den = self._parts(yv)
         nrm2 = float(yv[0] * yv[0] + yv[1] * yv[1] + yv[2] * yv[2])
         if np.any(den <= self.guard * nrm2 * self.den_scale):
-            raise self.error_cls("denominator vanished at this direction")
+            raise SingularDirection("denominator vanished at this direction")
         return p, num_lin, den
 
     def grad(self, y):
@@ -861,7 +935,7 @@ def rotated(dec, gen):
 def outcome(fn, y):
     try:
         return fn(y)
-    except (SingularDirection, DegenerateDenominator) as exc:
+    except SingularDirection as exc:
         return type(exc)
 
 
@@ -909,7 +983,7 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
     if rotate:
         dec = rotated(dec, gen)
     form, lines = built_form(monkeypatch, check, dec)
-    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls)
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma)
     assert (len(lines) == 3) == (kind == "case2")
 
     ys = gen.standard_normal((5000, 3))
@@ -920,9 +994,9 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
             got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
             assert same(got, want), (name, y, got, want)
     # the guard is exercised: the zero vector and points on the lines
-    assert outcome(form.value, np.zeros(3)) is form.error_cls
+    assert outcome(form.value, np.zeros(3)) is SingularDirection
     for d in lines:
-        assert outcome(form.grad, d) is form.error_cls
+        assert outcome(form.grad, d) is SingularDirection
 
     for batch in (fibonacci_hemisphere(20000), ys, extra / np.linalg.norm(extra, axis=1)[:, None]):
         assert np.array_equal(form.value_many(batch), ref.value_many(batch))
@@ -975,7 +1049,7 @@ def assert_checker_matches_einsum_reference(monkeypatch, check, dec):
     ys /= np.linalg.norm(ys, axis=1)[:, None]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         form, _ = built_form(monkeypatch, check, dec)
-        ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls)
+        ref = EinsumRatioForm(form.alphas, form.frames, form.sigma)
         for y in ys:
             for name in ("grad", "hess"):
                 got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
@@ -1030,7 +1104,7 @@ def test_eta_near_a_singular_line_approaches_its_limit(monkeypatch, gamma):
     form, lines = built_form(
         monkeypatch, el.check_case2, rotated(el.choi_lam_case2_decomposition(gamma), gen)
     )
-    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, form.error_cls, guard=0.0)
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma, guard=0.0)
     phi = 2.0 * np.pi * np.arange(3600) / 3600
     for s, d in enumerate(lines):
         limit = cases._line_limit(form, s, d.tolist())

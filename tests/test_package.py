@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import ellipticity_lab as el
+from ellipticity_lab import errors
 
 PACKAGE = Path(el.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -34,6 +35,26 @@ def test_package_names_are_public_names_of_their_modules():
                 assert getattr(el, alias.name) is getattr(module, alias.name)
                 assert public is None or alias.name in public, (node.module, alias.name)
     assert found > 0
+
+
+def test_every_error_is_raised_by_name_and_exported():
+    # an error type that no code raises by name only widens what callers
+    # must catch
+    classes = [
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name != "EllipticityError"
+    ]
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes
+    assert [name for name in classes if name not in raised] == []
+    assert [name for name in classes if getattr(el, name, None) is not getattr(errors, name)] == []
 
 
 def test_readme_python_example_runs():
