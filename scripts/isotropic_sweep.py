@@ -1,12 +1,14 @@
 """Map brute-force verdicts over a (lambda, mu) grid of isotropic tensors.
 
-Usage: python3 scripts/isotropic_sweep.py [--n-lam 13] [--n-mu 9] [--grid-n 1000]
+Usage: python3 scripts/isotropic_sweep.py [--n-lam 13] [--n-mu 9]
 
 For each pair the sphere minimum of the form is min(mu, lambda + 2 mu) in
 closed form, so every cell doubles as a regression check: the script prints
 '+' (strictly positive), '0' (boundary band), '-' (negative), uppercase when
 the brute-force verdict disagrees with the closed form, and reports the
 largest deviation between the refined minimum and the closed-form value.
+The oracle runs as in `check`: on its oracle.GRID_N lattice, and a closed
+form within oracle.TOL of 0 is the boundary band.
 """
 
 import argparse
@@ -14,15 +16,16 @@ import argparse
 import numpy as np
 
 import ellipticity_lab as el
+from ellipticity_lab import oracle
 
 
-def cell(lam, mu, grid_n, tol=1e-8):
+def cell(lam, mu):
     theory = min(mu, lam + 2.0 * mu)
-    ov = el.oracle_verdict(el.tensor_isotropic(lam, mu), n=grid_n)
-    if theory < -tol:
+    ov = el.oracle_verdict(el.tensor_isotropic(lam, mu))
+    if theory < -oracle.TOL:
         want = el.ORACLE_NOT_MPSD
         mark = "-"
-    elif theory > tol:
+    elif theory > oracle.TOL:
         want = el.ORACLE_MPD_LIKELY
         mark = "+"
     else:
@@ -40,7 +43,6 @@ def main():
     ap.add_argument("--mu-min", type=float, default=0.25)
     ap.add_argument("--mu-max", type=float, default=2.25)
     ap.add_argument("--n-mu", type=int, default=9)
-    ap.add_argument("--grid-n", type=int, default=1000)
     args = ap.parse_args()
 
     lams = np.linspace(args.lam_min, args.lam_max, args.n_lam)
@@ -53,7 +55,7 @@ def main():
     for mu in mus[::-1]:
         row = []
         for lam in lams:
-            mark, err = cell(lam, mu, args.grid_n)
+            mark, err = cell(lam, mu)
             worst = max(worst, err)
             disagreements += mark.endswith("!")
             row.append(f"{mark:>6}")

@@ -21,9 +21,9 @@ the supremum, so affirmative verdicts also need every ascent that stayed
 off the lines to have converged. On each case-2 singular line the limit
 superior of eta has a closed form (Cauchy-Schwarz, see _line_limit), and
 the supremum is the larger of the interior estimate and these limits. The
-ratio cases scale the term matrices and the coefficients by powers of two
-before estimating, so every 2^k multiple of a decomposition runs the same
-numbers.
+ratio cases take each term at its own power of two before estimating, so
+a decomposition runs the same numbers at every 2^k multiple and however
+its terms split their scale between alpha and U.
 """
 
 from __future__ import annotations
@@ -370,24 +370,27 @@ class _RatioForm:
     """eta(y) = sum_s (sum_g sigma[g,s] w[g,s].y)^2 / (sum_g alpha[g,s] (w[g,s].y)^2).
 
     w[g] are the columns of the g-th frame; the _GUARD keeps evaluations away
-    from directions where some denominator term vanishes.
+    from directions where some denominator term vanishes, and `grad` raises
+    SingularDirection where Python floats cannot represent the gradient.
 
     The order of every floating-point operation is a contract: eta values,
     gradients, Hessians and hence the case reports must match the einsum
-    reference in tests/test_cases.py bit for bit. p[g, s] = w[g, s].y adds
-    the products for i = 0, 1, 2 in order; every sum over g or over s runs
-    in index order; denominator terms are (alpha * p) * p; m_s = sum_g
-    (alpha * p) * w in g order is half of d den_s / dy, which neither
-    alpha * (p * w) nor (alpha * w) * p reproduces. Squares are not
-    interchangeable: `value` and `value_many` square with x * x (numpy's
-    `** 2` on arrays), `grad` with `** 2` on scalars, which is libm pow and
-    differs from x * x in the last bit now and then. With n_s = d num_lin_s
-    / dy, q = num_lin_s / den_s and v = n_s - (2 q) m_s, term s adds
-    (2 / den_s) (v_i v_j) - (q M_ij) (2 q) to the Hessian, where M_ij =
-    sum_g alpha (w_i w_j) in g order; so every Hessian is symmetric bit for
-    bit. The squared norm of y is y0 * y0 + y1 * y1 + y2 * y2 on Python
-    floats, never a BLAS dot, whose rounding depends on the kernel that the
-    BLAS library picks at run time.
+    reference in tests/test_cases.py bit for bit, except that where `grad`
+    raises, the reference's numpy gradient is inf or nan.
+    p[g, s] = w[g, s].y adds the products for i = 0, 1, 2 in order; every
+    sum over g or over s runs in index order; denominator terms are
+    (alpha * p) * p; m_s = sum_g (alpha * p) * w in g order is half of
+    d den_s / dy, which neither alpha * (p * w) nor (alpha * w) * p
+    reproduces. Squares are not interchangeable: `value` and `value_many`
+    square with x * x (numpy's `** 2` on arrays), `grad` with `** 2` on
+    scalars, which is libm pow and differs from x * x in the last bit now
+    and then. With n_s = d num_lin_s
+    / dy, q = num_lin_s / den_s and v = n_s - (2 q) m_s, term s adds (2 /
+    den_s) (v_i v_j) - (q M_ij) (2 q) to the Hessian, where M_ij = sum_g
+    alpha (w_i w_j) in g order; so every Hessian is symmetric bit for bit.
+    The squared norm of y is y0 * y0 + y1 * y1 + y2 * y2 on Python floats,
+    never a BLAS dot, whose rounding depends on the kernel that the BLAS
+    library picks at run time.
     """
 
     def __init__(self, alphas, frames, sigma):
@@ -489,23 +492,20 @@ class _RatioForm:
         return vals
 
     def grad(self, y) -> np.ndarray:
+        """The gradient of eta at y in R^3; SingularDirection where a Python
+        float square overflows, or one that underflows to 0 is a divisor."""
         p, num_lin, den = self._parts(y)
-        ms = self._half_den_grads(p)
-        try:
-            return self._grad_sum(ms, num_lin, den)
-        except (OverflowError, ZeroDivisionError):
-            # Python floats raise where numpy scalars give inf, 0 or nan with
-            # a RuntimeWarning (a square past 1e308, or one that underflows to
-            # 0 as divisor); the same operations on numpy scalars round alike.
-            return self._grad_sum(ms, list(map(np.float64, num_lin)), list(map(np.float64, den)))
-
-    def _grad_sum(self, ms, num_lin, den) -> np.ndarray:
         g0 = g1 = g2 = 0.0
-        for (m0, m1, m2), nl, d, (n0, n1, n2) in zip(ms, num_lin, den, self._num_dir):
-            two_nl, nl_sq, d_sq = 2.0 * nl, nl**2, d**2
-            g0 += (two_nl * n0 * d - nl_sq * (2.0 * m0)) / d_sq
-            g1 += (two_nl * n1 * d - nl_sq * (2.0 * m1)) / d_sq
-            g2 += (two_nl * n2 * d - nl_sq * (2.0 * m2)) / d_sq
+        try:
+            for (m0, m1, m2), nl, d, (n0, n1, n2) in zip(
+                self._half_den_grads(p), num_lin, den, self._num_dir
+            ):
+                two_nl, nl_sq, d_sq = 2.0 * nl, nl**2, d**2
+                g0 += (two_nl * n0 * d - nl_sq * (2.0 * m0)) / d_sq
+                g1 += (two_nl * n1 * d - nl_sq * (2.0 * m1)) / d_sq
+                g2 += (two_nl * n2 * d - nl_sq * (2.0 * m2)) / d_sq
+        except (OverflowError, ZeroDivisionError):
+            raise SingularDirection("the gradient is not representable here") from None
         return np.array([g0, g1, g2])
 
     def hess(self, y) -> np.ndarray:
@@ -573,7 +573,9 @@ def _ascend(start, value, grad, hess, lines):
     once they gain 1e-4 of their first-order increase.
 
     value is eta, -inf on excluded directions; grad and hess may raise
-    SingularDirection, which ends the ascent unconverged.
+    SingularDirection where they cannot be represented. The ascent then
+    ends unconverged, as it does on a non-finite tangent gradient (where
+    every line-search test would fail) and on an excluded start.
 
     Returns (y, eta(y), converged, near_line). converged: the tangent
     gradient fell to ASCENT_TOL max(1, |eta|), or no step improves at any
@@ -583,7 +585,7 @@ def _ascend(start, value, grad, hess, lines):
     y = _unit(*map(float, start))
     fy = value(np.array(y))
     if fy == -math.inf:
-        return np.array(y), fy, True, False
+        return np.array(y), fy, False, False
     near = math.cos(LINE_STOP)
     step = 0.5
     converged = False
@@ -598,6 +600,8 @@ def _ascend(start, value, grad, hess, lines):
         gy = _dot(gr, y)
         gt = [gr[i] - gy * y[i] for i in range(3)]
         gn = math.sqrt(_dot(gt, gt))
+        if not math.isfinite(gn):
+            break
         if gn <= ASCENT_TOL * max(1.0, abs(fy)):
             converged = True
             break
@@ -662,15 +666,16 @@ def sup_eta(
     eta is not defined, and its array is only read; grad_fn and hess_fn are
     the gradient and the 3x3 Hessian in R^3 of eta_fn, which must be
     0-homogeneous. On an excluded direction eta_fn raises SingularDirection
-    or returns a non-finite value, and grad_fn and hess_fn may raise
-    SingularDirection. Stage 1 evaluates a deterministic hemisphere lattice
-    and skips its -inf points, which for the ratio form include every point
-    near a singular line (its guard). Stage 2 runs a Riemannian Newton
-    ascent (_ascend) from the REFINE_K best grid points, one per basin: a
-    point within four lattice spacings, 4 sqrt(2 pi / grid_n), of a start
-    kept before it, up to sign, is dropped. An ascent that steps within
-    LINE_STOP of a singular line stops there; its value enters the
-    supremum, but not the convergence test.
+    or returns a non-finite value, and grad_fn and hess_fn raise
+    SingularDirection where they cannot be represented; that, a non-finite
+    gradient or an excluded start ends an ascent unconverged. Stage 1
+    evaluates a deterministic hemisphere lattice and skips its -inf points,
+    which for the ratio form include every point near a singular line (its
+    guard). Stage 2 runs a Riemannian Newton ascent (_ascend) from the
+    REFINE_K best grid points, one per basin: a point within four lattice
+    spacings, 4 sqrt(2 pi / grid_n), of a start kept before it, up to sign,
+    is dropped. An ascent that steps within LINE_STOP of a singular line
+    stops there; its value enters the supremum, not the convergence test.
 
     The result is a lower bound on the true supremum. `converged` marks a
     stabilized estimate: every ascent that stayed off the lines reached
@@ -801,7 +806,7 @@ def _recover_sigma(basis_mats, target: np.ndarray):
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return sol, 0.0
-    return sol, float(np.linalg.norm(m @ sol - rhs)) / max(rhs_norm, 1e-300)
+    return sol, float(np.linalg.norm(m @ sol - rhs)) / rhs_norm
 
 
 # Why the positive terms of case 2 or 3 do not group by left vector.
@@ -823,11 +828,21 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     if (dec.r, dec.q) != (q + 1, q):
         raise CaseShapeError(f"expected (r, q) = ({q + 1}, {q}), found ({dec.r}, {dec.q})")
     diag: dict = {}
-    # The term matrices are taken times 2^-f, f putting their max |entry| in
-    # [0.5, 1). That scales the right vectors, and so the frames, by 2^-f
-    # exactly; sigma and eta do not change, the guard's den_scale stays far
-    # from overflow and underflow, and the frames are reported times 2^f.
-    mats, f = pow2_rescale(dec.mats)
+    # Each term (alpha, U) is taken as (alpha 4^(k - k_max), U 2^-k), k the
+    # frexp exponent of max|U| and k_max the largest k: the tensor times
+    # 4^-k_max, exactly, term by term, so no right vector, product of them or
+    # basis column is far from 1. The alphas are then taken times 2^-e, e
+    # putting -alpha_neg in [1, 2) (less where they spread past 2^300, so
+    # squares stay finite). That multiplies eta and the threshold by 2^e_eta,
+    # e_eta = e + 2 (k_max - k_neg), exactly: every 2^k multiple of a
+    # decomposition, and every power-of-two split of a term between alpha
+    # and U, runs the same numbers. Reports are at the input's scale.
+    ks = np.frexp(np.abs(dec.mats).max(axis=(1, 2)))[1]
+    mats = np.ldexp(dec.mats, -ks[:, None, None])
+    alphas = np.ldexp(dec.alphas, 2 * (ks - ks.max()))
+    e = max(int(np.frexp(-alphas[q])[1]) - 1, int(np.frexp(alphas[:q].max())[1]) - 300)
+    alphas = np.ldexp(alphas, -e)
+    e_eta = e + 2 * int(ks.max() - ks[q])
     split, bad = _split_rank_ones(mats, q)
     if split is None:
         return _mismatch(case_id, f"positive term {bad} is not rank-one", diag)
@@ -837,19 +852,14 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         return _mismatch(case_id, _GROUPING_REASONS[case_id], diag)
     diag["groups"] = [list(grp) for grp in groups]
 
-    # Slot t of every group goes to frame t, with w flipped to match v's sign.
-    v_cols = [vs[grp[0]] for grp in groups]
-    w_cols = [[] for _ in range(g)]
-    alpha_cols = [[] for _ in range(g)]
-    for v, grp in zip(v_cols, groups):
-        for slot, idx in enumerate(grp):
-            w = ws[idx]
-            if float(v @ vs[idx]) < 0.0:
-                w = -w
-            w_cols[slot].append(w)
-            alpha_cols[slot].append(dec.alphas[idx])
-    V = np.column_stack(v_cols)
-    frames = [np.column_stack(w_cols[slot]) for slot in range(g)]
+    # Slot t of every group goes to frame t, with w flipped to match v's sign:
+    # cols[t, s] is the term in slot t of group s.
+    cols = np.array(groups).T
+    V = np.column_stack([vs[i] for i in cols[0]])
+    frames = [
+        np.column_stack([ws[i] if vs[i] @ V[:, s] > 0.0 else -ws[i] for s, i in enumerate(row)])
+        for row in cols
+    ]
     W, W_tilde, W_hat = (frames + [None])[:3]
     ok, diag["cond_V"] = _nonsingular(V)
     if not ok:
@@ -869,7 +879,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         sines = []
         for s in range(3):
             denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
-            sines.append(float(np.linalg.norm(crosses[s]) / max(denom, 1e-300)))
+            sines.append(float(np.linalg.norm(crosses[s]) / denom))
         diag["pair_sines"] = sines
         if min(sines) < TOL:
             return _mismatch(case_id, "paired right vectors are collinear", diag)
@@ -879,24 +889,22 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         for s in range(3):
             trip = np.column_stack([W[:, s], W_tilde[:, s], W_hat[:, s]])
             scale = np.prod([np.linalg.norm(trip[:, c]) for c in range(3)])
-            dets.append(float(abs(np.linalg.det(trip)) / max(scale, 1e-300)))
+            dets.append(float(abs(np.linalg.det(trip)) / scale))
         diag["triple_dets"] = dets
         if min(dets) < TOL:
             return _mismatch(case_id, "a right-vector triple is linearly dependent", diag)
         lines = []
 
-    basis = [np.outer(v_cols[s], w_cols[slot][s]) for slot in range(g) for s in range(3)]
+    basis = [np.outer(V[:, s], F[:, s]) for F in frames for s in range(3)]
     sigma, rel_resid = _recover_sigma(basis, mats[q])
     diag["sigma_residual"] = rel_resid
     if rel_resid > TOL:
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
 
-    # eta is estimated for the alphas times 2^-e, e putting -alpha_neg in
-    # [1, 2) (less where the alphas spread past 2^300, so squares stay finite).
-    # That multiplies eta and the threshold by 2^e exactly, so every 2^k
-    # multiple of a decomposition runs the same grid, ascent and tests.
-    e = max(int(np.frexp(-dec.alphas[q])[1]) - 1, int(np.frexp(dec.alphas[0])[1]) - 300)
-    form = _RatioForm(np.ldexp(np.array(alpha_cols), -e), frames, sigma.reshape(g, 3))
+    # A coefficient the scaling took to 0 would divide _line_limit by 0.
+    if not alphas.all():
+        return _mismatch(case_id, "coefficients spread past the float range", diag)
+    form = _RatioForm(alphas[cols], frames, sigma.reshape(g, 3))
     line_limits = [_line_limit(form, s, d) for s, d in enumerate(lines)]
     if None in line_limits:
         return _mismatch(case_id, "singular lines coincide", diag)
@@ -904,7 +912,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         form.value, lines, grad_fn=form.grad, hess_fn=form.hess, eta_many=form.value_many
     )
     threshold = 1.0 / (-float(dec.alphas[q]))
-    limit = float(np.ldexp(threshold, e))  # the scaled threshold
+    limit = float(np.ldexp(threshold, e_eta))  # the scaled threshold
     # sup eta is the larger of the interior estimate and the line limits;
     # a limit is exact, so where one is larger the estimate is stable.
     value, argmax, stable = sup.value, sup.argmax, sup.converged
@@ -914,7 +922,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     diag["sup_converged"] = stable
     if g == 2:
         diag["singular_lines"] = [list(d) for d in lines]
-        diag["line_limits"] = [float(np.ldexp(v, -e)) for v in line_limits]
+        diag["line_limits"] = [float(np.ldexp(v, -e_eta)) for v in line_limits]
 
     if value > limit + TOL:
         verdict = CASE_NOT_MPSD
@@ -928,13 +936,13 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         case_id,
         verdict,
         structure_ok=True,
-        sigma=np.asarray(sigma),
-        eta_sup=float(np.ldexp(value, -e)),
+        sigma=np.ldexp(sigma, np.ravel(ks[q] - ks[cols])),
+        eta_sup=float(np.ldexp(value, -e_eta)),
         eta_argmax=argmax,
         threshold=threshold,
         boundary=abs(value - limit) <= TOL,
         structure=CaseStructure(
-            V, *[None if F is None else np.ldexp(F, f) for F in (W, W_tilde, W_hat)]
+            V, *[np.ldexp(F, k) for F, k in zip(frames, ks[cols])], *[None] * (3 - g)
         ),
         diagnostics=diag,
     )

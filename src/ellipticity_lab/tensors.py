@@ -70,45 +70,41 @@ def _mean(a, b):
     return np.where(np.isinf(total), 0.5 * a + 0.5 * b, 0.5 * total)
 
 
+def _spread(arr: np.ndarray, swaps) -> float:
+    """Largest |arr - arr.transpose(s)| over the index permutations s. Entries
+    of opposite sign near the float limit spread to inf, which fails every
+    tolerance, as it should."""
+    with np.errstate(over="ignore"):
+        return max(float(np.max(np.abs(arr - arr.transpose(s)))) for s in swaps)
+
+
 @dataclass(frozen=True)
 class Pair4:
     """Weakly symmetric tensor: t[ijkl] == t[jilk] exactly.
 
     The entry array is stored read-only; instances are safe to share.
-    Construction checks the invariant to exact equality, so go through
-    make_pair4 for noisy input.
+    Construction checks the invariant to exact equality (two distinct
+    finite floats never differ by 0), so go through make_pair4 for noisy
+    input.
     """
 
     a: np.ndarray
+    _SWAPS = ((1, 0, 3, 2),)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(_as_tensor_array(self.a))
-        self._check_invariant(arr)
+        spread = _spread(arr, self._SWAPS)
+        if spread > 0.0:
+            raise SymmetryViolation(spread, 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
-
-    @staticmethod
-    def _check_invariant(arr: np.ndarray) -> None:
-        if not np.array_equal(arr, arr.transpose(1, 0, 3, 2)):
-            raise SymmetryViolation(
-                float(np.max(np.abs(arr - arr.transpose(1, 0, 3, 2)))), 0.0
-            )
 
 
 @dataclass(frozen=True)
 class Elast4(Pair4):
     """Elasticity tensor: symmetric inside each index pair, exactly."""
 
-    @staticmethod
-    def _check_invariant(arr: np.ndarray) -> None:
-        if not np.array_equal(arr, arr.transpose(1, 0, 2, 3)) or not np.array_equal(
-            arr, arr.transpose(0, 1, 3, 2)
-        ):
-            spread = max(
-                float(np.max(np.abs(arr - arr.transpose(1, 0, 2, 3)))),
-                float(np.max(np.abs(arr - arr.transpose(0, 1, 3, 2)))),
-            )
-            raise SymmetryViolation(spread, 0.0)
+    _SWAPS = ((1, 0, 2, 3), (0, 1, 3, 2))
 
 
 def symmetrize_pairs(raw) -> np.ndarray:
@@ -122,25 +118,29 @@ def symmetrize_pairs(raw) -> np.ndarray:
     return _mean(m, m.transpose(0, 1, 3, 2))
 
 
+_ORBIT = Elast4._SWAPS + Pair4._SWAPS  # the orbit's three nontrivial swaps
+
+
 def orbit_spread(raw) -> float:
-    """Largest max-min disagreement across any pair-swap orbit."""
-    arr = _as_tensor_array(raw)
-    variants = np.stack(
-        [
-            arr,
-            arr.transpose(1, 0, 2, 3),
-            arr.transpose(0, 1, 3, 2),
-            arr.transpose(1, 0, 3, 2),
-        ]
-    )
-    # Entries of opposite sign near the float limit spread to inf, which
-    # fails every tolerance, as it should.
-    with np.errstate(over="ignore"):
-        return float(np.max(variants.max(axis=0) - variants.min(axis=0)))
+    """Largest max-min disagreement across any pair-swap orbit: every pair of
+    an orbit is an entry and one of its three images."""
+    return _spread(_as_tensor_array(raw), _ORBIT)
 
 
 # make_elast4 and make_pair4 average away orbit spreads up to this times max|raw|.
 ORBIT_TOL = 1e-8
+
+
+def _canonical(raw, cls, swaps):
+    """cls of raw averaged over cls._SWAPS in turn (for Elast4, as in
+    symmetrize_pairs), once its spread over swaps is at most ORBIT_TOL * max|raw|."""
+    arr = _as_tensor_array(raw)
+    spread, tol = _spread(arr, swaps), ORBIT_TOL * float(np.max(np.abs(arr)))
+    if spread > tol:
+        raise SymmetryViolation(spread, tol)
+    for s in cls._SWAPS:
+        arr = _mean(arr, arr.transpose(s))
+    return cls(arr)
 
 
 def make_elast4(raw) -> Elast4:
@@ -149,21 +149,12 @@ def make_elast4(raw) -> Elast4:
     Raises SymmetryViolation when entries inside one orbit disagree by more
     than ORBIT_TOL * max|raw| (inf always does); less is averaged away.
     """
-    spread, tol = orbit_spread(raw), ORBIT_TOL * float(np.max(np.abs(raw)))
-    if spread > tol:
-        raise SymmetryViolation(spread, tol)
-    return Elast4(symmetrize_pairs(raw))
+    return _canonical(raw, Elast4, _ORBIT)
 
 
 def make_pair4(raw) -> Pair4:
     """Canonicalize raw entries into a Pair4 (joint-swap average), as make_elast4."""
-    arr = _as_tensor_array(raw)
-    with np.errstate(over="ignore"):
-        spread = float(np.max(np.abs(arr - arr.transpose(1, 0, 3, 2))))
-    tol = ORBIT_TOL * float(np.max(np.abs(arr)))
-    if spread > tol:
-        raise SymmetryViolation(spread, tol)
-    return Pair4(_mean(arr, arr.transpose(1, 0, 3, 2)))
+    return _canonical(raw, Pair4, Pair4._SWAPS)
 
 
 def unfold_array(arr: np.ndarray) -> np.ndarray:

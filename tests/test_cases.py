@@ -1,6 +1,7 @@
 """Structured-decomposition analysis: shapes, eta ratios, supremum bounds."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -313,21 +314,34 @@ def test_case1_verdict_does_not_depend_on_how_a_term_is_scaled(dec):
 
 @pytest.mark.parametrize(
     "dec",
-    [el.choi_lam_case2_decomposition(1.0), case3_dec(0.5), el.choi_lam_case2_decomposition(1.6)],
-    ids=["case2-choi-lam", "case3-mpd", "case2-choi-lam-1.6"],
+    [
+        el.choi_lam_case2_decomposition(1.0),
+        case3_dec(0.5),
+        el.choi_lam_case2_decomposition(1.6),
+        case3_dec(1.2),
+    ],
+    ids=["case2-choi-lam", "case3-mpd", "case2-choi-lam-1.6", "case3-not-mpsd"],
 )
 def test_ratio_case_verdict_does_not_depend_on_how_a_positive_term_is_scaled(dec):
     # the first positive term rewritten at c = 2^0..2^48, where it stays first
-    # in alpha order, and every positive term at c = 2^+-1, 2^+-20, 2^+-48,
-    # which moves it to another slot of its group and can make a slot frame
-    # singular; V, whose columns carry no scale, is the only frame tested
+    # in alpha order, and every term, the negative one too, at c = 2^k for
+    # |k| in {1, 20, 48, 49, 100, 300, 500}, which can move a positive term
+    # to another slot of its group and make a slot frame singular. V, whose
+    # columns carry no scale, is the only frame tested, and each term is
+    # taken at its own power of two, so the ratio eta_sup / threshold keeps
+    # its value to rounding, without a warning.
     want = el.check_case(dec)
     assert want.structure_ok
     rewrites = [(0, k) for k in range(49)]
-    rewrites += [(t, k) for t in range(dec.q) for k in (-48, -20, -1, 1, 20, 48)]
+    ks = (1, 20, 48, 49, 100, 300, 500)
+    rewrites += [(t, sign * k) for t in range(dec.r) for k in ks for sign in (-1, 1)]
     for t, k in rewrites:
-        rep = el.check_case(rewritten(dec, slice(t, t + 1), k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = el.check_case(rewritten(dec, slice(t, t + 1), k))
         assert (rep.verdict, rep.boundary) == (want.verdict, want.boundary), (t, k)
+        ratio, want_ratio = rep.eta_sup / rep.threshold, want.eta_sup / want.threshold
+        assert abs(ratio - want_ratio) <= 1e-15, (t, k, ratio, want_ratio)
 
 
 @pytest.mark.parametrize("k", range(-120, 121, 10))
@@ -577,6 +591,24 @@ def test_sup_eta_ends_an_ascent_quietly_on_a_guard_error(broken):
     )
     assert not res.converged
     assert res.value == float(np.max(2.0 * fibonacci_hemisphere(2000) @ u - 1.0))
+
+
+@pytest.mark.parametrize("broken", ["nan-gradient", "excluded-start"])
+def test_an_ascent_that_cannot_be_evaluated_ends_unconverged(broken):
+    # f(y) = 2 y.u - 1 on the sphere; a nan gradient fails every line-search
+    # test, which must not read as "no step improves", and a start whose
+    # value is -inf was never evaluated
+    u = np.array([0.0, 0.6, 0.8])
+
+    def value(y):
+        return -math.inf if broken == "excluded-start" else float(2.0 * y @ u - 1.0)
+
+    def grad(y):
+        return np.full(3, np.nan) if broken == "nan-gradient" else 2.0 * (u - (y @ u) * y)
+
+    start = [0.6, 0.0, 0.8]
+    _, _, converged, near_line = cases._ascend(start, value, grad, quadratic_hess(u), [])
+    assert (converged, near_line) == (False, False)
 
 
 def test_sup_eta_leaves_the_callers_values_alone():
@@ -1053,8 +1085,12 @@ def assert_checker_matches_einsum_reference(monkeypatch, check, dec):
         for y in ys:
             for name in ("grad", "hess"):
                 got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
-                # bit for bit, so that nan gradients compare too
-                assert same_bits(got, want), (name, y, got, want)
+                if name == "grad" and got is SingularDirection and want is not got:
+                    # Python floats raise where numpy's give inf or nan
+                    assert not np.all(np.isfinite(want)), (y, want)
+                else:
+                    # bit for bit, so that nan Hessians compare too
+                    assert same_bits(got, want), (name, y, got, want)
         got = el.dumps_report(case_report_to_doc(check(dec)))
         monkeypatch.setattr(cases, "_RatioForm", EinsumRatioForm)
         want = el.dumps_report(case_report_to_doc(check(dec)))
@@ -1346,6 +1382,17 @@ def test_ratio_case_with_alphas_spread_past_the_float_range_is_mpsd(alpha_neg):
     rep = el.check_case2(el.StructuredDecomposition(alphas, dec.mats))
     assert rep.verdict == el.CASE_MPSD and not rep.boundary
     assert rep.threshold == 1.0 / -alpha_neg and 0.0 < rep.eta_sup < 1e-9
+
+
+def test_ratio_case_with_an_alpha_that_underflows_is_a_structure_mismatch():
+    # -alpha_neg = 4 puts the alphas at 2^-2, where 5e-324 is 0: the line
+    # limit divided by it, and the checker raised ZeroDivisionError
+    dec = el.choi_lam_case2_decomposition(1.0)
+    alphas = dec.alphas.copy()
+    alphas[3], alphas[-1] = 5e-324, -4.0
+    rep = el.check_case2(el.StructuredDecomposition(alphas, dec.mats))
+    assert rep.verdict == el.CASE_MISMATCH
+    assert rep.diagnostics["reason"] == "coefficients spread past the float range"
 
 
 def test_check_decides_tiny_alpha_decompositions_as_at_unit_scale():

@@ -382,6 +382,29 @@ def test_case1_near_diagonal_negative_term_is_no_certificate(s, tmp_path, capsys
     assert (doc["certified_mpsd_by"], doc["refuted_by"]) == (None, "oracle")
 
 
+@pytest.mark.parametrize(
+    "command, code, verdict",
+    [("check", cli.EXIT_DECIDED, "NotMPSD"), ("case", cli.EXIT_UNDECIDED, "StructureMismatch")],
+    ids=["check", "case"],
+)
+def test_an_alpha_that_underflows_is_a_case_mismatch(command, code, verdict, tmp_path, capsys):
+    # Choi-Lam 1 with alpha_neg -4 and one gamma term at 5e-324, which the
+    # case-2 checker's 2^-2 rescale of the alphas underflows to 0; both
+    # commands exited 1 with a ZeroDivisionError traceback
+    dec = el.choi_lam_case2_decomposition(1.0)
+    alphas = dec.alphas.copy()
+    alphas[3], alphas[-1] = 5e-324, -4.0
+    el.save_tensor(tmp_path / "t.json", el.tensor_from_rank_one_terms(alphas, dec.mats))
+    el.save_decomposition(tmp_path / "d.json", alphas, dec.mats)
+    files = ["-i", str(tmp_path / "t.json"), "--decomp", str(tmp_path / "d.json"), "--json"]
+    assert cli.main([command, *files]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == verdict
+    case = doc if command == "case" else next(s for s in doc["stages"] if s["stage"] == "case")
+    assert case["verdict"] == "StructureMismatch"
+    assert case["diagnostics"]["reason"] == "coefficients spread past the float range"
+
+
 def test_case_requires_a_decomposition(tensor_files):
     proc = run_cli("case", "-i", tensor_files["e"], "--json")
     assert proc.returncode == 1

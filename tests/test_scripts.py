@@ -41,7 +41,7 @@ def test_certify_gallery_prints_check_verdicts():
 
 
 def test_isotropic_sweep_agrees_with_closed_form():
-    out = run_script("isotropic_sweep.py", "--n-lam", "5", "--n-mu", "3", "--grid-n", "500")
+    out = run_script("isotropic_sweep.py", "--n-lam", "5", "--n-mu", "3")
     assert "disagreements with the closed form: 0" in out
 
 
