@@ -7,6 +7,13 @@ always the exact minimiser over the unit sphere (the eigenvector of the
 smallest eigenvalue of A y^2). A negative refined value is a
 machine-checkable refutation witness; positive values are only evidence, so
 the strict verdict stays hedged (MPD_likely).
+
+The scan builds the matrices A y^2 of all lattice rows with one matrix
+product over the cached outer products y y^T. The refinement runs on Python
+floats, with numpy only for each 3x3 eigensolve and the form values that
+decide a step; at the multiple zeros of boundary forms, where Newton steps
+converge only linearly, it tries a step scaled by the multiplicity that
+consecutive steps show (see refine_min).
 """
 
 from __future__ import annotations
@@ -17,10 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Not called here; elbench/layers.py wraps oracle.sym_eig, so the name stays.
+# Not called here; elbench/layers.py wraps oracle.sym_eig, oracle.contract_xx
+# and oracle.contract_yy, so the names stay.
 from .spectral import sym_eig  # noqa: F401
 from .spheres import fibonacci_sphere
-from .tensors import Pair4, biquadratic, contract_xx, contract_yy, pow2_rescale
+from .tensors import Pair4, biquadratic, pow2_rescale
+from .tensors import contract_xx, contract_yy  # noqa: F401
 
 __all__ = [
     "ORACLE_NOT_MPSD",
@@ -119,8 +128,9 @@ def _min_pivot(t9: np.ndarray, level) -> np.ndarray:
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1):
     the computed factors satisfy L D L^T = M + dM with M the shifted matrix,
     |dM| <= gamma_4 |L| D |L^T| <= gamma_4 / (1 - gamma_4) sqrt(m_ii m_jj)
-    entrywise, so ||dM||_2 <= 4.5e-16 trace(M). With |T| <= 3 entrywise and
-    |level| <= 9 + 1e-12, as on the rescaled tensor, that is below 2.5e-14;
+    entrywise, so ||dM||_2 <= 4.5e-16 trace(M). On the rescaled tensor
+    |T| <= 3 + 4e-15 entrywise (see grid_top_candidates) and |level| <= 9 +
+    1e-12, and that is below 2.5e-14;
     the rounding of the shifted diagonal adds 2e-15 and underflow less than
     1e-300. So a row with all pivots positive has lambda_min(T) > level -
     1e-13. No pivot exceeds its diagonal entry, and the inf or NaN that a
@@ -183,6 +193,16 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     The estimate only sets the order and never decides a skip. The rows
     that fail the test are evaluated in blocks of at least _SCAN_BLOCK
     rows.
+
+    The rounding bound, with u = 2**-53 and gamma_9 = 9u / (1 - 9u) the
+    bound of a 9-term product in any summation order: max|a| < 1 on the
+    rescaled tensor, and the row matrices come from one product of the
+    outer products y y^T with the 9x9 a[ij, kl]. The entries y_k y_l sum to
+    at most 3 in magnitude, so |T_m| <= 3 entrywise, and a computed entry
+    is off by at most 3u (the rounded y_k y_l) + 3 gamma_9 (the product) +
+    3u (the symmetrisation) < 4e-15. A lattice value is a second 9-term
+    product, with x x^T, whose entries also sum to at most 3: off by at
+    most 3 * 4e-15 + 9u + 9 gamma_9 < 2.5e-14 from the exact form.
     """
     if not MIN_GRID_N <= n <= MAX_GRID_N:
         raise ValueError(f"grid needs {MIN_GRID_N} <= n <= {MAX_GRID_N} points per sphere")
@@ -193,9 +213,10 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     a, _ = pow2_rescale(t.a)
     pts, xx = _lattice(n)
     m = len(pts)
-    t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
-    t_mats = 0.5 * (t_mats + t_mats.transpose(0, 2, 1))
-    t9 = t_mats.reshape(m, 9)
+    # T_m[i, j] = sum_kl a[ijkl] y_k y_l: row 3 i + j of a.reshape(9, 9)
+    # against y y^T, for every lattice row in one product.
+    t_mats = (xx @ a.reshape(9, 9).T).reshape(m, 3, 3)
+    t9 = (0.5 * (t_mats + t_mats.transpose(0, 2, 1))).reshape(m, 9)
     order = np.argsort(_lambda_min_estimate(t9))
     # A remainder shorter than a block joins the block before it.
     head = _SCAN_BLOCK if m >= 2 * _SCAN_BLOCK else m
@@ -228,11 +249,12 @@ def grid_min_biquadratic(t: Pair4, n: int = GRID_N) -> OracleReport:
     )
 
 
-def _gauge(v: np.ndarray) -> np.ndarray:
-    """v signed as sym_eig signs eigenvectors: largest-magnitude entry
-    positive, the first such entry on ties. The form is even in x and in y,
-    so this changes no value, and results do not depend on LAPACK's sign."""
-    return -v if v[np.argmax(np.abs(v))] < 0.0 else v
+def _gauge(v):
+    """v (three floats) signed as sym_eig signs eigenvectors: largest-magnitude
+    entry positive, the first such entry on ties. The form is even in x and
+    in y, so this changes no value, and results do not depend on LAPACK's
+    sign."""
+    return [-c for c in v] if max(v, key=abs) < 0.0 else v
 
 
 # Below this gap between the two smallest eigenvalues of A y^2 the minimum
@@ -252,45 +274,111 @@ _REFINE_STEPS = 200
 # Lattice candidates that oracle_verdict considers for refinement.
 _TOP_K = 5
 
+# The pairs (i, j), i <= j, of a symmetric 3x3 matrix, diagonal first, as
+# the flat indices 3 i + j and 3 j + i. The refinement holds a symmetric
+# matrix as its six pair entries, Python floats throughout.
+_PAIRS = [0, 4, 8, 1, 2, 5]
+_PAIRS_T = [0, 4, 8, 3, 6, 7]
 
-def _newton_step(scaled, b9, y, lam, vecs):
+
+def _pair_rows(a9: np.ndarray) -> list:
+    """The 6x6 rows C, as Python floats, of the map from a symmetric Z to
+    the matrix sum_kl a9[3 i + j, 3 k + l] Z_kl, both as pair entries:
+    C[p][q] = a9[p, q] + a9[p, q^T], halved (exactly) on the diagonal. With
+    a9 = a.reshape(9, 9) this is Z -> A(., ., Z), so A y^2 at Z = y y^T, and
+    with its transpose Z -> A(Z, ., .). The rows at p and p^T agree bit for
+    bit, as a Pair4 has a[ijkl] = a[jilk], so the result is symmetric."""
+    rows = a9[_PAIRS]
+    c = rows[:, _PAIRS] + rows[:, _PAIRS_T]
+    c[:, :3] *= 0.5
+    return c.tolist()
+
+
+def _contract(rows, z):
+    """The pair entries of sum_q rows[p][q] z_q."""
+    z0, z1, z2, z3, z4, z5 = z
+    return [
+        c0 * z0 + c1 * z1 + c2 * z2 + c3 * z3 + c4 * z4 + c5 * z5
+        for c0, c1, c2, c3, c4, c5 in rows
+    ]
+
+
+def _outer_pairs(u, w):
+    """The pair entries of sym(u w^T)."""
+    u0, u1, u2 = u
+    w0, w1, w2 = w
+    return (
+        u0 * w0,
+        u1 * w1,
+        u2 * w2,
+        0.5 * (u0 * w1 + u1 * w0),
+        0.5 * (u0 * w2 + u2 * w0),
+        0.5 * (u1 * w2 + u2 * w1),
+    )
+
+
+def _mat_vec(m, v):
+    """The symmetric matrix with pair entries m times v."""
+    m00, m11, m22, m01, m02, m12 = m
+    v0, v1, v2 = v
+    return (
+        m00 * v0 + m01 * v1 + m02 * v2,
+        m01 * v0 + m11 * v1 + m12 * v2,
+        m02 * v0 + m12 * v1 + m22 * v2,
+    )
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _eigh_pairs(m):
+    """The eigenvalues of the symmetric matrix with pair entries m, ascending,
+    and its eigenvectors in the same order, as Python floats."""
+    m00, m11, m22, m01, m02, m12 = m
+    lam, vecs = np.linalg.eigh(((m00, m01, m02), (m01, m11, m12), (m02, m12, m22)))
+    return lam.tolist(), vecs.T.tolist()
+
+
+def _newton_step(rows_n, y, lam, vecs):
     """Riemannian Newton step for g(y) = lambda_min(A y^2) on the unit sphere.
 
-    x = vecs[:, 0] is the exact inner minimiser. With B[i, k] = A(e_i, x,
-    e_k, y) the Euclidean gradient of g is 2 B^T x = 2 A(x, x, y, .), and
-    its Hessian is 2 A(x, x, ., .) + sum_j 2 h_j h_j^T / (lam_0 - lam_j) with
-    h_j = 2 B^T v_j, the second-order perturbation of the simple eigenvalue
-    lam_0. On the sphere both are taken on the tangent plane, the Hessian
-    shifted by -y^T grad = -2 lam_0. Returns the tangent step and the slope
-    of g along it, or None where lam_0 is not simple, y is stationary to
-    rounding or the tangent Hessian is not positive definite.
+    x = vecs[0] is the exact inner minimiser. With N(x) = A(x, x, ., .) and
+    K(u, w) = A(sym(u w^T), ., .), built from the pair rows rows_n, the
+    Euclidean gradient of g is 2 N(x) y, and its Hessian is 2 N(x) + sum_j
+    2 h_j h_j^T / (lam_0 - lam_j) with h_j = 2 K(v_j, x) y, the
+    second-order perturbation of the simple eigenvalue lam_0. On the sphere
+    both are taken on the tangent plane, the Hessian shifted by -y^T grad =
+    -2 lam_0. Returns the tangent step, the slope of g along it and its
+    length, or None where lam_0 is not simple, y is stationary to rounding
+    or the tangent Hessian is not positive definite.
     """
-    l0, l1, l2 = lam.tolist()
+    l0, l1, l2 = lam
     if l1 - l0 <= _SIMPLE_GAP:
         return None
-    x = vecs[:, 0]
-    b = (b9 @ np.multiply.outer(x, y).ravel()).reshape(3, 3)
-    grad = 2.0 * (x @ b)
-    h = 2.0 * (vecs[:, 1:].T @ b)
-    hess = 2.0 * contract_xx(scaled, x)
-    hess += (2.0 / (l0 - l1)) * np.multiply.outer(h[0], h[0])
-    hess += (2.0 / (l0 - l2)) * np.multiply.outer(h[1], h[1])
-    # Orthonormal tangent basis (u, w) from the axis least aligned with y.
-    k = int(np.argmin(np.abs(y)))
-    u = -y[k] * y
+    x, v1, v2 = vecs
+    n_x = _contract(rows_n, _outer_pairs(x, x))
+    grad = _mat_vec(n_x, y)
+    h1 = _mat_vec(_contract(rows_n, _outer_pairs(v1, x)), y)
+    h2 = _mat_vec(_contract(rows_n, _outer_pairs(v2, x)), y)
+    # Orthonormal tangent basis (u, w), u from the axis least aligned with y.
+    y0, y1, y2 = y
+    k = min(range(3), key=lambda i: abs(y[i]))
+    u = [-y[k] * y0, -y[k] * y1, -y[k] * y2]
     u[k] += 1.0
-    # math.sqrt(u.dot(u)) is np.linalg.norm(u), and the Python products and
-    # differences round as np.cross does, without numpy's small-array cost.
-    u /= math.sqrt(u.dot(u))
-    y0, y1, y2 = y.tolist()
-    u0, u1, u2 = u.tolist()
-    q = np.array(((u0, u1, u2), (y1 * u2 - y2 * u1, y2 * u0 - y0 * u2, y0 * u1 - y1 * u0)))
-    g0, g1 = (q @ grad).tolist()
+    norm = math.sqrt(_dot(u, u))
+    u0, u1, u2 = u = [c / norm for c in u]
+    w = (y1 * u2 - y2 * u1, y2 * u0 - y0 * u2, y0 * u1 - y1 * u0)
+    # The factors 2 of the gradient, of h_j h_j^T (as 4) and of N(x).
+    g0, g1 = 2.0 * _dot(u, grad), 2.0 * _dot(w, grad)
     if math.hypot(g0, g1) <= _STATIONARY:
         return None
-    (p, c), (_, r) = (q @ hess @ q.T).tolist()
-    p -= 2.0 * l0
-    r -= 2.0 * l0
+    nu, nw = _mat_vec(n_x, u), _mat_vec(n_x, w)
+    c1, c2 = 8.0 / (l0 - l1), 8.0 / (l0 - l2)
+    a1, b1, a2, b2 = _dot(h1, u), _dot(h1, w), _dot(h2, u), _dot(h2, w)
+    p = 2.0 * _dot(u, nu) + c1 * a1 * a1 + c2 * a2 * a2 - 2.0 * l0
+    c = 2.0 * _dot(u, nw) + c1 * a1 * b1 + c2 * a2 * b2
+    r = 2.0 * _dot(w, nw) + c1 * b1 * b1 + c2 * b2 * b2 - 2.0 * l0
     det = p * r - c * c
     if p <= 0.0 or det <= 0.0:
         return None
@@ -300,7 +388,15 @@ def _newton_step(scaled, b9, y, lam, vecs):
     n1 = c * g0 - p * g1
     norm = max(det, math.hypot(n0, n1))
     s0, s1 = n0 / norm, n1 / norm
-    return s0 * q[0] + s1 * q[1], s0 * g0 + s1 * g1
+    eta = (s0 * u0 + s1 * w[0], s0 * u1 + s1 * w[1], s0 * u2 + s1 * w[2])
+    return eta, s0 * g0 + s1 * g1, math.hypot(s0, s1)
+
+
+def _multiplicity(ratio: float) -> int:
+    """The multiplicity m of a root that Newton steps approach linearly with
+    this ratio of consecutive step lengths, (m - 1) / m; 1 where the ratio
+    shows no linear approach."""
+    return round(1.0 / (1.0 - ratio)) if 0.0 < ratio < 1.0 else 1
 
 
 def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
@@ -312,29 +408,40 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     until the Armijo condition holds for that eigenvalue; where lambda_min
     is not simple, or the Newton step fails to lower the re-evaluated form,
     one exact alternating block step is taken instead: y, then x, each the
-    minimal eigenvector with the other frozen. A step is kept only if it
-    lowers the form, so the trace is nonincreasing by construction;
-    iteration stops when no step does, or a step gains less than _REFINE_TOL
-    times the tensor's scale. Both vectors of a kept step are gauged. The
-    iteration runs on the power-of-two rescale of the tensor, so it takes
-    the same path for every 2**k multiple; the trace is scaled back exactly
-    and min_value is the form re-evaluated on t.
+    minimal eigenvector with the other frozen.
+
+    At a zero of multiplicity m of the gradient, as at the exact zeros of
+    boundary forms, Newton steps converge only linearly, each step length
+    (m - 1) / m of the one before, and a step m times as long lands close
+    to the zero (Traub, Iterative Methods for the Solution of Equations,
+    1964). m is estimated from the lengths of the last two kept Newton
+    directions, and where it is at least 2, the step m is tried once before
+    the steps 1, 1/2, ...; it passes the same tests as any other step. An
+    alternating step resets the estimate.
+
+    A step is kept only if it lowers the form, so the trace is nonincreasing
+    by construction; iteration stops when no step does, or a step gains less
+    than _REFINE_TOL times the tensor's scale. Both vectors of a kept step
+    are gauged. The iteration runs on the power-of-two rescale of the
+    tensor, so it takes the same path for every 2**k multiple; the trace is
+    scaled back exactly and min_value is the form re-evaluated on t. The
+    steps run on Python floats over the pair rows of A y^2 and A x^2 (see
+    _pair_rows); the form values that decide whether a step is kept come
+    from biquadratic.
     """
     a, e = pow2_rescale(t.a)
     scaled = Pair4(a)
-    # B[i, k] = A(e_i, x, e_k, y) is b9 @ (x outer y), from the part of the
-    # tensor symmetric in (i, j), which alone enters the form.
-    s = 0.5 * (a + a.transpose(1, 0, 2, 3))
-    b9 = s.transpose(0, 2, 1, 3).reshape(9, 9)
+    a9 = a.reshape(9, 9)
+    rows_m, rows_n = _pair_rows(a9), _pair_rows(a9.T)
 
     def exact_x(y):
-        lam, vecs = np.linalg.eigh(contract_yy(scaled, y))
-        return lam, vecs, _gauge(vecs[:, 0])
+        lam, vecs = _eigh_pairs(_contract(rows_m, _outer_pairs(y, y)))
+        return lam, vecs, _gauge(vecs[0])
 
     x = np.asarray(start_x, dtype=float)
     y = np.asarray(start_y, dtype=float)
-    x = x / np.linalg.norm(x)
-    y = y / np.linalg.norm(y)
+    x = (x / np.linalg.norm(x)).tolist()
+    y = (y / np.linalg.norm(y)).tolist()
     val = biquadratic(scaled, x, y)
     trace = [val]
     lam, vecs, cand_x = exact_x(y)
@@ -342,26 +449,35 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     if cand < val:
         x, val = cand_x, cand
         trace.append(val)
+    # The length of the last kept Newton direction (None after an
+    # alternating step) and the multiplicity estimated from it.
+    last, mult = None, 1
     for _ in range(_REFINE_STEPS):
         kept = None
-        newton = _newton_step(scaled, b9, y, lam, vecs)
+        newton = _newton_step(rows_n, y, lam, vecs)
         if newton is not None:
-            eta, slope = newton
-            alpha = 1.0
-            for _ in range(_BACKTRACKS):
-                cand_y = y + alpha * eta
-                cand_y = _gauge(cand_y / math.sqrt(cand_y.dot(cand_y)))
+            eta, slope, length = newton
+            alphas = [0.5**i for i in range(_BACKTRACKS)]
+            if mult >= 2:
+                alphas.insert(0, float(mult))
+            for alpha in alphas:
+                c0, c1, c2 = (yi + alpha * ei for yi, ei in zip(y, eta))
+                norm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+                cand_y = _gauge([c0 / norm, c1 / norm, c2 / norm])
                 cand_lam, cand_vecs, cand_x = exact_x(cand_y)
                 if cand_lam[0] <= lam[0] + _ARMIJO * alpha * slope:
                     kept = (cand_x, cand_y, cand_lam, cand_vecs)
                     break
-                alpha *= 0.5
         if kept is not None:
             cand = biquadratic(scaled, kept[0], kept[1])
-            if not cand < val:
+            if cand < val:
+                mult = _multiplicity(length / last) if last else 1
+                last = length
+            else:
                 kept = None
         if kept is None:
-            cand_y = _gauge(np.linalg.eigh(contract_xx(scaled, x))[1][:, 0])
+            last, mult = None, 1
+            cand_y = _gauge(_eigh_pairs(_contract(rows_n, _outer_pairs(x, x)))[1][0])
             cand_lam, cand_vecs, cand_x = exact_x(cand_y)
             cand = biquadratic(scaled, cand_x, cand_y)
             if not cand < val:
@@ -375,8 +491,8 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
             break
     return OracleReport(
         min_value=biquadratic(t, x, y),
-        argmin_x=x,
-        argmin_y=y,
+        argmin_x=np.array(x),
+        argmin_y=np.array(y),
         grid_n=0,
         refined=True,
         objective_trace=tuple(float(np.ldexp(v, e)) for v in trace),

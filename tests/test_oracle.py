@@ -126,9 +126,10 @@ def _outer9(pts):
 
 
 def _row_mats(a, pts):
-    """The row matrices A y^2 at the points, symmetrised as the scan does
+    """The row matrices A y^2 at the points, as the scan computes them: one
+    product of the outer products y y^T with the 9x9 a[ij, kl], symmetrised
     and flattened to 9 entries."""
-    t_mats = np.einsum("ijkl,mk,ml->mij", a, pts, pts)
+    t_mats = (_outer9(pts) @ a.reshape(9, 9).T).reshape(len(pts), 3, 3)
     return (0.5 * (t_mats + t_mats.transpose(0, 2, 1))).reshape(len(pts), 9)
 
 
@@ -413,6 +414,20 @@ def test_refine_work_is_bounded():
     assert abs(rep.min_value) <= 1e-12 * np.max(np.abs(t.a))
 
 
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 1.6, 2.0])
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_refine_lands_on_degenerate_zeros_in_a_few_steps(gamma, n):
+    # g(y) = lambda_min(A y^2) of a Choi-Lam form vanishes to fourth order
+    # at its zeros, where plain Newton steps shrink the value only by
+    # (2/3)^4 each (14-15 steps to 1e-15); the step at the multiplicity
+    # estimated from consecutive steps lands there in a few
+    t = el.tensor_choi_lam(gamma)
+    grid = el.grid_min_biquadratic(t, n=n)
+    rep = el.refine_min(t, grid.argmin_x, grid.argmin_y)
+    assert len(rep.objective_trace) <= 7
+    assert abs(rep.min_value) <= 1e-16 * np.max(np.abs(t.a))
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -531,3 +546,79 @@ def test_oracle_verdict_refines_one_start_per_basin(monkeypatch):
         assert 1 <= len(calls) <= 6
         starts.append(len(calls))
     assert min(starts) < oracle._TOP_K
+
+
+# oracle_verdict's verdict and min_value.hex() on the gallery of
+# scripts/certify_gallery.py and on random tensors R + c E, c frozen within
+# 2e-3 of the shift that puts the form on its boundary, recorded before the
+# refinement took multiplicity steps on Python floats.
+PARITY_GALLERY = {
+    "E": el.tensor_e,
+    "two-squares": el.tensor_two_squares,
+    "choi-lam(1.0)": lambda: el.tensor_choi_lam(1.0),
+    "choi-lam(1.5)": lambda: el.tensor_choi_lam(1.5),
+    "isotropic(1,1)": lambda: el.tensor_isotropic(1.0, 1.0),
+    "isotropic(-1.9,1)": lambda: el.tensor_isotropic(-1.9, 1.0),
+    "isotropic(-3,0.1)": lambda: el.tensor_isotropic(-3.0, 0.1),
+    "random-spd(0)": lambda: el.random_spd_tensor(np.random.default_rng(0)),
+}
+PARITY_RECORD = {
+    "E": ("MPD_likely", "0x1.0000000000000p+0"),
+    "two-squares": ("MPSD_boundary", "-0x1.0000000000000p-54"),
+    "choi-lam(1.0)": ("MPSD_boundary", "-0x1.0000000000000p-54"),
+    "choi-lam(1.5)": ("MPSD_boundary", "0x1.2b1cb79000000p-50"),
+    "isotropic(1,1)": ("MPD_likely", "0x1.ffffffffffff8p-1"),
+    "isotropic(-1.9,1)": ("MPD_likely", "0x1.9999999999995p-4"),
+    "isotropic(-3,0.1)": ("NotMPSD", "-0x1.666666666666cp+1"),
+    "random-spd(0)": ("MPD_likely", "0x1.270a7a2dd2ae1p-3"),
+}
+# (seed of R, c.hex()): (verdict, min_value.hex())
+PARITY_SHIFTED = {
+    (0, "0x1.1f51363999ff9p-1"): ("NotMPSD", "-0x1.50a9479a34fc0p-10"),
+    (1, "0x1.f5f8d3d7e07a9p-2"): ("MPD_likely", "0x1.256b4f12a64b0p-11"),
+    (2, "0x1.c3bbf8645a229p-2"): ("NotMPSD", "-0x1.129292c4ec600p-13"),
+    (3, "0x1.0aec547594832p-1"): ("NotMPSD", "-0x1.0f948007899d8p-11"),
+    (4, "0x1.1d7a982ee3882p-1"): ("NotMPSD", "-0x1.3042a9bd49da0p-11"),
+    (5, "0x1.da5c4d32cdf3dp-2"): ("MPD_likely", "0x1.30a165d659cd0p-10"),
+    (6, "0x1.0723f33938a6dp-1"): ("MPD_likely", "0x1.a8d2f87592a40p-10"),
+    (7, "0x1.09699f70f749ap-1"): ("NotMPSD", "-0x1.5251d7d4162a0p-10"),
+    (8, "0x1.e67c47e450947p-2"): ("MPD_likely", "0x1.4069b76331240p-11"),
+    (9, "0x1.f6deed6d66a91p-2"): ("NotMPSD", "-0x1.a6fd6092a5600p-11"),
+    (10, "0x1.385bc71924b76p-1"): ("MPD_likely", "0x1.e9a5360cf7ec0p-10"),
+    (11, "0x1.0adeaa1f3d2dep-1"): ("MPD_likely", "0x1.b83eab56f32c0p-10"),
+    (12, "0x1.40bdf0a58665fp-2"): ("MPD_likely", "0x1.1cf1152109440p-11"),
+    (13, "0x1.3e10e94c4bb8bp-2"): ("MPD_likely", "0x1.090241773653fp-10"),
+    (14, "0x1.ec701b21f801ep-2"): ("MPD_likely", "0x1.fc79429ed6560p-15"),
+    (15, "0x1.08760533bc151p-1"): ("MPD_likely", "0x1.55b9d7a056400p-10"),
+    (16, "0x1.efe7e75810963p-2"): ("NotMPSD", "-0x1.b103ef46a7480p-13"),
+    (17, "0x1.d86102f0e5832p-2"): ("NotMPSD", "-0x1.5208e7bab2380p-11"),
+    (18, "0x1.c4c692e73f407p-2"): ("NotMPSD", "-0x1.d1c773630efe0p-11"),
+    (19, "0x1.c9395fef9a5d7p-2"): ("NotMPSD", "-0x1.1ef5e92237c80p-10"),
+    (20, "0x1.0cb4bacb0c620p-1"): ("MPD_likely", "0x1.b1227f7361970p-14"),
+    (21, "0x1.c50fd328d75afp-2"): ("NotMPSD", "-0x1.21c69c2773054p-12"),
+    (22, "0x1.0c644a304b797p-1"): ("MPD_likely", "0x1.5636edb465aa0p-11"),
+    (23, "0x1.71332b1858febp-2"): ("NotMPSD", "-0x1.fed2e32382700p-10"),
+    (24, "0x1.a8b2b307dcb65p-2"): ("NotMPSD", "-0x1.b6b54faf33000p-13"),
+    (25, "0x1.b3dd61a593bb5p-2"): ("NotMPSD", "-0x1.1abc8199ad500p-11"),
+    (26, "0x1.c0023b87933dap-2"): ("NotMPSD", "-0x1.3f66158ca2420p-10"),
+    (27, "0x1.bd9295d4610a9p-2"): ("MPD_likely", "0x1.8de5741005400p-12"),
+    (28, "0x1.c89dc5d0b5e69p-2"): ("NotMPSD", "-0x1.0f50f84c90af0p-12"),
+    (29, "0x1.f41b03eaff12fp-2"): ("NotMPSD", "-0x1.a372be6928550p-11"),
+}
+
+
+def _parity_cases():
+    for name, make in PARITY_GALLERY.items():
+        yield name, make(), PARITY_RECORD[name]
+    for (seed, c), record in PARITY_SHIFTED.items():
+        r = el.random_tensor(np.random.default_rng(seed))
+        yield f"shifted({seed})", el.Elast4(r.a + float.fromhex(c) * el.tensor_e().a), record
+
+
+def test_oracle_verdicts_keep_their_record():
+    # every verdict as recorded, and no minimum higher than the recorded one
+    # by more than 1e-12 of the scale
+    for label, t, (verdict, value) in _parity_cases():
+        v = el.oracle_verdict(t)
+        assert v.verdict == verdict, label
+        assert v.report.min_value <= float.fromhex(value) + 1e-12 * v.scale, label

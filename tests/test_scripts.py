@@ -50,4 +50,7 @@ def test_bench_layers_prints_one_json_object():
     assert set(doc["us_per_call"]) == {"psd_project", "min_eigenvalue", "eigenvalue_bounds"}
     assert all(us > 0.0 for us in doc["us_per_call"].values())
     assert doc["pocs"]["us_per_sweep"] > 0.0 and doc["pocs"]["sweeps"] >= doc["pocs"]["runs"] == 16
+    assert set(doc["oracle"]) == {"scan_us", "refine_us", "refine_steps", "refine_calls"}
+    assert doc["oracle"]["scan_us"] > 0.0 and doc["oracle"]["refine_us"] > 0.0
+    assert doc["oracle"]["refine_steps"] >= 1.0 and doc["oracle"]["refine_calls"] >= 8
     assert doc["numpy"] == np.__version__ and doc["blas"]["name"]
