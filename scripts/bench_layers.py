@@ -1,4 +1,5 @@
-"""Time the spectral layer, the POCS sweep and the oracle; print one JSON object.
+"""Time the spectral layer, the POCS sweep, the oracle and the case-2 supremum;
+print one JSON object.
 
 Usage: python3 scripts/bench_layers.py [--repeats 15] [--against DIR]
 
@@ -9,6 +10,9 @@ run_pocs, unshifted and shifted by 1e-6, over the gallery tensors, divided
 by the sweeps those runs take. Per oracle call: the lattice scan
 (grid_top_candidates as oracle_verdict runs it) on each gallery tensor, and
 refine_min from each of their basins, with the trace entries per refinement.
+Per case-2 decomposition of the gallery: the sup_eta grid, the eta_many that
+check_case hands to cases.sup_eta on the cases.GRID_N-point hemisphere, and a
+whole check_case call.
 The object also carries the Python, numpy, BLAS and machine details the
 figures depend on. BLAS runs on one thread unless OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS says otherwise.
@@ -36,7 +40,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import ellipticity_lab as el  # noqa: E402
-from ellipticity_lab import oracle  # noqa: E402
+from ellipticity_lab import cases, oracle  # noqa: E402
 from ellipticity_lab.spectral import eigenvalue_bounds  # noqa: E402
 from certify_gallery import gallery  # noqa: E402
 
@@ -101,12 +105,49 @@ def oracle_layers(tensors, repeats):
     }
 
 
+def case_layers(decs, repeats):
+    """Median over repeats of the µs per sup_eta grid evaluation and per
+    check_case call over the case-2 decompositions decs; the grid is the
+    eta_many that check_case hands to cases.sup_eta, on the cases.GRID_N-point
+    hemisphere."""
+    grids = []
+    sup_eta = cases.sup_eta
+
+    def capture(eta_fn, lines, *, eta_many, **kwargs):
+        grids.append(eta_many)
+        return sup_eta(eta_fn, lines, eta_many=eta_many, **kwargs)
+
+    cases.sup_eta = capture
+    try:
+        for dec in decs:
+            el.check_case(dec)
+    finally:
+        cases.sup_eta = sup_eta
+    ys = el.fibonacci_hemisphere(cases.GRID_N)
+    grid, check = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for eta_many in grids:
+            eta_many(ys)
+        grid.append((time.perf_counter() - start) / len(grids))
+        start = time.perf_counter()
+        for dec in decs:
+            el.check_case(dec)
+        check.append((time.perf_counter() - start) / len(decs))
+    return {
+        "grid_us": 1e6 * statistics.median(grid),
+        "check_us": 1e6 * statistics.median(check),
+        "checks": len(decs),
+    }
+
+
 def layer_figures(doc):
     """The figures of one run that --against compares, by layer name."""
     return {
         **doc["us_per_call"],
         "pocs.us_per_sweep": doc["pocs"]["us_per_sweep"],
         **{f"oracle.{key}": doc["oracle"][key] for key in ("scan_us", "refine_us", "refine_steps")},
+        **{f"cases.{key}": doc["cases"][key] for key in ("grid_us", "check_us")},
     }
 
 
@@ -174,7 +215,8 @@ def main():
         print(json.dumps(against(other, args.repeats), indent=2, sort_keys=True))
         return
 
-    tensors = [t for _, t, _ in gallery()]
+    items = list(gallery())
+    tensors = [t for _, t, _ in items]
     mats = [el.unfold(t) for t in tensors]
     layers = {
         name: us_per_call(fn, mats, args.repeats)
@@ -190,6 +232,7 @@ def main():
         "us_per_call": layers,
         "pocs": {"us_per_sweep": sweep, "sweeps": sweeps, "runs": 2 * len(tensors)},
         "oracle": oracle_layers(tensors, args.repeats),
+        "cases": case_layers([dec for _, _, dec in items if dec is not None], args.repeats),
         **machine(),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -1045,8 +1045,44 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
         assert np.max(np.abs(diff - hess)) <= 1e-6 * max(1.0, np.max(np.abs(hess))), y
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, None])
 @pytest.mark.parametrize("kind", ["case2", "case3"])
-@pytest.mark.parametrize("alpha_scale, mat_scale", [(1e160, 1.0), (1.0, 1e80), (1e-300, 1.0)])
+def test_value_many_matches_einsum_reference_at_block_edges(monkeypatch, kind, block_rows):
+    # value_many reuses one set of buffers for all its blocks; batches around
+    # a block edge and the cached lattice must keep the reference's bytes,
+    # with guarded rows (near a singular line, and y = 0) among them
+    gen = np.random.default_rng([59, int(kind[-1])])
+    if kind == "case2":
+        dec, check = el.choi_lam_case2_decomposition(1.2), el.check_case2
+    else:
+        dec, check = case3_dec(1.3), el.check_case3
+    form, lines = built_form(monkeypatch, check, rotated(dec, gen))
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma)
+    if block_rows is not None:
+        monkeypatch.setattr(cases, "_BLOCK_ROWS", block_rows)
+    b = cases._BLOCK_ROWS
+    ys = gen.standard_normal((b + 1, 3))
+    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    guarded = np.zeros((1, 3))
+    if lines:
+        guarded = np.vstack([near_lines(lines, gen, per_line=10, max_exp=-8), guarded])
+    ys[1::4] = np.resize(guarded, ys[1::4].shape)
+    assert b < 2 or np.isneginf(ref.value_many(ys)).any()
+    for count in (0, 1, b - 1, b, b + 1):
+        got = form.value_many(ys[:count])
+        assert got.shape == (count,)
+        assert got.tobytes() == ref.value_many(ys[:count]).tobytes(), count
+
+    grid = fibonacci_hemisphere(cases.GRID_N)
+    before = grid.copy()
+    first, second = form.value_many(grid), form.value_many(grid)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes() == ref.value_many(grid).tobytes()
+    assert not grid.flags.writeable and grid.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["case2", "case3"])
+@pytest.mark.parametrize("alpha_scale, mat_scale",[(1e160, 1.0), (1.0, 1e80), (1e-300, 1.0)])
 def test_ratio_checkers_at_extreme_scales_match_einsum_reference(
     monkeypatch, kind, alpha_scale, mat_scale
 ):

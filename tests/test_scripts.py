@@ -53,4 +53,6 @@ def test_bench_layers_prints_one_json_object():
     assert set(doc["oracle"]) == {"scan_us", "refine_us", "refine_steps", "refine_calls"}
     assert doc["oracle"]["scan_us"] > 0.0 and doc["oracle"]["refine_us"] > 0.0
     assert doc["oracle"]["refine_steps"] >= 1.0 and doc["oracle"]["refine_calls"] >= 8
+    assert set(doc["cases"]) == {"grid_us", "check_us", "checks"} and doc["cases"]["checks"] == 2
+    assert doc["cases"]["grid_us"] > 0.0 and doc["cases"]["check_us"] > 0.0
     assert doc["numpy"] == np.__version__ and doc["blas"]["name"]
