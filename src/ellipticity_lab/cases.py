@@ -33,8 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CaseShapeError, DecompositionMismatch, EmptyDomain, SingularDirection
-from .spectral import sym_eig
+from .errors import (
+    CaseShapeError,
+    DecompositionMismatch,
+    EmptyDomain,
+    SingularDirection,
+    eigensolver_errors,
+)
+from .spectral import _eigh, sym_eig
 from .spheres import fibonacci_hemisphere
 from .tensors import (
     Elast4,
@@ -255,11 +261,17 @@ def _case1_scaled_C(dec: StructuredDecomposition, C: np.ndarray):
     norm is at most 1 + ||C~||; ||C~|| is taken at a power-of-two scale,
     where its squares cannot overflow. C is divided by alpha_1 before the
     square roots enter, so equal alphas give the same C~ at every common
-    scale, and a tie in its spectrum stays a tie."""
-    root = np.sqrt(dec.alphas[:3] / dec.alphas[0])
-    ct = C / dec.alphas[0] / np.outer(root, root)
-    cs, e = pow2_rescale(ct)
-    return ct, max(1.0, math.ldexp(float(np.linalg.norm(cs)), e))
+    scale, and a tie in its spectrum stays a tie. None where a quotient of
+    the alphas, C~ or its norm does not fit a float (C itself included)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = dec.alphas[:3] / dec.alphas[0]
+        root = np.sqrt(ratio)
+        ct = C / dec.alphas[0] / np.outer(root, root)
+        cs, e = pow2_rescale(ct)
+        scale = max(1.0, float(np.ldexp(np.linalg.norm(cs), e)))
+    if not (np.isfinite(ratio).all() and np.isfinite(ct).all() and math.isfinite(scale)):
+        return None
+    return ct, scale
 
 
 def check_case1(dec: StructuredDecomposition) -> CaseReport:
@@ -293,24 +305,36 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
         u = dec.mats[3 + idx]
         m = np.linalg.solve(V, u)
         m = np.linalg.solve(W, m.T).T  # m = V^-1 U W^-T
-        offdiag_resid.append(float(np.linalg.norm(m - np.diag(np.diag(m)))))
         # The test reads column s of m over sqrt(alpha_s), which no scale
         # moved between alpha_s and U_s changes: relative to ||m|| alone, a
         # column that carries a large scale would pass another's
         # off-diagonal part as rounding.
-        mt = m / root
+        # A residual past the float range reads inf; the test takes mt at a
+        # power of two, where its squares cannot overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mt = m / root
+            resid = float(np.linalg.norm(m - np.diag(np.diag(m))))
+        if not np.isfinite(mt).all():
+            return _mismatch(1, "coefficients spread past the float range", diag)
+        offdiag_resid.append(resid)
+        mt = pow2_rescale(mt)[0]
         if np.linalg.norm(mt - np.diag(np.diag(mt))) > TOL * np.linalg.norm(mt):
             return _mismatch(1, f"negative term {idx} is not diagonal in the frame", diag)
         sigma[idx] = np.diag(m)
 
-    C = np.diag(dec.alphas[:3]) + np.einsum(
-        "s,si,sj->ij", dec.alphas[3:], sigma, sigma
-    )
-    diag["min_eig_C"] = float(np.linalg.eigvalsh(C)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = np.diag(dec.alphas[:3]) + np.einsum(
+            "s,si,sj->ij", dec.alphas[3:], sigma, sigma
+        )
     # C is PSD iff C~ is; C~'s cutoff, unlike one on C, does not grow when a
     # positive term is rewritten as (alpha c^2) (U / c) (x) (U / c).
-    ct, scale = _case1_scaled_C(dec, C)
-    lam_min = float(np.linalg.eigvalsh(ct)[0])
+    scaled = _case1_scaled_C(dec, C)
+    if scaled is None:
+        return _mismatch(1, "coefficients spread past the float range", diag)
+    ct, scale = scaled
+    with eigensolver_errors():
+        diag["min_eig_C"] = float(_eigh(C, vectors=False)[0])
+        lam_min = float(_eigh(ct, vectors=False)[0])
     return CaseReport(
         1,
         CASE_MPSD if lam_min >= -TOL * scale else CASE_NOT_MPSD,

@@ -1,6 +1,8 @@
 """Exception types shared across the library: each is raised by name in the
-package and exported from it."""
+package and exported from it. eigensolver_errors() is the error state in
+which numpy's eigensolver gufuncs raise EigensolverFailure."""
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 
@@ -31,6 +33,22 @@ class EigensolverFailure(EllipticityError, LinAlgError):
     """The symmetric eigensolver did not converge, as at entries near the
     float limit, or its matrix has no finite symmetric part. Still a numpy
     LinAlgError for callers that catch that."""
+
+
+def _solver_did_not_converge(err, flag):
+    raise EigensolverFailure("symmetric eigensolver failed: Eigenvalues did not converge")
+
+
+def eigensolver_errors() -> np.errstate:
+    """A new np.errstate, the one numpy.linalg.eigh and eigvalsh enter on
+    every call: a LAPACK solve that does not converge sets `invalid`, raised
+    here as EigensolverFailure; overflow, division and underflow are
+    ignored. Code that calls the gufuncs numpy.linalg._umath_linalg.eigh_lo
+    and eigvalsh_lo directly holds it, entered once around a batch of
+    solves; an instance can be entered only once."""
+    return np.errstate(
+        call=_solver_did_not_converge, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
 
 
 class InvalidEpsilon(EllipticityError):

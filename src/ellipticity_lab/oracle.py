@@ -23,6 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
+from .errors import eigensolver_errors
 
 # Not called here; elbench/layers.py wraps oracle.sym_eig, oracle.contract_xx
 # and oracle.contract_yy, so the names stay.
@@ -334,9 +337,16 @@ def _dot(u, v):
 
 def _eigh_pairs(m):
     """The eigenvalues of the symmetric matrix with pair entries m, ascending,
-    and its eigenvectors in the same order, as Python floats."""
+    and its eigenvectors in the same order, as Python floats.
+
+    The solve is numpy.linalg.eigh's LAPACK gufunc, called directly: the
+    same bits without the wrapper's per-call cost. The caller holds
+    errors.eigensolver_errors(), which turns a solve that does not converge
+    into EigensolverFailure."""
     m00, m11, m22, m01, m02, m12 = m
-    lam, vecs = np.linalg.eigh(((m00, m01, m02), (m01, m11, m12), (m02, m12, m22)))
+    lam, vecs = _umath_linalg.eigh_lo(
+        ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22)), signature="d->dd"
+    )
     return lam.tolist(), vecs.T.tolist()
 
 
@@ -427,7 +437,9 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     scaled back exactly and min_value is the form re-evaluated on t. The
     steps run on Python floats over the pair rows of A y^2 and A x^2 (see
     _pair_rows); the form values that decide whether a step is kept come
-    from biquadratic.
+    from biquadratic. The eigensolver's error state is entered once, around
+    the steps, which run at unit scale: a solve that does not converge
+    raises EigensolverFailure.
     """
     a, e = pow2_rescale(t.a)
     scaled = Pair4(a)
@@ -444,51 +456,52 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     y = (y / np.linalg.norm(y)).tolist()
     val = biquadratic(scaled, x, y)
     trace = [val]
-    lam, vecs, cand_x = exact_x(y)
-    cand = biquadratic(scaled, cand_x, y)
-    if cand < val:
-        x, val = cand_x, cand
-        trace.append(val)
-    # The length of the last kept Newton direction (None after an
-    # alternating step) and the multiplicity estimated from it.
-    last, mult = None, 1
-    for _ in range(_REFINE_STEPS):
-        kept = None
-        newton = _newton_step(rows_n, y, lam, vecs)
-        if newton is not None:
-            eta, slope, length = newton
-            alphas = [0.5**i for i in range(_BACKTRACKS)]
-            if mult >= 2:
-                alphas.insert(0, float(mult))
-            for alpha in alphas:
-                c0, c1, c2 = (yi + alpha * ei for yi, ei in zip(y, eta))
-                norm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-                cand_y = _gauge([c0 / norm, c1 / norm, c2 / norm])
+    with eigensolver_errors():
+        lam, vecs, cand_x = exact_x(y)
+        cand = biquadratic(scaled, cand_x, y)
+        if cand < val:
+            x, val = cand_x, cand
+            trace.append(val)
+        # The length of the last kept Newton direction (None after an
+        # alternating step) and the multiplicity estimated from it.
+        last, mult = None, 1
+        for _ in range(_REFINE_STEPS):
+            kept = None
+            newton = _newton_step(rows_n, y, lam, vecs)
+            if newton is not None:
+                eta, slope, length = newton
+                alphas = [0.5**i for i in range(_BACKTRACKS)]
+                if mult >= 2:
+                    alphas.insert(0, float(mult))
+                for alpha in alphas:
+                    c0, c1, c2 = (yi + alpha * ei for yi, ei in zip(y, eta))
+                    norm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+                    cand_y = _gauge([c0 / norm, c1 / norm, c2 / norm])
+                    cand_lam, cand_vecs, cand_x = exact_x(cand_y)
+                    if cand_lam[0] <= lam[0] + _ARMIJO * alpha * slope:
+                        kept = (cand_x, cand_y, cand_lam, cand_vecs)
+                        break
+            if kept is not None:
+                cand = biquadratic(scaled, kept[0], kept[1])
+                if cand < val:
+                    mult = _multiplicity(length / last) if last else 1
+                    last = length
+                else:
+                    kept = None
+            if kept is None:
+                last, mult = None, 1
+                cand_y = _gauge(_eigh_pairs(_contract(rows_n, _outer_pairs(x, x)))[1][0])
                 cand_lam, cand_vecs, cand_x = exact_x(cand_y)
-                if cand_lam[0] <= lam[0] + _ARMIJO * alpha * slope:
-                    kept = (cand_x, cand_y, cand_lam, cand_vecs)
+                cand = biquadratic(scaled, cand_x, cand_y)
+                if not cand < val:
                     break
-        if kept is not None:
-            cand = biquadratic(scaled, kept[0], kept[1])
-            if cand < val:
-                mult = _multiplicity(length / last) if last else 1
-                last = length
-            else:
-                kept = None
-        if kept is None:
-            last, mult = None, 1
-            cand_y = _gauge(_eigh_pairs(_contract(rows_n, _outer_pairs(x, x)))[1][0])
-            cand_lam, cand_vecs, cand_x = exact_x(cand_y)
-            cand = biquadratic(scaled, cand_x, cand_y)
-            if not cand < val:
+                kept = (cand_x, cand_y, cand_lam, cand_vecs)
+            x, y, lam, vecs = kept
+            gain = val - cand
+            val = cand
+            trace.append(val)
+            if gain < _REFINE_TOL:
                 break
-            kept = (cand_x, cand_y, cand_lam, cand_vecs)
-        x, y, lam, vecs = kept
-        gain = val - cand
-        val = cand
-        trace.append(val)
-        if gain < _REFINE_TOL:
-            break
     return OracleReport(
         min_value=biquadratic(t, x, y),
         argmin_x=np.array(x),

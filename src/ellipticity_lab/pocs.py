@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidEpsilon, NonFiniteEntries
+from .errors import InvalidEpsilon, NonFiniteEntries, eigensolver_errors
 from .io import decimate, tensor_to_doc
 from .spectral import (
     ROUNDOFF,
@@ -154,10 +154,12 @@ class PocsReport:
 class CertifyResult:
     """Certification attempt outcome. certified is True on IntersectionFound,
     and for certify_mpd also on MarginProved, whose report carries the
-    proved form_lower_bound. `certified` False is NOT a refutation: the
-    alternating projections prove membership when they converge, and a
-    proved gap only shows that no S-PSD representative exists, so this
-    matrix-level route cannot certify the form."""
+    proved form_lower_bound. IntersectionFound is approximate, not a
+    proof: the run stopped with its gap at most tol_converge * ||A||
+    (1e-10 ||A|| by default), and no bound on the form is checked. MarginProved
+    and a GapPositive separation_margin are proved. `certified` False is NOT
+    a refutation: a proved gap only shows that no S-PSD representative
+    exists, so this matrix-level route cannot certify the form."""
 
     certified: bool
     report: PocsReport
@@ -257,8 +259,8 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     Each sweep projects onto the PSD cone, then back onto the affine slice;
     iterate t holds both point sequences. Every affine iterate keeps the
     bi-quadratic form of the (shifted) input, so IntersectionFound, a gap of
-    at most tol_converge times the norm of the (shifted) reference, certifies
-    the form is nonnegative. GapPositive is a proved separation (see the
+    at most tol_converge times the norm of the (shifted) reference, is an
+    approximate certificate that the form is nonnegative. GapPositive is a proved separation (see the
     module docstring); a stall that proves nothing ends Inconclusive. A
     shifted run (epsilon_shift > 0) that has not converged tries
     _mpd_margin once its gap falls below next_try, which starts at
@@ -280,7 +282,10 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     kernel, _psd_clamp, alone. Its argument a9 + (b - b^(i<->j)) / 2 is
     bit-symmetric (a9 is, b is symmetrized exactly, and the i <-> j swap
     commutes with the transpose) and finite at unit scale, so psd_project's
-    check would pass on every sweep.
+    check would pass on every sweep. For the same reason the loop enters the
+    eigensolver's error state (errors.eigensolver_errors) once, not once per
+    sweep: no operand in it overflows or is NaN, so the state's `invalid`
+    can come only from a solve that does not converge, EigensolverFailure.
     """
     if opts is None:
         opts = PocsOptions()
@@ -301,34 +306,35 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     stall_run = 0
     prev_gap = None
     iterations = 0
-    for iterations in range(1, MAX_SWEEPS + 1):
-        b = _psd_clamp(cur.reshape(9, 9)).reshape(81)
-        cur = a9 + 0.5 * (b - b[_SWAP])
-        diff = cur - b
-        in_order = diff[_TENSOR_ORDER]
-        gap = math.sqrt(in_order.dot(in_order))
-        gaps.append(gap)
-        if gap <= threshold:
-            verdict = VERDICT_FOUND
-            break
-        if gap < next_try:
-            bound = _mpd_margin(a9, cur, eps)
-            if bound is not None:
-                verdict = VERDICT_MARGIN
+    with eigensolver_errors():
+        for iterations in range(1, MAX_SWEEPS + 1):
+            b = _psd_clamp(cur.reshape(9, 9)).reshape(81)
+            cur = a9 + 0.5 * (b - b[_SWAP])
+            diff = cur - b
+            in_order = diff[_TENSOR_ORDER]
+            gap = math.sqrt(in_order.dot(in_order))
+            gaps.append(gap)
+            if gap <= threshold:
+                verdict = VERDICT_FOUND
                 break
-            next_try *= 0.5
-        if prev_gap is not None and prev_gap > 0.0:
-            if (prev_gap - gap) < TOL_STALL * prev_gap:
-                stall_run += 1
-                margin = _separation_margin(a9, diff)
-                if margin is not None:
-                    verdict = VERDICT_GAP
+            if gap < next_try:
+                bound = _mpd_margin(a9, cur, eps)
+                if bound is not None:
+                    verdict = VERDICT_MARGIN
                     break
-                if stall_run >= STALL_WINDOW:
-                    break
-            else:
-                stall_run = 0
-        prev_gap = gap
+                next_try *= 0.5
+            if prev_gap is not None and prev_gap > 0.0:
+                if (prev_gap - gap) < TOL_STALL * prev_gap:
+                    stall_run += 1
+                    margin = _separation_margin(a9, diff)
+                    if margin is not None:
+                        verdict = VERDICT_GAP
+                        break
+                    if stall_run >= STALL_WINDOW:
+                        break
+                else:
+                    stall_run = 0
+            prev_gap = gap
 
     gap_trace = _scaled_back(np.asarray(gaps), e)
     return PocsReport(
@@ -360,7 +366,10 @@ def _scaled_back(x, e: int):
 def certify_mpsd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:
     """Certify that the bi-quadratic form of a is nonnegative (M-PSD).
 
-    Sufficient only: certified=True is a proof, certified=False is not."""
+    certified=True is IntersectionFound, an approximate certificate: the
+    alternating projections came within tol_converge * ||A|| (at most
+    1e-10 ||A||) of an S-PSD member of the slice, which is not a proof that
+    one exists. certified=False refutes nothing."""
     opts = replace(opts if opts is not None else PocsOptions(), epsilon_shift=0.0)
     report = run_pocs(a, opts)
     return CertifyResult(certified=report.verdict == VERDICT_FOUND, report=report)

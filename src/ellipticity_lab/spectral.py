@@ -1,10 +1,13 @@
 """Symmetric eigendecomposition with a deterministic gauge, rigorous eigenvalue
 enclosures, and the PSD projection.
 
-Every eigensolve goes through _solve, so a solver that does not converge
-(numpy's LinAlgError, as at entries near the float limit) raises
-EigensolverFailure, an EllipticityError. So does a matrix whose symmetric
-part overflows, before any solve. Every public function validates its input
+Every eigensolve goes through _eigh, which calls the LAPACK gufuncs of
+numpy.linalg.eigh and eigvalsh (the same bits) without their wrapper. Its
+caller holds errors.eigensolver_errors(), in which a solver that does not
+converge (as at entries near the float limit) raises EigensolverFailure, an
+EllipticityError: each public function enters that state per call, and
+pocs.run_pocs once per run. A matrix whose symmetric part overflows raises
+it too, before any solve. Every public function validates its input
 through _require_symmetric; pocs.run_pocs validates its reference once per
 run and calls the clamp kernel _psd_clamp on each sweep, whose iterates are
 bit-symmetric and finite by construction."""
@@ -14,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import AsymmetricInput, EigensolverFailure
+from .errors import AsymmetricInput, EigensolverFailure, eigensolver_errors
 
 __all__ = ["EigPair", "sym_eig", "min_eigenvalue", "eigenvalue_bounds", "psd_project"]
 
@@ -60,12 +64,15 @@ def _require_symmetric(m) -> np.ndarray:
     return sym
 
 
-def _solve(solver, mat):
-    """solver(mat), with numpy's LinAlgError raised as EigensolverFailure."""
-    try:
-        return solver(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"symmetric eigensolver failed: {exc}") from exc
+def _eigh(mat: np.ndarray, vectors: bool = True):
+    """numpy.linalg.eigh(mat), or eigvalsh(mat) if not vectors, bit for bit,
+    for a float64 symmetric matrix: the LAPACK gufunc those call, without
+    the input conversion, result wrap and error state they add to each call.
+    The caller holds errors.eigensolver_errors(); without it, a solve that
+    does not converge returns NaN with a RuntimeWarning."""
+    if vectors:
+        return _umath_linalg.eigh_lo(mat, signature="d->dd")
+    return _umath_linalg.eigvalsh_lo(mat, signature="d->d")
 
 
 def sym_eig(m) -> EigPair:
@@ -77,7 +84,8 @@ def sym_eig(m) -> EigPair:
     basis; callers must not rely on individual vectors inside a cluster.
     """
     mat = _require_symmetric(m)
-    values, vectors = _solve(np.linalg.eigh, mat)
+    with eigensolver_errors():
+        values, vectors = _eigh(mat)
     if vectors.size:
         cols = np.arange(vectors.shape[1])
         peak = vectors[np.argmax(np.abs(vectors), axis=0), cols]
@@ -88,7 +96,8 @@ def sym_eig(m) -> EigPair:
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     mat = _require_symmetric(m)
-    return float(_solve(np.linalg.eigvalsh, mat)[0])
+    with eigensolver_errors():
+        return float(_eigh(mat, vectors=False)[0])
 
 
 def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +118,8 @@ def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
     """
     mat = _require_symmetric(m)
     n = mat.shape[0]
-    w, v = _solve(np.linalg.eigh, mat)
+    with eigensolver_errors():
+        w, v = _eigh(mat)
     av = np.abs(v)
     # Each computed entry is an n-term dot product (plus at most two more
     # operations): its error is at most gamma_(n+2) times the same sum taken
@@ -141,12 +151,15 @@ def psd_project(m) -> np.ndarray:
     matrix bit-for-bit and the map is idempotent up to rounding. The input
     is validated here; the clamp itself is _psd_clamp.
     """
-    return _psd_clamp(_require_symmetric(m))
+    mat = _require_symmetric(m)
+    with eigensolver_errors():
+        return _psd_clamp(mat)
 
 
 def _psd_clamp(mat: np.ndarray) -> np.ndarray:
     """The clamp of psd_project on a matrix that _require_symmetric returned,
-    or one that is bit-symmetric and finite by construction (the POCS sweep)."""
-    values, vectors = _solve(np.linalg.eigh, mat)
+    or one that is bit-symmetric and finite by construction (the POCS sweep).
+    The caller holds errors.eigensolver_errors()."""
+    values, vectors = _eigh(mat)
     rebuilt = (vectors * np.maximum(values, 0.0)) @ vectors.T
     return 0.5 * (rebuilt + rebuilt.T)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEntries, SymmetryViolation
-from .spectral import _require_symmetric
+from .spectral import _require_symmetric, min_eigenvalue
 
 __all__ = [
     "Pair4",
@@ -349,7 +349,7 @@ def random_spd_tensor(rng: np.random.Generator) -> Elast4:
         m = g @ g.T / 9.0
         folded = fold(m)
         cand = Elast4(symmetrize_pairs(folded.a))
-        w = np.linalg.eigvalsh(unfold(cand))
-        if w[0] >= SPD_MIN_EIG_FRAC * max(1e-30, float(np.linalg.norm(cand.a))):
+        lam_min = min_eigenvalue(unfold(cand))
+        if lam_min >= SPD_MIN_EIG_FRAC * max(1e-30, float(np.linalg.norm(cand.a))):
             return cand
     raise RuntimeError("failed to draw a strictly positive unfolding")

@@ -1431,6 +1431,21 @@ def test_ratio_case_with_an_alpha_that_underflows_is_a_structure_mismatch():
     assert rep.diagnostics["reason"] == "coefficients spread past the float range"
 
 
+@pytest.mark.parametrize("alpha_0", [1.0, 1e-300])
+def test_case1_with_c_past_the_float_range_is_a_structure_mismatch(alpha_0):
+    # the positive right vectors 1e-100 e_s put sigma at 1e200, so C has
+    # entries near -1e400: the checker warned of overflow in a norm, and
+    # then eigvalsh of the overflowed C raised an untyped LinAlgError. At
+    # alpha_0 = 1e-300 the diagonal test's m / sqrt(alpha) overflows first
+    dec = el.StructuredDecomposition(
+        np.array([alpha_0, 1.0, 1.0, -1.0]),
+        np.stack([1e-100 * axis_outer(s, s) for s in range(3)] + [np.diag([1e100, 1e100, 0.0])]),
+    )
+    rep = el.check_case1(dec)
+    assert rep.verdict == el.CASE_MISMATCH
+    assert rep.diagnostics["reason"] == "coefficients spread past the float range"
+
+
 def test_check_decides_tiny_alpha_decompositions_as_at_unit_scale():
     # case 1: alphas (1, 1, 1, -2) on e_s e_s^T and I, form minimum -5/3 at
     # x = y = (1, 1, 1) / sqrt(3); case 2: Choi-Lam, M-PSD with zeros

@@ -1,12 +1,14 @@
 """Brute-force minimization: lattices, grid scan, Newton refinement, basins."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import oracle
+from ellipticity_lab import cli, oracle
+from ellipticity_lab.errors import EigensolverFailure
 from ellipticity_lab.oracle import oracle_report_to_doc, oracle_verdict_to_doc
 from ellipticity_lab.spheres import fibonacci_hemisphere, fibonacci_sphere
 from ellipticity_lab.tensors import pow2_rescale
@@ -401,6 +403,32 @@ def test_refine_min_replaced_vectors_are_gauged():
                 replaced += 1
                 assert got[np.argmax(np.abs(got))] > 0.0
     assert replaced > 0
+
+
+def test_a_refinement_eigensolver_failure_is_typed(monkeypatch, tmp_path, capsys):
+    # the 3rd 3x3 solve of refine_min gets a NaN matrix, on which LAPACK
+    # does not converge: the error state that refine_min holds around its
+    # steps raises the typed error, which check reports on its error line
+    eigh_lo, calls = oracle._umath_linalg.eigh_lo, []
+
+    def flaky(m, signature):
+        calls.append(m)
+        if len(calls) == 3:
+            m = np.full((3, 3), np.nan)
+        return eigh_lo(m, signature=signature)
+
+    t = el.tensor_choi_lam(1.0)
+    path = tmp_path / "t.json"
+    el.save_tensor(path, t)
+    monkeypatch.setattr(oracle, "_umath_linalg", SimpleNamespace(eigh_lo=flaky))
+    x, y = np.array([1.0, 0.2, 0.1]), np.array([0.3, 1.0, 0.2])
+    with pytest.raises(EigensolverFailure, match="did not converge"):
+        oracle.refine_min(t, x, y)
+    assert len(calls) == 3
+    calls.clear()
+    assert cli.main(["check", "-i", str(path)]) == cli.EXIT_INPUT
+    assert "error: symmetric eigensolver failed" in capsys.readouterr().err
+    assert len(calls) == 3
 
 
 def test_refine_work_is_bounded():

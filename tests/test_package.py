@@ -63,3 +63,29 @@ def test_readme_python_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_eigensolves_go_through_the_two_kernels():
+    # numpy's symmetric eigensolvers, public or LAPACK gufunc, are named in
+    # spectral._eigh (every solve of spectral, pocs, cases and tensors) and
+    # oracle._eigh_pairs (the oracle's own) and nowhere else
+    solvers = {"eigh", "eigvalsh", "eigh_lo", "eigh_up", "eigvalsh_lo", "eigvalsh_up"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner[inner] = node.name
+        for node in ast.walk(tree):
+            name = None
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            if name in solvers:
+                found.add((path.stem, owner.get(node)))
+    assert found == {("spectral", "_eigh"), ("oracle", "_eigh_pairs")}

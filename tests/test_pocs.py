@@ -609,19 +609,21 @@ def test_the_reference_is_validated_once_per_run(monkeypatch):
 
 
 def test_a_sweep_eigensolver_failure_is_typed(monkeypatch, tmp_path, capsys):
-    # two-squares takes 76 sweeps, so the 5th eigensolve is a sweep's
-    eigh, calls = np.linalg.eigh, []
+    # two-squares takes 76 sweeps, so the 5th eigensolve is a sweep's. It
+    # gets a NaN matrix, on which LAPACK does not converge: the error state
+    # that run_pocs holds around its sweeps turns that into the typed error
+    eigh, calls = spectral._eigh, []
 
-    def flaky(m):
+    def flaky(m, vectors=True):
         calls.append(m)
         if len(calls) == 5:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(m)
+            m = np.full_like(m, np.nan)
+        return eigh(m, vectors)
 
     t = el.tensor_two_squares()
     path = tmp_path / "t.json"
     el.save_tensor(path, t)
-    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    monkeypatch.setattr(spectral, "_eigh", flaky)
     with pytest.raises(EigensolverFailure, match="did not converge"):
         el.run_pocs(t)
     assert len(calls) == 5

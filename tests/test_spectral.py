@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ellipticity_lab as el
-from ellipticity_lab.errors import AsymmetricInput, EigensolverFailure
+from ellipticity_lab import oracle, spectral
+from ellipticity_lab.errors import AsymmetricInput, EigensolverFailure, eigensolver_errors
 from ellipticity_lab.spectral import (
     SYMMETRY_TOL,
+    _eigh,
     _psd_clamp,
     _require_symmetric,
     eigenvalue_bounds,
@@ -223,6 +225,78 @@ def test_overflowing_symmetric_part_is_a_typed_error(make):
     for solve in (el.sym_eig, el.psd_project, el.min_eigenvalue, eigenvalue_bounds):
         with pytest.raises(EigensolverFailure, match="symmetric eigensolver failed"):
             solve(m)
+
+
+# ---------------------------------------------------------------------------
+# the direct LAPACK calls: numpy's public solvers bit for bit, and typed
+# failures from every entry point
+
+
+def _bit_identity_matrices(n):
+    if n == 9:
+        tensors = [
+            el.tensor_e(),
+            el.tensor_two_squares(),
+            el.tensor_choi_lam(1.0),
+            el.tensor_choi_lam(1.5),
+            el.tensor_isotropic(1.0, 1.0),
+            el.tensor_isotropic(-1.9, 1.0),
+            el.tensor_isotropic(-3.0, 0.1),
+            el.random_spd_tensor(np.random.default_rng(0)),
+        ]
+        yield from (el.unfold(t) for t in tensors)
+    yield np.zeros((n, n))
+    for c in (1.0, -2.5, 1e-300, 3e300):
+        yield c * np.eye(n)
+    draws = np.random.default_rng(n)
+    for _ in range(200):
+        g = draws.standard_normal((n, n))
+        yield g + g.T
+
+
+@pytest.mark.parametrize("n", [9, 3])
+def test_the_kernels_are_numpys_solvers_bit_for_bit(n):
+    # spectral._eigh and oracle._eigh_pairs call numpy's private LAPACK
+    # gufuncs; a numpy whose eigh or eigvalsh differs from them fails here
+    count = 0
+    for m in _bit_identity_matrices(n):
+        w, v = np.linalg.eigh(m)
+        with eigensolver_errors():
+            kw, kv = _eigh(m)
+            kvals = _eigh(m, vectors=False)
+        assert (kw.tobytes(), kv.tobytes()) == (w.tobytes(), v.tobytes())
+        assert kvals.tobytes() == np.linalg.eigvalsh(m).tobytes()
+        if n == 3:
+            pairs = [m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]]
+            with eigensolver_errors():
+                lam, vecs = oracle._eigh_pairs(pairs)
+            assert np.array(lam).tobytes() == w.tobytes()
+            assert np.array(vecs).T.tobytes() == v.tobytes()
+        count += 1
+    assert count == 205 + 8 * (n == 9)
+
+
+def _nan_solve(m, vectors=True):
+    """A solve that LAPACK does not converge on: the kernel on NaN."""
+    return _eigh(np.full_like(m, np.nan), vectors)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [el.sym_eig, el.min_eigenvalue, eigenvalue_bounds, el.psd_project],
+    ids=["sym_eig", "min_eigenvalue", "eigenvalue_bounds", "psd_project"],
+)
+def test_each_public_solve_holds_the_error_state(solve, monkeypatch):
+    # without the state, the failed solve would be a RuntimeWarning (an
+    # error under this suite's filter) and a NaN result
+    monkeypatch.setattr(spectral, "_eigh", _nan_solve)
+    with pytest.raises(EigensolverFailure, match="symmetric eigensolver failed: .*did not converge"):
+        solve(np.eye(9))
+
+
+def test_an_unheld_failed_solve_is_a_warning():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        _nan_solve(np.eye(9))
 
 
 # ---------------------------------------------------------------------------
