@@ -1,5 +1,5 @@
-"""Time the spectral layer, the POCS sweep, the oracle and the case-2 supremum;
-print one JSON object.
+"""Time the spectral layer, the POCS sweep, the oracle, the case-2 supremum and
+the case-2/3 ascent; print one JSON object.
 
 Usage: python3 scripts/bench_layers.py [--repeats 15] [--against DIR]
 
@@ -12,15 +12,20 @@ by the sweeps those runs take. Per oracle call: the lattice scan
 refine_min from each of their basins, with the trace entries per refinement.
 Per case-2 decomposition of the gallery: the sup_eta grid, the eta_many that
 check_case hands to cases.sup_eta on the cases.GRID_N-point hemisphere, and a
-whole check_case call.
+whole check_case call. Per ascent: every cases._ascend that check_case runs
+on those decompositions and on the interior case-3 decomposition of
+case3_decomposition(0.5), replayed with the arguments it was given, and the
+eta, gradient and Hessian evaluations per ascent.
+Each group of layers (GROUPS) runs in a fresh interpreter, so that no
+group's figure depends on the allocator state another group leaves behind.
 The object also carries the Python, numpy, BLAS and machine details the
 figures depend on. BLAS runs on one thread unless OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS says otherwise.
 
-With --against DIR the script runs itself PAIRS times in fresh processes on
-the library of this checkout and PAIRS times on DIR/src, alternating which
-goes first, and prints each layer's ratio this / DIR: the median over the
-pairs, its quartiles, and the pairs where this tree's figure is the lower.
+With --against DIR the script measures PAIRS times on the library of this
+checkout and PAIRS times on DIR/src, alternating which goes first, and
+prints each layer's ratio this / DIR: the median over the pairs, its
+quartiles, and the pairs where this tree's figure is the lower.
 """
 
 import os
@@ -35,6 +40,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -49,6 +55,8 @@ CALLS = 200
 # Runs of each tree under --against.
 PAIRS = 10
 SRC = Path(__file__).resolve().parents[1] / "src"
+# The library this process imported, which each group's interpreter imports.
+LIB = Path(el.__file__).resolve().parents[1]
 
 
 def us_per_call(fn, mats, repeats):
@@ -141,13 +149,134 @@ def case_layers(decs, repeats):
     }
 
 
+def case3_decomposition(c):
+    """The case-3 terms (1, e_s e_{s+k}^T), k = 0, 1, 2, and (-1, c I), whose
+    eta is c^2 on the whole sphere."""
+    eye = np.eye(3)
+    mats = [np.outer(eye[:, s], eye[:, (s + k) % 3]) for k in range(3) for s in range(3)]
+    mats.append(c * eye)
+    return el.StructuredDecomposition(np.array([1.0] * 9 + [-1.0]), np.stack(mats))
+
+
+def ascent_layer(decs, repeats):
+    """Median over repeats of the µs per cases._ascend call, over the ascents
+    that check_case runs on decs, replayed with the arguments each was given;
+    and the eta, gradient and Hessian evaluations per ascent."""
+    ascents = []
+    ascend = cases._ascend
+
+    def capture(*args):
+        ascents.append(args)
+        return ascend(*args)
+
+    cases._ascend = capture
+    try:
+        for dec in decs:
+            el.check_case(dec)
+    finally:
+        cases._ascend = ascend
+    evals = Counter()
+
+    def counted(name, fn):
+        def call(y):
+            evals[name] += 1
+            return fn(y)
+
+        return call
+
+    for y0, value, grad, hess, lines in ascents:
+        ascend(y0, counted("eta", value), counted("grad", grad), counted("hess", hess), lines)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for args in ascents:
+            ascend(*args)
+        times.append((time.perf_counter() - start) / len(ascents))
+    return {
+        "ascent_us": 1e6 * statistics.median(times),
+        "ascents": len(ascents),
+        **{f"ascent_{name}_evals": evals[name] / len(ascents) for name in ("eta", "grad", "hess")},
+    }
+
+
+def spectral_group(repeats):
+    mats = [el.unfold(t) for _, t, _ in gallery()]
+    return {
+        "us_per_call": {
+            name: us_per_call(fn, mats, repeats)
+            for name, fn in (
+                ("psd_project", el.psd_project),
+                ("min_eigenvalue", el.min_eigenvalue),
+                ("eigenvalue_bounds", eigenvalue_bounds),
+            )
+        }
+    }
+
+
+def pocs_group(repeats):
+    tensors = [t for _, t, _ in gallery()]
+    sweep, sweeps = us_per_sweep(tensors, repeats)
+    return {"pocs": {"us_per_sweep": sweep, "sweeps": sweeps, "runs": 2 * len(tensors)}}
+
+
+def oracle_group(repeats):
+    return {"oracle": oracle_layers([t for _, t, _ in gallery()], repeats)}
+
+
+def cases_group(repeats):
+    decs = [dec for _, _, dec in gallery() if dec is not None]
+    return {
+        "cases": {
+            **case_layers(decs, repeats),
+            **ascent_layer(decs + [case3_decomposition(0.5)], repeats),
+        }
+    }
+
+
+# Each group of layers, measured in its own interpreter (print_group).
+GROUPS = {
+    "spectral": spectral_group,
+    "pocs": pocs_group,
+    "oracle": oracle_group,
+    "cases": cases_group,
+}
+
+
+def print_group(name, repeats):
+    print(json.dumps(GROUPS[name](repeats)))
+
+
+def measure(src, repeats):
+    """Every group's figures on the library under src, one fresh interpreter
+    per group."""
+    doc = {"repeats": repeats}
+    here = str(Path(__file__).resolve().parent)
+    for name in GROUPS:
+        code = (
+            f"import sys; sys.path.insert(0, {here!r}); import bench_layers; "
+            f"bench_layers.print_group({name!r}, {repeats})"
+        )
+        doc.update(json.loads(run_python(src, "-c", code)))
+    return doc
+
+
 def layer_figures(doc):
     """The figures of one run that --against compares, by layer name."""
     return {
         **doc["us_per_call"],
         "pocs.us_per_sweep": doc["pocs"]["us_per_sweep"],
         **{f"oracle.{key}": doc["oracle"][key] for key in ("scan_us", "refine_us", "refine_steps")},
-        **{f"cases.{key}": doc["cases"][key] for key in ("grid_us", "check_us")},
+        **{
+            f"cases.{key}": doc["cases"][key]
+            for key in (
+                "grid_us",
+                "check_us",
+                "ascent_us",
+                "ascent_eta_evals",
+                "ascent_grad_evals",
+                "ascent_hess_evals",
+            )
+        },
     }
 
 
@@ -170,8 +299,7 @@ def against(other, repeats):
     runs = {"this": [], "other": []}
     for i in range(PAIRS):
         for side in ("this", "other") if i % 2 == 0 else ("other", "this"):
-            out = run_python(SRC if side == "this" else other, __file__, "--repeats", str(repeats))
-            runs[side].append(layer_figures(json.loads(out)))
+            runs[side].append(layer_figures(measure(SRC if side == "this" else other, repeats)))
     ratios = {}
     for name in runs["this"][0]:
         pairs = [(mine[name], theirs[name]) for mine, theirs in zip(runs["this"], runs["other"])]
@@ -215,27 +343,7 @@ def main():
         print(json.dumps(against(other, args.repeats), indent=2, sort_keys=True))
         return
 
-    items = list(gallery())
-    tensors = [t for _, t, _ in items]
-    mats = [el.unfold(t) for t in tensors]
-    layers = {
-        name: us_per_call(fn, mats, args.repeats)
-        for name, fn in (
-            ("psd_project", el.psd_project),
-            ("min_eigenvalue", el.min_eigenvalue),
-            ("eigenvalue_bounds", eigenvalue_bounds),
-        )
-    }
-    sweep, sweeps = us_per_sweep(tensors, args.repeats)
-    doc = {
-        "repeats": args.repeats,
-        "us_per_call": layers,
-        "pocs": {"us_per_sweep": sweep, "sweeps": sweeps, "runs": 2 * len(tensors)},
-        "oracle": oracle_layers(tensors, args.repeats),
-        "cases": case_layers([dec for _, _, dec in items if dec is not None], args.repeats),
-        **machine(),
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps({**measure(LIB, args.repeats), **machine()}, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

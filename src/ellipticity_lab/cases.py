@@ -179,9 +179,9 @@ def spectral_decomposition(a: Elast4) -> StructuredDecomposition:
     overflow nor underflow, and scaled back exactly.
     """
     m = unfold(a)
+    pair = sym_eig(m)
     ms, exp = pow2_rescale(m)
     scale = math.ldexp(float(np.linalg.norm(ms)), exp)
-    pair = sym_eig(m)
     keep = np.abs(pair.values) > SPECTRAL_REL_TOL * scale
     if not np.any(keep):
         return StructuredDecomposition(np.zeros(0), np.zeros((0, 3, 3)))
@@ -417,6 +417,14 @@ class _RatioForm:
     The squared norm of y is y0 * y0 + y1 * y1 + y2 * y2 on Python floats,
     never a BLAS dot, whose rounding depends on the kernel that the BLAS
     library picks at run time.
+
+    `grad` and `hess` at one y share one evaluation of the per-term sums
+    num_lin_s, den_s and m_s (`_slopes`): the form keeps the last y that the
+    guard accepted, keyed by the bytes of y as float64, with its sums, so a
+    Newton step's Hessian reuses the sums of its gradient. -0.0 and 0.0 are
+    different keys, a y that raises is never kept, and no result depends on
+    the calls made before it. `value` makes the same p, num_lin and den
+    operations in the same order, without m, lists or the kept entry.
     """
 
     def __init__(self, alphas, frames, sigma):
@@ -452,50 +460,55 @@ class _RatioForm:
                 for k, (i, j) in enumerate(_UPPER):
                     mat[k] += ag * (w[i] * w[j])
             self._den_mat.append(mat)
+        # (bytes of y, _slopes at y) of the last direction _slopes accepted
+        self._last = (None, None)
 
-    def _parts(self, y):
-        """p[s][g] = w[g,s].y, num_lin[s] = sum_g sigma p, den[s] = sum_g alpha p^2.
+    def _slopes(self, y):
+        """(num_lin_s, den_s, m_s) per term s at y: num_lin = sum_g sigma p,
+        den = sum_g (alpha p) p and m = sum_g (alpha p) w, half of d den / dy,
+        with p = w[g,s].y.
 
-        Raises SingularDirection where some den[s] is at most _GUARD |y|^2
-        den_scale[s], which includes y = 0.
+        Raises SingularDirection where some den_s is at most _GUARD |y|^2
+        den_scale[s], which includes y = 0. The last y accepted is kept with
+        its result, keyed by its bytes (see the class docstring).
         """
-        y0, y1, y2 = np.asarray(y, dtype=float).tolist()
-        p, num_lin, den = [], [], []
-        for terms in self._terms:
-            ps = []
-            nl = dn = 0.0
+        ya = np.asarray(y, dtype=float)
+        key = ya.tobytes()
+        last_key, last = self._last
+        if key == last_key:
+            return last
+        y0, y1, y2 = ya.tolist()
+        floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
+        out = []
+        for terms, scale in zip(self._terms, self._den_scale):
+            nl = dn = m0 = m1 = m2 = 0.0
             for sg, ag, w0, w1, w2 in terms:
                 pg = w0 * y0 + w1 * y1 + w2 * y2
-                ps.append(pg)
                 nl += sg * pg
-                dn += ag * pg * pg
-            p.append(ps)
-            num_lin.append(nl)
-            den.append(dn)
-        floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
-        for d, scale in zip(den, self._den_scale):
-            if d <= floor * scale:
-                raise SingularDirection("denominator vanished at this direction")
-        return p, num_lin, den
-
-    def _half_den_grads(self, p):
-        """m_s = sum_g (alpha p) w for each term s, half of d den_s / dy."""
-        ms = []
-        for terms, ps in zip(self._terms, p):
-            m0 = m1 = m2 = 0.0
-            for (_, ag, w0, w1, w2), pg in zip(terms, ps):
                 ap = ag * pg
+                dn += ap * pg
                 m0 += ap * w0
                 m1 += ap * w1
                 m2 += ap * w2
-            ms.append((m0, m1, m2))
-        return ms
+            if dn <= floor * scale:
+                raise SingularDirection("denominator vanished at this direction")
+            out.append((nl, dn, m0, m1, m2))
+        self._last = (key, out)
+        return out
 
     def value(self, y) -> float:
-        _, num_lin, den = self._parts(y)
+        y0, y1, y2 = np.asarray(y, dtype=float).tolist()
+        floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
         total = 0.0
-        for n, d in zip(num_lin, den):
-            total += n * n / d
+        for terms, scale in zip(self._terms, self._den_scale):
+            nl = dn = 0.0
+            for sg, ag, w0, w1, w2 in terms:
+                pg = w0 * y0 + w1 * y1 + w2 * y2
+                nl += sg * pg
+                dn += ag * pg * pg
+            if dn <= floor * scale:
+                raise SingularDirection("denominator vanished at this direction")
+            total += nl * nl / dn
         return total
 
     def value_many(self, ys: np.ndarray) -> np.ndarray:
@@ -536,12 +549,10 @@ class _RatioForm:
     def grad(self, y) -> np.ndarray:
         """The gradient of eta at y in R^3; SingularDirection where a Python
         float square overflows, or one that underflows to 0 is a divisor."""
-        p, num_lin, den = self._parts(y)
+        slopes = self._slopes(y)
         g0 = g1 = g2 = 0.0
         try:
-            for (m0, m1, m2), nl, d, (n0, n1, n2) in zip(
-                self._half_den_grads(p), num_lin, den, self._num_dir
-            ):
+            for (nl, d, m0, m1, m2), (n0, n1, n2) in zip(slopes, self._num_dir):
                 two_nl, nl_sq, d_sq = 2.0 * nl, nl**2, d**2
                 g0 += (two_nl * n0 * d - nl_sq * (2.0 * m0)) / d_sq
                 g1 += (two_nl * n1 * d - nl_sq * (2.0 * m1)) / d_sq
@@ -559,10 +570,9 @@ class _RatioForm:
         zero, which the guard rules out), and _ascend falls back to a
         gradient step.
         """
-        p, num_lin, den = self._parts(y)
         h00 = h01 = h02 = h11 = h12 = h22 = 0.0
-        for (m0, m1, m2), nl, d, (n0, n1, n2), (a00, a01, a02, a11, a12, a22) in zip(
-            self._half_den_grads(p), num_lin, den, self._num_dir, self._den_mat
+        for (nl, d, m0, m1, m2), (n0, n1, n2), (a00, a01, a02, a11, a12, a22) in zip(
+            self._slopes(y), self._num_dir, self._den_mat
         ):
             q = nl / d
             two_q, two_over_d = 2.0 * q, 2.0 / d
@@ -593,14 +603,19 @@ def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def _orthonormal_complement(d) -> tuple:
     """Unit u1, u2 with (u1, u2, d) orthonormal, for a unit d, on Python floats.
 
     u1 is d x e_k normalised, e_k the first axis on which |d| is smallest,
     and u2 = d x u1.
     """
-    k = min(range(3), key=lambda i: abs(d[i]))
-    u1 = _unit(*_cross(d, [float(i == k) for i in range(3)]))
+    k = 1 if abs(d[1]) < abs(d[0]) else 0
+    if abs(d[2]) < abs(d[k]):
+        k = 2
+    u1 = _unit(*_cross(d, _AXES[k]))
     return u1, _cross(d, u1)
 
 
@@ -622,26 +637,30 @@ def _ascend(start, value, grad, hess, lines):
     Returns (y, eta(y), converged, near_line). converged: the tangent
     gradient fell to ASCENT_TOL max(1, |eta|), or no step improves at any
     scale. near_line: the ascent came within LINE_STOP of a singular line
-    and stopped there.
+    and stopped there. The iterate, the line test, the tangent projection
+    and the step are Python floats; value, grad and hess receive y as an
+    array.
     """
-    y = _unit(*map(float, start))
-    fy = value(np.array(y))
+    y0, y1, y2 = _unit(*map(float, start))
+    fy = value(np.array((y0, y1, y2)))
     if fy == -math.inf:
-        return np.array(y), fy, False, False
+        return np.array((y0, y1, y2)), fy, False, False
     near = math.cos(LINE_STOP)
     step = 0.5
     converged = False
     for _ in range(ASCENT_STEPS):
-        if any(abs(_dot(y, d)) >= near for d in lines):
-            return np.array(y), float(fy), False, True
-        ya = np.array(y)
+        for e0, e1, e2 in lines:
+            if abs(y0 * e0 + y1 * e1 + y2 * e2) >= near:
+                return np.array((y0, y1, y2)), float(fy), False, True
+        ya = np.array((y0, y1, y2))
         try:
-            gr = [float(c) for c in grad(ya)]
+            g0, g1, g2 = np.asarray(grad(ya), dtype=float).tolist()
         except SingularDirection:
             break
-        gy = _dot(gr, y)
-        gt = [gr[i] - gy * y[i] for i in range(3)]
-        gn = math.sqrt(_dot(gt, gt))
+        # the tangent gradient t = g - (g.y) y
+        gy = g0 * y0 + g1 * y1 + g2 * y2
+        t0, t1, t2 = g0 - gy * y0, g1 - gy * y1, g2 - gy * y2
+        gn = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
         if not math.isfinite(gn):
             break
         if gn <= ASCENT_TOL * max(1.0, abs(fy)):
@@ -651,26 +670,33 @@ def _ascend(start, value, grad, hess, lines):
             h = np.asarray(hess(ya), dtype=float).tolist()
         except SingularDirection:
             break
-        u1, u2 = _orthonormal_complement(y)
-        hu1, hu2 = [_dot(row, u1) for row in h], [_dot(row, u2) for row in h]
-        h11, h12, h22 = _dot(u1, hu1), _dot(u1, hu2), _dot(u2, hu2)
+        # the tangent Hessian and gradient in the basis (u, v) of y-perp
+        (u0, u1, u2), (v0, v1, v2) = _orthonormal_complement((y0, y1, y2))
+        hu0, hu1, hu2 = (r0 * u0 + r1 * u1 + r2 * u2 for r0, r1, r2 in h)
+        hv0, hv1, hv2 = (r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in h)
+        h11 = u0 * hu0 + u1 * hu1 + u2 * hu2
+        h12 = u0 * hv0 + u1 * hv1 + u2 * hv2
+        h22 = v0 * hv0 + v1 * hv1 + v2 * hv2
         det = h11 * h22 - h12 * h12
-        b1, b2 = _dot(u1, gt), _dot(u2, gt)
+        b1 = u0 * t0 + u1 * t1 + u2 * t2
+        b2 = v0 * t0 + v1 * t1 + v2 * t2
         newton = h11 < 0.0 and det > 0.0
         if newton:
             c1 = (h12 * b2 - h22 * b1) / det
             c2 = (h12 * b1 - h11 * b2) / det
-            direction = [c1 * u1[i] + c2 * u2[i] for i in range(3)]
+            d0, d1, d2 = c1 * u0 + c2 * v0, c1 * u1 + c2 * v1, c1 * u2 + c2 * v2
             slope, length, s = b1 * c1 + b2 * c2, math.sqrt(c1 * c1 + c2 * c2), 1.0
         else:
-            direction, slope, length, s = gt, gn * gn, gn, step
+            d0, d1, d2, slope, length, s = t0, t1, t2, gn * gn, gn, step
         moved = False
         # Steps shorter than 1e-16 move the unit y by less than its rounding.
         while s * length > 1e-16:
-            cand = _unit(*(y[i] + s * direction[i] for i in range(3)))
-            fc = value(np.array(cand))
+            x0, x1, x2 = y0 + s * d0, y1 + s * d1, y2 + s * d2
+            nrm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+            x0, x1, x2 = x0 / nrm, x1 / nrm, x2 / nrm
+            fc = value(np.array((x0, x1, x2)))
             if fc > fy + 1e-4 * s * slope:
-                y, fy = cand, fc
+                y0, y1, y2, fy = x0, x1, x2, fc
                 if not newton:
                     step = min(1.0, 2.0 * s)
                 moved = True
@@ -680,7 +706,7 @@ def _ascend(start, value, grad, hess, lines):
             # No ascent step improves at any scale: stationary to rounding.
             converged = True
             break
-    return np.array(y), float(fy), converged, False
+    return np.array((y0, y1, y2)), float(fy), converged, False
 
 
 def _best_indices(vals: np.ndarray, k: int) -> np.ndarray:

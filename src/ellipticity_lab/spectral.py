@@ -7,13 +7,17 @@ caller holds errors.eigensolver_errors(), in which a solver that does not
 converge (as at entries near the float limit) raises EigensolverFailure, an
 EllipticityError: each public function enters that state per call, and
 pocs.run_pocs once per run. A matrix whose symmetric part overflows raises
-it too, before any solve. Every public function validates its input
-through _require_symmetric; pocs.run_pocs validates its reference once per
-run and calls the clamp kernel _psd_clamp on each sweep, whose iterates are
-bit-symmetric and finite by construction."""
+it too, before any solve, and so does one whose spectrum passes the float
+range, after it. psd_project tests its reconstruction instead, which passes
+the range wherever the spectrum does above; an eigenvalue past it below is
+clamped to 0, and that projection is in range. Every public function
+validates its input through _require_symmetric; pocs.run_pocs validates its
+reference once per run and calls the clamp kernel _psd_clamp on each sweep,
+whose iterates are bit-symmetric and finite by construction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +79,17 @@ def _eigh(mat: np.ndarray, vectors: bool = True):
     return _umath_linalg.eigvalsh_lo(mat, signature="d->d")
 
 
+def _in_range(values: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues values, or EigensolverFailure where they pass
+    the float range: LAPACK solves a finite matrix scaled into range, and an
+    eigenvalue that overflows on the way back comes out +-inf, with no
+    error. Only the ends are read; a solve that returns NaN sets `invalid`,
+    which the error state raises."""
+    if values.size and not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        raise EigensolverFailure("symmetric eigensolver failed: the spectrum passes the float range")
+    return values
+
+
 def sym_eig(m) -> EigPair:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -86,6 +101,7 @@ def sym_eig(m) -> EigPair:
     mat = _require_symmetric(m)
     with eigensolver_errors():
         values, vectors = _eigh(mat)
+    _in_range(values)
     if vectors.size:
         cols = np.arange(vectors.shape[1])
         peak = vectors[np.argmax(np.abs(vectors), axis=0), cols]
@@ -97,7 +113,8 @@ def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     mat = _require_symmetric(m)
     with eigensolver_errors():
-        return float(_eigh(mat, vectors=False)[0])
+        values = _eigh(mat, vectors=False)
+    return float(_in_range(values)[0])
 
 
 def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +137,7 @@ def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
     n = mat.shape[0]
     with eigensolver_errors():
         w, v = _eigh(mat)
+    _in_range(w)
     av = np.abs(v)
     # Each computed entry is an n-term dot product (plus at most two more
     # operations): its error is at most gamma_(n+2) times the same sum taken
@@ -149,11 +167,19 @@ def psd_project(m) -> np.ndarray:
     V diag(w+) V^T unchanged bit for bit, because negation is exact. The
     reconstruction is symmetrized exactly, so the output is a symmetric
     matrix bit-for-bit and the map is idempotent up to rounding. The input
-    is validated here; the clamp itself is _psd_clamp.
+    is validated here; the clamp itself is _psd_clamp. A projection that
+    passes the float range, as every one of a spectrum past it above does,
+    raises EigensolverFailure.
     """
     mat = _require_symmetric(m)
     with eigensolver_errors():
-        return _psd_clamp(mat)
+        out = _psd_clamp(mat)
+    # the rebuild can pass the float range where the spectrum does not
+    if not np.isfinite(out).all():
+        raise EigensolverFailure(
+            "symmetric eigensolver failed: the spectral reconstruction passes the float range"
+        )
+    return out
 
 
 def _psd_clamp(mat: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Structured-decomposition analysis: shapes, eta ratios, supremum bounds."""
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -1045,6 +1046,51 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
         assert np.max(np.abs(diff - hess)) <= 1e-6 * max(1.0, np.max(np.abs(hess))), y
 
 
+@pytest.mark.parametrize("kind", ["case2", "case3"])
+def test_interleaved_evaluations_match_einsum_reference(monkeypatch, kind):
+    # grad and hess at one y share the evaluation that _RatioForm keeps for
+    # the last y it accepted; whatever came before, every call must give the
+    # reference's bits: the same y twice, another y in between, y whose zero
+    # components differ in sign only, and a y right after one that raised
+    gen = np.random.default_rng([67, int(kind[-1])])
+    if kind == "case2":
+        dec, check = el.choi_lam_case2_decomposition(0.8), el.check_case2
+    else:
+        dec, check = case3_dec(0.5), el.check_case3
+    form, lines = built_form(monkeypatch, check, dec)
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma)
+    ys = gen.standard_normal((40, 3))
+    ys /= np.linalg.norm(ys, axis=1)[:, None]
+    signed = []
+    for k in range(3):
+        y = np.roll([-0.6, -0.8, 0.0], k)
+        flipped = y.copy()
+        flipped[(k + 2) % 3] = -0.0
+        signed += [y, flipped, y]
+    raising = [np.asarray(d) for d in lines] + [np.zeros(3)]
+    points = list(signed)
+    for i, (a, b) in enumerate(zip(ys[:-1], ys[1:])):
+        points += [a, a, b, a, raising[i % len(raising)], a, b]
+
+    def bits(result):
+        return result if result is SingularDirection else np.asarray(result).tobytes()
+
+    names = ("grad", "hess", "hess", "value", "grad")
+    for i, y in enumerate(points):
+        for name in names[i % len(names) :] + names[: i % len(names)]:
+            got, want = outcome(getattr(form, name), y), outcome(getattr(ref, name), y)
+            assert bits(got) == bits(want), (name, y, got, want)
+    # the kept y is keyed by its bytes: -0.0 is not 0.0, and a y the guard
+    # rejects is never kept
+    y, flipped = signed[:2]
+    form.grad(y)
+    form.grad(flipped)
+    assert form._last[0] == flipped.tobytes() != y.tobytes()
+    with pytest.raises(SingularDirection):
+        form.hess(np.zeros(3))
+    assert form._last[0] == flipped.tobytes()
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, None])
 @pytest.mark.parametrize("kind", ["case2", "case3"])
 def test_value_many_matches_einsum_reference_at_block_edges(monkeypatch, kind, block_rows):
@@ -1350,22 +1396,31 @@ def test_sup_eta_results_are_pinned(name):
 
 
 def count_ascent_work(monkeypatch):
-    """(gradient evaluations, near_line) per ascent; the gradients are counted
+    """(eta, gradient and Hessian evaluations, near_line) per ascent, counted
     through the callables handed to sup_eta."""
-    grads, per_ascent = [0], []
+    evals, per_ascent = [0, 0, 0], []
     sup_eta, ascend = cases.sup_eta, cases._ascend
 
-    def counting_sup_eta(eta_fn, lines, *, grad_fn, **kwargs):
-        def grad(y):
-            grads[0] += 1
-            return grad_fn(y)
+    def counted(k, fn):
+        def call(y):
+            evals[k] += 1
+            return fn(y)
 
-        return sup_eta(eta_fn, lines, grad_fn=grad, **kwargs)
+        return call
+
+    def counting_sup_eta(eta_fn, lines, *, grad_fn, hess_fn, **kwargs):
+        return sup_eta(
+            counted(0, eta_fn),
+            lines,
+            grad_fn=counted(1, grad_fn),
+            hess_fn=counted(2, hess_fn),
+            **kwargs,
+        )
 
     def counting_ascend(*args):
-        before = grads[0]
+        before = list(evals)
         result = ascend(*args)
-        per_ascent.append((grads[0] - before, result[3]))
+        per_ascent.append((*(n - b for n, b in zip(evals, before)), result[3]))
         return result
 
     monkeypatch.setattr(cases, "sup_eta", counting_sup_eta)
@@ -1381,8 +1436,151 @@ def test_ascents_take_newton_steps(monkeypatch, gamma, most):
     per_ascent = count_ascent_work(monkeypatch)
     rep = el.check_case2(el.choi_lam_case2_decomposition(gamma))
     assert rep.diagnostics["sup_converged"] and per_ascent
-    assert max(grads for grads, _ in per_ascent) <= most, per_ascent
-    assert all(near_line == (gamma > 1.0) for _, near_line in per_ascent), per_ascent
+    assert max(grads for _, grads, _, _ in per_ascent) <= most, per_ascent
+    assert all(near_line == (gamma > 1.0) for *_, near_line in per_ascent), per_ascent
+
+
+def random_ratio_decomposition(case_id, seed):
+    """Generic case-2 or case-3 terms drawn from default_rng([7, seed]): V and
+    then the case_id slot frames from standard_normal((3, 3)), positive
+    alphas uniform in [0.5, 2] and sigma standard normal, (case_id, 3) each,
+    and the negative term sum_{g,s} sigma[g, s] v_s w[g, s]^T with alpha
+    uniform in [-0.5, -0.02]."""
+    gen = np.random.default_rng([7, seed])
+    V = gen.standard_normal((3, 3))
+    frames = [gen.standard_normal((3, 3)) for _ in range(case_id)]
+    alphas = gen.uniform(0.5, 2.0, (case_id, 3))
+    sigma = gen.standard_normal((case_id, 3))
+    mats = [np.outer(V[:, s], F[:, s]) for F in frames for s in range(3)]
+    neg = sum(c * m for c, m in zip(sigma.ravel(), mats))
+    return el.StructuredDecomposition(
+        np.append(alphas.ravel(), -gen.uniform(0.02, 0.5)), np.stack(mats + [neg])
+    )
+
+
+# sha256 of each case report and the (eta, gradient, Hessian) evaluations of
+# each of its ascents, counted through the callables handed to sup_eta: a
+# record of the ratio route, whose speed-ups must keep every bit and every
+# evaluation. Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86_64 (see
+# PINNED_REPORTS in test_cli.py).
+RATIO_RECORD = {
+    ("choi-lam", 0.5): (
+        "aaefb5b1ab8ed06284347b96d03c1183893419abf91217722d8e55017125ffc2",
+        "3/3/2 27/4/4 4/4/3 29/3/3",
+    ),  # NotMPSD
+    ("choi-lam", 0.8): (
+        "01b4f57b34532752d62efb737f8bfcf86f2d59801ad0bbee27b413e4b283800f",
+        "4/4/3 33/4/4 32/4/4 4/4/3",
+    ),  # NotMPSD
+    ("choi-lam", 1.0): (
+        "89cc5d96b7771ca9660bc1b44b6f70d7c076cf17d176e9c2d80760064e43d3f0",
+        "24/3/3 27/3/3 29/3/3 4/4/3",
+    ),  # MPSD
+    ("choi-lam", 1.2): (
+        "828cb05d4801c5b0f6e4277bd7085cc4767cd0c7816acc36a1231b8d348d7297",
+        "77/18/18 42/16/16 59/17/17 125/35/35 66/20/20 83/18/18",
+    ),  # MPSD
+    ("choi-lam", 1.6): (
+        "828cb05d4801c5b0f6e4277bd7085cc4767cd0c7816acc36a1231b8d348d7297",
+        "59/16/16 48/16/16 74/18/18 88/21/21 85/20/20 74/18/18",
+    ),  # MPSD
+    ("choi-lam", 2.0): (
+        "828cb05d4801c5b0f6e4277bd7085cc4767cd0c7816acc36a1231b8d348d7297",
+        "71/18/18 96/20/20 44/16/16 77/20/20 91/18/18 98/26/26",
+    ),  # MPSD
+    ("case2", 0): (
+        "e71750d6838272baf2755517a57bc6b31e1ba45a8ff5d85f126c13be4960e80c",
+        "53/5/5",
+    ),  # MPSD
+    ("case2", 1): (
+        "5ef81850d232384cdc908eb91e77d00fc4e7868a1bc9e0cb405e9e1f91faae87",
+        "4/4/3",
+    ),  # NotMPSD
+    ("case2", 2): (
+        "bbd087fd98513f7b43f898e25d698aeef9c71c26f7946f6e9ab7967dda8fee81",
+        "4/4/3",
+    ),  # MPSD
+    ("case2", 3): (
+        "7dbde3b53ab9c59559e0bbe42601110051ca5128450de62b2614c488658c1ca7",
+        "4/4/3",
+    ),  # NotMPSD
+    ("case2", 4): (
+        "cbeeca830e3ebaa72b26e7d291596b29150efe23e104c3435a7bdafe5634d3d9",
+        "5/5/4 5/5/4",
+    ),  # MPSD
+    ("case2", 5): (
+        "70b49f120d0326e172bd320856d42b620f5630a96eb9af3ce23d221d4c6794b6",
+        "4/4/3",
+    ),  # MPSD
+    ("case2", 6): (
+        "cb1018b0fbd290f92c829043e008db912a09b46fd6ed5b7252b5065add05d663",
+        "4/4/3",
+    ),  # MPSD
+    ("case2", 7): (
+        "fa37e8e102284ff1653b3a6d2560e23d552932296dc439cbc1a1b11f7f6bc8a9",
+        "40/7/7 4/4/3 5/5/4 5/5/4",
+    ),  # NotMPSD
+    ("case2", 8): (
+        "4c374527b8ed2ee8f5e16ac0843e458285891eb702da88a01ed53c97b3a0c8cb",
+        "4/4/3",
+    ),  # NotMPSD
+    ("case2", 9): (
+        "6e85d6cbf73524c0299e36c47d475a28579c98b80b82381149dca563b228b73c",
+        "4/4/3 32/5/5 5/5/4",
+    ),  # NotMPSD
+    ("case3", 0): (
+        "8b3478b689b7459d3e625f6bf46ea9768a4a163e3ba86605fc14af3b5bae4dfe",
+        "4/4/3",
+    ),  # MPD
+    ("case3", 1): (
+        "17b4c69f1e4aadc4a540c4183c67fe6aa849e108f936b1f87841dfaca1e3c592",
+        "4/4/3",
+    ),  # NotMPSD
+    ("case3", 2): (
+        "758c662d2121aa97f263b07d588cf3a596f21b8b1e6b5fbcbce412c0c41ae94c",
+        "45/4/4",
+    ),  # MPD
+    ("case3", 3): (
+        "b0c126264f0817e1e10d36a11015d52f72093a97f3573daf58e96b9d46f75cb3",
+        "48/4/4 4/4/3",
+    ),  # MPD
+    ("case3", 4): (
+        "3eb1256fe11b89603b9ecda9cafc5ba00162990b1aa6d9475d971dde929fb77a",
+        "45/5/5",
+    ),  # NotMPSD
+    ("case3", 5): (
+        "055d6be8bf3e0c37365f500376fc1fb6b5d93d1ca08c8df6d8bf07837bc37871",
+        "4/4/3",
+    ),  # NotMPSD
+    ("case3", 6): (
+        "68e7f4f6b91228b6a650caff208bf98beae79d11c00d057c8baa7f14df33899b",
+        "40/4/4",
+    ),  # NotMPSD
+    ("case3", 7): (
+        "a6a692588f3882cecf0777960cbfe84fa8b3565288609d9e9baefce2462fde68",
+        "36/5/5",
+    ),  # NotMPSD
+    ("case3", 8): (
+        "0b57c7991c8aa66a6afb7ef8ed382cd7367ab78eeeb916a703816e9f8450f9c2",
+        "35/5/5",
+    ),  # NotMPSD
+    ("case3", 9): (
+        "141de945bbdfd18d3963320b05650c3de305568873855eab74409d09da14b4df",
+        "4/4/3",
+    ),  # NotMPSD
+}
+
+
+@pytest.mark.parametrize("family, param", list(RATIO_RECORD))
+def test_ratio_route_matches_its_record(monkeypatch, family, param):
+    per_ascent = count_ascent_work(monkeypatch)
+    if family == "choi-lam":
+        dec = el.choi_lam_case2_decomposition(param)
+    else:
+        dec = random_ratio_decomposition(int(family[-1]), param)
+    report = el.dumps_report(case_report_to_doc(el.check_case(dec)))
+    counts = " ".join(f"{eta}/{grad}/{hess}" for eta, grad, hess, _ in per_ascent)
+    assert (hashlib.sha256(report.encode()).hexdigest(), counts) == RATIO_RECORD[family, param]
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e80, 1e-160])

@@ -53,6 +53,12 @@ def test_bench_layers_prints_one_json_object():
     assert set(doc["oracle"]) == {"scan_us", "refine_us", "refine_steps", "refine_calls"}
     assert doc["oracle"]["scan_us"] > 0.0 and doc["oracle"]["refine_us"] > 0.0
     assert doc["oracle"]["refine_steps"] >= 1.0 and doc["oracle"]["refine_calls"] >= 8
-    assert set(doc["cases"]) == {"grid_us", "check_us", "checks"} and doc["cases"]["checks"] == 2
+    evals = {f"ascent_{name}_evals" for name in ("eta", "grad", "hess")}
+    assert set(doc["cases"]) == {"grid_us", "check_us", "checks", "ascent_us", "ascents"} | evals
+    assert doc["cases"]["checks"] == 2 and doc["cases"]["ascents"] >= 3
     assert doc["cases"]["grid_us"] > 0.0 and doc["cases"]["check_us"] > 0.0
+    assert doc["cases"]["ascent_us"] > 0.0
+    # every ascent evaluates eta and the gradient at its start at least
+    assert all(doc["cases"][key] >= 1.0 for key in evals - {"ascent_hess_evals"})
+    assert doc["cases"]["ascent_hess_evals"] > 0.0
     assert doc["numpy"] == np.__version__ and doc["blas"]["name"]

@@ -227,6 +227,51 @@ def test_overflowing_symmetric_part_is_a_typed_error(make):
             solve(m)
 
 
+@pytest.mark.parametrize("scale", [8e307, 2.0**1022, 2e307, -8e307])
+def test_a_spectrum_past_the_float_range_is_a_typed_error(scale):
+    # finite and bit-symmetric, but the eigenvalue 9 scale passes the float
+    # range: LAPACK scales the matrix, solves, and returns that eigenvalue
+    # as +-inf without an error
+    m = np.full((9, 9), scale)
+    for solve in (el.sym_eig, el.min_eigenvalue, eigenvalue_bounds):
+        with pytest.raises(EigensolverFailure, match="spectrum passes the float range"):
+            solve(m)
+    if scale > 0:
+        with pytest.raises(EigensolverFailure, match="reconstruction passes the float range"):
+            el.psd_project(m)
+    else:
+        # the clamp takes -inf to 0, and the projection, about 0, is in range
+        assert np.abs(el.psd_project(m)).max() < 1e-12 * -scale
+
+
+def test_a_spectrum_just_inside_the_float_range_is_solved():
+    m = np.full((9, 9), 1.9e307)  # largest eigenvalue 1.71e308
+    assert el.sym_eig(m).values[-1] == pytest.approx(9 * 1.9e307)
+    assert abs(el.min_eigenvalue(m)) < 1e-12 * 1.9e307
+    lower, upper = eigenvalue_bounds(m)
+    assert lower[-1] <= 9 * 1.9e307 <= upper[-1] < np.inf
+    assert np.array_equal(el.psd_project(m), _psd_clamp(m))
+
+
+def test_a_projection_that_overflows_its_reconstruction_is_a_typed_error():
+    # the spectrum, +-1.13e308, is finite, but the projection's diagonal
+    # 9.7e307 passes the float range when the rebuilt matrix is symmetrized
+    m = np.array([[8e307, 8e307], [8e307, -8e307]])
+    assert np.isfinite(el.sym_eig(m).values).all()
+    with pytest.raises(EigensolverFailure, match="spectral reconstruction passes the float range"):
+        el.psd_project(m)
+
+
+def test_callers_of_an_overflowing_spectrum_raise_the_typed_error():
+    # the unfolding of the all-8e307 tensor has the spectrum above: check
+    # ends at its first stage, and spectral_decomposition solves before it
+    # takes ||A||, whose overflow was an OverflowError
+    t = el.make_elast4(np.full((3, 3, 3, 3), 8e307))
+    for run in (el.check, el.spectral_decomposition):
+        with pytest.raises(EigensolverFailure, match="spectrum passes the float range"):
+            run(t)
+
+
 # ---------------------------------------------------------------------------
 # the direct LAPACK calls: numpy's public solvers bit for bit, and typed
 # failures from every entry point
