@@ -1,5 +1,5 @@
-"""Time the spectral layer, the POCS sweep, the oracle, the case-2 supremum and
-the case-2/3 ascent; print one JSON object.
+"""Time the spectral layer, the POCS sweep, the oracle, the case-2 supremum,
+the case-2/3 ascent and a whole check; print one JSON object.
 
 Usage: python3 scripts/bench_layers.py [--repeats 15] [--against DIR]
 
@@ -15,7 +15,8 @@ check_case hands to cases.sup_eta on the cases.GRID_N-point hemisphere, and a
 whole check_case call. Per ascent: every cases._ascend that check_case runs
 on those decompositions and on the interior case-3 decomposition of
 case3_decomposition(0.5), replayed with the arguments it was given, and the
-eta, gradient and Hessian evaluations per ascent.
+eta, gradient and Hessian evaluations per ascent. End to end: the µs per
+in-process check(t, dec) over the gallery, with its decompositions.
 Each group of layers (GROUPS) runs in a fresh interpreter, so that no
 group's figure depends on the allocator state another group leaves behind.
 The object also carries the Python, numpy, BLAS and machine details the
@@ -233,12 +234,25 @@ def cases_group(repeats):
     }
 
 
+def check_group(repeats):
+    """Median over repeats of the µs per check(t, dec) over the gallery."""
+    runs = [(t, dec) for _, t, dec in gallery()]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for t, dec in runs:
+            el.check(t, dec)
+        times.append((time.perf_counter() - start) / len(runs))
+    return {"check": {"us": 1e6 * statistics.median(times)}}
+
+
 # Each group of layers, measured in its own interpreter (print_group).
 GROUPS = {
     "spectral": spectral_group,
     "pocs": pocs_group,
     "oracle": oracle_group,
     "cases": cases_group,
+    "check": check_group,
 }
 
 
@@ -277,6 +291,7 @@ def layer_figures(doc):
                 "ascent_hess_evals",
             )
         },
+        "check.us": doc["check"]["us"],
     }
 
 

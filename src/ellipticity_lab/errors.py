@@ -30,9 +30,10 @@ class AsymmetricInput(EllipticityError):
 
 
 class EigensolverFailure(EllipticityError, LinAlgError):
-    """The symmetric eigensolver did not converge, as at entries near the
-    float limit, or its matrix has no finite symmetric part. Still a numpy
-    LinAlgError for callers that catch that."""
+    """The symmetric eigensolver did not converge, or its n x n matrix is
+    refused before any solve: not finite, or n * max|entry| not below
+    2**1020 (the range rule of spectral). Still a numpy LinAlgError for
+    callers that catch that."""
 
 
 def _solver_did_not_converge(err, flag):

@@ -536,15 +536,18 @@ def oracle_verdict(t: Pair4, n: int = GRID_N) -> OracleVerdict:
     hedged because a finite search cannot prove positivity.
     """
     candidates = grid_top_candidates(t, n=n, keep=_TOP_K)
+    # the basins are compared at unit scale, where no minimum underflows
+    unit = Pair4(pow2_rescale(t.a)[0])
     best: OracleReport | None = None
     for x, y in _distinct_basins(candidates, n):
         rep = refine_min(t, x, y)
-        if best is None or rep.min_value < best.min_value:
-            best = rep
+        value = biquadratic(unit, rep.argmin_x, rep.argmin_y)
+        if best is None or value < best_value:
+            best, best_value = rep, value
     assert best is not None
     best = replace(best, grid_n=n)
     scale = float(np.max(np.abs(t.a)))
-    cut = TOL * max(scale, 1e-300)
+    cut = TOL * scale
     if best.min_value < -cut:
         verdict = ORACLE_NOT_MPSD
     elif best.min_value > cut:

@@ -14,6 +14,7 @@ Conflict: a bug or a violated tolerance, reported here and not raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,9 @@ def check(t: Elast4, dec: cases.StructuredDecomposition | None = None) -> CheckR
     The oracle scans oracle.GRID_N lattice points per sphere, and the case
     stage runs the case checker of dec on its cases.GRID_N-point grid; it
     is skipped when dec is None. A given dec must build t: otherwise
-    DecompositionMismatch is raised before any stage runs.
+    DecompositionMismatch is raised before any stage runs. A smallest
+    eigenvalue of the unfolding that does not fit a float raises
+    NonFiniteEntries.
     """
     if dec is not None:
         cases.require_decomposition_of(t, dec)
@@ -53,12 +56,18 @@ def check(t: Elast4, dec: cases.StructuredDecomposition | None = None) -> CheckR
     mpsd_by: str | None = None
     refuted_by: str | None = None
 
-    m = unfold(t)
-    lam_min = min_eigenvalue(m)
-    ms, e = pow2_rescale(m)  # compared at unit scale, where no norm overflows
-    lam = float(np.ldexp(lam_min, -e))
+    # Solved and compared at unit scale, where no spectrum or norm overflows;
+    # the record is scaled back exactly.
+    ms, e = pow2_rescale(unfold(t))
+    lam = min_eigenvalue(ms)
     cut = pocs.TOL_CONVERGE * float(np.linalg.norm(ms))  # POCS's S-PSD cut
     spd, spsd = lam > cut, lam >= -cut
+    try:
+        lam_min = math.ldexp(lam, e)
+    except OverflowError:
+        raise NonFiniteEntries(
+            f"the smallest eigenvalue of the unfolding overflows when scaled back by 2**{e}"
+        ) from None
     stages.append(
         {"stage": "spsd-eigen", "min_eigenvalue": lam_min, "spsd": spsd, "spd": spd}
     )

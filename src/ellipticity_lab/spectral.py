@@ -1,23 +1,25 @@
 """Symmetric eigendecomposition with a deterministic gauge, rigorous eigenvalue
 enclosures, and the PSD projection.
 
+Every public function validates its input through _require_symmetric, which
+holds the one range rule: an n x n matrix is solved only if it is finite and
+n * max|m| < 2**1020. The symmetric part, the spectrum, a projection and
+every residual sum of eigenvalue_bounds are then at most a small multiple
+of n * max|m|, so none passes the float range and nothing after the check
+tests for it; every other matrix raises EigensolverFailure, an
+EllipticityError. Callers that need more range solve at a power-of-two
+rescale (tensors.pow2_rescale), as pipeline.check does.
+
 Every eigensolve goes through _eigh, which calls the LAPACK gufuncs of
 numpy.linalg.eigh and eigvalsh (the same bits) without their wrapper. Its
 caller holds errors.eigensolver_errors(), in which a solver that does not
-converge (as at entries near the float limit) raises EigensolverFailure, an
-EllipticityError: each public function enters that state per call, and
-pocs.run_pocs once per run. A matrix whose symmetric part overflows raises
-it too, before any solve, and so does one whose spectrum passes the float
-range, after it. psd_project tests its reconstruction instead, which passes
-the range wherever the spectrum does above; an eigenvalue past it below is
-clamped to 0, and that projection is in range. Every public function
-validates its input through _require_symmetric; pocs.run_pocs validates its
+converge raises EigensolverFailure: each public function enters that state
+per call, and pocs.run_pocs once per run. pocs.run_pocs validates its
 reference once per run and calls the clamp kernel _psd_clamp on each sweep,
 whose iterates are bit-symmetric and finite by construction."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,25 +49,22 @@ def _require_symmetric(m) -> np.ndarray:
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    # Bit-for-bit symmetric with every |entry| below 2**1023 (so no NaN): the
-    # matrix is its own symmetric part, and there is no asymmetry to measure.
-    if mat.tobytes() == mat.T.tobytes() and np.abs(mat).max(initial=0.0) < 2.0**1023:
+    scale = float(np.abs(mat).max(initial=0.0))
+    # the range rule of the module docstring, which NaN and inf fail too
+    if not mat.shape[0] * scale < 2.0**1020:
+        raise EigensolverFailure(
+            "symmetric eigensolver failed: the matrix is not finite "
+            "or n * max|entry| is not below 2**1020"
+        )
+    # bit-for-bit symmetric: the matrix is its own symmetric part
+    if mat.tobytes() == mat.T.tobytes():
         return mat
-    # Otherwise the sums below may overflow: a symmetric part that is not
-    # finite ends here, since eigh would return NaN for it and not raise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        asym = float(np.max(np.abs(mat - mat.T)))
-        sym = 0.5 * (mat + mat.T)
-    scale = float(np.max(np.abs(mat)))
+    asym = float(np.max(np.abs(mat - mat.T)))
     if asym > SYMMETRY_TOL * scale:
         raise AsymmetricInput(
             f"relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_TOL:.3e}"
         )
-    if not np.isfinite(sym).all():
-        raise EigensolverFailure(
-            "symmetric eigensolver failed: the symmetric part of the matrix is not finite"
-        )
-    return sym
+    return 0.5 * (mat + mat.T)
 
 
 def _eigh(mat: np.ndarray, vectors: bool = True):
@@ -79,17 +78,6 @@ def _eigh(mat: np.ndarray, vectors: bool = True):
     return _umath_linalg.eigvalsh_lo(mat, signature="d->d")
 
 
-def _in_range(values: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues values, or EigensolverFailure where they pass
-    the float range: LAPACK solves a finite matrix scaled into range, and an
-    eigenvalue that overflows on the way back comes out +-inf, with no
-    error. Only the ends are read; a solve that returns NaN sets `invalid`,
-    which the error state raises."""
-    if values.size and not (math.isfinite(values[0]) and math.isfinite(values[-1])):
-        raise EigensolverFailure("symmetric eigensolver failed: the spectrum passes the float range")
-    return values
-
-
 def sym_eig(m) -> EigPair:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -101,7 +89,6 @@ def sym_eig(m) -> EigPair:
     mat = _require_symmetric(m)
     with eigensolver_errors():
         values, vectors = _eigh(mat)
-    _in_range(values)
     if vectors.size:
         cols = np.arange(vectors.shape[1])
         peak = vectors[np.argmax(np.abs(vectors), axis=0), cols]
@@ -114,7 +101,7 @@ def min_eigenvalue(m) -> float:
     mat = _require_symmetric(m)
     with eigensolver_errors():
         values = _eigh(mat, vectors=False)
-    return float(_in_range(values)[0])
+    return float(values[0])
 
 
 def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +124,6 @@ def eigenvalue_bounds(m) -> tuple[np.ndarray, np.ndarray]:
     n = mat.shape[0]
     with eigensolver_errors():
         w, v = _eigh(mat)
-    _in_range(w)
     av = np.abs(v)
     # Each computed entry is an n-term dot product (plus at most two more
     # operations): its error is at most gamma_(n+2) times the same sum taken
@@ -167,19 +153,11 @@ def psd_project(m) -> np.ndarray:
     V diag(w+) V^T unchanged bit for bit, because negation is exact. The
     reconstruction is symmetrized exactly, so the output is a symmetric
     matrix bit-for-bit and the map is idempotent up to rounding. The input
-    is validated here; the clamp itself is _psd_clamp. A projection that
-    passes the float range, as every one of a spectrum past it above does,
-    raises EigensolverFailure.
+    is validated here; the clamp itself is _psd_clamp.
     """
     mat = _require_symmetric(m)
     with eigensolver_errors():
-        out = _psd_clamp(mat)
-    # the rebuild can pass the float range where the spectrum does not
-    if not np.isfinite(out).all():
-        raise EigensolverFailure(
-            "symmetric eigensolver failed: the spectral reconstruction passes the float range"
-        )
-    return out
+        return _psd_clamp(mat)
 
 
 def _psd_clamp(mat: np.ndarray) -> np.ndarray:

@@ -186,7 +186,8 @@ def unfold(t: Pair4) -> np.ndarray:
 
 def fold(m) -> Pair4:
     """Inverse of unfold, for a 9x9 m symmetric within SYMMETRY_TOL * max|m|
-    (else AsymmetricInput); from max|m| = 2**1023, EigensolverFailure.
+    (else AsymmetricInput), finite and with 9 max|m| < 2**1020 (else
+    EigensolverFailure): the input rule of every spectral function.
 
     The matrix is symmetrized exactly, so the result satisfies the weak-symmetry
     invariant bit-for-bit and unfold(fold(m)) == m for a symmetric m.

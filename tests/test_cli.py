@@ -8,12 +8,13 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ellipticity_lab as el
-from ellipticity_lab import cli, pocs
+from ellipticity_lab import cli, pocs, spectral
 
 
 SRC = str(Path(el.__file__).resolve().parents[1])
@@ -589,21 +590,49 @@ def test_overflowing_tensor_is_a_typed_error():
     assert proc.stderr.startswith("error: tensor entries must be finite")
 
 
-def test_eigensolver_failure_is_an_input_error(tmp_path):
-    # at max|a| = 1.7e308 check's eigensolve of the unfolding does not
-    # converge, and pocs, which runs at unit scale, has a report whose norm
-    # does not fit a float: typed errors, exit 1
+def test_eigensolver_failure_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # at max|a| = 1.7e308 check solves its first stage at unit scale and
+    # ends with a verdict, while pocs, which runs at unit scale too, has a
+    # report whose norm does not fit a float: a typed error, exit 1
     t = el.tensor_choi_lam(1.0)
     path = tmp_path / "huge.json"
     el.save_tensor(path, el.Elast4(t.a / np.abs(t.a).max() * 1.7e308))
-    for command, message in (
-        ("check", "error: symmetric eigensolver failed"),
-        ("pocs", "error: a POCS report value overflows"),
-    ):
-        proc = run_cli(command, "-i", str(path))
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert message in proc.stderr
+    proc = run_cli("check", "-i", str(path))
+    assert proc.returncode == cli.EXIT_UNDECIDED
+    assert "Traceback" not in proc.stderr
+    assert "verdict: Undecided" in proc.stdout
+    proc = run_cli("pocs", "-i", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: a POCS report value overflows" in proc.stderr
+    # a stage-1 solve that does not converge is check's typed error, exit 1
+    unit = tmp_path / "t.json"
+    el.save_tensor(unit, t)
+    kernels = spectral._umath_linalg
+
+    def nan_eigvalsh(m, signature):
+        return kernels.eigvalsh_lo(np.full_like(m, np.nan), signature=signature)
+
+    monkeypatch.setattr(
+        spectral, "_umath_linalg", SimpleNamespace(eigh_lo=kernels.eigh_lo, eigvalsh_lo=nan_eigvalsh)
+    )
+    assert cli.main(["check", "-i", str(unit)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: symmetric eigensolver failed: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("peak", [2e307, 8e307])
+def test_check_of_an_unfolding_spectrum_past_the_float_range(peak, tmp_path):
+    # the all-ones unfolding has the eigenvalues 0 and 9 peak: stage 1
+    # solves it at unit scale and certifies M-PSD, where the solve as given
+    # met the float range, exit 1
+    path = tmp_path / "ones.json"
+    el.save_tensor(path, el.make_elast4(np.full((3, 3, 3, 3), peak)))
+    proc = run_cli("check", "-i", str(path), "--json")
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_DECIDED, "")
+    doc = json.loads(proc.stdout)
+    assert (doc["verdict"], doc["certified_mpsd_by"]) == ("MPSD", "spsd-eigen")
+    assert abs(doc["stages"][0]["min_eigenvalue"]) < 1e-12 * peak
 
 
 @pytest.mark.parametrize(

@@ -528,16 +528,29 @@ SCALED_FORMS = {
 @pytest.mark.parametrize("name", SCALED_FORMS)
 def test_oracle_verdict_scale_equivariant(name):
     # scan and refinement run on the same power-of-two rescale for every
-    # 2**k multiple, so they take the same path, and the re-evaluated
-    # minimum scales exactly
+    # 2**k multiple, so they take the same path, the basins are compared
+    # there, and the re-evaluated minimum scales exactly; at 2**-1010 a
+    # boundary minimum underflows to 0 and the verdict cut is subnormal
     t = SCALED_FORMS[name]
     want = el.oracle_verdict(t)
-    for k in (-600, -1, 1, 600):
+    for k in (-1010, -600, -1, 1, 600):
         got = el.oracle_verdict(el.Elast4(np.ldexp(t.a, k)))
         assert got.verdict == want.verdict, k
         assert np.array_equal(got.report.argmin_x, want.report.argmin_x), k
         assert np.array_equal(got.report.argmin_y, want.report.argmin_y), k
         assert got.report.min_value == np.ldexp(want.report.min_value, k), k
+
+
+def test_oracle_verdict_cut_has_no_absolute_floor():
+    # the form minimum of isotropic(1, 1) - 1.0000005 E is about -5e-7; at
+    # 2**-1022 it is -1.1e-314, below the cut TOL * max|a| but above the
+    # 1e-308 that a floor of 1e-300 on max|a| put there
+    t = el.Elast4(el.tensor_isotropic(1.0, 1.0).a - 1.0000005 * el.tensor_e().a)
+    for k in (0, -1022):
+        v = el.oracle_verdict(el.Elast4(np.ldexp(t.a, k)))
+        assert v.verdict == el.ORACLE_NOT_MPSD, k
+        assert v.witness_value == pytest.approx(np.ldexp(-5e-7, k), rel=1e-3)
+    assert el.oracle_verdict(el.Elast4(np.zeros((3, 3, 3, 3)))).verdict == el.ORACLE_BOUNDARY
 
 
 @pytest.mark.parametrize("name", SCALED_FORMS)

@@ -153,6 +153,36 @@ def test_extreme_scales_end_in_no_false_certificate(scale):
         el.dumps_report(vars(rep))
 
 
+GALLERY = {
+    "E": el.tensor_e(),
+    "two-squares": el.tensor_two_squares(),
+    "choi-lam(1.0)": el.tensor_choi_lam(1.0),
+    "choi-lam(1.5)": el.tensor_choi_lam(1.5),
+    "isotropic(1,1)": el.tensor_isotropic(1.0, 1.0),
+    "isotropic(-1.9,1)": el.tensor_isotropic(-1.9, 1.0),
+    "isotropic(-3,0.1)": el.tensor_isotropic(-3.0, 0.1),
+    "random-spd(0)": el.random_spd_tensor(np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_stage_one_record_scales_exactly(name):
+    # stage 1 solves the power-of-two rescale of the unfolding, the same
+    # matrix for every 2**k multiple, and scales its eigenvalue back exactly
+    t = GALLERY[name]
+    want = el.check(t).stages[0]
+    for k in (-1000, -600, 600, 1000):
+        got = el.check(el.Elast4(np.ldexp(t.a, k))).stages[0]
+        assert got == {**want, "min_eigenvalue": float(np.ldexp(want["min_eigenvalue"], k))}, k
+
+
+def test_a_smallest_eigenvalue_past_the_float_range_is_typed():
+    # the unfolding of minus the all-ones tensor times 8e307 has the
+    # smallest eigenvalue -7.2e308, which no float holds
+    with pytest.raises(el.NonFiniteEntries, match="smallest eigenvalue of the unfolding overflows"):
+        el.check(el.make_elast4(np.full((3, 3, 3, 3), -8e307)))
+
+
 NEAR_THE_FLOAT_LIMIT = [
     (lambda: el.tensor_isotropic(-3.0, 0.1), "NotMPSD"),
     (lambda: el.tensor_choi_lam(1.0), "Undecided"),

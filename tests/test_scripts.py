@@ -61,4 +61,5 @@ def test_bench_layers_prints_one_json_object():
     # every ascent evaluates eta and the gradient at its start at least
     assert all(doc["cases"][key] >= 1.0 for key in evals - {"ascent_hess_evals"})
     assert doc["cases"]["ascent_hess_evals"] > 0.0
+    assert set(doc["check"]) == {"us"} and doc["check"]["us"] > 0.0
     assert doc["numpy"] == np.__version__ and doc["blas"]["name"]

@@ -21,6 +21,9 @@ from ellipticity_lab.spectral import (
 
 rng = np.random.default_rng(99)
 
+# The message of the one range rule of _require_symmetric.
+OUT_OF_RANGE = r"symmetric eigensolver failed: the matrix is not finite or n \* max\|entry\|"
+
 
 def rand_sym(n=9):
     m = rng.standard_normal((n, n))
@@ -156,12 +159,13 @@ def test_mirrored_signed_zeros_take_the_slow_path():
 
 @pytest.mark.parametrize("peak", [2.0**1023, -(2.0**1023), np.nan])
 def test_nan_and_entries_at_two_to_the_1023_take_the_slow_path(peak):
-    # bit-symmetric, but the symmetric part of these is not finite
+    # bit-symmetric, but NaN or past the range rule: refused before the
+    # symmetry test
     for i, j in ((0, 0), (2, 3)):
         m = rand_sym()
         m[i, j] = m[j, i] = peak
         assert m.tobytes() == m.T.tobytes()
-        with pytest.raises(EigensolverFailure, match="symmetric part of the matrix is not finite"):
+        with pytest.raises(EigensolverFailure, match=OUT_OF_RANGE):
             _require_symmetric(m)
 
 
@@ -200,10 +204,10 @@ def test_psd_project_nan_input_as_before():
 
 
 def test_psd_project_entries_beyond_half_the_float_limit():
-    # m + m.T overflows: a typed error, with no warning and no NaN projection
+    # m + m.T would overflow: a typed error, with no warning and no NaN projection
     m = rand_sym()
     m[2, 3] = m[3, 2] = 2.0**1023
-    with pytest.raises(EigensolverFailure, match="symmetric part"):
+    with pytest.raises(EigensolverFailure, match=OUT_OF_RANGE):
         el.psd_project(m)
 
 
@@ -229,47 +233,70 @@ def test_overflowing_symmetric_part_is_a_typed_error(make):
 
 @pytest.mark.parametrize("scale", [8e307, 2.0**1022, 2e307, -8e307])
 def test_a_spectrum_past_the_float_range_is_a_typed_error(scale):
-    # finite and bit-symmetric, but the eigenvalue 9 scale passes the float
-    # range: LAPACK scales the matrix, solves, and returns that eigenvalue
-    # as +-inf without an error
+    # finite and bit-symmetric, but 9 |scale| is past the range rule (the
+    # eigenvalue 9 scale passes the float range): refused before any solve
     m = np.full((9, 9), scale)
-    for solve in (el.sym_eig, el.min_eigenvalue, eigenvalue_bounds):
-        with pytest.raises(EigensolverFailure, match="spectrum passes the float range"):
+    for solve in (el.sym_eig, el.min_eigenvalue, eigenvalue_bounds, el.psd_project):
+        with pytest.raises(EigensolverFailure, match=OUT_OF_RANGE):
             solve(m)
-    if scale > 0:
-        with pytest.raises(EigensolverFailure, match="reconstruction passes the float range"):
-            el.psd_project(m)
-    else:
-        # the clamp takes -inf to 0, and the projection, about 0, is in range
-        assert np.abs(el.psd_project(m)).max() < 1e-12 * -scale
+
+
+def _largest_accepted(n):
+    """The largest float p with n * p < 2**1020 in float arithmetic."""
+    p = np.ldexp(1.0, 1020) / n
+    while n * p >= 2.0**1020:
+        p = np.nextafter(p, 0.0)
+    while n * np.nextafter(p, np.inf) < 2.0**1020:
+        p = np.nextafter(p, np.inf)
+    return float(p)
 
 
 def test_a_spectrum_just_inside_the_float_range_is_solved():
-    m = np.full((9, 9), 1.9e307)  # largest eigenvalue 1.71e308
-    assert el.sym_eig(m).values[-1] == pytest.approx(9 * 1.9e307)
-    assert abs(el.min_eigenvalue(m)) < 1e-12 * 1.9e307
-    lower, upper = eigenvalue_bounds(m)
-    assert lower[-1] <= 9 * 1.9e307 <= upper[-1] < np.inf
-    assert np.array_equal(el.psd_project(m), _psd_clamp(m))
+    # the largest input the range rule accepts is solved by every public
+    # function and by fold, with finite output; the next float up is refused
+    p = _largest_accepted(9)
+    for sign in (1.0, -1.0):
+        m = np.full((9, 9), sign * p)  # eigenvalues 0 and 9 sign p, about 2**1020
+        pair = el.sym_eig(m)
+        assert np.isfinite(pair.values).all() and np.isfinite(pair.vectors).all()
+        assert max(abs(pair.values[0]), abs(pair.values[-1])) == pytest.approx(9 * p)
+        assert abs(el.min_eigenvalue(m) - min(0.0, sign * 9 * p)) < 1e-12 * 9 * p
+        lower, upper = eigenvalue_bounds(m)
+        assert np.isfinite(lower).all() and np.isfinite(upper).all()
+        assert np.all(lower <= pair.values) and np.all(pair.values <= upper)
+        projection = el.psd_project(m)
+        assert np.isfinite(projection).all()
+        assert np.array_equal(projection, _psd_clamp(m))
+        assert np.array_equal(el.unfold(el.fold(m)), m)
+        m_next = np.full((9, 9), sign * np.nextafter(p, np.inf))
+        for solve in (el.sym_eig, el.min_eigenvalue, eigenvalue_bounds, el.psd_project, el.fold):
+            with pytest.raises(EigensolverFailure, match=OUT_OF_RANGE):
+                solve(m_next)
 
 
 def test_a_projection_that_overflows_its_reconstruction_is_a_typed_error():
     # the spectrum, +-1.13e308, is finite, but the projection's diagonal
-    # 9.7e307 passes the float range when the rebuilt matrix is symmetrized
+    # 9.7e307 would pass the float range when the rebuilt matrix is
+    # symmetrized, and the residual sums of eigenvalue_bounds overflowed
+    # with a RuntimeWarning (an error in this suite): 2 * 8e307 is past the
+    # range rule, so none of them is solved
     m = np.array([[8e307, 8e307], [8e307, -8e307]])
-    assert np.isfinite(el.sym_eig(m).values).all()
-    with pytest.raises(EigensolverFailure, match="spectral reconstruction passes the float range"):
-        el.psd_project(m)
+    for solve in (el.sym_eig, el.psd_project, eigenvalue_bounds):
+        with pytest.raises(EigensolverFailure, match=OUT_OF_RANGE):
+            solve(m)
 
 
 def test_callers_of_an_overflowing_spectrum_raise_the_typed_error():
     # the unfolding of the all-8e307 tensor has the spectrum above: check
-    # ends at its first stage, and spectral_decomposition solves before it
-    # takes ||A||, whose overflow was an OverflowError
-    t = el.make_elast4(np.full((3, 3, 3, 3), 8e307))
-    for run in (el.check, el.spectral_decomposition):
-        with pytest.raises(EigensolverFailure, match="spectrum passes the float range"):
-            run(t)
+    # solves it at unit scale and certifies it M-PSD at its first stage, and
+    # spectral_decomposition, which solves it as given, gets the typed error;
+    # so it does on 8e307 E, whose ||A||_F = 2.4e308 was an OverflowError
+    ones = el.make_elast4(np.full((3, 3, 3, 3), 8e307))
+    rep = el.check(ones)
+    assert (rep.verdict, rep.certified_mpsd_by) == ("MPSD", "spsd-eigen")
+    for t in (ones, el.make_elast4(el.tensor_e().a * 8e307)):
+        with pytest.raises(EigensolverFailure, match=OUT_OF_RANGE):
+            el.spectral_decomposition(t)
 
 
 # ---------------------------------------------------------------------------
