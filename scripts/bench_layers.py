@@ -1,5 +1,6 @@
 """Time the spectral layer, the POCS sweep, the oracle, the case-2 supremum,
-the case-2/3 ascent and a whole check; print one JSON object.
+the case-2/3 ascent, JSON load and emit and a whole check; print one JSON
+object.
 
 Usage: python3 scripts/bench_layers.py [--repeats 15] [--against DIR]
 
@@ -8,15 +9,18 @@ min_eigenvalue and eigenvalue_bounds, CALLS times on each unfolding of the
 gallery tensors (scripts/certify_gallery.py). Per POCS sweep: the wall time of
 run_pocs, unshifted and shifted by 1e-6, over the gallery tensors, divided
 by the sweeps those runs take. Per oracle call: the lattice scan
-(grid_top_candidates as oracle_verdict runs it) on each gallery tensor, and
-refine_min from each of their basins, with the trace entries per refinement.
+(grid_top_candidates as oracle_verdict runs it) on each gallery tensor,
+refine_min from each of their basins, with the trace entries per refinement,
+and a whole oracle_verdict on each gallery tensor.
 Per case-2 decomposition of the gallery: the sup_eta grid, the eta_many that
 check_case hands to cases.sup_eta on the cases.GRID_N-point hemisphere, and a
 whole check_case call. Per ascent: every cases._ascend that check_case runs
 on those decompositions and on the interior case-3 decomposition of
 case3_decomposition(0.5), replayed with the arguments it was given, and the
-eta, gradient and Hessian evaluations per ascent. End to end: the µs per
-in-process check(t, dec) over the gallery, with its decompositions.
+eta, gradient and Hessian evaluations per ascent. Per file: load_tensor on
+the gallery tensors written by save_tensor, and dumps_report on their check
+reports (the stages and verdicts that check --json writes). End to end: the µs per in-process
+check(t, dec) over the gallery, with its decompositions.
 Each group of layers (GROUPS) runs in a fresh interpreter, so that no
 group's figure depends on the allocator state another group leaves behind.
 The object also carries the Python, numpy, BLAS and machine details the
@@ -40,6 +44,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -53,6 +58,8 @@ from certify_gallery import gallery  # noqa: E402
 
 # Calls of each function per matrix and repeat.
 CALLS = 200
+# Loads and emits of each gallery file per repeat.
+FILE_CALLS = 20
 # Runs of each tree under --against.
 PAIRS = 10
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,7 +102,7 @@ def oracle_layers(tensors, repeats):
     for t in tensors:
         cands = el.grid_top_candidates(t, keep=oracle._TOP_K)
         starts += [(t, x, y) for x, y in oracle._distinct_basins(cands, oracle.GRID_N)]
-    scan, refine = [], []
+    scan, refine, verdict = [], [], []
     for _ in range(repeats):
         start = time.perf_counter()
         for t in tensors:
@@ -106,9 +113,14 @@ def oracle_layers(tensors, repeats):
         for t, x, y in starts:
             steps += len(el.refine_min(t, x, y).objective_trace)
         refine.append((time.perf_counter() - start) / len(starts))
+        start = time.perf_counter()
+        for t in tensors:
+            el.oracle_verdict(t)
+        verdict.append((time.perf_counter() - start) / len(tensors))
     return {
         "scan_us": 1e6 * statistics.median(scan),
         "refine_us": 1e6 * statistics.median(refine),
+        "verdict_us": 1e6 * statistics.median(verdict),
         "refine_steps": steps / len(starts),
         "refine_calls": len(starts),
     }
@@ -234,6 +246,36 @@ def cases_group(repeats):
     }
 
 
+def io_group(repeats):
+    """Median over repeats of the µs per load_tensor of each gallery file and
+    per dumps_report of its check report."""
+    runs = [(name, t, dec) for name, t, dec in gallery()]
+    docs = [{"command": "check", "name": name, **vars(el.check(t, dec))} for name, t, dec in runs]
+    load, emit = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{i}.json" for i in range(len(runs))]
+        for path, (name, t, _) in zip(paths, runs):
+            el.save_tensor(path, t, name)
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(FILE_CALLS):
+                for path in paths:
+                    el.load_tensor(path)
+            load.append((time.perf_counter() - start) / (FILE_CALLS * len(paths)))
+            start = time.perf_counter()
+            for _ in range(FILE_CALLS):
+                for doc in docs:
+                    el.dumps_report(doc)
+            emit.append((time.perf_counter() - start) / (FILE_CALLS * len(docs)))
+    return {
+        "io": {
+            "load_us": 1e6 * statistics.median(load),
+            "emit_us": 1e6 * statistics.median(emit),
+            "files": len(paths),
+        }
+    }
+
+
 def check_group(repeats):
     """Median over repeats of the µs per check(t, dec) over the gallery."""
     runs = [(t, dec) for _, t, dec in gallery()]
@@ -252,6 +294,7 @@ GROUPS = {
     "pocs": pocs_group,
     "oracle": oracle_group,
     "cases": cases_group,
+    "io": io_group,
     "check": check_group,
 }
 
@@ -279,7 +322,10 @@ def layer_figures(doc):
     return {
         **doc["us_per_call"],
         "pocs.us_per_sweep": doc["pocs"]["us_per_sweep"],
-        **{f"oracle.{key}": doc["oracle"][key] for key in ("scan_us", "refine_us", "refine_steps")},
+        **{
+            f"oracle.{key}": doc["oracle"][key]
+            for key in ("scan_us", "refine_us", "refine_steps", "verdict_us")
+        },
         **{
             f"cases.{key}": doc["cases"][key]
             for key in (
@@ -291,6 +337,7 @@ def layer_figures(doc):
                 "ascent_hess_evals",
             )
         },
+        **{f"io.{key}": doc["io"][key] for key in ("load_us", "emit_us")},
         "check.us": doc["check"]["us"],
     }
 

@@ -195,10 +195,11 @@ def require_decomposition_of(t: Elast4, dec: StructuredDecomposition) -> None:
 
     The form of an elasticity tensor fixes every entry, so the entries are
     compared, within TOL times the larger max|entry| of the two tensors;
-    symmetrize_pairs(t.a) is the elasticity tensor of t's form.
+    symmetrize_pairs(t.a), t.a itself for an Elast4, is the elasticity
+    tensor of t's form.
     """
     built = tensor_from_rank_one_terms(dec.alphas, dec.mats).a
-    given = symmetrize_pairs(t.a)
+    given = t.a if isinstance(t, Elast4) else symmetrize_pairs(t.a)
     with np.errstate(over="ignore"):
         gap = float(np.max(np.abs(built - given)))
     scale = max(float(np.max(np.abs(built))), float(np.max(np.abs(given))))

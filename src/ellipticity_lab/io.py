@@ -81,25 +81,31 @@ def _number(x) -> float:
 def _entries_to_array(entries) -> np.ndarray:
     if not isinstance(entries, list):
         raise ParseError("'entries' must be a list")
-    arr = np.zeros((3, 3, 3, 3))
+    flat = [0.0] * 81
     seen = set()
     for pos, e in enumerate(entries):
         if not isinstance(e, dict):
             raise ParseError(f"entry {pos} is not an object")
-        try:
-            idx = tuple(_index(e[key]) for key in ("i", "j", "k", "l"))
-            v = _number(e["v"])
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(f"entry {pos} is malformed: {exc}") from exc
-        if any(not 1 <= t <= 3 for t in idx):
-            raise ParseError(f"entry {pos} has indices outside 1..3: {idx}")
+        i, j, k, l, v = map(e.get, "ijklv")
+        # Integer indices and a float value pass as they are; anything else
+        # goes through _index and _number, which raise the malformed errors
+        # in key order.
+        if not (type(i) is type(j) is type(k) is type(l) is int and type(v) is float):
+            try:
+                i, j, k, l = (_index(e[key]) for key in "ijkl")
+                v = _number(e["v"])
+            except (KeyError, TypeError, OverflowError) as exc:
+                raise ParseError(f"entry {pos} is malformed: {exc}") from exc
+        if not (0 < i < 4 and 0 < j < 4 and 0 < k < 4 and 0 < l < 4):
+            raise ParseError(f"entry {pos} has indices outside 1..3: {(i, j, k, l)}")
         if not math.isfinite(v):
             raise ParseError(f"entry {pos} has a non-finite value")
-        if idx in seen:
-            raise ParseError(f"duplicate entry for indices {idx}")
-        seen.add(idx)
-        arr[idx[0] - 1, idx[1] - 1, idx[2] - 1, idx[3] - 1] = v
-    return arr
+        at = 27 * i + 9 * j + 3 * k + l - 40  # the C-order index of [i-1, j-1, k-1, l-1]
+        if at in seen:
+            raise ParseError(f"duplicate entry for indices {(i, j, k, l)}")
+        seen.add(at)
+        flat[at] = v
+    return np.array(flat).reshape(3, 3, 3, 3)
 
 
 def doc_to_tensor(doc) -> tuple[Pair4, str | None]:

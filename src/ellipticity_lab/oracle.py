@@ -14,6 +14,12 @@ floats, with numpy only for each 3x3 eigensolve and the form values that
 decide a step; at the multiple zeros of boundary forms, where Newton steps
 converge only linearly, it tries a step scaled by the multiplicity that
 consecutive steps show (see refine_min).
+
+A tensor is validated when its Pair4 is built, and the oracle trusts it.
+What the scan and the refinement derive from its entries (the power-of-two
+rescale and the pair rows of the refinement) is computed once per tensor and
+kept for the next call on the same entries, so the refinements of one
+oracle_verdict share it; only the last tensor is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import eigensolver_errors
+from .errors import NonFiniteEntries, eigensolver_errors
 
 # Not called here; elbench/layers.py wraps oracle.sym_eig, oracle.contract_xx
 # and oracle.contract_yy, so the names stay.
@@ -213,7 +219,7 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     # same factor, so their order and ties are unchanged, and a tensor near
     # the float limit no longer overflows to inf/NaN. Candidates are
     # re-evaluated on the original tensor.
-    a, _ = pow2_rescale(t.a)
+    a = _prepared(t).unit.a
     pts, xx = _lattice(n)
     m = len(pts)
     # T_m[i, j] = sum_kl a[ijkl] y_k y_l: row 3 i + j of a.reshape(9, 9)
@@ -284,8 +290,8 @@ _PAIRS = [0, 4, 8, 1, 2, 5]
 _PAIRS_T = [0, 4, 8, 3, 6, 7]
 
 
-def _pair_rows(a9: np.ndarray) -> list:
-    """The 6x6 rows C, as Python floats, of the map from a symmetric Z to
+def _pair_rows(a9: np.ndarray) -> tuple:
+    """The 6x6 rows C, as tuples of Python floats, of the map from a symmetric Z to
     the matrix sum_kl a9[3 i + j, 3 k + l] Z_kl, both as pair entries:
     C[p][q] = a9[p, q] + a9[p, q^T], halved (exactly) on the diagonal. With
     a9 = a.reshape(9, 9) this is Z -> A(., ., Z), so A y^2 at Z = y y^T, and
@@ -294,7 +300,32 @@ def _pair_rows(a9: np.ndarray) -> list:
     rows = a9[_PAIRS]
     c = rows[:, _PAIRS] + rows[:, _PAIRS_T]
     c[:, :3] *= 0.5
-    return c.tolist()
+    return tuple(map(tuple, c.tolist()))
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """What the scan and the refinement derive from a tensor's entries: the
+    exponent e of its pow2_rescale, the rescaled tensor, and the pair rows
+    of Z -> A(., ., Z) and Z -> A(Z, ., .) at that scale."""
+
+    e: int
+    unit: Pair4
+    rows_m: tuple
+    rows_n: tuple
+
+
+def _prepared(t: Pair4) -> _Prepared:
+    """The preparation of t, computed once for a run of calls on the same
+    entries (the scan and every refinement of one oracle_verdict)."""
+    return _prepare(t.a.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _prepare(entries: bytes) -> _Prepared:
+    a, e = pow2_rescale(np.frombuffer(entries).reshape(3, 3, 3, 3))
+    a9 = a.reshape(9, 9)
+    return _Prepared(e, Pair4(a), _pair_rows(a9), _pair_rows(a9.T))
 
 
 def _contract(rows, z):
@@ -434,17 +465,16 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     than _REFINE_TOL times the tensor's scale. Both vectors of a kept step
     are gauged. The iteration runs on the power-of-two rescale of the
     tensor, so it takes the same path for every 2**k multiple; the trace is
-    scaled back exactly and min_value is the form re-evaluated on t. The
+    scaled back exactly and min_value is the form re-evaluated on t, and
+    NonFiniteEntries is raised where one of them does not fit a float. The
     steps run on Python floats over the pair rows of A y^2 and A x^2 (see
     _pair_rows); the form values that decide whether a step is kept come
     from biquadratic. The eigensolver's error state is entered once, around
     the steps, which run at unit scale: a solve that does not converge
     raises EigensolverFailure.
     """
-    a, e = pow2_rescale(t.a)
-    scaled = Pair4(a)
-    a9 = a.reshape(9, 9)
-    rows_m, rows_n = _pair_rows(a9), _pair_rows(a9.T)
+    prep = _prepared(t)
+    scaled, rows_m, rows_n = prep.unit, prep.rows_m, prep.rows_n
 
     def exact_x(y):
         lam, vecs = _eigh_pairs(_contract(rows_m, _outer_pairs(y, y)))
@@ -502,13 +532,22 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
             trace.append(val)
             if gain < _REFINE_TOL:
                 break
+    min_value = biquadratic(t, x, y)
+    try:
+        if not math.isfinite(min_value):
+            raise OverflowError
+        trace = tuple(math.ldexp(v, prep.e) for v in trace)
+    except OverflowError:
+        raise NonFiniteEntries(
+            f"a refined form value overflows when scaled back by 2**{prep.e}"
+        ) from None
     return OracleReport(
-        min_value=biquadratic(t, x, y),
+        min_value=min_value,
         argmin_x=np.array(x),
         argmin_y=np.array(y),
         grid_n=0,
         refined=True,
-        objective_trace=tuple(float(np.ldexp(v, e)) for v in trace),
+        objective_trace=trace,
     )
 
 
@@ -537,7 +576,7 @@ def oracle_verdict(t: Pair4, n: int = GRID_N) -> OracleVerdict:
     """
     candidates = grid_top_candidates(t, n=n, keep=_TOP_K)
     # the basins are compared at unit scale, where no minimum underflows
-    unit = Pair4(pow2_rescale(t.a)[0])
+    unit = _prepared(t).unit
     best: OracleReport | None = None
     for x, y in _distinct_basins(candidates, n):
         rep = refine_min(t, x, y)

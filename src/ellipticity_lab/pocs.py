@@ -25,6 +25,12 @@ eps + lambda_min(unfold t) up to rounding; once the gap falls below eps,
 a proved lower bound of that eigenvalue (Rump, Acta Numerica 2010) is
 tried, and a positive bound ends the run MarginProved with it. The bound is
 proved for the iterate at hand, not the best one over the slice.
+
+The input tensor was validated when its Pair4 or Elast4 was built, so
+run_pocs trusts its class: an Elast4's entries are its slice's reference as
+they are, and only a general Pair4 is averaged over its pair swaps. The
+unfolded reference is checked once more (spectral._require_symmetric), and
+the sweeps trust it. The limits are validated again as report Pair4s.
 """
 
 from __future__ import annotations
@@ -98,6 +104,8 @@ _UNFOLD_INDEX = fold_array(np.arange(81).reshape(9, 9))
 _SWAP = unfold_array(_UNFOLD_INDEX.transpose(1, 0, 2, 3)).reshape(81)
 _TENSOR_ORDER = _UNFOLD_INDEX.reshape(81)
 _DIAG = np.arange(0, 81, 10)
+# The entries of tensor_e(), which a shifted run subtracts eps times.
+_E = tensor_e().a
 
 
 @dataclass(frozen=True)
@@ -272,10 +280,10 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     end; the gap is summed in the tensor's own order, so every number is
     the one project_S and project_T give. The slice is that of the form of
     a, symmetrize_pairs(a.a): the affine step projects onto it only from a
-    pair-symmetric reference, and a Pair4 input need not be one. For an
-    Elast4 this is a.a itself, bit for bit. The sweeps run on the pow2_rescale
-    of the (shifted) reference, and every reported number is scaled back
-    exactly; one that does not fit a float raises NonFiniteEntries.
+    pair-symmetric reference, and a Pair4 input need not be one. The sweeps
+    run on the pow2_rescale of the (shifted) reference, and every reported
+    number is scaled back exactly; one that does not fit a float raises
+    NonFiniteEntries.
 
     Validation happens once, on the unfolded reference a9
     (spectral._require_symmetric); each sweep then calls psd_project's clamp
@@ -289,9 +297,9 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     """
     if opts is None:
         opts = PocsOptions()
-    a_ref = symmetrize_pairs(a.a)
+    a_ref = a.a if isinstance(a, Elast4) else symmetrize_pairs(a.a)
     if opts.epsilon_shift > 0.0:
-        a_ref = a_ref - opts.epsilon_shift * tensor_e().a
+        a_ref = a_ref - opts.epsilon_shift * _E
     a_ref, e = pow2_rescale(a_ref)
     eps = math.ldexp(opts.epsilon_shift, -e)
     ref_norm = float(np.linalg.norm(a_ref))
@@ -336,31 +344,27 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
                     stall_run = 0
             prev_gap = gap
 
-    gap_trace = _scaled_back(np.asarray(gaps), e)
+    # Both limits, the four numbers and the gaps, scaled back in one call.
+    scalars = [ref_norm, threshold, margin or 0.0, bound or 0.0]
+    with np.errstate(over="ignore"):
+        back = np.ldexp(np.concatenate((cur, b, scalars, gaps)), e)
+    if not np.isfinite(back).all():
+        raise NonFiniteEntries(f"a POCS report value overflows when scaled back by 2**{e}")
+    ref_norm, threshold, margin_back, bound_back = back[162:166].tolist()
+    gap_trace = back[166:]
     return PocsReport(
         verdict=verdict,
         iterations=iterations,
         final_gap=float(gap_trace[-1]),
-        limit_A=Pair4(fold_array(_scaled_back(cur, e).reshape(9, 9))),
-        limit_B=Pair4(fold_array(_scaled_back(b, e).reshape(9, 9))),
+        limit_A=Pair4(fold_array(back[:81].reshape(9, 9))),
+        limit_B=Pair4(fold_array(back[81:162].reshape(9, 9))),
         gap_trace=gap_trace,
-        reference_norm=_scaled_back(ref_norm, e),
-        converge_threshold=_scaled_back(threshold, e),
+        reference_norm=ref_norm,
+        converge_threshold=threshold,
         epsilon_shift=opts.epsilon_shift,
-        separation_margin=_scaled_back(margin, e),
-        form_lower_bound=_scaled_back(bound, e),
+        separation_margin=None if margin is None else margin_back,
+        form_lower_bound=None if bound is None else bound_back,
     )
-
-
-def _scaled_back(x, e: int):
-    """x times 2**e, None as it is; NonFiniteEntries if a value overflows."""
-    if x is None:
-        return None
-    with np.errstate(over="ignore"):
-        y = np.ldexp(x, e)
-    if not np.isfinite(y).all():
-        raise NonFiniteEntries(f"a POCS report value overflows when scaled back by 2**{e}")
-    return y if np.ndim(y) else float(y)
 
 
 def certify_mpsd(a: Elast4, opts: PocsOptions | None = None) -> CertifyResult:

@@ -14,6 +14,12 @@ Index conventions, fixed once here and used everywhere else:
   second: A(x,x,y,y) = sum a[ijkl] x_i x_j y_k y_l.
 
 Arrays are float64 throughout, shape (3, 3, 3, 3), zero-based in code.
+
+A tensor is validated where it is built: Pair4 and Elast4 check the shape,
+finiteness and their exact symmetry, and store a read-only C-ordered copy.
+Code that takes one trusts those invariants and does not test the tensor
+again; a later check guards an array derived from it, such as an unfolding
+or a report's limit. make_elast4 and make_pair4 are the way in for raw input.
 """
 
 from __future__ import annotations
@@ -51,12 +57,14 @@ __all__ = [
 
 
 def _as_tensor_array(raw) -> np.ndarray:
-    arr = np.array(raw, dtype=float)
+    """raw as a fresh C-ordered float64 (3, 3, 3, 3) array (81 entries are
+    reshaped); ValueError for another shape, NonFiniteEntries for inf or NaN."""
+    arr = np.array(raw, dtype=float, order="C")
     if arr.shape == (81,):
         arr = arr.reshape(3, 3, 3, 3)
     if arr.shape != (3, 3, 3, 3):
         raise ValueError(f"expected shape (3,3,3,3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteEntries("tensor entries must be finite")
     return arr
 
@@ -67,6 +75,8 @@ def _mean(a, b):
     where the sum overflows; like the sum, it is symmetric in a and b."""
     with np.errstate(over="ignore"):
         total = a + b
+    if np.isfinite(total).all():
+        return 0.5 * total
     return np.where(np.isinf(total), 0.5 * a + 0.5 * b, 0.5 * total)
 
 
@@ -92,10 +102,13 @@ class Pair4:
     _SWAPS = ((1, 0, 3, 2),)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(_as_tensor_array(self.a))
-        spread = _spread(arr, self._SWAPS)
-        if spread > 0.0:
-            raise SymmetryViolation(spread, 0.0)
+        arr = _as_tensor_array(self.a)
+        # On finite entries a swap spreads by 0 exactly where it maps every
+        # entry to an equal one (0.0 == -0.0), so the spread is computed
+        # only for the message.
+        for s in self._SWAPS:
+            if not (arr == arr.transpose(s)).all():
+                raise SymmetryViolation(_spread(arr, self._SWAPS), 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 

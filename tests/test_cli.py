@@ -635,6 +635,18 @@ def test_check_of_an_unfolding_spectrum_past_the_float_range(peak, tmp_path):
     assert abs(doc["stages"][0]["min_eigenvalue"]) < 1e-12 * peak
 
 
+def test_oracle_of_a_minimum_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    # minus the all-ones tensor at 2e307 has the form minimum -9 * 2e307 at
+    # x = y = (1, 1, 1) / sqrt(3): no report of it fits a float
+    path = tmp_path / "ones.json"
+    el.save_tensor(path, el.make_elast4(np.full((3, 3, 3, 3), -2e307)))
+    assert cli.main(["oracle", "-i", str(path), "--json"]) == cli.EXIT_INPUT
+    err = "error: a refined form value overflows when scaled back by 2**1021\n"
+    assert capsys.readouterr() == ("", err)
+    proc = run_cli("oracle", "-i", str(path), "--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_INPUT, "", err)
+
+
 @pytest.mark.parametrize(
     "make, verdict, code",
     [

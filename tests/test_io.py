@@ -129,6 +129,67 @@ def test_doc_to_tensor_rejects_a_value_past_the_float_range():
         doc_to_tensor({"format": FORMAT_ELAST4, "entries": [entry]})
 
 
+_ONE = {"i": 1, "j": 1, "k": 1, "l": 1, "v": 1.0}
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([{**_ONE, "j": True}], "entry 0 is malformed: index True is not a JSON integer"),
+        ([{**_ONE, "v": False}], "entry 0 is malformed: False is not a JSON number"),
+        ([{**_ONE, "k": 1.0}], "entry 0 is malformed: index 1.0 is not a JSON integer"),
+        ([{**_ONE, "i": None}], "entry 0 is malformed: index None is not a JSON integer"),
+        ([{**_ONE, "v": "1.0"}], "entry 0 is malformed: '1.0' is not a JSON number"),
+        ([{**_ONE, "l": 0}], "entry 0 has indices outside 1..3: (1, 1, 1, 0)"),
+        ([{**_ONE, "i": 4}], "entry 0 has indices outside 1..3: (4, 1, 1, 1)"),
+        ([{**_ONE, "v": 3, "k": 5}], "entry 0 has indices outside 1..3: (1, 1, 5, 1)"),
+        ([_ONE, {**_ONE, "v": 2.0}], "duplicate entry for indices (1, 1, 1, 1)"),
+        ([_ONE, {**_ONE, "v": 2}], "duplicate entry for indices (1, 1, 1, 1)"),
+        ('[{"i": 1, "j": 1, "k": 1, "l": 1, "v": NaN}]', "entry 0 has a non-finite value"),
+        ('[{"i": 2, "j": 1, "k": 1, "l": 2, "v": -Infinity}]', "entry 0 has a non-finite value"),
+        ([{**_ONE, "v": 10**400}], "entry 0 is malformed: int too large to convert to float"),
+        ([{"i": 1, "j": 1, "k": 1, "v": 1.0}], "entry 0 is malformed: 'l'"),
+        ([{"i": 1, "j": 1, "k": 1, "l": 1}], "entry 0 is malformed: 'v'"),
+        # the first bad key in i, j, k, l, v order is the one reported
+        ([{"i": True, "k": 1, "l": 1, "v": 1.0}], "entry 0 is malformed: index True is not a JSON integer"),
+        ([{"j": 1.0, "i": 1, "k": 1, "l": 1}], "entry 0 is malformed: index 1.0 is not a JSON integer"),
+        ([_ONE, [1, 1, 1, 1, 1.0]], "entry 1 is not an object"),
+        ({"0": _ONE}, "'entries' must be a list"),
+    ],
+)
+def test_malformed_entries_keep_their_messages(entries, message):
+    # integer indices with a float value take a fast path; every other
+    # entry, valid or not, is read as before, with the same message
+    if isinstance(entries, str):  # NaN and Infinity, which json.loads accepts
+        entries = json.loads(entries)
+    with pytest.raises(ParseError) as exc:
+        doc_to_tensor({"format": FORMAT_ELAST4, "entries": entries})
+    assert str(exc.value) == message
+
+
+_ENTRY_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.tuples(*[st.integers(1, 3)] * 4), _ENTRY_VALUES),
+        max_size=81,
+        unique_by=lambda entry: entry[0],
+    )
+)
+def test_entries_fill_the_array_entry_by_entry(entries):
+    want = np.zeros((3, 3, 3, 3))
+    for (i, j, k, l), v in entries:
+        want[i - 1, j - 1, k - 1, l - 1] = v
+    doc = [{"i": i, "j": j, "k": k, "l": l, "v": v} for (i, j, k, l), v in entries]
+    got = el.io._entries_to_array(doc)
+    assert got.shape == (3, 3, 3, 3) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()  # -0.0 included
+
+
 def test_doc_to_tensor_enforces_symmetry_class():
     # a lone off-orbit entry violates the pair symmetries
     doc = {

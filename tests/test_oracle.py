@@ -589,6 +589,56 @@ def test_oracle_verdict_refines_one_start_per_basin(monkeypatch):
     assert min(starts) < oracle._TOP_K
 
 
+def _refined_bits(rep):
+    return (
+        rep.min_value.hex(),
+        rep.argmin_x.tobytes(),
+        rep.argmin_y.tobytes(),
+        [v.hex() for v in rep.objective_trace],
+    )
+
+
+def test_refine_min_from_a_cold_cache_is_its_refinement_in_oracle_verdict(monkeypatch):
+    # the refinements of one oracle_verdict share the tensor's preparation;
+    # each of them, run again with nothing prepared, gives the same bits
+    calls = []
+    refine = oracle.refine_min
+
+    def recording(*args):
+        rep = refine(*args)
+        calls.append((args, _refined_bits(rep)))
+        return rep
+
+    monkeypatch.setattr(oracle, "refine_min", recording)
+    for t in (el.tensor_choi_lam(1.0), el.tensor_isotropic(-3.0, 0.1), el.tensor_two_squares()):
+        calls.clear()
+        el.oracle_verdict(t)
+        assert len(calls) >= 2
+        for args, bits in calls:
+            oracle._prepare.cache_clear()
+            assert _refined_bits(refine(*args)) == bits
+
+
+def test_alternating_tensors_never_share_a_preparation():
+    # t and 4 t have the same unit-scale rows and differ in the exponent
+    # only: a preparation kept for one would scale the other's trace wrongly
+    t = el.tensor_choi_lam(1.5)
+    tensors = [t, el.Elast4(4.0 * t.a), el.tensor_isotropic(-3.0, 0.1)]
+    x, y = np.array([1.0, 0.2, -0.3]), np.array([0.1, 1.0, 0.4])
+    cold = []
+    for u in tensors:
+        oracle._prepare.cache_clear()
+        cold.append(_refined_bits(oracle.refine_min(u, x, y)))
+        a, e = pow2_rescale(u.a)
+        prep = oracle._prepared(u)
+        assert prep.e == e and prep.unit.a.tobytes() == a.tobytes()
+        assert prep.rows_m == oracle._pair_rows(a.reshape(9, 9))
+        assert prep.rows_n == oracle._pair_rows(a.reshape(9, 9).T)
+    assert cold[1][3] == [(4.0 * float.fromhex(v)).hex() for v in cold[0][3]]
+    for u, want in [*zip(tensors, cold), *zip(reversed(tensors), reversed(cold))] * 2:
+        assert _refined_bits(oracle.refine_min(u, x, y)) == want
+
+
 # oracle_verdict's verdict and min_value.hex() on the gallery of
 # scripts/certify_gallery.py and on random tensors R + c E, c frozen within
 # 2e-3 of the shift that puts the form on its boundary, recorded before the

@@ -746,6 +746,45 @@ def test_run_pocs_projects_a_pair4_onto_the_slice_of_its_form():
         assert got["verdict"] == el.VERDICT_FOUND
 
 
+def _report_bits(rep):
+    """Every field of a POCS report as bytes, types and signed zeros included."""
+    def bits(v):
+        if isinstance(v, el.Pair4):
+            return type(v).__name__, v.a.tobytes()
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        return type(v).__name__, np.float64(v).tobytes() if isinstance(v, float) else v
+
+    return {name: bits(getattr(rep, name)) for name in pocs.PocsReport.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-6])
+def test_an_elast4_runs_as_the_pair4_of_its_entries(shift):
+    # run_pocs takes an Elast4's entries as its reference and averages a
+    # Pair4's over the pair swaps: on the same entries both give the same bits
+    local = np.random.default_rng(31)
+    tensors = [
+        el.tensor_e(),
+        el.tensor_two_squares(),
+        el.tensor_choi_lam(1.0),
+        el.tensor_isotropic(1.0, 1.0),
+        el.tensor_isotropic(-3.0, 0.1),
+        el.random_tensor(local),
+        el.random_spd_tensor(local),
+    ]
+    tensors += [el.Elast4(np.ldexp(el.tensor_choi_lam(1.5).a, k)) for k in (-900, 900)]
+    verdicts = set()
+    for t in tensors:
+        opts = el.PocsOptions(epsilon_shift=math.ldexp(shift, int(np.frexp(t.a.max())[1])))
+        want = el.run_pocs(t, opts)
+        got = el.run_pocs(el.Pair4(t.a), opts)
+        assert _report_bits(got) == _report_bits(want)
+        verdicts.add(want.verdict)
+    assert el.VERDICT_FOUND in verdicts and el.VERDICT_GAP in verdicts
+    if shift:
+        assert el.VERDICT_MARGIN in verdicts
+
+
 def test_fejer_monotone_random_instances():
     for k in range(25):
         a = el.random_tensor(np.random.default_rng(k))

@@ -50,8 +50,9 @@ def test_bench_layers_prints_one_json_object():
     assert set(doc["us_per_call"]) == {"psd_project", "min_eigenvalue", "eigenvalue_bounds"}
     assert all(us > 0.0 for us in doc["us_per_call"].values())
     assert doc["pocs"]["us_per_sweep"] > 0.0 and doc["pocs"]["sweeps"] >= doc["pocs"]["runs"] == 16
-    assert set(doc["oracle"]) == {"scan_us", "refine_us", "refine_steps", "refine_calls"}
+    assert set(doc["oracle"]) == {"scan_us", "refine_us", "refine_steps", "refine_calls", "verdict_us"}
     assert doc["oracle"]["scan_us"] > 0.0 and doc["oracle"]["refine_us"] > 0.0
+    assert doc["oracle"]["verdict_us"] > 0.0
     assert doc["oracle"]["refine_steps"] >= 1.0 and doc["oracle"]["refine_calls"] >= 8
     evals = {f"ascent_{name}_evals" for name in ("eta", "grad", "hess")}
     assert set(doc["cases"]) == {"grid_us", "check_us", "checks", "ascent_us", "ascents"} | evals
@@ -61,5 +62,7 @@ def test_bench_layers_prints_one_json_object():
     # every ascent evaluates eta and the gradient at its start at least
     assert all(doc["cases"][key] >= 1.0 for key in evals - {"ascent_hess_evals"})
     assert doc["cases"]["ascent_hess_evals"] > 0.0
+    assert set(doc["io"]) == {"load_us", "emit_us", "files"} and doc["io"]["files"] == 8
+    assert doc["io"]["load_us"] > 0.0 and doc["io"]["emit_us"] > 0.0
     assert set(doc["check"]) == {"us"} and doc["check"]["us"] > 0.0
     assert doc["numpy"] == np.__version__ and doc["blas"]["name"]

@@ -147,6 +147,63 @@ def test_symmetrize_pairs_properties(raw):
     assert np.array_equal(el.symmetrize_pairs(s), s)
 
 
+# The swap groups of the two classes (a tensor is in a class when it is
+# invariant under the group, or under its generators, cls._SWAPS), and entries
+# that collide often.
+_GROUPS = {
+    el.Pair4: [(0, 1, 2, 3), (1, 0, 3, 2)],
+    el.Elast4: [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)],
+}
+_FEW_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.5, 5e-324, 1e308, -1e308])
+
+
+def _swap_spread(arr, swaps):
+    """Largest |arr - arr.transpose(s)|, as the invariant was tested before."""
+    with np.errstate(over="ignore"):
+        return max(float(np.max(np.abs(arr - arr.transpose(s)))) for s in swaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float64, (3, 3, 3, 3), elements=_FEW_VALUES),
+    st.sampled_from([None, el.Pair4, el.Elast4]),
+    arrays(np.float64, (3, 3, 3, 3), elements=st.sampled_from([1.0, -1.0])),
+)
+def test_constructors_reject_what_a_positive_spread_rejected(raw, symmetric_for, signs):
+    if symmetric_for is not None:
+        # each entry copied from the first member of its orbit, then every
+        # zero signed at random: orbits that mix 0.0 and -0.0
+        idx = np.arange(81).reshape(3, 3, 3, 3)
+        first = np.min([idx.transpose(g) for g in _GROUPS[symmetric_for]], axis=0)
+        raw = raw.reshape(81)[first]
+    raw = np.where(raw == 0.0, np.copysign(0.0, signs), raw)
+    for cls, group in _GROUPS.items():
+        spread = _swap_spread(raw, cls._SWAPS)
+        assert (spread > 0.0) == (_swap_spread(raw, group[1:]) > 0.0)
+        if spread > 0.0:
+            with pytest.raises(SymmetryViolation) as exc:
+                cls(raw)
+            assert exc.value.spread == spread and exc.value.tol == 0.0
+            assert str(exc.value) == str(SymmetryViolation(spread, 0.0))
+        else:
+            assert cls(raw).a.tobytes() == raw.tobytes()
+
+
+def test_constructors_accept_orbits_of_signed_zeros():
+    raw = el.tensor_choi_lam(1.0).a.copy()
+    raw[0, 1, 0, 0] = raw[1, 0, 0, 0] = 0.0
+    raw[0, 1, 0, 0] = -0.0
+    raw[2, 2, 0, 1] = -0.0
+    for cls in (el.Pair4, el.Elast4):
+        t = cls(raw)
+        assert t.a.tobytes() == raw.tobytes()
+    # a spread that rounds to zero nowhere: the smallest subnormal against 0
+    raw[0, 1, 0, 0] = 5e-324
+    with pytest.raises(SymmetryViolation) as exc:
+        el.Elast4(raw)
+    assert exc.value.spread == 5e-324
+
+
 # ---------------------------------------------------------------------------
 # unfolding, folding, vec
 
