@@ -286,8 +286,8 @@ _TOP_K = 5
 # The pairs (i, j), i <= j, of a symmetric 3x3 matrix, diagonal first, as
 # the flat indices 3 i + j and 3 j + i. The refinement holds a symmetric
 # matrix as its six pair entries, Python floats throughout.
-_PAIRS = [0, 4, 8, 1, 2, 5]
-_PAIRS_T = [0, 4, 8, 3, 6, 7]
+_PAIRS = np.array([0, 4, 8, 1, 2, 5])
+_PAIRS_T = np.array([0, 4, 8, 3, 6, 7])
 
 
 def _pair_rows(a9: np.ndarray) -> tuple:
