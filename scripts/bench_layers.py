@@ -19,8 +19,8 @@ on those decompositions and on the interior case-3 decomposition of
 case3_decomposition(0.5), replayed with the arguments it was given, and the
 eta, gradient and Hessian evaluations per ascent. Per file: load_tensor on
 the gallery tensors written by save_tensor, and dumps_report on their check
-reports (the stages and verdicts that check --json writes). End to end: the µs per in-process
-check(t, dec) over the gallery, with its decompositions.
+reports (the stages and verdicts that check --json writes). End to end: the
+µs per in-process check(t, dec) over the gallery, with its decompositions.
 Each group of layers (GROUPS) runs in a fresh interpreter, so that no
 group's figure depends on the allocator state another group leaves behind.
 The object also carries the Python, numpy, BLAS and machine details the
@@ -249,7 +249,7 @@ def cases_group(repeats):
 def io_group(repeats):
     """Median over repeats of the µs per load_tensor of each gallery file and
     per dumps_report of its check report."""
-    runs = [(name, t, dec) for name, t, dec in gallery()]
+    runs = list(gallery())
     docs = [{"command": "check", "name": name, **vars(el.check(t, dec))} for name, t, dec in runs]
     load, emit = [], []
     with tempfile.TemporaryDirectory() as tmp:

@@ -151,8 +151,14 @@ _ONE = {"i": 1, "j": 1, "k": 1, "l": 1, "v": 1.0}
         ([{"i": 1, "j": 1, "k": 1, "v": 1.0}], "entry 0 is malformed: 'l'"),
         ([{"i": 1, "j": 1, "k": 1, "l": 1}], "entry 0 is malformed: 'v'"),
         # the first bad key in i, j, k, l, v order is the one reported
-        ([{"i": True, "k": 1, "l": 1, "v": 1.0}], "entry 0 is malformed: index True is not a JSON integer"),
-        ([{"j": 1.0, "i": 1, "k": 1, "l": 1}], "entry 0 is malformed: index 1.0 is not a JSON integer"),
+        (
+            [{"i": True, "k": 1, "l": 1, "v": 1.0}],
+            "entry 0 is malformed: index True is not a JSON integer",
+        ),
+        (
+            [{"j": 1.0, "i": 1, "k": 1, "l": 1}],
+            "entry 0 is malformed: index 1.0 is not a JSON integer",
+        ),
         ([_ONE, [1, 1, 1, 1, 1.0]], "entry 1 is not an object"),
         ({"0": _ONE}, "'entries' must be a list"),
     ],

@@ -190,14 +190,12 @@ def test_constructors_reject_what_a_positive_spread_rejected(raw, symmetric_for,
 
 
 def test_constructors_accept_orbits_of_signed_zeros():
+    # two zeros of Choi-Lam signed negative; their swap partners stay 0.0
     raw = el.tensor_choi_lam(1.0).a.copy()
-    raw[0, 1, 0, 0] = raw[1, 0, 0, 0] = 0.0
-    raw[0, 1, 0, 0] = -0.0
-    raw[2, 2, 0, 1] = -0.0
+    raw[0, 1, 0, 0] = raw[2, 2, 0, 1] = -0.0
     for cls in (el.Pair4, el.Elast4):
-        t = cls(raw)
-        assert t.a.tobytes() == raw.tobytes()
-    # a spread that rounds to zero nowhere: the smallest subnormal against 0
+        assert cls(raw).a.tobytes() == raw.tobytes()
+    # the smallest spread there is: a subnormal against 0
     raw[0, 1, 0, 0] = 5e-324
     with pytest.raises(SymmetryViolation) as exc:
         el.Elast4(raw)
