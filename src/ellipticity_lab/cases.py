@@ -41,7 +41,7 @@ from .errors import (
     eigensolver_errors,
 )
 from .spectral import _eigh, sym_eig
-from .spheres import fibonacci_hemisphere
+from .spheres import cross, dot, fibonacci_hemisphere, unit
 from .tensors import (
     Elast4,
     pow2_rescale,
@@ -591,19 +591,6 @@ class _RatioForm:
 # Supremum estimation
 
 
-def _unit(y0: float, y1: float, y2: float) -> tuple:
-    nrm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
-    return y0 / nrm, y1 / nrm, y2 / nrm
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -616,8 +603,8 @@ def _orthonormal_complement(d) -> tuple:
     k = 1 if abs(d[1]) < abs(d[0]) else 0
     if abs(d[2]) < abs(d[k]):
         k = 2
-    u1 = _unit(*_cross(d, _AXES[k]))
-    return u1, _cross(d, u1)
+    u1 = unit(*cross(d, _AXES[k]))
+    return u1, cross(d, u1)
 
 
 def _ascend(start, value, grad, hess, lines):
@@ -642,7 +629,7 @@ def _ascend(start, value, grad, hess, lines):
     and the step are Python floats; value, grad and hess receive y as an
     array.
     """
-    y0, y1, y2 = _unit(*map(float, start))
+    y0, y1, y2 = unit(*map(float, start))
     fy = value(np.array((y0, y1, y2)))
     if fy == -math.inf:
         return np.array((y0, y1, y2)), fy, False, False
@@ -692,9 +679,7 @@ def _ascend(start, value, grad, hess, lines):
         moved = False
         # Steps shorter than 1e-16 move the unit y by less than its rounding.
         while s * length > 1e-16:
-            x0, x1, x2 = y0 + s * d0, y1 + s * d1, y2 + s * d2
-            nrm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-            x0, x1, x2 = x0 / nrm, x1 / nrm, x2 / nrm
+            x0, x1, x2 = unit(y0 + s * d0, y1 + s * d1, y2 + s * d2)
             fc = value(np.array((x0, x1, x2)))
             if fc > fy + 1e-4 * s * slope:
                 y0, y1, y2, fy = x0, x1, x2, fc
@@ -752,7 +737,7 @@ def sup_eta(
     the caller's to add (case 2 has them in closed form, _line_limit).
     """
     ys = fibonacci_hemisphere(grid_n)
-    lines = [_unit(*map(float, d)) for d in singular_lines]
+    lines = [unit(*map(float, d)) for d in singular_lines]
     vals = np.asarray(eta_many(ys), dtype=float)
     n_finite = int(np.count_nonzero(np.isfinite(vals)))
     if n_finite == 0:
@@ -773,7 +758,7 @@ def sup_eta(
     basins = []
     for idx in starts.tolist():
         y0 = ys[idx].tolist()
-        if any(abs(_dot(y0, b)) >= same_basin for b in basins):
+        if any(abs(dot(y0, b)) >= same_basin for b in basins):
             continue
         basins.append(y0)
         yr, fr, conv, near_line = _ascend(y0, safe_value, grad_fn, hess_fn, lines)
@@ -812,10 +797,10 @@ def _line_limit(form, s: int, d) -> float | None:
         else:
             num = den = scale = 0.0
             for ag, sg, w in zip(alphas, sigma, form.frames[:, :, t].tolist()):
-                pg = _dot(w, d)
+                pg = dot(w, d)
                 num += sg * pg
                 den += ag * pg * pg
-                scale += ag * _dot(w, w)
+                scale += ag * dot(w, w)
             if den <= _GUARD * scale:
                 return None
             term = num * num / den
@@ -944,7 +929,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     # pair must not be collinear. Triples: each must be independent, which
     # keeps the denominator positive on the whole sphere.
     if g == 2:
-        crosses = [_cross(W[:, s].tolist(), W_tilde[:, s].tolist()) for s in range(3)]
+        crosses = [cross(W[:, s].tolist(), W_tilde[:, s].tolist()) for s in range(3)]
         sines = []
         for s in range(3):
             denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
@@ -952,7 +937,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         diag["pair_sines"] = sines
         if min(sines) < TOL:
             return _mismatch(case_id, "paired right vectors are collinear", diag)
-        lines = [_unit(*cr) for cr in crosses]
+        lines = [unit(*cr) for cr in crosses]
     else:
         dets = []
         for s in range(3):

@@ -198,13 +198,19 @@ def _cmd_gen(args) -> int:
     return EXIT_DECIDED
 
 
-def _cmd_pocs(args) -> int:
+def _load_input(args, command: str):
+    """The --input tensor, and the opening of its report: the document's
+    command, input and name fields, and the human-readable input line."""
     t, name = io.load_tensor(args.input)
+    doc = {"command": command, "input": args.input, "name": name}
+    return t, doc, [f"input: {args.input}" + (f" ({name})" if name else "")]
+
+
+def _cmd_pocs(args) -> int:
+    t, doc, lines = _load_input(args, "pocs")
     rep = pocs.run_pocs(t, pocs.PocsOptions(epsilon_shift=args.epsilon))
-    doc = {"command": "pocs", "input": args.input, "name": name}
     doc.update(pocs.pocs_report_to_doc(rep))
-    lines = [
-        f"input: {args.input}" + (f" ({name})" if name else ""),
+    lines.append(
         f"verdict: {rep.verdict} after {rep.iterations} sweeps, "
         f"final gap {rep.final_gap:.6e} (threshold {rep.converge_threshold:.6e})"
         + (
@@ -216,8 +222,8 @@ def _cmd_pocs(args) -> int:
             f", form lower bound {rep.form_lower_bound:.6e}"
             if rep.form_lower_bound is not None
             else ""
-        ),
-    ]
+        )
+    )
     _emit(args, doc, lines)
     return EXIT_DECIDED if rep.verdict != pocs.VERDICT_INCONCLUSIVE else EXIT_UNDECIDED
 
@@ -227,28 +233,19 @@ def _load_decomposition(path) -> cases.StructuredDecomposition:
 
 
 def _cmd_case(args) -> int:
-    t, name = io.load_tensor(args.input)
+    t, doc, lines = _load_input(args, "case")
     dec = _load_decomposition(args.decomp)
     cases.require_decomposition_of(t, dec)
     rep = cases.check_case(dec)
     if rep is None:
-        doc = {
-            "command": "case",
-            "input": args.input,
-            "name": name,
-            "r": dec.r,
-            "q": dec.q,
-            "verdict": "NoMatchingShape",
-        }
+        doc.update(r=dec.r, q=dec.q, verdict="NoMatchingShape")
         _emit(
             args,
             doc,
             [f"decomposition has (r, q) = ({dec.r}, {dec.q}); no case shape matches"],
         )
         return EXIT_UNDECIDED
-    doc = {"command": "case", "input": args.input, "name": name}
     doc.update(cases.case_report_to_doc(rep))
-    lines = [f"input: {args.input}" + (f" ({name})" if name else "")]
     if rep.eta_sup is not None:
         lines.append(
             f"case {rep.case_id}: sup eta = {rep.eta_sup:.12g}, "
@@ -263,13 +260,11 @@ def _cmd_case(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    t, name = io.load_tensor(args.input)
+    t, doc, lines = _load_input(args, "oracle")
     ov = oracle.oracle_verdict(t)
-    doc = {"command": "oracle", "input": args.input, "name": name}
     doc.update(oracle.oracle_verdict_to_doc(ov))
     rep = ov.report
-    lines = [
-        f"input: {args.input}" + (f" ({name})" if name else ""),
+    lines += [
         f"grid n={rep.grid_n}: min form value {rep.min_value:.6e}",
         f"argmin x = {np.array2string(rep.argmin_x, precision=6)}",
         f"argmin y = {np.array2string(rep.argmin_y, precision=6)}",
@@ -316,10 +311,9 @@ def _stage_line(s: dict) -> str:
 
 
 def _cmd_check(args) -> int:
-    t, name = io.load_tensor(args.input)
+    t, doc, lines = _load_input(args, "check")
     dec = _load_decomposition(args.decomp) if args.decomp else None
     rep = pipeline.check(t, dec)
-    lines = [f"input: {args.input}" + (f" ({name})" if name else "")]
     lines += [_stage_line(s) for s in rep.stages]
     certified_by = rep.certified_mpd_by or rep.certified_mpsd_by
     if rep.verdict == "Conflict":
@@ -331,14 +325,7 @@ def _cmd_check(args) -> int:
     code = {"Conflict": EXIT_TRIPWIRE, "Undecided": EXIT_UNDECIDED}.get(
         rep.verdict, EXIT_DECIDED
     )
-    doc = {
-        "command": "check",
-        "input": args.input,
-        "name": name,
-        "grid_n": oracle.GRID_N,
-        **vars(rep),
-        "exit_code": code,
-    }
+    doc.update({"grid_n": oracle.GRID_N, **vars(rep), "exit_code": code})
     _emit(args, doc, lines)
     if rep.verdict == "Conflict":
         raise SoundnessTripwire(

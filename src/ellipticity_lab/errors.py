@@ -44,9 +44,9 @@ def eigensolver_errors() -> np.errstate:
     """A new np.errstate, the one numpy.linalg.eigh and eigvalsh enter on
     every call: a LAPACK solve that does not converge sets `invalid`, raised
     here as EigensolverFailure; overflow, division and underflow are
-    ignored. Code that calls the gufuncs numpy.linalg._umath_linalg.eigh_lo
-    and eigvalsh_lo directly holds it, entered once around a batch of
-    solves; an instance can be entered only once."""
+    ignored. The callers of spectral._eigh, which calls those LAPACK
+    gufuncs directly, hold it, entered once around a batch of solves; an
+    instance can be entered only once."""
     return np.errstate(
         call=_solver_did_not_converge, invalid="call", over="ignore", divide="ignore", under="ignore"
     )

@@ -29,14 +29,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import NonFiniteEntries, eigensolver_errors
 
-# Not called here; elbench/layers.py wraps oracle.sym_eig, oracle.contract_xx
-# and oracle.contract_yy, so the names stay.
-from .spectral import sym_eig  # noqa: F401
-from .spheres import fibonacci_sphere
+# sym_eig is not called here; elbench/layers.py wraps oracle.sym_eig,
+# oracle.contract_xx and oracle.contract_yy, so the names stay.
+from .spectral import _eigh, sym_eig  # noqa: F401
+from .spheres import cross, dot, fibonacci_sphere, unit
 from .tensors import Pair4, biquadratic, pow2_rescale
 from .tensors import contract_xx, contract_yy  # noqa: F401
 
@@ -362,22 +361,16 @@ def _mat_vec(m, v):
     )
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _eigh_pairs(m):
     """The eigenvalues of the symmetric matrix with pair entries m, ascending,
     and its eigenvectors in the same order, as Python floats.
 
-    The solve is numpy.linalg.eigh's LAPACK gufunc, called directly: the
-    same bits without the wrapper's per-call cost. The caller holds
-    errors.eigensolver_errors(), which turns a solve that does not converge
-    into EigensolverFailure."""
+    The solve goes through spectral._eigh, which takes the nested tuple as
+    it is: numpy.linalg.eigh's bits without the wrapper's per-call cost.
+    The caller holds errors.eigensolver_errors(), which turns a solve that
+    does not converge into EigensolverFailure."""
     m00, m11, m22, m01, m02, m12 = m
-    lam, vecs = _umath_linalg.eigh_lo(
-        ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22)), signature="d->dd"
-    )
+    lam, vecs = _eigh(((m00, m01, m02), (m01, m11, m12), (m02, m12, m22)))
     return lam.tolist(), vecs.T.tolist()
 
 
@@ -407,19 +400,18 @@ def _newton_step(rows_n, y, lam, vecs):
     k = min(range(3), key=lambda i: abs(y[i]))
     u = [-y[k] * y0, -y[k] * y1, -y[k] * y2]
     u[k] += 1.0
-    norm = math.sqrt(_dot(u, u))
-    u0, u1, u2 = u = [c / norm for c in u]
-    w = (y1 * u2 - y2 * u1, y2 * u0 - y0 * u2, y0 * u1 - y1 * u0)
+    u0, u1, u2 = u = unit(*u)
+    w = cross(y, u)
     # The factors 2 of the gradient, of h_j h_j^T (as 4) and of N(x).
-    g0, g1 = 2.0 * _dot(u, grad), 2.0 * _dot(w, grad)
+    g0, g1 = 2.0 * dot(u, grad), 2.0 * dot(w, grad)
     if math.hypot(g0, g1) <= _STATIONARY:
         return None
     nu, nw = _mat_vec(n_x, u), _mat_vec(n_x, w)
     c1, c2 = 8.0 / (l0 - l1), 8.0 / (l0 - l2)
-    a1, b1, a2, b2 = _dot(h1, u), _dot(h1, w), _dot(h2, u), _dot(h2, w)
-    p = 2.0 * _dot(u, nu) + c1 * a1 * a1 + c2 * a2 * a2 - 2.0 * l0
-    c = 2.0 * _dot(u, nw) + c1 * a1 * b1 + c2 * a2 * b2
-    r = 2.0 * _dot(w, nw) + c1 * b1 * b1 + c2 * b2 * b2 - 2.0 * l0
+    a1, b1, a2, b2 = dot(h1, u), dot(h1, w), dot(h2, u), dot(h2, w)
+    p = 2.0 * dot(u, nu) + c1 * a1 * a1 + c2 * a2 * a2 - 2.0 * l0
+    c = 2.0 * dot(u, nw) + c1 * a1 * b1 + c2 * a2 * b2
+    r = 2.0 * dot(w, nw) + c1 * b1 * b1 + c2 * b2 * b2 - 2.0 * l0
     det = p * r - c * c
     if p <= 0.0 or det <= 0.0:
         return None
@@ -504,9 +496,7 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
                 if mult >= 2:
                     alphas.insert(0, float(mult))
                 for alpha in alphas:
-                    c0, c1, c2 = (yi + alpha * ei for yi, ei in zip(y, eta))
-                    norm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-                    cand_y = _gauge([c0 / norm, c1 / norm, c2 / norm])
+                    cand_y = _gauge(unit(*(yi + alpha * ei for yi, ei in zip(y, eta))))
                     cand_lam, cand_vecs, cand_x = exact_x(cand_y)
                     if cand_lam[0] <= lam[0] + _ARMIJO * alpha * slope:
                         kept = (cand_x, cand_y, cand_lam, cand_vecs)
@@ -576,11 +566,11 @@ def oracle_verdict(t: Pair4, n: int = GRID_N) -> OracleVerdict:
     """
     candidates = grid_top_candidates(t, n=n, keep=_TOP_K)
     # the basins are compared at unit scale, where no minimum underflows
-    unit = _prepared(t).unit
+    scaled = _prepared(t).unit
     best: OracleReport | None = None
     for x, y in _distinct_basins(candidates, n):
         rep = refine_min(t, x, y)
-        value = biquadratic(unit, rep.argmin_x, rep.argmin_y)
+        value = biquadratic(scaled, rep.argmin_x, rep.argmin_y)
         if best is None or value < best_value:
             best, best_value = rep, value
     assert best is not None

@@ -312,7 +312,7 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     margin = bound = None
     next_try = eps
     stall_run = 0
-    prev_gap = None
+    prev_gap = math.inf
     iterations = 0
     with eigensolver_errors():
         for iterations in range(1, MAX_SWEEPS + 1):
@@ -331,17 +331,16 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
                     verdict = VERDICT_MARGIN
                     break
                 next_try *= 0.5
-            if prev_gap is not None and prev_gap > 0.0:
-                if (prev_gap - gap) < TOL_STALL * prev_gap:
-                    stall_run += 1
-                    margin = _separation_margin(a9, diff)
-                    if margin is not None:
-                        verdict = VERDICT_GAP
-                        break
-                    if stall_run >= STALL_WINDOW:
-                        break
-                else:
-                    stall_run = 0
+            if (prev_gap - gap) < TOL_STALL * prev_gap:
+                stall_run += 1
+                margin = _separation_margin(a9, diff)
+                if margin is not None:
+                    verdict = VERDICT_GAP
+                    break
+                if stall_run >= STALL_WINDOW:
+                    break
+            else:
+                stall_run = 0
             prev_gap = gap
 
     # Both limits, the four numbers and the gaps, scaled back in one call.

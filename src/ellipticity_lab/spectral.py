@@ -10,9 +10,10 @@ tests for it; every other matrix raises EigensolverFailure, an
 EllipticityError. Callers that need more range solve at a power-of-two
 rescale (tensors.pow2_rescale), as pipeline.check does.
 
-Every eigensolve goes through _eigh, which calls the LAPACK gufuncs of
-numpy.linalg.eigh and eigvalsh (the same bits) without their wrapper. Its
-caller holds errors.eigensolver_errors(), in which a solver that does not
+Every eigensolve of the package goes through _eigh, the oracle's 3x3
+solves included: it calls the LAPACK gufuncs of numpy.linalg.eigh and
+eigvalsh (the same bits) without their wrapper, and no other module names
+them. Its caller holds errors.eigensolver_errors(), in which a solver that does not
 converge raises EigensolverFailure: each public function enters that state
 per call, and pocs.run_pocs once per run. pocs.run_pocs validates its
 reference once per run and calls the clamp kernel _psd_clamp on each sweep,

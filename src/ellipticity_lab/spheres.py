@@ -1,13 +1,18 @@
-"""Deterministic Fibonacci lattices on the unit sphere.
+"""Deterministic Fibonacci lattices on the unit sphere, and the 3-vector
+helpers on Python floats that the oracle's refinement and the case ascent
+share.
 
 Both lattices are pure functions of n: no randomness, no state. Points come
 out in a fixed order, which downstream argmin/argmax reductions rely on for
-reproducible tie-breaking.
+reproducible tie-breaking. dot, cross and unit take any three-float
+sequences and fix the order of their operations, so every caller rounds
+alike.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -49,3 +54,16 @@ def fibonacci_hemisphere(n: int) -> np.ndarray:
     coords = np.stack((r * np.cos(phi), r * np.sin(phi), z))
     coords.setflags(write=False)
     return coords.T
+
+
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def unit(y0: float, y1: float, y2: float) -> tuple:
+    nrm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+    return y0 / nrm, y1 / nrm, y2 / nrm

@@ -80,6 +80,13 @@ def _mean(a, b):
     return np.where(np.isinf(total), 0.5 * a + 0.5 * b, 0.5 * total)
 
 
+def _orbit_mean(arr: np.ndarray, swaps) -> np.ndarray:
+    """arr averaged with its image under each index permutation of swaps in turn."""
+    for s in swaps:
+        arr = _mean(arr, arr.transpose(s))
+    return arr
+
+
 def _spread(arr: np.ndarray, swaps) -> float:
     """Largest |arr - arr.transpose(s)| over the index permutations s. Entries
     of opposite sign near the float limit spread to inf, which fails every
@@ -126,9 +133,7 @@ def symmetrize_pairs(raw) -> np.ndarray:
     Done in two commutative stages so the result is bit-exactly invariant
     under both swaps (IEEE addition commutes, so (a+b)/2 == (b+a)/2).
     """
-    arr = _as_tensor_array(raw)
-    m = _mean(arr, arr.transpose(1, 0, 2, 3))
-    return _mean(m, m.transpose(0, 1, 3, 2))
+    return _orbit_mean(_as_tensor_array(raw), Elast4._SWAPS)
 
 
 _ORBIT = Elast4._SWAPS + Pair4._SWAPS  # the orbit's three nontrivial swaps
@@ -151,9 +156,7 @@ def _canonical(raw, cls, swaps):
     spread, tol = _spread(arr, swaps), ORBIT_TOL * float(np.max(np.abs(arr)))
     if spread > tol:
         raise SymmetryViolation(spread, tol)
-    for s in cls._SWAPS:
-        arr = _mean(arr, arr.transpose(s))
-    return cls(arr)
+    return cls(_orbit_mean(arr, cls._SWAPS))
 
 
 def make_elast4(raw) -> Elast4:

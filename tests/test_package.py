@@ -67,8 +67,8 @@ def test_readme_python_example_runs():
 
 def test_eigensolves_go_through_the_two_kernels():
     # numpy's symmetric eigensolvers, public or LAPACK gufunc, are named in
-    # spectral._eigh (every solve of spectral, pocs, cases and tensors) and
-    # oracle._eigh_pairs (the oracle's own) and nowhere else
+    # spectral._eigh (every solve of the package, the oracle's included) and
+    # nowhere else
     solvers = {"eigh", "eigvalsh", "eigh_lo", "eigh_up", "eigvalsh_lo", "eigvalsh_up"}
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -88,4 +88,22 @@ def test_eigensolves_go_through_the_two_kernels():
                 name = node.asname or node.name
             if name in solvers:
                 found.add((path.stem, owner.get(node)))
-    assert found == {("spectral", "_eigh"), ("oracle", "_eigh_pairs")}
+    assert found == {("spectral", "_eigh")}
+
+
+def test_the_3_vector_helpers_live_only_in_spheres():
+    # dot, cross and unit on Python floats have one implementation, shared
+    # by the oracle's refinement and the case ascent
+    helpers = {"dot", "cross", "unit", "_dot", "_cross", "_unit"}
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Assign):
+                name = next((t.id for t in node.targets if isinstance(t, ast.Name)), None)
+            else:
+                continue
+            if name in helpers:
+                owners.add((path.stem, name))
+    assert owners == {("spheres", "dot"), ("spheres", "cross"), ("spheres", "unit")}

@@ -328,8 +328,9 @@ def _bit_identity_matrices(n):
 
 @pytest.mark.parametrize("n", [9, 3])
 def test_the_kernels_are_numpys_solvers_bit_for_bit(n):
-    # spectral._eigh and oracle._eigh_pairs call numpy's private LAPACK
-    # gufuncs; a numpy whose eigh or eigvalsh differs from them fails here
+    # spectral._eigh calls numpy's private LAPACK gufuncs, and
+    # oracle._eigh_pairs calls it on a nested tuple of Python floats; a
+    # numpy whose eigh or eigvalsh differs from them fails here
     count = 0
     for m in _bit_identity_matrices(n):
         w, v = np.linalg.eigh(m)
