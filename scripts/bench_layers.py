@@ -1,6 +1,6 @@
 """Time the spectral layer, the POCS sweep, the oracle, the case-2 supremum,
-the case-2/3 ascent, JSON load and emit and a whole check; print one JSON
-object.
+the case-2/3 ascent, the case structure tests, JSON load and emit and a
+whole check; print one JSON object.
 
 Usage: python3 scripts/bench_layers.py [--repeats 15] [--against DIR]
 
@@ -17,9 +17,11 @@ check_case hands to cases.sup_eta on the cases.GRID_N-point hemisphere, and a
 whole check_case call. Per ascent: every cases._ascend that check_case runs
 on those decompositions and on the interior case-3 decomposition of
 case3_decomposition(0.5), replayed with the arguments it was given, and the
-eta, gradient and Hessian evaluations per ascent. Per file: load_tensor on
-the gallery tensors written by save_tensor, and dumps_report on their check
-reports (the stages and verdicts that check --json writes). End to end: the
+eta, gradient and Hessian evaluations per ascent. Per structure test: each
+check_case call on those decompositions and on case1_decomposition(-0.4)
+outside its sup_eta, whose results are replayed from a first run. Per file:
+load_tensor on the gallery tensors written by save_tensor, and dumps_report
+on their check reports (the stages and verdicts that check --json writes). End to end: the
 µs per in-process check(t, dec) over the gallery, with its decompositions.
 Each group of layers (GROUPS) runs in a fresh interpreter, so that no
 group's figure depends on the allocator state another group leaves behind.
@@ -171,6 +173,45 @@ def case3_decomposition(c):
     return el.StructuredDecomposition(np.array([1.0] * 9 + [-1.0]), np.stack(mats))
 
 
+def case1_decomposition(alpha_neg):
+    """The case-1 terms (1, e_s e_s^T) and (alpha_neg, diag(1, 1, 0)), whose C
+    is I + alpha_neg (1, 1, 0) (1, 1, 0)^T."""
+    eye = np.eye(3)
+    mats = [np.outer(eye[:, s], eye[:, s]) for s in range(3)] + [np.diag([1.0, 1.0, 0.0])]
+    return el.StructuredDecomposition(np.array([1.0, 1.0, 1.0, alpha_neg]), np.stack(mats))
+
+
+def structure_layer(decs, repeats):
+    """Median over repeats of the µs per check_case call on decs outside its
+    sup_eta: a first run records what each sup_eta call returns, and the
+    timed runs replay those results in call order, so what is timed is the
+    structure tests, the ratio form's set-up and the line limits."""
+    results = []
+    sup_eta = cases.sup_eta
+
+    def record(*args, **kwargs):
+        results.append(sup_eta(*args, **kwargs))
+        return results[-1]
+
+    replay = iter(())
+    cases.sup_eta = record
+    try:
+        for dec in decs:
+            el.check_case(dec)
+        cases.sup_eta = lambda *args, **kwargs: next(replay)
+        times = []
+        for _ in range(repeats):
+            replay = iter(results * CALLS)
+            start = time.perf_counter()
+            for _ in range(CALLS):
+                for dec in decs:
+                    el.check_case(dec)
+            times.append((time.perf_counter() - start) / (CALLS * len(decs)))
+    finally:
+        cases.sup_eta = sup_eta
+    return {"structure_us": 1e6 * statistics.median(times)}
+
+
 def ascent_layer(decs, repeats):
     """Median over repeats of the µs per cases._ascend call, over the ascents
     that check_case runs on decs, replayed with the arguments each was given;
@@ -238,10 +279,12 @@ def oracle_group(repeats):
 
 def cases_group(repeats):
     decs = [dec for _, _, dec in gallery() if dec is not None]
+    ratio_decs = decs + [case3_decomposition(0.5)]
     return {
         "cases": {
             **case_layers(decs, repeats),
-            **ascent_layer(decs + [case3_decomposition(0.5)], repeats),
+            **ascent_layer(ratio_decs, repeats),
+            **structure_layer(ratio_decs + [case1_decomposition(-0.4)], repeats),
         }
     }
 
@@ -331,6 +374,7 @@ def layer_figures(doc):
             for key in (
                 "grid_us",
                 "check_us",
+                "structure_us",
                 "ascent_us",
                 "ascent_eta_evals",
                 "ascent_grad_evals",

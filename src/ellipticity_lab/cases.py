@@ -29,7 +29,9 @@ its terms split their scale between alpha and U.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,9 +133,9 @@ class StructuredDecomposition:
     def r(self) -> int:
         return int(self.alphas.size)
 
-    @property
+    @cached_property
     def q(self) -> int:
-        return int(np.sum(self.alphas > 0.0))
+        return int(np.count_nonzero(self.alphas > 0.0))
 
 
 @dataclass(frozen=True)
@@ -215,33 +217,68 @@ def detect_rank_one(u):
 
     v is unit with its largest-magnitude entry positive; w carries the scale,
     so the split is unique and outer(v, w) reproduces U within the tolerance.
+    The one-matrix case of _split_rank_ones.
     """
-    um = np.asarray(u, dtype=float)
-    fro = float(np.linalg.norm(um))
-    if fro == 0.0:
-        return None
-    left, s, right = np.linalg.svd(um)
-    if float(np.hypot(s[1], s[2])) > TOL * fro:
-        return None
-    v = left[:, 0]
-    sign = 1.0 if v[int(np.argmax(np.abs(v)))] > 0.0 else -1.0
-    return sign * v, sign * s[0] * right[0, :]
+    split, _ = _split_rank_ones(np.asarray(u, dtype=float)[None])
+    return None if split is None else (split[0][0], split[1][0])
 
 
-def _nonsingular(mat: np.ndarray):
-    """(ok, condition number) of mat with unit columns, which no scale moved
-    between alpha and U changes; relative cutoff, and a zero column is
-    singular. Each column is divided by its max |entry| first, so no norm
-    underflows."""
-    peaks = np.abs(mat).max(axis=0)
-    if not peaks.all():
-        return False, float("inf")
-    cols = mat / peaks
-    cols /= np.sqrt((cols * cols).sum(axis=0))
+def _split_rank_ones(mats: np.ndarray):
+    """((vs, ws), -1) with mats[s] ~ outer(vs[s], ws[s]) as detect_rank_one
+    splits each, from one stacked SVD; (None, s) for the first s that is not
+    rank-one.
+
+    The SVD is of the matrices as given, so vs and ws are its bits. The norm
+    test is taken at each matrix's power-of-two rescale (pow2_rescale), where
+    ||U||_F cannot overflow or underflow, with the trailing singular values
+    scaled by the same exact power of two.
+    """
+    left, s, right = np.linalg.svd(mats)
+    e = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
+    fro = _norms(np.ldexp(mats, -e[:, None, None]).reshape(len(mats), -1))
+    tail = np.ldexp(np.hypot(s[:, 1], s[:, 2]), -e)
+    bad = (fro == 0.0) | (tail > TOL * fro)
+    if bad.any():
+        return None, int(np.argmax(bad))
+    v = left[:, :, 0]
+    lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    sign = np.where(lead > 0.0, 1.0, -1.0)
+    return (sign[:, None] * v, (sign * s[:, 0])[:, None] * right[:, 0, :]), -1
+
+
+def _dots(a, b) -> np.ndarray:
+    """a . b along the last axis, broadcast. Where both vectors lie
+    contiguous in memory, each is the bits of np.dot of the two, since
+    numpy's matmul of a (1, n) row by an (n, 1) column is that same BLAS
+    dot; strided vectors may round otherwise."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(x) -> np.ndarray:
+    """2-norms along the last axis, each the bits of np.linalg.norm of its
+    vector: the square root of the BLAS dot of a contiguous copy."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(_dots(x, x))
+
+
+def _conditions(frames: np.ndarray):
+    """(ok, conds): per frame of the stack (k, 3, 3), whether it is
+    nonsingular and its condition number (inf where it is not), with unit
+    columns, which no scale moved between alpha and U changes; one stacked
+    SVD. The cutoff is relative, and a zero column is singular. Each column
+    is divided by its max |entry| first, so no norm underflows."""
+    peaks = np.abs(frames).max(axis=1)
+    ok = peaks.all(axis=1)
+    cols = frames / np.where(peaks == 0.0, 1.0, peaks)[:, None, :]
+    norms = np.sqrt((cols * cols).sum(axis=1))
+    cols /= np.where(norms == 0.0, 1.0, norms)[:, None, :]
     sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[-1] <= TOL * sv[0]:
-        return False, float("inf")
-    return True, float(sv[0] / sv[-1])
+    ok &= sv[:, -1] > TOL * sv[:, 0]
+    conds = [
+        hi / lo if good else math.inf
+        for good, hi, lo in zip(ok.tolist(), sv[:, 0].tolist(), sv[:, -1].tolist())
+    ]
+    return ok.tolist(), conds
 
 
 def _mismatch(case_id: int, reason: str, diagnostics: dict) -> CaseReport:
@@ -287,15 +324,14 @@ def check_case1(dec: StructuredDecomposition) -> CaseReport:
     """
     if dec.q != 3:
         raise CaseShapeError(f"expected exactly 3 positive terms, found {dec.q}")
-    split, bad = _split_rank_ones(dec.mats, 3)
+    split, bad = _split_rank_ones(dec.mats[:3])
     if split is None:
         return _mismatch(1, f"positive term {bad} is not rank-one", {})
-    V = np.column_stack(split[0])
-    W = np.column_stack(split[1])
-    ok_v, cond_v = _nonsingular(V)
-    ok_w, cond_w = _nonsingular(W)
-    diag = {"cond_V": cond_v, "cond_W": cond_w}
-    if not ok_v or not ok_w:
+    frames = np.ascontiguousarray(np.transpose(split, (0, 2, 1)))
+    V, W = frames
+    ok, conds = _conditions(frames)
+    diag = {"cond_V": conds[0], "cond_W": conds[1]}
+    if not all(ok):
         return _mismatch(1, "frame V or W is singular", diag)
 
     n_neg = dec.r - 3
@@ -391,6 +427,8 @@ _GUARD = 1e-13
 _BLOCK_ROWS = 4096
 # Index pairs (i, j) of the upper triangle of a symmetric 3x3 matrix.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# The bytes of three float64s, the key of _RatioForm's kept direction.
+_PACK3 = struct.Struct("3d").pack
 
 
 class _RatioForm:
@@ -419,18 +457,22 @@ class _RatioForm:
     never a BLAS dot, whose rounding depends on the kernel that the BLAS
     library picks at run time.
 
-    `grad` and `hess` at one y share one evaluation of the per-term sums
-    num_lin_s, den_s and m_s (`_slopes`): the form keeps the last y that the
-    guard accepted, keyed by the bytes of y as float64, with its sums, so a
-    Newton step's Hessian reuses the sums of its gradient. -0.0 and 0.0 are
-    different keys, a y that raises is never kept, and no result depends on
-    the calls made before it. `value` makes the same p, num_lin and den
-    operations in the same order, without m, lists or the kept entry.
+    `value`, `grad` and `hess` take y as any length-3 sequence and turn it
+    into three Python floats on entry, once; no evaluation builds a numpy
+    array. `value` returns a float, `grad` three floats and `hess` three
+    rows of three floats, all tuples. `grad` and `hess` at one y share one
+    evaluation of the per-term sums num_lin_s, den_s and m_s (`_slopes`):
+    the form keeps the last y that the guard accepted, keyed by the bytes
+    of its three floats, with its sums, so a Newton step's Hessian reuses
+    the sums of its gradient. -0.0 and 0.0 are different keys, a y that
+    raises is never kept, and no result depends on the calls made before
+    it. `value` makes the same p, num_lin and den operations in the same
+    order, without m, lists or the kept entry.
     """
 
     def __init__(self, alphas, frames, sigma):
         self.alphas = np.asarray(alphas, dtype=float)  # (G, 3)
-        self.frames = np.stack([np.asarray(f, dtype=float) for f in frames])  # (G,3,3)
+        self.frames = np.array(frames, dtype=float)  # (G,3,3)
         self.sigma = np.asarray(sigma, dtype=float)  # (G, 3)
         # Per-term denominator scale for the relative guard.
         self.den_scale = np.einsum(
@@ -471,14 +513,14 @@ class _RatioForm:
 
         Raises SingularDirection where some den_s is at most _GUARD |y|^2
         den_scale[s], which includes y = 0. The last y accepted is kept with
-        its result, keyed by its bytes (see the class docstring).
+        its result, keyed by the bytes of its floats (see the class
+        docstring).
         """
-        ya = np.asarray(y, dtype=float)
-        key = ya.tobytes()
+        y0, y1, y2 = map(float, y)
+        key = _PACK3(y0, y1, y2)
         last_key, last = self._last
         if key == last_key:
             return last
-        y0, y1, y2 = ya.tolist()
         floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
         out = []
         for terms, scale in zip(self._terms, self._den_scale):
@@ -498,7 +540,7 @@ class _RatioForm:
         return out
 
     def value(self, y) -> float:
-        y0, y1, y2 = np.asarray(y, dtype=float).tolist()
+        y0, y1, y2 = map(float, y)
         floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
         total = 0.0
         for terms, scale in zip(self._terms, self._den_scale):
@@ -536,10 +578,10 @@ class _RatioForm:
             np.add(p, np.multiply(f[:, 1], y1, out=t), out=p)
             np.add(p, np.multiply(f[:, 2], y2, out=t), out=p)
             # num = (sum_g sigma p)^2, den = sum_g (alpha p) p
-            np.square(np.sum(np.multiply(sigma, p, out=t), axis=0, out=num), out=num)
+            np.square(np.add.reduce(np.multiply(sigma, p, out=t), axis=0, out=num), out=num)
             np.multiply(np.multiply(alphas, p, out=t), p, out=t)
-            np.sum(t, axis=0, out=den)
-            bad = np.any(np.less_equal(den, floor, out=low), axis=0)
+            np.add.reduce(t, axis=0, out=den)
+            bad = np.logical_or.reduce(np.less_equal(den, floor, out=low), axis=0)
             np.copyto(den, 1.0, where=np.equal(den, 0.0, out=low))
             np.divide(num, den, out=num)
             block = vals[lo : lo + m]
@@ -547,9 +589,10 @@ class _RatioForm:
             np.copyto(block, -np.inf, where=bad)
         return vals
 
-    def grad(self, y) -> np.ndarray:
-        """The gradient of eta at y in R^3; SingularDirection where a Python
-        float square overflows, or one that underflows to 0 is a divisor."""
+    def grad(self, y) -> tuple:
+        """The gradient of eta at y in R^3, three floats; SingularDirection
+        where a Python float square overflows, or one that underflows to 0
+        is a divisor."""
         slopes = self._slopes(y)
         g0 = g1 = g2 = 0.0
         try:
@@ -560,10 +603,11 @@ class _RatioForm:
                 g2 += (two_nl * n2 * d - nl_sq * (2.0 * m2)) / d_sq
         except (OverflowError, ZeroDivisionError):
             raise SingularDirection("the gradient is not representable here") from None
-        return np.array([g0, g1, g2])
+        return g0, g1, g2
 
-    def hess(self, y) -> np.ndarray:
-        """The Hessian of eta at y in R^3, as a symmetric 3x3 array.
+    def hess(self, y) -> tuple:
+        """The Hessian of eta at y in R^3: three rows of three floats,
+        symmetric bit for bit.
 
         Written through q = num_lin / den, it uses no power of den beyond
         the first: where a product still overflows or den is subnormal, the
@@ -584,7 +628,7 @@ class _RatioForm:
             h11 += two_over_d * (v1 * v1) - (q * a11) * two_q
             h12 += two_over_d * (v1 * v2) - (q * a12) * two_q
             h22 += two_over_d * (v2 * v2) - (q * a22) * two_q
-        return np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
+        return (h00, h01, h02), (h01, h11, h12), (h02, h12, h22)
 
 
 # ---------------------------------------------------------------------------
@@ -625,24 +669,26 @@ def _ascend(start, value, grad, hess, lines):
     Returns (y, eta(y), converged, near_line). converged: the tangent
     gradient fell to ASCENT_TOL max(1, |eta|), or no step improves at any
     scale. near_line: the ascent came within LINE_STOP of a singular line
-    and stopped there. The iterate, the line test, the tangent projection
-    and the step are Python floats; value, grad and hess receive y as an
-    array.
+    and stopped there. y stays Python floats from start to end: the
+    iterate, the line test, the tangent projection and the step are float
+    arithmetic, value, grad and hess receive y as a 3-tuple of floats, grad
+    returns three floats and hess three rows of three, and only the
+    returned y is an array.
     """
-    y0, y1, y2 = unit(*map(float, start))
-    fy = value(np.array((y0, y1, y2)))
+    y = unit(*map(float, start))
+    fy = value(y)
     if fy == -math.inf:
-        return np.array((y0, y1, y2)), fy, False, False
+        return np.array(y), fy, False, False
     near = math.cos(LINE_STOP)
     step = 0.5
     converged = False
     for _ in range(ASCENT_STEPS):
+        y0, y1, y2 = y
         for e0, e1, e2 in lines:
             if abs(y0 * e0 + y1 * e1 + y2 * e2) >= near:
-                return np.array((y0, y1, y2)), float(fy), False, True
-        ya = np.array((y0, y1, y2))
+                return np.array(y), float(fy), False, True
         try:
-            g0, g1, g2 = np.asarray(grad(ya), dtype=float).tolist()
+            g0, g1, g2 = grad(y)
         except SingularDirection:
             break
         # the tangent gradient t = g - (g.y) y
@@ -655,13 +701,18 @@ def _ascend(start, value, grad, hess, lines):
             converged = True
             break
         try:
-            h = np.asarray(hess(ya), dtype=float).tolist()
+            h = hess(y)
         except SingularDirection:
             break
         # the tangent Hessian and gradient in the basis (u, v) of y-perp
-        (u0, u1, u2), (v0, v1, v2) = _orthonormal_complement((y0, y1, y2))
-        hu0, hu1, hu2 = (r0 * u0 + r1 * u1 + r2 * u2 for r0, r1, r2 in h)
-        hv0, hv1, hv2 = (r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in h)
+        (u0, u1, u2), (v0, v1, v2) = _orthonormal_complement(y)
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = h
+        hu0 = a00 * u0 + a01 * u1 + a02 * u2
+        hu1 = a10 * u0 + a11 * u1 + a12 * u2
+        hu2 = a20 * u0 + a21 * u1 + a22 * u2
+        hv0 = a00 * v0 + a01 * v1 + a02 * v2
+        hv1 = a10 * v0 + a11 * v1 + a12 * v2
+        hv2 = a20 * v0 + a21 * v1 + a22 * v2
         h11 = u0 * hu0 + u1 * hu1 + u2 * hu2
         h12 = u0 * hv0 + u1 * hv1 + u2 * hv2
         h22 = v0 * hv0 + v1 * hv1 + v2 * hv2
@@ -679,10 +730,10 @@ def _ascend(start, value, grad, hess, lines):
         moved = False
         # Steps shorter than 1e-16 move the unit y by less than its rounding.
         while s * length > 1e-16:
-            x0, x1, x2 = unit(y0 + s * d0, y1 + s * d1, y2 + s * d2)
-            fc = value(np.array((x0, x1, x2)))
+            x = unit(y0 + s * d0, y1 + s * d1, y2 + s * d2)
+            fc = value(x)
             if fc > fy + 1e-4 * s * slope:
-                y0, y1, y2, fy = x0, x1, x2, fc
+                y, fy = x, fc
                 if not newton:
                     step = min(1.0, 2.0 * s)
                 moved = True
@@ -692,7 +743,7 @@ def _ascend(start, value, grad, hess, lines):
             # No ascent step improves at any scale: stationary to rounding.
             converged = True
             break
-    return np.array((y0, y1, y2)), float(fy), converged, False
+    return np.array(y), float(fy), converged, False
 
 
 def _best_indices(vals: np.ndarray, k: int) -> np.ndarray:
@@ -719,7 +770,11 @@ def sup_eta(
     eta_many maps an (N, 3) array of unit directions to N values, -inf where
     eta is not defined, and its array is only read; grad_fn and hess_fn are
     the gradient and the 3x3 Hessian in R^3 of eta_fn, which must be
-    0-homogeneous. On an excluded direction eta_fn raises SingularDirection
+    0-homogeneous. eta_fn, grad_fn and hess_fn take y as a 3-tuple of
+    Python floats; eta_fn returns a float, grad_fn three floats and hess_fn
+    three rows of three floats (any sequences that unpack so), and the
+    ascent does its arithmetic on them as floats, building no numpy array
+    per evaluation. On an excluded direction eta_fn raises SingularDirection
     or returns a non-finite value, and grad_fn and hess_fn raise
     SingularDirection where they cannot be represented; that, a non-finite
     gradient or an excluded start ends an ascent unconverged. Stage 1
@@ -818,8 +873,10 @@ def _group_shared_v(vs, group_size: int):
     Returns a list of index tuples ordered by first occurrence, or None when
     the match pattern is not a clean partition into groups of group_size.
     """
+    vs = np.asarray(vs, dtype=float)
     n = len(vs)
     cos_tol = np.cos(GROUP_ANGLE_TOL)
+    gram = np.abs(_dots(vs[:, None, :], vs[None, :, :])).tolist()
     used = [False] * n
     groups = []
     for i in range(n):
@@ -828,7 +885,7 @@ def _group_shared_v(vs, group_size: int):
         members = [i]
         used[i] = True
         for j in range(i + 1, n):
-            if not used[j] and abs(float(vs[i] @ vs[j])) >= cos_tol:
+            if not used[j] and gram[i][j] >= cos_tol:
                 members.append(j)
                 used[j] = True
         if len(members) != group_size:
@@ -837,24 +894,15 @@ def _group_shared_v(vs, group_size: int):
     return groups if len(groups) == 3 else None
 
 
-def _split_rank_ones(mats: np.ndarray, count: int):
-    vs, ws = [], []
-    for s in range(count):
-        vw = detect_rank_one(mats[s])
-        if vw is None:
-            return None, s
-        vs.append(vw[0])
-        ws.append(vw[1])
-    return (vs, ws), -1
-
-
-def _recover_sigma(basis_mats, target: np.ndarray):
-    """Solve target = sum sigma_s B_s in the least-squares sense.
+def _recover_sigma(V: np.ndarray, frames: np.ndarray, target: np.ndarray):
+    """Solve target = sum_{t,s} sigma[3 t + s] outer(V[:, s], frames[t][:, s])
+    in the least-squares sense.
 
     Returns (sigma, relative residual), with residual 0 for a zero target.
     The basis has at most 9 matrices, so this is a small dense solve; the
-    caller tests the residual against its tolerance."""
-    m = np.stack([b.reshape(9) for b in basis_mats], axis=1)
+    caller tests the residual against its tolerance. Column 3 t + s of the
+    (9, 3 g) system is that outer product, row-major, made by broadcasting."""
+    m = (V[:, None, None, :] * frames.transpose(1, 0, 2)[None]).reshape(9, -1)
     rhs = target.reshape(9)
     sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -897,7 +945,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     e = max(int(np.frexp(-alphas[q])[1]) - 1, int(np.frexp(alphas[:q].max())[1]) - 300)
     alphas = np.ldexp(alphas, -e)
     e_eta = e + 2 * int(ks.max() - ks[q])
-    split, bad = _split_rank_ones(mats, q)
+    split, bad = _split_rank_ones(mats[:q])
     if split is None:
         return _mismatch(case_id, f"positive term {bad} is not rank-one", diag)
     vs, ws = split
@@ -907,50 +955,48 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
     diag["groups"] = [list(grp) for grp in groups]
 
     # Slot t of every group goes to frame t, with w flipped to match v's sign:
-    # cols[t, s] is the term in slot t of group s.
+    # cols[t, s] is the term in slot t of group s, and frames[t][:, s] its w.
     cols = np.array(groups).T
-    V = np.column_stack([vs[i] for i in cols[0]])
-    frames = [
-        np.column_stack([ws[i] if vs[i] @ V[:, s] > 0.0 else -ws[i] for s, i in enumerate(row)])
-        for row in cols
-    ]
-    W, W_tilde, W_hat = (frames + [None])[:3]
-    ok, diag["cond_V"] = _nonsingular(V)
-    if not ok:
-        return _mismatch(case_id, "frame V is singular", diag)
+    V = np.ascontiguousarray(vs[cols[0]].T)
+    flip = _dots(vs[cols], V.T) > 0.0
+    frames = np.ascontiguousarray(
+        np.where(flip[:, :, None], ws[cols], -ws[cols]).transpose(0, 2, 1)
+    )
     # A y^2 = V (diag(D(y)) + alpha_neg n(y) n(y)^T) V^T with D_s = sum_g
     # alpha (w.y)^2 and n_s = sum_g sigma (w.y): eta = sum n_s^2 / D_s reads
     # the right vectors group by group, so only V must be nonsingular. The
     # slot frames follow alpha order, and their conditions are diagnostics.
-    for name, mat in zip(("W", "W_tilde", "W_hat"), frames):
-        diag[f"cond_{name}"] = _nonsingular(mat)[1]
+    ok, conds = _conditions(np.concatenate((V[None], frames)))
+    diag["cond_V"] = conds[0]
+    if not ok[0]:
+        return _mismatch(case_id, "frame V is singular", diag)
+    for name, cond in zip(("W", "W_tilde", "W_hat"), conds[1:]):
+        diag[f"cond_{name}"] = cond
 
     # Pairs: eta is singular along the cross product of each pair, so the
     # pair must not be collinear. Triples: each must be independent, which
-    # keeps the denominator positive on the whole sphere.
+    # keeps the denominator positive on the whole sphere. norms[t, s] is
+    # |frames[t][:, s]|.
+    norms = _norms(frames.transpose(0, 2, 1))
     if g == 2:
-        crosses = [cross(W[:, s].tolist(), W_tilde[:, s].tolist()) for s in range(3)]
-        sines = []
-        for s in range(3):
-            denom = np.linalg.norm(W[:, s]) * np.linalg.norm(W_tilde[:, s])
-            sines.append(float(np.linalg.norm(crosses[s]) / denom))
+        # crosses[s] = W[:, s] x W_tilde[:, s], as spheres.cross rounds it
+        a, b = frames
+        crosses = (a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]).T
+        sines = (_norms(crosses) / (norms[0] * norms[1])).tolist()
         diag["pair_sines"] = sines
         if min(sines) < TOL:
             return _mismatch(case_id, "paired right vectors are collinear", diag)
-        lines = [unit(*cr) for cr in crosses]
+        lines = [unit(*cr) for cr in crosses.tolist()]
     else:
-        dets = []
-        for s in range(3):
-            trip = np.column_stack([W[:, s], W_tilde[:, s], W_hat[:, s]])
-            scale = np.prod([np.linalg.norm(trip[:, c]) for c in range(3)])
-            dets.append(float(abs(np.linalg.det(trip)) / scale))
+        # the triples' columns are (W[:, s], W_tilde[:, s], W_hat[:, s])
+        dets = np.abs(np.linalg.det(frames.transpose(2, 1, 0)))
+        dets = (dets / (norms[0] * norms[1] * norms[2])).tolist()
         diag["triple_dets"] = dets
         if min(dets) < TOL:
             return _mismatch(case_id, "a right-vector triple is linearly dependent", diag)
         lines = []
 
-    basis = [np.outer(V[:, s], F[:, s]) for F in frames for s in range(3)]
-    sigma, rel_resid = _recover_sigma(basis, mats[q])
+    sigma, rel_resid = _recover_sigma(V, frames, mats[q])
     diag["sigma_residual"] = rel_resid
     if rel_resid > TOL:
         return _mismatch(case_id, "negative term lies outside the rank-one span", diag)
@@ -996,7 +1042,7 @@ def _check_ratio_case(dec: StructuredDecomposition, case_id: int) -> CaseReport:
         threshold=threshold,
         boundary=abs(value - limit) <= TOL,
         structure=CaseStructure(
-            V, *[np.ldexp(F, k) for F, k in zip(frames, ks[cols])], *[None] * (3 - g)
+            V, *np.ldexp(frames, ks[cols][:, None, :]), *[None] * (3 - g)
         ),
         diagnostics=diag,
     )

@@ -190,8 +190,104 @@ def load_decomposition(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dumps_report(obj) -> str:
-    """Deterministic JSON text: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, stable float repr, trailing newline.
+
+    The text is json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    plus a newline, byte for byte. With an indent json.dumps runs its
+    pure-Python encoder, so the text is written here instead (_emit): keys
+    sorted and rendered as json.dumps renders them, strings through
+    json's encode_basestring_ascii, floats by float.__repr__, ints, bools
+    and None as json.dumps writes them; ValueError on a non-finite float
+    and TypeError on any other type, as json.dumps raises. A container
+    that holds itself recurses until RecursionError, where json.dumps
+    names the cycle.
+    """
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return _float_repr(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps renders it before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return _int_repr(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _emit(o, out: list, nl: str) -> None:
+    """Append the JSON text of o to out; nl is the newline and indent of
+    o's own level, and its items go one level (two spaces) deeper."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_int_repr(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            # a list of floats, the most common list of a report, in one
+            # join; a finite float's repr holds no "n", unlike inf and nan
+            text = ("," + inner).join(map(_float_repr, o))
+        except TypeError:
+            out.append("[")
+            sep = inner
+            for item in o:
+                out.append(sep)
+                sep = "," + inner
+                _emit(item, out, inner)
+            out.append(nl + "]")
+            return
+        if "n" in text:
+            for item in o:
+                _float_text(item)
+        out.append("[" + inner + text + nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{")
+        sep = inner
+        for key, item in sorted(o.items()):
+            out.append(sep)
+            sep = "," + inner
+            out.append(_encode_str(_key_text(key)) + ": ")
+            _emit(item, out, inner)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def decimate(seq, max_points: int = 1000) -> list:

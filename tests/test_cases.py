@@ -137,6 +137,45 @@ def test_detect_rank_one():
     assert el.detect_rank_one(np.zeros((3, 3))) is None
 
 
+def test_rank_one_norm_test_is_taken_at_a_power_of_two():
+    # ||U||_F of 2^520 I overflowed, and every trailing singular mass passed
+    # TOL * inf: the identity split as rank one, with an overflow warning;
+    # and that of 2^-600 outer(v, w) underflowed to 0, which split nothing
+    v = np.array([0.6, -0.8, 0.0])
+    w = np.array([1.0, 2.0, -3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert el.detect_rank_one(2.0**520 * np.eye(3)) is None
+        for k in (-600, 600):
+            got = el.detect_rank_one(np.ldexp(np.outer(v, w), k))
+            assert got is not None, k
+            gv, gw = got
+            assert np.allclose(np.outer(gv, np.ldexp(gw, -k)), np.outer(v, w), atol=1e-12)
+            assert gv.tobytes() == el.detect_rank_one(np.outer(v, w))[0].tobytes()
+
+
+def test_case1_term_past_the_float_range_is_not_rank_one():
+    # (1e-300, 1e155 I) builds 1e10 I, but its ||U||_F overflowed, so case 1
+    # split it as rank one and certified MPSD a form that is -0.25 at
+    # x = (1, 1, 0) / sqrt(2), y = (1, -1, 0) / sqrt(2). Sorted by alpha, the
+    # 1e-300 term is positive term 2.
+    dec = el.StructuredDecomposition(
+        np.array([1e-300, 1.0, 1.0, -2.0]),
+        np.stack([1e155 * E3, axis_outer(1, 1), axis_outer(2, 2), axis_outer(0, 0)]),
+    )
+    t = el.tensor_from_rank_one_terms(dec.alphas, dec.mats)
+    x = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    y = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    assert el.biquadratic(t, x, y) == pytest.approx(-0.25, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = el.check_case(dec)
+    assert (rep.verdict, rep.diagnostics["reason"]) == (
+        el.CASE_MISMATCH,
+        "positive term 2 is not rank-one",
+    )
+
+
 def test_group_shared_v():
     vs = [E3[:, 0], E3[:, 1], E3[:, 2], -E3[:, 0], E3[:, 1], E3[:, 2]]
     assert _group_shared_v(vs, 2) == [(0, 3), (1, 4), (2, 5)]
@@ -467,6 +506,7 @@ def test_eta_case3_constant_value(monkeypatch):
 def quadratic_hess(u):
     # Hessian of f(y) = 2 (y.u) / |y| - 1
     def hess(y):
+        y = np.asarray(y)
         n = np.linalg.norm(y)
         yu = y @ u
         uy = np.outer(u, y)
@@ -497,6 +537,7 @@ def assert_quadratic_maximum(exact_hess):
         return float(2.0 * yn @ u - 1.0)
 
     def grad(y):
+        y = np.asarray(y)
         n = np.linalg.norm(y)
         return 2.0 * (u - (y @ u) * y / n**2) / n
 
@@ -529,6 +570,7 @@ def test_sup_eta_excludes_singular_lines():
         return np.where(v > cap, -np.inf, v)
 
     def grad(y):
+        y = np.asarray(y)
         n2 = y @ y
         return 2.0 * y[2] * (np.array([0.0, 0.0, 1.0]) - y[2] * y / n2) / n2
 
@@ -581,10 +623,13 @@ def test_sup_eta_ends_an_ascent_quietly_on_a_guard_error(broken):
     def guarded(y):
         raise SingularDirection("on a singular line")
 
-    fns = {"grad_fn": lambda y: 2.0 * (u - (y @ u) * y), "hess_fn": quadratic_hess(u)}
+    fns = {
+        "grad_fn": lambda y: 2.0 * (u - (np.asarray(y) @ u) * np.asarray(y)),
+        "hess_fn": quadratic_hess(u),
+    }
     fns[broken] = guarded
     res = el.sup_eta(
-        lambda y: float(2.0 * y @ u - 1.0),
+        lambda y: float(2.0 * np.asarray(y) @ u - 1.0),
         [],
         grid_n=2000,
         eta_many=lambda ys: 2.0 * ys @ u - 1.0,
@@ -602,9 +647,11 @@ def test_an_ascent_that_cannot_be_evaluated_ends_unconverged(broken):
     u = np.array([0.0, 0.6, 0.8])
 
     def value(y):
+        y = np.asarray(y)
         return -math.inf if broken == "excluded-start" else float(2.0 * y @ u - 1.0)
 
     def grad(y):
+        y = np.asarray(y)
         return np.full(3, np.nan) if broken == "nan-gradient" else 2.0 * (u - (y @ u) * y)
 
     start = [0.6, 0.0, 0.8]
@@ -981,7 +1028,7 @@ def same(a, b):
 def same_bits(a, b):
     if isinstance(a, type) or isinstance(b, type):
         return a is b
-    return a.tobytes() == b.tobytes()
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def near_lines(lines, gen, per_line=100, max_exp=-6):
@@ -1041,7 +1088,7 @@ def test_ratio_kernels_match_einsum_reference(monkeypatch, kind, param, rotate):
     for y in ys[:500]:
         hess = form.hess(y)
         diff = np.column_stack(
-            [(form.grad(y + h * e) - form.grad(y - h * e)) / (2.0 * h) for e in E3]
+            [(np.asarray(form.grad(y + h * e)) - form.grad(y - h * e)) / (2.0 * h) for e in E3]
         )
         assert np.max(np.abs(diff - hess)) <= 1e-6 * max(1.0, np.max(np.abs(hess))), y
 
@@ -1569,6 +1616,72 @@ RATIO_RECORD = {
         "4/4/3",
     ),  # NotMPSD
 }
+
+
+def case1_two_negatives():
+    """(1, 1.5, 0.8) on e_s e_s^T and (-0.2, -0.4) on diag(1, 0.5, -1) and
+    diag(0.3, 1, 0.2): C = diag(1, 1.5, 0.8) - 0.2 s s^T - 0.4 t t^T."""
+    mats = [axis_outer(s, s) for s in range(3)]
+    mats += [np.diag([1.0, 0.5, -1.0]), np.diag([0.3, 1.0, 0.2])]
+    return el.StructuredDecomposition(np.array([1.0, 1.5, 0.8, -0.2, -0.4]), np.stack(mats))
+
+
+def case1_singular_frame():
+    """The first two positive terms share v = e1, so V = [e1, e1, e3]."""
+    mats = np.stack([axis_outer(0, 0), axis_outer(0, 1), axis_outer(2, 2), 0.1 * E3])
+    return el.StructuredDecomposition(np.array([1.0, 1.0, 1.0, -0.5]), mats)
+
+
+def scaled_terms(dec, c):
+    """dec with every U times c and every alpha over c^2: the same tensor."""
+    return el.StructuredDecomposition(dec.alphas / (c * c), dec.mats * c)
+
+
+# sha256 of the check_case1 report of each decomposition, recorded before
+# the positive terms were split in one stacked SVD and the frame conditions
+# taken in another, with numpy 2.4 and OpenBLAS 0.3.31 on x86_64: a record
+# of the case-1 route, which shares the splitter with cases 2 and 3.
+CASE1_RECORD = {
+    "general-frames": (
+        lambda: general_case1(-0.3, 1),
+        "6621ad8922a70254dedffd254a8a19c5da88d66be9003df938f387c95eb1ed07",
+    ),  # MPSD
+    "general-frames-refuted": (
+        lambda: general_case1(-3.0, 2),
+        "4ff1659ab059b4e8cde8c3f01cea5709f9bf17e453392d0fccc743a825c7d435",
+    ),  # NotMPSD
+    "rotated-two-negatives": (
+        lambda: rotated(case1_two_negatives(), np.random.default_rng(61)),
+        "7b382576c4bf5908b1830dcd930d83ff9b66a63a11f883ec186948e9ab61b370",
+    ),  # MPSD
+    "rotated-boundary": (
+        lambda: rotated(case1_example(-0.5), np.random.default_rng(62)),
+        "03046827bcef2b50d0e5c694de0dcb985f44aeb51723ddf33be788ca7ab867fa",
+    ),  # MPSD, boundary
+    "offdiagonal": (
+        lambda: rotated(near_diagonal_case1(1.0), np.random.default_rng(63)),
+        "70a49709bddb4f9d08a4c58f6173dd964ec204c2fdd3daebe8e66761a48f473b",
+    ),  # StructureMismatch
+    "singular-frame": (
+        case1_singular_frame,
+        "a1c082f72609b6680235cd59f04b13ee07610ba15f4e0025a4c681e65471453a",
+    ),  # StructureMismatch
+    "scaled-1e100": (
+        lambda: scaled_terms(rotated(case1_two_negatives(), np.random.default_rng(64)), 1e100),
+        "565cda7412136389810cb4357554dc710aa7c33f197d1c18768539c2f40a54e0",
+    ),  # MPSD
+    "scaled-1e-100": (
+        lambda: scaled_terms(general_case1(-0.3, 3), 1e-100),
+        "84fcd3a990f6e400d37b4dbe6f913aaaa7ff192e3b27678348a38ee64d58b4da",
+    ),  # MPSD
+}
+
+
+@pytest.mark.parametrize("name", list(CASE1_RECORD))
+def test_case1_route_matches_its_record(name):
+    build, want = CASE1_RECORD[name]
+    report = el.dumps_report(case_report_to_doc(el.check_case1(build())))
+    assert hashlib.sha256(report.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("family, param", list(RATIO_RECORD))

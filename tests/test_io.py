@@ -284,6 +284,46 @@ def test_dumps_report_rejects_nan():
         el.dumps_report({"x": float("nan")})
 
 
+# JSON-like documents with the values json.dumps rejects among them: non-finite
+# floats, keys of mixed or unsupported types, and objects it cannot encode.
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.text()
+    | st.sampled_from([np.int64(3), np.bool_(True), b"x", 1j, frozenset()])
+)
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=6)
+        | st.lists(st.floats(), max_size=6)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(), inner, max_size=5)
+        | st.dictionaries(_KEYS, inner, max_size=3)
+    ),
+    max_leaves=40,
+)
+
+
+def _text_or_error(dump, doc):
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_DOCS)
+def test_dumps_report_is_json_dumps_with_an_indent(doc):
+    def reference(o):
+        return json.dumps(o, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+    assert _text_or_error(el.dumps_report, doc) == _text_or_error(reference, doc)
+
+
 # ---------------------------------------------------------------------------
 # trace thinning
 

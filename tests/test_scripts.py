@@ -55,9 +55,12 @@ def test_bench_layers_prints_one_json_object():
     assert doc["oracle"]["verdict_us"] > 0.0
     assert doc["oracle"]["refine_steps"] >= 1.0 and doc["oracle"]["refine_calls"] >= 8
     evals = {f"ascent_{name}_evals" for name in ("eta", "grad", "hess")}
-    assert set(doc["cases"]) == {"grid_us", "check_us", "checks", "ascent_us", "ascents"} | evals
+    assert set(doc["cases"]) == {
+        "grid_us", "check_us", "checks", "structure_us", "ascent_us", "ascents"
+    } | evals
     assert doc["cases"]["checks"] == 2 and doc["cases"]["ascents"] >= 3
     assert doc["cases"]["grid_us"] > 0.0 and doc["cases"]["check_us"] > 0.0
+    assert 0.0 < doc["cases"]["structure_us"] < doc["cases"]["check_us"]
     assert doc["cases"]["ascent_us"] > 0.0
     # every ascent evaluates eta and the gradient at its start at least
     assert all(doc["cases"][key] >= 1.0 for key in evals - {"ascent_hess_evals"})

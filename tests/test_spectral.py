@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ellipticity_lab as el
-from ellipticity_lab import oracle, spectral
+from ellipticity_lab import cases, oracle, spectral
 from ellipticity_lab.errors import AsymmetricInput, EigensolverFailure, eigensolver_errors
 from ellipticity_lab.spectral import (
     SYMMETRY_TOL,
@@ -347,6 +347,74 @@ def test_the_kernels_are_numpys_solvers_bit_for_bit(n):
             assert np.array(vecs).T.tobytes() == v.tobytes()
         count += 1
     assert count == 205 + 8 * (n == 9)
+
+
+def _stacks_of_3x3(draws, count):
+    """Stacks of 1 to 9 random 3x3 matrices, each at its own scale 2^k,
+    |k| <= 600, with rank-one, rank-two and zero members among them."""
+    for _ in range(count):
+        size = int(draws.integers(1, 10))
+        mats = draws.standard_normal((size, 3, 3))
+        for m in mats:
+            kind = draws.integers(0, 4)
+            if kind == 1:
+                m[:] = np.outer(m[0], m[1])
+            elif kind == 2:
+                m[2] = m[0] - 2.0 * m[1]
+            elif kind == 3 and draws.integers(0, 3) == 0:
+                m[:] = 0.0
+        yield np.ldexp(mats, draws.integers(-600, 601, (size, 1, 1)))
+
+
+def test_stacked_3x3_solves_are_the_single_calls_bit_for_bit():
+    # the case checkers make one svd or det call over a stack of term
+    # matrices or frames, transposed views among them, and read each
+    # matrix's result as the call on that matrix alone would give it
+    count = 0
+    for mats in _stacks_of_3x3(np.random.default_rng(83), 300):
+        for stack in (mats, mats.transpose(0, 2, 1)):
+            left, s, right = np.linalg.svd(stack)
+            values = np.linalg.svd(stack, compute_uv=False)
+            with np.errstate(over="ignore", under="ignore"):
+                dets = np.linalg.det(stack)
+            for k, m in enumerate(stack):
+                one = np.linalg.svd(m)
+                assert [x.tobytes() for x in (left[k], s[k], right[k])] == [
+                    x.tobytes() for x in one
+                ]
+                assert values[k].tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+                with np.errstate(over="ignore", under="ignore"):
+                    assert dets[k].tobytes() == np.linalg.det(m).tobytes()
+                count += 1
+    assert count > 1000
+
+
+def test_stacked_dots_are_numpys_dot_bit_for_bit():
+    # cases._dots and cases._norms take many dot products and 2-norms in one
+    # matmul, whose (1, n) by (n, 1) products are numpy's BLAS dot; the case
+    # reports carry norms that np.linalg.norm gives, in any memory layout
+    draws = np.random.default_rng(89)
+    for n in (3, 9):
+        x = np.ldexp(draws.standard_normal((400, n)), draws.integers(-500, 501, (400, 1)))
+        y = draws.standard_normal((400, n))
+        dots = cases._dots(x, y)
+        gram = cases._dots(x[:40, None, :], x[None, :40, :])
+        assert all(dots[k].tobytes() == np.dot(x[k], y[k]).tobytes() for k in range(400))
+        assert all(
+            gram[i, j].tobytes() == np.dot(x[i], x[j]).tobytes()
+            for i in range(40)
+            for j in range(40)
+        )
+        for a in (x, x[:, ::-1], np.asfortranarray(x)):
+            norms = cases._norms(a)
+            assert all(norms[k].tobytes() == np.linalg.norm(a[k]).tobytes() for k in range(400))
+    cols = draws.standard_normal((50, 3, 3))
+    norms = cases._norms(cols.transpose(0, 2, 1))
+    assert all(
+        norms[k, s].tobytes() == np.linalg.norm(cols[k][:, s]).tobytes()
+        for k in range(50)
+        for s in range(3)
+    )
 
 
 def _nan_solve(m, vectors=True):
