@@ -11,7 +11,10 @@ run_pocs, unshifted and shifted by 1e-6, over the gallery tensors, divided
 by the sweeps those runs take. Per oracle call: the lattice scan
 (grid_top_candidates as oracle_verdict runs it) on each gallery tensor,
 refine_min from each of their basins, with the trace entries per refinement,
-and a whole oracle_verdict on each gallery tensor.
+and a whole oracle_verdict on each gallery tensor. The scan and the verdict
+are also timed cold, each call right after one pass that writes 8 MB, since
+elbench's probe leaves the caches cold before every op and hot repeats hide
+that cost; scans that skip rows and scans that evaluate every row apart.
 Per case-2 decomposition of the gallery: the sup_eta grid, the eta_many that
 check_case hands to cases.sup_eta on the cases.GRID_N-point hemisphere, and a
 whole check_case call. Per ascent: every cases._ascend that check_case runs
@@ -64,6 +67,9 @@ CALLS = 200
 FILE_CALLS = 20
 # Runs of each tree under --against.
 PAIRS = 10
+# Bytes written before each cold call: twice the 4 MB L2 cache of the
+# reference machine (see cold_us).
+EVICT_BYTES = 8 << 20
 SRC = Path(__file__).resolve().parents[1] / "src"
 # The library this process imported, which each group's interpreter imports.
 LIB = Path(el.__file__).resolve().parents[1]
@@ -96,14 +102,56 @@ def us_per_sweep(tensors, repeats):
     return 1e6 * statistics.median(times), sweeps
 
 
+def cold_us(fn, args, repeats):
+    """Median over repeats of the mean µs of fn(*a) over args, each call
+    timed right after one pass that writes EVICT_BYTES, which leaves the
+    caches as cold as elbench's probe kernels leave them between ops."""
+    scratch = np.empty(EVICT_BYTES // 8)
+    times = []
+    for _ in range(repeats):
+        total = 0.0
+        for a in args:
+            scratch.fill(1.0)
+            start = time.perf_counter()
+            fn(*a)
+            total += time.perf_counter() - start
+        times.append(total / len(args))
+    return 1e6 * statistics.median(times)
+
+
+def scanned_rows(t):
+    """The lattice rows that grid_top_candidates evaluates on t."""
+    rows = 0
+    scan_block = oracle._scan_block
+
+    def count(t9, xx, block, keep, cut):
+        nonlocal rows
+        rows += len(block)
+        return scan_block(t9, xx, block, keep, cut)
+
+    oracle._scan_block = count
+    try:
+        el.grid_top_candidates(t, keep=oracle._TOP_K)
+    finally:
+        oracle._scan_block = scan_block
+    return rows
+
+
 def oracle_layers(tensors, repeats):
     """Median over repeats of the µs per lattice scan and per refine_min call,
     and the trace entries per refine_min call, over the basins that
-    oracle_verdict refines on each tensor."""
+    oracle_verdict refines on each tensor; and, cold (see cold_us), the µs
+    per scan of the tensors whose scan skips rows (pruned) and of those
+    whose scan evaluates every row (full), and per oracle_verdict."""
     starts = []
     for t in tensors:
         cands = el.grid_top_candidates(t, keep=oracle._TOP_K)
         starts += [(t, x, y) for x, y in oracle._distinct_basins(cands, oracle.GRID_N)]
+    full = [scanned_rows(t) == (oracle.GRID_N + 1) // 2 for t in tensors]
+    scans = {
+        kind: [(t, oracle.GRID_N, oracle._TOP_K) for t, f in zip(tensors, full) if f == is_full]
+        for kind, is_full in (("pruned", False), ("full", True))
+    }
     scan, refine, verdict = [], [], []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -125,6 +173,11 @@ def oracle_layers(tensors, repeats):
         "verdict_us": 1e6 * statistics.median(verdict),
         "refine_steps": steps / len(starts),
         "refine_calls": len(starts),
+        **{
+            f"scan_cold_{kind}_us": cold_us(el.grid_top_candidates, args, repeats)
+            for kind, args in scans.items()
+        },
+        "verdict_cold_us": cold_us(el.oracle_verdict, [(t,) for t in tensors], repeats),
     }
 
 
@@ -367,7 +420,15 @@ def layer_figures(doc):
         "pocs.us_per_sweep": doc["pocs"]["us_per_sweep"],
         **{
             f"oracle.{key}": doc["oracle"][key]
-            for key in ("scan_us", "refine_us", "refine_steps", "verdict_us")
+            for key in (
+                "scan_us",
+                "refine_us",
+                "refine_steps",
+                "verdict_us",
+                "scan_cold_pruned_us",
+                "scan_cold_full_us",
+                "verdict_cold_us",
+            )
         },
         **{
             f"cases.{key}": doc["cases"][key]

@@ -84,9 +84,31 @@ class OracleVerdict:
     witness_value: float | None = None
 
 
-# Rows per block of the lattice scan, never fewer: a lone row would take
-# numpy's matrix-vector path, whose bits can differ from t9[rows] @ xx.T.
+# A lattice value is the 9-term dot product of a row matrix A y^2 with an
+# outer product x x^T, both flattened to 9 entries, computed lattice-major:
+# one product xx @ T per block of rows, T the contiguous (9, B) array of
+# their row matrices (_block_values). A value must not depend on the rows
+# that share its product, or the scan's result would depend on the order
+# and grouping of its rows. Measured with numpy 2.4.6 and OpenBLAS 0.3.31
+# on one thread (x86-64, AVX-512), comparing each row's values across
+# random blocks, slots, alignments and lattice sizes (n = 100 to 100000):
+# - lattice-major blocks of 2 to 191 rows agree bit for bit, with each
+#   other and with row-major products t9[rows] @ xx.T of 2 to 8 rows
+#   (0 of 1.8 million rows in blocks of at most 65); sampled values equal
+#   the fused multiply-add chain over the 9 terms in index order. Blocks
+#   of 192 to 255 rows change about 1% of the rows;
+# - row-major products of 12 rows or more change a row's bits with its
+#   companions (11% to 37% of the rows compared), as the 64-row blocks of
+#   the former scan did;
+# - a single row takes numpy's matrix-vector path, whose bits differ.
+# The first block has _FIRST_BLOCK rows, each later one _SCAN_BLOCK, except
+# the last, which takes the remainder; no block has fewer than _MIN_BLOCK
+# rows, so every block lies in the measured range.
+_FIRST_BLOCK = 8
 _SCAN_BLOCK = 64
+_MIN_BLOCK = 2
+# The flat index 3 j + i of the entry transposed to each flat index 3 i + j.
+_TRANSPOSED = np.array([0, 3, 6, 1, 4, 7, 2, 5, 8])
 # A row is skipped only if its matrix less (cut + _BOUND_SLACK) I is proved
 # positive definite; see _min_pivot and grid_top_candidates.
 _BOUND_SLACK = 1e-12
@@ -155,25 +177,32 @@ def _min_pivot(t9: np.ndarray, level) -> np.ndarray:
     return np.minimum(np.minimum(d0, d1), d2)
 
 
+def _block_values(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (m, len(rows)) lattice values of the rows `rows`, one column per
+    row, as _SCAN_BLOCK defines them; at least _MIN_BLOCK rows. t9 is the
+    (m, 9) transpose of a contiguous (9, m) array."""
+    return xx @ np.take(t9.T, rows, axis=1)
+
+
 def _scan_block(t9: np.ndarray, xx: np.ndarray, rows: np.ndarray, keep: int, cut: float):
     """The keep best (value, y_index * m + x_index) pairs at most cut in the
-    lattice rows `rows`, by value and then index. Only rows whose minimum is
-    at most the keep-th smallest row minimum can hold one: any other row
-    has keep strictly smaller values ahead of each of its values. All their
-    values up to the keep-th one are sorted, so ties there go by index too.
+    lattice rows `rows`, by value and then index. Where no cut is given, the
+    keep-th smallest value of the block is one. The values at most the cut
+    are the candidates; the keep smallest of them are sorted, so ties at the
+    keep-th place go by index too.
     """
-    vals = t9[rows] @ xx.T
-    row_min = vals.min(axis=1)
-    j = min(keep, len(rows)) - 1
-    near = np.flatnonzero(row_min <= min(cut, np.partition(row_min, j)[j]))
-    if near.size == 0:
-        return []
-    sub = vals[near]
-    k = min(keep, sub.size)
-    r, x = np.nonzero(sub <= np.partition(sub.reshape(-1), k - 1)[k - 1])
-    vs = sub[r, x]
-    flat = rows[near[r]] * len(xx) + x
-    order = np.lexsort((flat, vs))[:k]
+    vals = _block_values(t9, xx, rows).reshape(-1)
+    if math.isinf(cut) and vals.size > keep:
+        cut = np.partition(vals, keep - 1)[keep - 1]
+    # flatnonzero: numpy's two-dimensional nonzero costs 0.15 ms a block
+    idx = np.flatnonzero(vals <= cut)
+    vs = vals[idx]
+    if vs.size > keep:
+        near = vs <= np.partition(vs, keep - 1)[keep - 1]
+        idx, vs = idx[near], vs[near]
+    x, r = np.divmod(idx, len(rows))
+    flat = rows[r] * len(xx) + x
+    order = np.lexsort((flat, vs))[:keep]
     return [(float(vs[i]), int(flat[i])) for i in order]
 
 
@@ -189,9 +218,14 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
 
     Deterministic: pairs are ordered by value, and ties (including ties at
     the keep-th place) are broken by the lattice index y_index * m + x_index.
+    A lattice value is the 9-term product of A y^2 with x x^T, evaluated
+    lattice-major, the lattice's outer products against a block of 2 to 65
+    row matrices, in which form its bits were measured not to depend on the
+    rows that share the block (see _SCAN_BLOCK). So the result is that of
+    the whole half lattice, whatever order the rows are taken in.
     Rows are taken in ascending order of an estimate of lambda_min(T_m),
     T_m = A y_m^2, the minimum over unit x at y_m. After the first block of
-    _SCAN_BLOCK rows, with cut the keep-th best value so far, a row is
+    _FIRST_BLOCK rows, with cut the keep-th best value so far, a row is
     skipped if T_m less (cut + _BOUND_SLACK) I passes the LDL^T test of
     _min_pivot: then lambda_min(T_m) > cut + 9e-13. On the rescaled tensor
     the computed lattice values of the row differ from the exact form at
@@ -199,8 +233,8 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     above the cut and cannot enter the result even by a tie, while ties at
     the cut among the evaluated values are still broken by lattice index.
     The estimate only sets the order and never decides a skip. The rows
-    that fail the test are evaluated in blocks of at least _SCAN_BLOCK
-    rows.
+    that fail the test are evaluated in blocks of _SCAN_BLOCK rows, a lone
+    one together with a skipped row.
 
     The rounding bound, with u = 2**-53 and gamma_9 = 9u / (1 - 9u) the
     bound of a 9-term product in any summation order: max|a| < 1 on the
@@ -214,6 +248,8 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     """
     if not MIN_GRID_N <= n <= MAX_GRID_N:
         raise ValueError(f"grid needs {MIN_GRID_N} <= n <= {MAX_GRID_N} points per sphere")
+    if keep < 1:
+        raise ValueError("grid needs keep >= 1 candidates")
     # Scan the exact power-of-two rescale: the lattice values scale by the
     # same factor, so their order and ties are unchanged, and a tensor near
     # the float limit no longer overflows to inf/NaN. Candidates are
@@ -222,24 +258,24 @@ def grid_top_candidates(t: Pair4, n: int = GRID_N, keep: int = 10):
     pts, xx = _lattice(n)
     m = len(pts)
     # T_m[i, j] = sum_kl a[ijkl] y_k y_l: row 3 i + j of a.reshape(9, 9)
-    # against y y^T, for every lattice row in one product.
-    t_mats = (xx @ a.reshape(9, 9).T).reshape(m, 3, 3)
-    t9 = (0.5 * (t_mats + t_mats.transpose(0, 2, 1))).reshape(m, 9)
+    # against y y^T, for every lattice row in one product, then symmetrised.
+    # The rows are held as the columns of a contiguous (9, m) array, which
+    # the estimate, the skip test and the blocks read entry by entry.
+    t_flat = np.ascontiguousarray((xx @ a.reshape(9, 9).T).T)
+    t9 = (0.5 * (t_flat + t_flat[_TRANSPOSED])).T
     order = np.argsort(_lambda_min_estimate(t9))
-    # A remainder shorter than a block joins the block before it.
-    head = _SCAN_BLOCK if m >= 2 * _SCAN_BLOCK else m
-    best = _scan_block(t9, xx, order[:head], keep, math.inf)
-    rest = order[head:]
+    best = _scan_block(t9, xx, order[:_FIRST_BLOCK], keep, math.inf)
+    rest = order[_FIRST_BLOCK:]
     if len(best) == keep:
         proved = (_min_pivot(t9, best[-1][0] + _BOUND_SLACK) > 0.0)[rest]
         failed = np.count_nonzero(~proved)
-        # The rows that fail go first, in estimate order; fewer than a block
-        # are padded with skipped rows, whose values cannot enter the result.
+        # The rows that fail go first, in estimate order; a lone one is
+        # padded with a skipped row, whose values cannot enter the result.
         rest = np.concatenate((rest[~proved], rest[proved]))
-        rest = rest[: max(failed, _SCAN_BLOCK) if failed else 0]
+        rest = rest[: max(failed, _MIN_BLOCK) if failed else 0]
     start = 0
     while start < rest.size:
-        stop = start + _SCAN_BLOCK if rest.size - start >= 2 * _SCAN_BLOCK else rest.size
+        stop = start + _SCAN_BLOCK if rest.size - start >= _SCAN_BLOCK + _MIN_BLOCK else rest.size
         cut = best[-1][0] if len(best) == keep else math.inf
         best = sorted(best + _scan_block(t9, xx, rest[start:stop], keep, cut))[:keep]
         start = stop

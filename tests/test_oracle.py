@@ -110,6 +110,12 @@ def test_grid_rejects_tiny_lattice():
         el.grid_min_biquadratic(el.tensor_e(), n=50)
 
 
+@pytest.mark.parametrize("keep", [0, -1])
+def test_grid_top_candidates_rejects_keep_below_one(keep):
+    with pytest.raises(ValueError, match="keep"):
+        el.grid_top_candidates(el.tensor_e(), n=100, keep=keep)
+
+
 def test_grid_top_candidates_sorted_and_deterministic():
     t = el.tensor_choi_lam(1.0)
     cands = el.grid_top_candidates(t, n=500, keep=5)
@@ -141,19 +147,28 @@ def _half_lattice(n):
     return pts, _outer9(pts)
 
 
+def _lattice_values(t9, xx):
+    """The lattice values of every row, as oracle._SCAN_BLOCK defines them:
+    row-major products of at most 8 rows (and at least 2), whose bits do not
+    depend on the rows that share the product."""
+    blocks = np.array_split(t9, -(-len(t9) // 8))
+    return np.concatenate([block @ xx.T for block in blocks])
+
+
 def _lattice_order(t, n, keep):
     """The flat indices y_index * m + x_index of the first keep pairs of the
     m-point half lattice in (value, index) order: the exhaustive reference
     for the pruned scan.
 
-    Values come from one product t9 @ xx.T of every row matrix A y^2 of the
-    rescaled tensor with every outer product x x^T, the scan's arithmetic,
-    which the scan evaluates a block of rows at a time; the pruned scan
-    must reproduce them bit for bit. Only the values up to the keep-th
-    smallest are sorted, which gives the same first keep entries, ties
-    included."""
+    Values come from _lattice_values, the products of every row matrix A y^2
+    of the rescaled tensor with every outer product x x^T, grouped so that
+    no row's bits depend on its companions; the pruned scan, whatever rows
+    it groups, must reproduce them bit for bit. A product of all rows at
+    once is no reference: it is itself a grouping, whose bits differ from
+    those of 16 to 64 rows. Only the values up to the keep-th smallest are
+    sorted, which gives the same first keep entries, ties included."""
     pts, xx = _half_lattice(n)
-    flat_vals = (_scan_rows(t, n) @ xx.T).reshape(-1)
+    flat_vals = _lattice_values(_scan_rows(t, n), xx).reshape(-1)
     near = np.flatnonzero(flat_vals <= np.partition(flat_vals, keep - 1)[keep - 1])
     order = near[np.lexsort((near, flat_vals[near]))][:keep]
     return pts, order
@@ -201,11 +216,38 @@ def test_grid_top_candidates_exact_tie_order(n, keep):
             assert np.array_equal(y, pts[idx // m])
 
 
-@pytest.mark.parametrize("n, keep", [(2000, 5), (500, 1), (400, 10)])
+@pytest.mark.parametrize("n", [100, 257, 600, 2000])
+def test_lattice_values_do_not_depend_on_grouping(n):
+    # every row keeps its values, bit for bit, in whichever block and slot
+    # the scan evaluates it: random blocks of 2 to 127 rows, twice the
+    # sizes the scan takes, over a random permutation of the rows
+    rng = np.random.default_rng(53)
+    _, xx = _half_lattice(n)
+    for t in _scan_tensors():
+        rows9 = _scan_rows(t, n)
+        want = _lattice_values(rows9, xx)
+        t9 = np.ascontiguousarray(rows9.T).T
+        for _ in range(2):
+            perm = rng.permutation(len(t9))
+            start = 0
+            while start < perm.size:
+                size = int(rng.integers(2, 2 * oracle._SCAN_BLOCK))
+                if perm.size - start - size < 2:
+                    size = perm.size - start
+                rows = perm[start : start + size]
+                got = oracle._block_values(t9, xx, rows)
+                assert got.shape == (len(xx), len(rows))
+                assert np.array_equal(got.T, want[rows])
+                start += size
+
+
+@pytest.mark.parametrize("n, keep", [(2000, 5), (1000, 5), (500, 1), (400, 10)])
 def test_grid_top_candidates_do_not_depend_on_row_order(monkeypatch, n, keep):
     # the estimate only orders the rows; whichever order the scan takes them
     # in, the skip test and the block padding must leave the same values
-    # and vectors, bit for bit
+    # and vectors, bit for bit. With values that depend on their block,
+    # two-squares at n = 1000, keep = 5 picks another 5th pair in some
+    # seeded random orders.
     rng = np.random.default_rng(43)
     tensors = [
         el.tensor_e(),
@@ -220,12 +262,14 @@ def test_grid_top_candidates_do_not_depend_on_row_order(monkeypatch, n, keep):
         return [(v.hex(), x.tobytes(), y.tobytes()) for v, x, y in el.grid_top_candidates(t, n, keep)]
 
     want = [bits(t) for t in tensors]
-    estimate, keys = oracle._lambda_min_estimate, np.random.default_rng(47)
-    for order in (
+    estimate = oracle._lambda_min_estimate
+    for order in [
         lambda t9: -estimate(t9),
-        lambda t9: keys.standard_normal(len(t9)),
         lambda t9: np.zeros(len(t9)),
-    ):
+    ] + [
+        lambda t9, seed=seed: np.random.default_rng(seed).standard_normal(len(t9))
+        for seed in range(20)
+    ]:
         monkeypatch.setattr(oracle, "_lambda_min_estimate", order)
         assert [bits(t) for t in tensors] == want
 
@@ -322,10 +366,10 @@ def test_skip_test_bites():
 
 
 def test_scan_prunes_rows_only_where_bounds_allow(monkeypatch):
-    # rows evaluated at n = 2000, 1000 rows of the half lattice: one block
-    # where the bound of all but a few rows lies above the best pairs, every
-    # row where lambda_min(A y^2) is the same for every y, as for an
-    # isotropic tensor
+    # rows evaluated at n = 2000, 1000 rows of the half lattice: the first
+    # block of 8 and the few rows whose bound does not lie above the best
+    # pairs, or every row where lambda_min(A y^2) is the same for every y,
+    # as for an isotropic tensor
     scan_block = oracle._scan_block
     evaluated = []
 
@@ -336,14 +380,17 @@ def test_scan_prunes_rows_only_where_bounds_allow(monkeypatch):
     monkeypatch.setattr(oracle, "_scan_block", recording_scan_block)
     rng = np.random.default_rng(31)
     for t, most in [
-        (_rotated_choi_lam(), 64),
-        (el.random_spd_tensor(rng), 64),
+        (_rotated_choi_lam(), 32),
+        (el.random_spd_tensor(rng), 32),
         (el.tensor_isotropic(-3.0, 0.1), 1000),
     ]:
         evaluated.clear()
         el.grid_top_candidates(t, n=2000, keep=10)
+        assert evaluated[0] == oracle._FIRST_BLOCK == 8
         assert sum(evaluated) <= most
-        assert min(evaluated) >= oracle._SCAN_BLOCK
+        # no block takes numpy's one-row matrix-vector path
+        assert min(evaluated) >= oracle._MIN_BLOCK == 2
+        assert max(evaluated) < oracle._SCAN_BLOCK + oracle._MIN_BLOCK
     assert sum(evaluated) == 1000
 
 

@@ -50,9 +50,13 @@ def test_bench_layers_prints_one_json_object():
     assert set(doc["us_per_call"]) == {"psd_project", "min_eigenvalue", "eigenvalue_bounds"}
     assert all(us > 0.0 for us in doc["us_per_call"].values())
     assert doc["pocs"]["us_per_sweep"] > 0.0 and doc["pocs"]["sweeps"] >= doc["pocs"]["runs"] == 16
-    assert set(doc["oracle"]) == {"scan_us", "refine_us", "refine_steps", "refine_calls", "verdict_us"}
+    cold = {"scan_cold_pruned_us", "scan_cold_full_us", "verdict_cold_us"}
+    assert set(doc["oracle"]) == {
+        "scan_us", "refine_us", "refine_steps", "refine_calls", "verdict_us"
+    } | cold
     assert doc["oracle"]["scan_us"] > 0.0 and doc["oracle"]["refine_us"] > 0.0
     assert doc["oracle"]["verdict_us"] > 0.0
+    assert all(doc["oracle"][key] > 0.0 for key in cold)
     assert doc["oracle"]["refine_steps"] >= 1.0 and doc["oracle"]["refine_calls"] >= 8
     evals = {f"ascent_{name}_evals" for name in ("eta", "grad", "hess")}
     assert set(doc["cases"]) == {
