@@ -431,6 +431,14 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PACK3 = struct.Struct("3d").pack
 
 
+def _term_table(alphas, frames, sigma) -> list:
+    """table[s][g] = [sigma[g, s], alpha[g, s], *frames[g][:, s]] as Python
+    floats: per term s of eta, one row per frame g, in g order, from one
+    stacked tolist."""
+    rows = np.concatenate((sigma[:, None], alphas[:, None], frames), axis=1)
+    return rows.transpose(2, 0, 1).tolist()
+
+
 class _RatioForm:
     """eta(y) = sum_s (sum_g sigma[g,s] w[g,s].y)^2 / (sum_g alpha[g,s] (w[g,s].y)^2).
 
@@ -460,48 +468,40 @@ class _RatioForm:
     `value`, `grad` and `hess` take y as any length-3 sequence and turn it
     into three Python floats on entry, once; no evaluation builds a numpy
     array. `value` returns a float, `grad` three floats and `hess` three
-    rows of three floats, all tuples. `grad` and `hess` at one y share one
-    evaluation of the per-term sums num_lin_s, den_s and m_s (`_slopes`):
-    the form keeps the last y that the guard accepted, keyed by the bytes
-    of its three floats, with its sums, so a Newton step's Hessian reuses
-    the sums of its gradient. -0.0 and 0.0 are different keys, a y that
-    raises is never kept, and no result depends on the calls made before
-    it. `value` makes the same p, num_lin and den operations in the same
-    order, without m, lists or the kept entry.
+    rows of three floats, all tuples. All three read the per-term sums
+    num_lin_s, den_s and m_s from one scalar kernel, `_slopes`, over one
+    term table (_term_table): the form keeps the last y that the guard
+    accepted, keyed by the bytes of its three floats, with its sums, so the
+    gradient and Hessian at a line-search point that `value` accepted, and
+    a Newton step's Hessian after its gradient, make no second pass over
+    the terms. -0.0 and 0.0 are different keys, a y that raises is never
+    kept, and no result depends on the calls made before it.
     """
 
     def __init__(self, alphas, frames, sigma):
         self.alphas = np.asarray(alphas, dtype=float)  # (G, 3)
         self.frames = np.array(frames, dtype=float)  # (G,3,3)
         self.sigma = np.asarray(sigma, dtype=float)  # (G, 3)
-        # Per-term denominator scale for the relative guard.
-        self.den_scale = np.einsum(
-            "gs,gs->s", self.alphas, np.sum(self.frames**2, axis=1)
-        )
-        # Python-float tables for the scalar kernels: terms[s] lists
-        # (sigma, alpha, w_0, w_1, w_2) per frame g, num_dir[s] is the
-        # constant n_s = d num_lin_s / dy = sum_g sigma w, and den_mat[s]
-        # holds the _UPPER entries of M with den_s = y.M y.
-        self._terms = [
-            [
-                (sg, ag, *w)
-                for sg, ag, w in zip(
-                    self.sigma[:, s].tolist(),
-                    self.alphas[:, s].tolist(),
-                    self.frames[:, :, s].tolist(),
-                )
-            ]
-            for s in range(3)
-        ]
-        self._den_scale = self.den_scale.tolist()
-        self._num_dir = np.einsum("gs,gis->is", self.sigma, self.frames).T.tolist()
-        self._den_mat = []
+        # Python-float tables for the scalar kernels, from one pass over
+        # each term's rows in g order: _den_scale[s] = sum_g alpha |w|^2
+        # scales the guard, _num_dir[s] is the constant n_s = d num_lin_s /
+        # dy = sum_g sigma w, and _den_mat[s] holds the _UPPER entries of M
+        # with den_s = y.M y. Plain loops: sum() of floats is compensated
+        # from Python 3.12 on.
+        self._terms = _term_table(self.alphas, self.frames, self.sigma)
+        self._den_scale, self._num_dir, self._den_mat = [], [], []
         for terms in self._terms:
-            # a plain loop: sum() of floats is compensated from Python 3.12 on
+            scale = n0 = n1 = n2 = 0.0
             mat = [0.0] * len(_UPPER)
-            for _, ag, *w in terms:
+            for sg, ag, *w in terms:
+                scale += ag * dot(w, w)
+                n0 += sg * w[0]
+                n1 += sg * w[1]
+                n2 += sg * w[2]
                 for k, (i, j) in enumerate(_UPPER):
                     mat[k] += ag * (w[i] * w[j])
+            self._den_scale.append(scale)
+            self._num_dir.append((n0, n1, n2))
             self._den_mat.append(mat)
         # (bytes of y, _slopes at y) of the last direction _slopes accepted
         self._last = (None, None)
@@ -512,7 +512,7 @@ class _RatioForm:
         with p = w[g,s].y.
 
         Raises SingularDirection where some den_s is at most _GUARD |y|^2
-        den_scale[s], which includes y = 0. The last y accepted is kept with
+        _den_scale[s], which includes y = 0. The last y accepted is kept with
         its result, keyed by the bytes of its floats (see the class
         docstring).
         """
@@ -540,26 +540,15 @@ class _RatioForm:
         return out
 
     def value(self, y) -> float:
-        y0, y1, y2 = map(float, y)
-        floor = _GUARD * (y0 * y0 + y1 * y1 + y2 * y2)
-        total = 0.0
-        for terms, scale in zip(self._terms, self._den_scale):
-            nl = dn = 0.0
-            for sg, ag, w0, w1, w2 in terms:
-                pg = w0 * y0 + w1 * y1 + w2 * y2
-                nl += sg * pg
-                dn += ag * pg * pg
-            if dn <= floor * scale:
-                raise SingularDirection("denominator vanished at this direction")
-            total += nl * nl / dn
-        return total
+        (n0, d0, _, _, _), (n1, d1, _, _, _), (n2, d2, _, _, _) = self._slopes(y)
+        return n0 * n0 / d0 + n1 * n1 / d1 + n2 * n2 / d2
 
     def value_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized values with -inf at guarded rows. ys is (N, 3) unit."""
         yt = np.ascontiguousarray(np.asarray(ys, dtype=float).T)  # (3, N)
         f = self.frames[:, :, :, None]  # (G, i, s, 1)
         sigma, alphas = self.sigma[:, :, None], self.alphas[:, :, None]
-        floor = (_GUARD * self.den_scale)[:, None]
+        floor = (_GUARD * np.array(self._den_scale))[:, None]
         n = yt.shape[1]
         rows = min(n, _BLOCK_ROWS)
         # Buffers for every block; the last one uses their first m rows.
@@ -774,9 +763,12 @@ def sup_eta(
     Python floats; eta_fn returns a float, grad_fn three floats and hess_fn
     three rows of three floats (any sequences that unpack so), and the
     ascent does its arithmetic on them as floats, building no numpy array
-    per evaluation. On an excluded direction eta_fn raises SingularDirection
-    or returns a non-finite value, and grad_fn and hess_fn raise
-    SingularDirection where they cannot be represented; that, a non-finite
+    per evaluation. The case checkers hand it _RatioForm's value, grad and
+    hess, which share one evaluation per direction: the gradient and
+    Hessian at the line-search point that the ascent accepted reuse the
+    sums of its value. On an excluded direction eta_fn raises
+    SingularDirection or returns a non-finite value, and grad_fn and hess_fn
+    raise SingularDirection where they cannot be represented; that, a non-finite
     gradient or an excluded start ends an ascent unconverged. Stage 1
     evaluates a deterministic hemisphere lattice and skips its -inf points,
     which for the ratio form include every point near a singular line (its
@@ -839,19 +831,19 @@ def _line_limit(form, s: int, d) -> float | None:
     term is at most L_s = sum_g sigma[g,s]^2 / alpha[g,s], with equality
     where p is parallel to sigma / alpha. The other terms are continuous
     at d, so the limit is L_s plus their values at d, and points of the
-    domain approach it. Only form.alphas, form.frames and form.sigma are
-    read.
+    domain approach it. Each term is summed over its rows of the term
+    table (_term_table) and then added to the total; only form.alphas,
+    form.frames and form.sigma are read.
     """
     total = 0.0
-    for t in range(3):
-        alphas, sigma = form.alphas[:, t].tolist(), form.sigma[:, t].tolist()
+    for t, terms in enumerate(_term_table(form.alphas, form.frames, form.sigma)):
         if t == s:
             term = 0.0
-            for ag, sg in zip(alphas, sigma):
+            for sg, ag, *_ in terms:
                 term += sg * sg / ag
         else:
             num = den = scale = 0.0
-            for ag, sg, w in zip(alphas, sigma, form.frames[:, :, t].tolist()):
+            for sg, ag, *w in terms:
                 pg = dot(w, d)
                 num += sg * pg
                 den += ag * pg * pg

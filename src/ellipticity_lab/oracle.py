@@ -468,6 +468,18 @@ def _multiplicity(ratio: float) -> int:
     return round(1.0 / (1.0 - ratio)) if 0.0 < ratio < 1.0 else 1
 
 
+def _unit_start(v, name: str) -> list:
+    """v / |v| as three floats; ValueError unless v is a 3-vector whose norm
+    is a positive float: not zero, inf or nan, and neither under- nor
+    overflowing."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v)) if v.shape == (3,) else math.nan
+    if not 0.0 < nrm < math.inf:
+        raise ValueError(f"refinement needs a 3-vector start_{name} with a finite nonzero norm")
+    return (v / nrm).tolist()
+
+
 def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     """Newton steps on y with the exact inner minimum over x.
 
@@ -499,7 +511,8 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
     _pair_rows); the form values that decide whether a step is kept come
     from biquadratic. The eigensolver's error state is entered once, around
     the steps, which run at unit scale: a solve that does not converge
-    raises EigensolverFailure.
+    raises EigensolverFailure. A start that is not a 3-vector with a finite
+    nonzero norm raises ValueError.
     """
     prep = _prepared(t)
     scaled, rows_m, rows_n = prep.unit, prep.rows_m, prep.rows_n
@@ -508,10 +521,7 @@ def refine_min(t: Pair4, start_x, start_y) -> OracleReport:
         lam, vecs = _eigh_pairs(_contract(rows_m, _outer_pairs(y, y)))
         return lam, vecs, _gauge(vecs[0])
 
-    x = np.asarray(start_x, dtype=float)
-    y = np.asarray(start_y, dtype=float)
-    x = (x / np.linalg.norm(x)).tolist()
-    y = (y / np.linalg.norm(y)).tolist()
+    x, y = _unit_start(start_x, "x"), _unit_start(start_y, "y")
     val = biquadratic(scaled, x, y)
     trace = [val]
     with eigensolver_errors():
@@ -598,10 +608,15 @@ def oracle_verdict(t: Pair4, n: int = GRID_N) -> OracleVerdict:
     same basin and is not refined. NotMPSD carries a witness: the reported
     value is re-evaluated directly at the argmin pair, so the refutation can
     be checked independently of all oracle internals. The strict verdict is
-    hedged because a finite search cannot prove positivity.
+    hedged because a finite search cannot prove positivity. The minimum is
+    compared with TOL * max|a| at the power-of-two rescale of t, where
+    neither is computed in subnormal arithmetic, so t and its exact 2**k
+    multiples get the same verdict; scale, min_value and witness_value are
+    at t's own scale.
     """
     candidates = grid_top_candidates(t, n=n, keep=_TOP_K)
-    # the basins are compared at unit scale, where no minimum underflows
+    # the basins are compared, and the verdict taken, at unit scale, where
+    # no minimum or cut is computed in subnormal arithmetic
     scaled = _prepared(t).unit
     best: OracleReport | None = None
     for x, y in _distinct_basins(candidates, n):
@@ -611,18 +626,17 @@ def oracle_verdict(t: Pair4, n: int = GRID_N) -> OracleVerdict:
             best, best_value = rep, value
     assert best is not None
     best = replace(best, grid_n=n)
-    scale = float(np.max(np.abs(t.a)))
-    cut = TOL * scale
-    if best.min_value < -cut:
+    cut = TOL * float(np.max(np.abs(scaled.a)))
+    if best_value < -cut:
         verdict = ORACLE_NOT_MPSD
-    elif best.min_value > cut:
+    elif best_value > cut:
         verdict = ORACLE_MPD_LIKELY
     else:
         verdict = ORACLE_BOUNDARY
     return OracleVerdict(
         verdict=verdict,
         report=best,
-        scale=scale,
+        scale=float(np.max(np.abs(t.a))),
         witness_value=best.min_value if verdict == ORACLE_NOT_MPSD else None,
     )
 

@@ -1138,6 +1138,27 @@ def test_interleaved_evaluations_match_einsum_reference(monkeypatch, kind):
     assert form._last[0] == flipped.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["case2", "case3"])
+def test_value_grad_and_hess_share_one_evaluation(monkeypatch, kind):
+    # value reads the per-term sums from the kernel that grad and hess
+    # share, so the gradient and Hessian at a point that value accepted
+    # (the ascent's accepted line-search point) make no second pass
+    if kind == "case2":
+        dec, check = el.choi_lam_case2_decomposition(0.8), el.check_case2
+    else:
+        dec, check = case3_dec(0.5), el.check_case3
+    form, _ = built_form(monkeypatch, check, dec)
+    y = (0.3, -0.5, 0.8)
+    form.value(y)
+    assert form._last[0] == np.array(y).tobytes()
+    kept = form._last[1]
+    monkeypatch.setattr(form, "_terms", None)  # a second pass would fail
+    ref = EinsumRatioForm(form.alphas, form.frames, form.sigma)
+    assert same_bits(form.grad(y), ref.grad(y))
+    assert same_bits(form.hess(y), ref.hess(y))
+    assert form._last[1] is kept
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, None])
 @pytest.mark.parametrize("kind", ["case2", "case3"])
 def test_value_many_matches_einsum_reference_at_block_edges(monkeypatch, kind, block_rows):

@@ -1,5 +1,6 @@
 """Brute-force minimization: lattices, grid scan, Newton refinement, basins."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -458,6 +459,32 @@ def test_refine_normalizes_inputs():
     assert abs(np.linalg.norm(rep.argmin_y) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.0, 0.0, 0.0],
+        [np.nan, 1.0, 0.0],
+        [np.inf, 0.0, 0.0],
+        [1.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [[1.0, 0.0, 0.0]],
+        [1e200, 1e200, 0.0],
+        [5e-324, 0.0, 0.0],
+    ],
+)
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_refine_min_rejects_a_bad_start(bad, which):
+    # a start with no unit direction (zero, non-finite, not of length 3,
+    # or with a norm past the float range) is a ValueError, raised without
+    # a RuntimeWarning
+    good = [0.3, 1.0, 0.2]
+    starts = {"x": good, "y": good, which: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"start_{which}"):
+            el.refine_min(el.tensor_choi_lam(1.0), starts["x"], starts["y"])
+
+
 def _refine_starts():
     rng = np.random.default_rng(23)
     for t in (el.tensor_isotropic(-3.0, 0.1), el.tensor_choi_lam(1.0)):
@@ -626,6 +653,36 @@ def test_oracle_verdict_cut_has_no_absolute_floor():
         assert v.verdict == el.ORACLE_NOT_MPSD, k
         assert v.witness_value == pytest.approx(np.ldexp(-5e-7, k), rel=1e-3)
     assert el.oracle_verdict(el.Elast4(np.zeros((3, 3, 3, 3)))).verdict == el.ORACLE_BOUNDARY
+
+
+SUBNORMAL_FORMS = {
+    "choi-lam(1)": el.tensor_choi_lam(1.0),
+    "choi-lam(1.5)": el.tensor_choi_lam(1.5),
+    "two-squares": el.tensor_two_squares(),
+    "E": el.tensor_e(),
+}
+
+
+@pytest.mark.parametrize("name", SUBNORMAL_FORMS)
+def test_oracle_verdict_holds_at_subnormal_scales(name):
+    # below 2**-1022 the minimum and the cut TOL * max|a| at the input's
+    # scale are subnormal: a boundary minimum that rounds to a few units of
+    # 2**-1074 read as a refutation or as MPD_likely. These entries stay
+    # exact at every k here, so the power-of-two rescale, where the verdict
+    # is taken, is the unscaled tensor
+    t = SUBNORMAL_FORMS[name]
+    want = el.oracle_verdict(t).verdict
+    for k in (-1050, -1060, -1065, -1070):
+        scaled = np.ldexp(t.a, k)
+        assert np.array_equal(np.ldexp(scaled, -k), t.a), k
+        assert el.oracle_verdict(el.Elast4(scaled)).verdict == want, k
+
+
+def test_check_of_a_subnormal_boundary_form_refutes_nothing():
+    t = el.Elast4(np.ldexp(el.tensor_choi_lam(1.0).a, -1050))
+    rep = el.check(t)
+    assert rep.stages[-1]["verdict"] == el.ORACLE_BOUNDARY
+    assert (rep.refuted_by, rep.verdict) == (None, "Undecided")
 
 
 @pytest.mark.parametrize("name", SCALED_FORMS)
