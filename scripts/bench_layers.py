@@ -1,14 +1,18 @@
 """Time the spectral layer, the POCS sweep, the oracle, the case-2 supremum,
-the case-2/3 ascent, the case structure tests, JSON load and emit and a
-whole check; print one JSON object.
+the case-2/3 ascent, the case structure tests, JSON load and emit, a whole
+check and a check on near-boundary input; print one JSON object.
 
 Usage: python3 scripts/bench_layers.py [--repeats 15] [--against DIR]
 
 Each figure is the median over repeats. Per call: psd_project,
 min_eigenvalue and eigenvalue_bounds, CALLS times on each unfolding of the
-gallery tensors (scripts/certify_gallery.py). Per POCS sweep: the wall time of
-run_pocs, unshifted and shifted by 1e-6, over the gallery tensors, divided
-by the sweeps those runs take. Per oracle call: the lattice scan
+gallery tensors (scripts/certify_gallery.py). Per POCS run, unshifted and
+shifted by 1e-6, over the gallery tensors: the wall time of run_pocs, the
+kept sweeps (the report's iterations) and the eigensolves (_psd_clamp
+calls, rejected extrapolated sweeps included); and that time per kept
+sweep. A sweep from an extrapolated start costs more than a plain one and
+runs take far fewer of them, so the per-sweep figure is read next to the
+per-run ones. Per oracle call: the lattice scan
 (grid_top_candidates as oracle_verdict runs it) on each gallery tensor,
 refine_min from each of their basins, with the trace entries per refinement,
 and a whole oracle_verdict on each gallery tensor. The scan and the verdict
@@ -26,6 +30,11 @@ outside its sup_eta, whose results are replayed from a first run. Per file:
 load_tensor on the gallery tensors written by save_tensor, and dumps_report
 on their check reports (the stages and verdicts that check --json writes). End to end: the
 µs per in-process check(t, dec) over the gallery, with its decompositions.
+Near the boundary: the µs per check(t) on BOUNDARY_TENSORS fixed random
+tensors at each margin of BOUNDARY_MARGINS (boundary_tensors), with the
+POCS sweeps per run and the verdicts; a check there took up to ~1 s before
+the POCS sweeps were extrapolated, so this group runs one repeat for every
+BOUNDARY_REPEAT_SHARE of the others, and at least one.
 Each group of layers (GROUPS) runs in a fresh interpreter, so that no
 group's figure depends on the allocator state another group leaves behind.
 The object also carries the Python, numpy, BLAS and machine details the
@@ -35,7 +44,8 @@ OMP_NUM_THREADS or MKL_NUM_THREADS says otherwise.
 With --against DIR the script measures PAIRS times on the library of this
 checkout and PAIRS times on DIR/src, alternating which goes first, and
 prints each layer's ratio this / DIR: the median over the pairs, its
-quartiles, and the pairs where this tree's figure is the lower.
+quartiles, and the pairs where this tree's figure is the lower; and the
+boundary group's check verdicts on each tree.
 """
 
 import os
@@ -57,7 +67,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import ellipticity_lab as el  # noqa: E402
-from ellipticity_lab import cases, oracle  # noqa: E402
+from ellipticity_lab import cases, oracle, pocs  # noqa: E402
 from ellipticity_lab.spectral import eigenvalue_bounds  # noqa: E402
 from certify_gallery import gallery  # noqa: E402
 
@@ -67,6 +77,11 @@ CALLS = 200
 FILE_CALLS = 20
 # Runs of each tree under --against.
 PAIRS = 10
+# The boundary group: its margins m (label: value), the random tensors per
+# margin, and the repeats it takes per repeat of the other groups.
+BOUNDARY_MARGINS = {"1e-2": 1e-2, "1e-3": 1e-3, "1e-4": 1e-4, "0": 0.0, "-1e-3": -1e-3}
+BOUNDARY_TENSORS = 3
+BOUNDARY_REPEAT_SHARE = 5
 # Bytes written before each cold call: twice the 4 MB L2 cache of the
 # reference machine (see cold_us).
 EVICT_BYTES = 8 << 20
@@ -87,19 +102,39 @@ def us_per_call(fn, mats, repeats):
     return 1e6 * statistics.median(times)
 
 
-def us_per_sweep(tensors, repeats):
-    """Median over repeats of run time / sweeps over every run, in µs, and the
-    sweeps of one repeat."""
+def pocs_runs(tensors, repeats):
+    """Median over repeats of the µs per run and per kept sweep over every
+    run of run_pocs on tensors, unshifted and shifted by 1e-6; and the runs,
+    their kept sweeps, and the eigensolves per run, counted on the
+    _psd_clamp calls of one untimed pass."""
     options = [el.PocsOptions(), el.PocsOptions(epsilon_shift=1e-6)]
-    times, sweeps = [], 0
+    runs = [(t, opts) for t in tensors for opts in options]
+    clamp, solves = pocs._psd_clamp, 0
+
+    def counted(mat):
+        nonlocal solves
+        solves += 1
+        return clamp(mat)
+
+    pocs._psd_clamp = counted
+    try:
+        sweeps = sum(el.run_pocs(t, opts).iterations for t, opts in runs)
+    finally:
+        pocs._psd_clamp = clamp
+    times = []
     for _ in range(repeats):
-        sweeps = 0
         start = time.perf_counter()
-        for t in tensors:
-            for opts in options:
-                sweeps += el.run_pocs(t, opts).iterations
-        times.append((time.perf_counter() - start) / sweeps)
-    return 1e6 * statistics.median(times), sweeps
+        for t, opts in runs:
+            el.run_pocs(t, opts)
+        times.append(time.perf_counter() - start)
+    run_time = statistics.median(times)
+    return {
+        "us_per_sweep": 1e6 * run_time / sweeps,
+        "us_per_run": 1e6 * run_time / len(runs),
+        "solves_per_run": solves / len(runs),
+        "sweeps": sweeps,
+        "runs": len(runs),
+    }
 
 
 def cold_us(fn, args, repeats):
@@ -321,9 +356,7 @@ def spectral_group(repeats):
 
 
 def pocs_group(repeats):
-    tensors = [t for _, t, _ in gallery()]
-    sweep, sweeps = us_per_sweep(tensors, repeats)
-    return {"pocs": {"us_per_sweep": sweep, "sweeps": sweeps, "runs": 2 * len(tensors)}}
+    return {"pocs": pocs_runs([t for _, t, _ in gallery()], repeats)}
 
 
 def oracle_group(repeats):
@@ -384,6 +417,52 @@ def check_group(repeats):
     return {"check": {"us": 1e6 * statistics.median(times)}}
 
 
+def boundary_tensors(m):
+    """R + c E for the first BOUNDARY_TENSORS random tensors R of
+    default_rng(0), with c such that the form minimum, the oracle's minimum
+    of R plus c, is m max|R + c E|: the near-boundary class of the
+    slow-check table. The fixed-point iteration for c contracts by |m| per
+    step."""
+    gen = np.random.default_rng(0)
+    e = el.tensor_e().a
+    out = []
+    for _ in range(BOUNDARY_TENSORS):
+        r = el.random_tensor(gen).a
+        low = el.oracle_verdict(el.Elast4(r)).report.min_value
+        c = -low
+        for _ in range(8):
+            c = m * float(np.abs(r + c * e).max()) - low
+        out.append(el.Elast4(r + c * e))
+    return out
+
+
+def boundary_group(repeats):
+    """Per margin of BOUNDARY_MARGINS: the median over repeats (one per
+    BOUNDARY_REPEAT_SHARE, at least one) of the µs per check(t) over its
+    boundary_tensors, the POCS sweeps per run (the iterations of the
+    pocs-mpd and pocs-mpsd records) and the check verdicts."""
+    repeats = max(1, repeats // BOUNDARY_REPEAT_SHARE)
+    out = {"repeats": repeats, "tensors": BOUNDARY_TENSORS}
+    for label, m in BOUNDARY_MARGINS.items():
+        tensors = boundary_tensors(m)
+        reports = [el.check(t) for t in tensors]
+        sweeps = [
+            stage["iterations"] for rep in reports for stage in rep.stages if "iterations" in stage
+        ]
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for t in tensors:
+                el.check(t)
+            times.append((time.perf_counter() - start) / len(tensors))
+        out[label] = {
+            "us": 1e6 * statistics.median(times),
+            "sweeps_per_run": sum(sweeps) / len(sweeps),
+            "verdicts": [rep.verdict for rep in reports],
+        }
+    return {"boundary": out}
+
+
 # Each group of layers, measured in its own interpreter (print_group).
 GROUPS = {
     "spectral": spectral_group,
@@ -392,6 +471,7 @@ GROUPS = {
     "cases": cases_group,
     "io": io_group,
     "check": check_group,
+    "boundary": boundary_group,
 }
 
 
@@ -417,7 +497,7 @@ def layer_figures(doc):
     """The figures of one run that --against compares, by layer name."""
     return {
         **doc["us_per_call"],
-        "pocs.us_per_sweep": doc["pocs"]["us_per_sweep"],
+        **{f"pocs.{key}": doc["pocs"][key] for key in ("us_per_sweep", "us_per_run", "solves_per_run")},
         **{
             f"oracle.{key}": doc["oracle"][key]
             for key in (
@@ -444,6 +524,11 @@ def layer_figures(doc):
         },
         **{f"io.{key}": doc["io"][key] for key in ("load_us", "emit_us")},
         "check.us": doc["check"]["us"],
+        **{
+            f"check.boundary_{label}_{key}": doc["boundary"][label][key]
+            for label in BOUNDARY_MARGINS
+            for key in ("us", "sweeps_per_run")
+        },
     }
 
 
@@ -464,9 +549,12 @@ def against(other, repeats):
         if not Path(lib.strip()).resolve().is_relative_to(src.resolve()):
             raise SystemExit(f"bench_layers: {src} does not hold the library it imports")
     runs = {"this": [], "other": []}
+    verdicts = {}
     for i in range(PAIRS):
         for side in ("this", "other") if i % 2 == 0 else ("other", "this"):
-            runs[side].append(layer_figures(measure(SRC if side == "this" else other, repeats)))
+            doc = measure(SRC if side == "this" else other, repeats)
+            runs[side].append(layer_figures(doc))
+            verdicts[side] = {label: doc["boundary"][label]["verdicts"] for label in BOUNDARY_MARGINS}
     ratios = {}
     for name in runs["this"][0]:
         pairs = [(mine[name], theirs[name]) for mine, theirs in zip(runs["this"], runs["other"])]
@@ -480,7 +568,13 @@ def against(other, repeats):
             "ratio_q3": q3,
             "wins": sum(mine < theirs for mine, theirs in pairs),
         }
-    return {"repeats": repeats, "pairs": PAIRS, "layers": ratios, **machine()}
+    return {
+        "repeats": repeats,
+        "pairs": PAIRS,
+        "layers": ratios,
+        "boundary_verdicts": {"this": verdicts["this"], "against": verdicts["other"]},
+        **machine(),
+    }
 
 
 def machine():

@@ -7,6 +7,13 @@ tensors with PSD unfolding. A point in the intersection is a matrix-level
 positivity certificate for the form, so alternating projections between the
 two sets either certify nonnegativity of the form or expose a gap.
 
+Plain alternating projections converge only linearly, and the more slowly
+the smaller the margin. run_pocs starts each sweep from an Anderson
+extrapolation of the last ones instead, and keeps it only if it does not
+raise the gap, the safeguard of Zhang, O'Donoghue and Boyd (SIAM J. Optim.
+2020). A sweep is still the two projections, and every test below reads a
+kept sweep's own pair (cur, b), which holds wherever the sweep started.
+
 A gap is only reported once it is proved. For disjoint sets the gap vector
 of the iterates converges to the displacement vector between them (Bauschke
 and Borwein 1993), which separates them: when the gap stalls, Z = cur - b,
@@ -22,8 +29,9 @@ is positive definite iff the shifted form is still nonnegative for some
 eps > 0. A shifted run need not converge to prove that. Every slice iterate
 t has the form of A - eps E, so the form of A is at least
 eps + lambda_min(unfold t) up to rounding; once the gap falls below eps,
-a proved lower bound of that eigenvalue (Rump, Acta Numerica 2010) is
-tried, and a positive bound ends the run MarginProved with it. The bound is
+and again when it reaches the convergence threshold, a proved lower bound
+of that eigenvalue (Rump, Acta Numerica 2010) is tried, and a positive
+bound ends the run MarginProved with it. The bound is
 proved for the iterate at hand, not the best one over the slice.
 
 The input tensor was validated when its Pair4 or Elast4 was built, so
@@ -96,6 +104,9 @@ STALL_WINDOW = 50
 MAX_SWEEPS = 20000
 TOL_CONVERGE = 1e-10
 
+# The kept sweeps that the Anderson extrapolation of run_pocs fits.
+MEMORY = 3
+
 # run_pocs iterates on the 81 entries of the unfolding, row by row. In that
 # order, _SWAP sends the entry of t[ijkl] to that of t[jikl] (a transpose
 # inside each 3x3 block), _TENSOR_ORDER lists the entries in the (3, 3, 3, 3)
@@ -136,8 +147,10 @@ class PocsReport:
     """Outcome of one alternating-projection run.
 
     limit_A lies in the affine slice, limit_B in the PSD cone; final_gap is
-    the Frobenius distance between them after the last sweep. gap_trace holds
-    the full per-sweep gap history (nonincreasing up to rounding).
+    the Frobenius distance between them after the last sweep. iterations
+    and gap_trace count the kept sweeps, not the eigensolves (run_pocs);
+    the trace is nonincreasing, since an extrapolated sweep is kept only if
+    it does not raise the gap and a plain one lowers it up to rounding.
     separation_margin, set on GapPositive only, is a proved lower bound on
     the distance between the affine slice and the cone. form_lower_bound,
     set on MarginProved only, is a proved lower bound on the form of the
@@ -261,39 +274,78 @@ def _mpd_margin(a9: np.ndarray, cur: np.ndarray, eps: float) -> float | None:
     return margin if margin > 0.0 else None
 
 
-def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
-    """Alternate projections starting from A (shifted if requested).
+def _anderson_start(a9: np.ndarray, kept_cur: list, kept_res: list) -> np.ndarray | None:
+    """The start that Anderson (type-II) extrapolation of the kept sweeps
+    proposes for the next one (Walker and Ni, SIAM J. Numer. Anal. 2011), or
+    None where the fit is degenerate.
 
-    Each sweep projects onto the PSD cone, then back onto the affine slice;
-    iterate t holds both point sequences. Every affine iterate keeps the
-    bi-quadratic form of the (shifted) input, so IntersectionFound, a gap of
-    at most tol_converge times the norm of the (shifted) reference, is an
-    approximate certificate that the form is nonnegative. GapPositive is a proved separation (see the
-    module docstring); a stall that proves nothing ends Inconclusive. A
-    shifted run (epsilon_shift > 0) that has not converged tries
+    kept_cur holds the slice iterates of the last kept sweeps, kept_res
+    their residuals cur - start. The start is cur - dG gamma, with gamma the
+    least-squares fit of the latest residual by the differences dF of the
+    kept residuals and dG the differences of the kept iterates. It is made
+    bit-symmetric and put back on the slice by the slice step, so the sweep
+    from it hands _psd_clamp a bit-symmetric matrix, as a plain sweep does.
+    A kept iterate lies within ~50 of the origin at unit scale (its cone
+    point b is PSD with trace tr(a9) - tr(cur - b)), so below the cap on
+    |gamma| no operand overflows; a fit above it is dropped.
+    """
+    d_res = np.diff(kept_res, axis=0)
+    gamma = np.linalg.lstsq(d_res.T, kept_res[-1], rcond=None)[0]
+    if not np.abs(gamma).max() < 2.0**512:
+        return None
+    y = (kept_cur[-1] - gamma @ np.diff(kept_cur, axis=0)).reshape(9, 9)
+    y = (0.5 * (y + y.T)).reshape(81)
+    return a9 + 0.5 * (y - y[_SWAP])
+
+
+def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
+    """Alternate projections starting from A (shifted if requested), each
+    sweep started from an Anderson extrapolation of the last ones.
+
+    A sweep projects its start onto the PSD cone, giving b, then back onto
+    the affine slice, giving cur. Every affine iterate keeps the bi-quadratic
+    form of the (shifted) input, so IntersectionFound, a gap of at most
+    tol_converge times the norm of the (shifted) reference, is an
+    approximate certificate that the form is nonnegative. GapPositive is a
+    proved separation (see the module docstring); a stall that proves
+    nothing ends Inconclusive. A shifted run (epsilon_shift > 0) tries
     _mpd_margin once its gap falls below next_try, which starts at
-    epsilon_shift and halves after each failed try; a positive bound ends
-    it MarginProved. An unshifted run never tries, so its report is the one
-    of plain alternating projections.
+    epsilon_shift and halves after each failed try, and once more when the
+    gap reaches the threshold; a positive bound ends it MarginProved, and
+    IntersectionFound is left for a threshold gap whose margin fails. An
+    unshifted run never tries.
+
+    Where a sweep starts: the first two from the last slice iterate, and
+    then each from _anderson_start on the last MEMORY + 1 kept sweeps. A
+    sweep from an extrapolated start is kept only if its gap is at most the
+    current one; otherwise the history is cleared and the plain sweep from
+    cur is taken instead. While the gap stalls, every sweep starts from cur,
+    so the separation test sees plain alternating projections, whose gap
+    converges to the displacement vector. Every exit is tested on a kept
+    sweep's own (cur, b), whatever point it started from, so each
+    certificate is checked as it would be on a plain sweep. iterations and
+    gap_trace count kept sweeps, and the trace is nonincreasing;
+    MAX_SWEEPS bounds the eigensolves, rejected sweeps included.
 
     The sweeps run on the 81 entries of the unfolding and fold back at the
     end; the gap is summed in the tensor's own order, so every number is
-    the one project_S and project_T give. The slice is that of the form of
-    a, symmetrize_pairs(a.a): the affine step projects onto it only from a
-    pair-symmetric reference, and a Pair4 input need not be one. The sweeps
-    run on the pow2_rescale of the (shifted) reference, and every reported
-    number is scaled back exactly; one that does not fit a float raises
-    NonFiniteEntries.
+    the one project_S and project_T give from the sweep's start. The slice
+    is that of the form of a, symmetrize_pairs(a.a): the affine step
+    projects onto it only from a pair-symmetric reference, and a Pair4
+    input need not be one. The sweeps run on the pow2_rescale of the
+    (shifted) reference, and every reported number is scaled back exactly;
+    one that does not fit a float raises NonFiniteEntries.
 
     Validation happens once, on the unfolded reference a9
     (spectral._require_symmetric); each sweep then calls psd_project's clamp
-    kernel, _psd_clamp, alone. Its argument a9 + (b - b^(i<->j)) / 2 is
-    bit-symmetric (a9 is, b is symmetrized exactly, and the i <-> j swap
-    commutes with the transpose) and finite at unit scale, so psd_project's
-    check would pass on every sweep. For the same reason the loop enters the
-    eigensolver's error state (errors.eigensolver_errors) once, not once per
-    sweep: no operand in it overflows or is NaN, so the state's `invalid`
-    can come only from a solve that does not converge, EigensolverFailure.
+    kernel, _psd_clamp, alone. Its argument is a9 or a9 + (y - y^(i<->j)) / 2
+    with y bit-symmetric (b is symmetrized exactly, an extrapolation
+    explicitly, and the i <-> j swap commutes with the transpose), and it is
+    finite at unit scale, so psd_project's check would pass on every sweep.
+    For the same reason the loop enters the eigensolver's error state
+    (errors.eigensolver_errors) once, not once per sweep: no operand in it
+    overflows or is NaN, so the state's `invalid` can come only from a solve
+    that does not converge, EigensolverFailure.
     """
     if opts is None:
         opts = PocsOptions()
@@ -306,24 +358,54 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
     threshold = opts.tol_converge * ref_norm
 
     a9 = _require_symmetric(unfold_array(a_ref)).reshape(81)
+
+    def sweep(start):
+        b = _psd_clamp(start.reshape(9, 9)).reshape(81)
+        cur = a9 + 0.5 * (b - b[_SWAP])
+        diff = cur - b
+        in_order = diff[_TENSOR_ORDER]
+        return cur, b, diff, math.sqrt(in_order.dot(in_order))
+
     cur = b = a9
+    gap = math.inf
     gaps: list[float] = []
+    # The slice iterates and residuals (cur - start) of the last kept sweeps.
+    kept_cur: list[np.ndarray] = []
+    kept_res: list[np.ndarray] = []
     verdict = VERDICT_INCONCLUSIVE
     margin = bound = None
     next_try = eps
     stall_run = 0
-    prev_gap = math.inf
-    iterations = 0
+    iterations = solves = 0
     with eigensolver_errors():
-        for iterations in range(1, MAX_SWEEPS + 1):
-            b = _psd_clamp(cur.reshape(9, 9)).reshape(81)
-            cur = a9 + 0.5 * (b - b[_SWAP])
-            diff = cur - b
-            in_order = diff[_TENSOR_ORDER]
-            gap = math.sqrt(in_order.dot(in_order))
+        while solves < MAX_SWEEPS:
+            start = None
+            if stall_run == 0 and len(kept_res) > 1:
+                start = _anderson_start(a9, kept_cur, kept_res)
+            if start is not None:
+                swept = sweep(start)
+                solves += 1
+                if swept[3] > gap:
+                    start = None
+                    kept_cur.clear()
+                    kept_res.clear()
+                    if solves == MAX_SWEEPS:
+                        break
+            if start is None:
+                start = cur
+                swept = sweep(start)
+                solves += 1
+            prev_gap = gap
+            cur, b, diff, gap = swept
+            iterations += 1
             gaps.append(gap)
+            kept_cur.append(cur)
+            kept_res.append(cur - start)
+            if len(kept_res) > MEMORY + 1:
+                del kept_cur[0], kept_res[0]
             if gap <= threshold:
-                verdict = VERDICT_FOUND
+                bound = _mpd_margin(a9, cur, eps) if eps > 0.0 else None
+                verdict = VERDICT_FOUND if bound is None else VERDICT_MARGIN
                 break
             if gap < next_try:
                 bound = _mpd_margin(a9, cur, eps)
@@ -341,7 +423,6 @@ def run_pocs(a: Pair4, opts: PocsOptions | None = None) -> PocsReport:
                     break
             else:
                 stall_run = 0
-            prev_gap = gap
 
     # Both limits, the four numbers and the gaps, scaled back in one call.
     scalars = [ref_norm, threshold, margin or 0.0, bound or 0.0]

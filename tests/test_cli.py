@@ -248,32 +248,32 @@ def test_pocs_inconclusive_is_undecided(tensor_files, monkeypatch, capsys):
 # on x86_64 (the check reports hold case digits, whose last bits follow the
 # BLAS kernels, and oracle digits, which follow the float arithmetic of
 # refine_min). The two-squares check holds one GapPositive stage, pocs-mpd,
-# which ends at its separation proof after 56 sweeps; the isotropic check's
+# which ends at its separation proof after 7 sweeps; the isotropic check's
 # pocs-mpd stage ends MarginProved after 3 sweeps.
 PINNED_REPORTS = {
     ("E", "pocs"): "f348c7b0036963b8a09f85e72f1a415b514cbb9d43f817fc6ef1bdc8a995576e",
     ("E", "check"): "f8442beeaa038c8a47395af6cb3c110b08c7ab792ccc94fa446cec83908730c1",
-    ("counterexample-s2", "pocs"): "d152b912fb8190e6955e5642aa681a755245ce75ca79765cbb6b4ab174d1549e",
-    ("counterexample-s2", "check"): "77499791dae19dacc894ae7353c55b3baf876b815c3ff716cdab1ec8f7c0912b",
+    ("counterexample-s2", "pocs"): "7b6c578b036cac1dd5e9ddaa9df5d82103400bd72ad3af1824a7403c517c5942",
+    ("counterexample-s2", "check"): "ad31972893f3ed6be7642557306f80efa8420e2fbb3d804861a16b8706f22d7c",
     ("isotropic", "pocs"): "ec51704720e12e59c6a455a1172a1b941f02ec61e6f8bd1cdab2a21505dfb1ee",
-    ("isotropic", "check"): "3ddd3d5ec6930187315924485a4ea66fe50e6b202b71db86711bd48fea3427fb",
-    ("random", "check"): "3bd74e6c5fd3ddd9279a5f12b3e0e79fc3dbef32346180bb295489b85f0cbcd7",
+    ("isotropic", "check"): "61b6afb668e2341bab731c38b65fc6e9e18daa4d2497b97dc652259b3f95e69d",
+    ("random", "check"): "2f4060c547519c7939d8fef7752a9ec7f057fe4de9bb1d90c5181d303d56e3f6",
     ("random", "oracle"): "9f7d5cb8f135c0de59610db5d66ad2ff4bdc12f846b1e240db7fe46365d1e30a",
-    ("choi-lam", "check"): "b6d4050514ce74059a17b252520f77cce1a951bd7e4ff48d37ef949611de4c4b",
+    ("choi-lam", "check"): "0d68f0891bb724570acebb0d5372b9cf2f08d79d8fe0b25c283099df4a39bd6b",
     ("choi-lam", "oracle"): "532c4f0551cbab7a33cf35f54ea271a3b6555d113acf5a55d3b85ae60156e5f1",
     ("choi-lam-1.6", "case"): "f46c0293ba763513a592727f861621b59be5d04cbf3032b92e92aa81814d2cdf",
-    ("choi-lam-1.6", "check"): "81bf40cf174bc2684c0120cdb71fc38003928cb908a2abb3e7b1ff8a886e0e8f",
+    ("choi-lam-1.6", "check"): "4eee3d886b8cf2e62b31c74f85fac27393386fc9a86ef9c11e1a321817782bd0",
 }
 # sha256 of each pinned check report without the oracle stage's report and
 # witness_value: every other stage, and the verdict, which must not move
 # when only the oracle's digits do.
 PINNED_CHECK_STAGES = {
     "E": "971c45bdcfd2d515cd9c18938ed45d1b22feaa584c44927daf8621b0afef2267",
-    "counterexample-s2": "8048fc08f0471b2058fb728f33d4d05dbd4ae54e1d94ccba2f96f93bc7d39df2",
-    "isotropic": "993edc292c6aeeda0881a77f7ce07e02d21e0e2dc23b62626f6da7ede15bc405",
-    "random": "ef75c439f56d0bd240004008994a56d3cc3f63dae48a1740475351bbac88dd80",
-    "choi-lam": "d000d347e853d7612f9b3853b9f73ebccc24f55fa652e42b72818f0d1649e2d4",
-    "choi-lam-1.6": "4548d7deb9b41cba4c949d5dae3cf569d71989b91824fa02afc3a1c37142a3f3",
+    "counterexample-s2": "e949c16c029344e5644e63ff7c6e242346c96b2f57e44fb914599b93456bbfb7",
+    "isotropic": "5f2a3ecedf62d9c19edbc874b641e5cf30a96f45117c7530d52e453b3fcd1b07",
+    "random": "33b91f7075111825ac6546929aac2a1fe4b7c8cbc29bf9f947fd6d2b2f38e9f2",
+    "choi-lam": "f2dd99d4de5f58043095711001440c5a5346588ebdbbb3867cc1b1af34f94433",
+    "choi-lam-1.6": "e068347268632a661af8d4db9f0de8ff630efa8d9373e9741fd8e78eca5bcb58",
 }
 # gen arguments of each pinned input, the arguments its commands add, and
 # their exit code. E, two-squares and isotropic scan all lattice rows; the

@@ -83,29 +83,55 @@ def test_project_s_matches_matrix_projection():
     assert np.array_equal(s.a, el.fold(want).a)
 
 
-def _public_sweeps(t, shift, sweeps):
-    """The iterates (cur, b) and gaps of `sweeps` sweeps of project_S / project_T."""
+def _recorded_run(t, opts, monkeypatch):
+    """The report of run_pocs(t, opts) and every sweep of the run, rejected
+    ones included: for each start that the run handed _psd_clamp, scaled
+    back, the (start, cur, b, gap) that project_S / project_T give from it."""
+    kernel, starts = pocs._psd_clamp, []
+
+    def recorded(mat):
+        starts.append(mat.copy())
+        return kernel(mat)
+
+    monkeypatch.setattr(pocs, "_psd_clamp", recorded)
+    rep = el.run_pocs(t, opts)
+    monkeypatch.setattr(pocs, "_psd_clamp", kernel)
+    shift = opts.epsilon_shift
     ref = el.Elast4(t.a - shift * el.tensor_e().a) if shift else t
-    cur, out = ref, []
-    for _ in range(sweeps):
-        b = project_S(cur)
+    e = int(np.frexp(np.abs(ref.a).max())[1])
+    run = []
+    for mat in starts:
+        start = el.fold(np.ldexp(mat, e))
+        b = project_S(start)
         cur = project_T(ref, b)
-        out.append((cur, b, float(np.linalg.norm(cur.a - b.a))))
-    return ref, out
+        run.append((start, cur, b, float(np.linalg.norm(cur.a - b.a))))
+    return rep, ref, run
+
+
+def _kept(run):
+    """The sweeps a run keeps: the first, every one from the last kept
+    iterate, and every one from elsewhere that does not raise the gap."""
+    kept = []
+    for sweep in run:
+        start, _, _, gap = sweep
+        if not kept or np.array_equal(start.a, kept[-1][1].a) or gap <= kept[-1][3]:
+            kept.append(sweep)
+    return kept
 
 
 # (tensor, budget, verdict, sweeps) at each shift: whole runs to either
-# end, and runs cut at a budget of 7 sweeps; None leaves the field unchecked
+# end, and runs cut at a budget of 7 eigensolves; None leaves the field
+# unchecked
 WHOLE_RUNS = {
     0.0: [
-        (el.tensor_two_squares(), pocs.MAX_SWEEPS, el.VERDICT_FOUND, 76),
+        (el.tensor_two_squares(), pocs.MAX_SWEEPS, el.VERDICT_FOUND, 3),
         (el.tensor_choi_lam(1.0), pocs.MAX_SWEEPS, el.VERDICT_GAP, None),
         (el.random_tensor(rng), 7, None, None),
     ],
     1e-6: [
         (el.tensor_isotropic(1.0, 1.0), pocs.MAX_SWEEPS, el.VERDICT_MARGIN, 3),
         (el.tensor_choi_lam(1.0), pocs.MAX_SWEEPS, el.VERDICT_GAP, None),
-        (el.tensor_two_squares(), 7, el.VERDICT_INCONCLUSIVE, 7),
+        (el.tensor_two_squares(), 7, el.VERDICT_INCONCLUSIVE, None),
         (el.random_tensor(rng), 7, None, None),
     ],
 }
@@ -113,18 +139,28 @@ WHOLE_RUNS = {
 
 @pytest.mark.parametrize("shift", [0.0, 1e-6])
 def test_run_pocs_sweeps_are_the_public_projections(shift, monkeypatch):
-    # the sweep on the unfolding gives the numbers of project_S / project_T,
-    # bit for bit, over whole runs
+    # every sweep on the unfolding, from wherever it started, gives the
+    # numbers of project_S / project_T from that start, bit for bit; the
+    # report holds the kept ones, and a start other than the last kept
+    # iterate is an extrapolation
+    extrapolated = 0
     for t, budget, verdict, sweeps in WHOLE_RUNS[shift]:
         monkeypatch.setattr(pocs, "MAX_SWEEPS", budget)
-        rep = el.run_pocs(t, el.PocsOptions(epsilon_shift=shift))
+        rep, _, run = _recorded_run(t, el.PocsOptions(epsilon_shift=shift), monkeypatch)
         assert verdict is None or rep.verdict == verdict
         assert sweeps is None or rep.iterations == sweeps
-        _, run = _public_sweeps(t, shift, rep.iterations)
-        cur, b, _ = run[-1]
+        assert len(run) <= budget
+        kept = _kept(run)
+        _, cur, b, _ = kept[-1]
+        assert rep.iterations == len(kept)
         assert np.array_equal(rep.limit_B.a, b.a)
         assert np.array_equal(rep.limit_A.a, cur.a)
-        assert np.array_equal(rep.gap_trace, [gap for _, _, gap in run])
+        assert np.array_equal(rep.gap_trace, [gap for _, _, _, gap in kept])
+        extrapolated += sum(
+            not np.array_equal(start.a, prev_cur.a)
+            for (start, _, _, _), (_, prev_cur, _, _) in zip(run[1:], run)
+        )
+    assert extrapolated >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +309,25 @@ def _runs_where_the_slice_meets_the_cone():
     yield el.tensor_isotropic(1.0, 1.0), el.PocsOptions(epsilon_shift=1e-6), el.VERDICT_MARGIN
     local = np.random.default_rng(23)
     for _ in range(20):
-        yield el.random_spd_tensor(local), el.PocsOptions(epsilon_shift=1e-6), found
+        t = el.random_spd_tensor(local)
+        yield t, el.PocsOptions(), found
+        # a shifted run tries its margin at the threshold, and proves it
+        yield t, el.PocsOptions(epsilon_shift=1e-6), el.VERDICT_MARGIN
     # run on past its convergence floor, two-squares stalls without a proof
-    # (after 174 sweeps)
+    # (after 54 sweeps)
     opts = el.PocsOptions(tol_converge=1e-16)
     yield el.tensor_two_squares(), opts, el.VERDICT_INCONCLUSIVE
 
 
-def test_no_certificate_verifies_where_the_slice_meets_the_cone():
-    # a verified separator at any sweep of these runs would be a false proof
+def test_no_certificate_verifies_where_the_slice_meets_the_cone(monkeypatch):
+    # a verified separator at any sweep of these runs, kept or rejected,
+    # would be a false proof
     for t, opts, verdict in _runs_where_the_slice_meets_the_cone():
-        rep = el.run_pocs(t, opts)
+        rep, ref, run = _recorded_run(t, opts, monkeypatch)
         assert rep.verdict == verdict
-        ref, run = _public_sweeps(t, opts.epsilon_shift, rep.iterations)
+        assert len(_kept(run)) == rep.iterations
         a9 = el.unfold(ref).reshape(81)
-        for cur, b, _ in run:
+        for _, cur, b, _ in run:
             z = el.unfold(el.Pair4(cur.a - b.a)).reshape(81)
             assert pocs._separation_margin(a9, z) is None
 
@@ -447,6 +487,64 @@ def test_margin_proved_runs_hold_in_exact_arithmetic(name):
     assert _margin_holds_exactly(t.a, 1e-6, rep.limit_A.a, rep.form_lower_bound)
 
 
+def test_a_shifted_run_tries_its_margin_at_the_threshold():
+    # an S-PD tensor converges in one sweep, before its gap is ever below
+    # eps, so only the margin tried at the threshold can prove it
+    local = np.random.default_rng(23)
+    for _ in range(5):
+        t = el.random_spd_tensor(local)
+        rep = el.run_pocs(t, el.PocsOptions(epsilon_shift=1e-6))
+        assert rep.verdict == el.VERDICT_MARGIN
+        assert rep.final_gap <= rep.converge_threshold
+        assert rep.form_lower_bound > 1e-6
+        assert _margin_holds_exactly(t.a, 1e-6, rep.limit_A.a, rep.form_lower_bound)
+
+
+# The oracle's form minima of the first three random tensors of
+# default_rng(0), frozen as GAP_MINIMA are.
+BOUNDARY_MINIMA = (
+    float.fromhex("-0x1.1ff98add671a2p-1"),
+    float.fromhex("-0x1.118942817f661p-1"),
+    float.fromhex("-0x1.4162f4aae305ep-1"),
+)
+
+
+def _boundary_tensor(k, m):
+    """R + c E for the k-th random tensor R of default_rng(0), with c such
+    that the form minimum BOUNDARY_MINIMA[k] + c is m max|R + c E|: the
+    near-boundary class that scripts/bench_layers.py times. The fixed-point
+    iteration for c contracts by |m| per step."""
+    gen = np.random.default_rng(0)
+    r = [el.random_tensor(gen) for _ in range(k + 1)][-1]
+    e, low = el.tensor_e().a, BOUNDARY_MINIMA[k]
+    c = -low
+    for _ in range(8):
+        c = m * float(np.abs(r.a + c * e).max()) - low
+    return el.Elast4(r.a + c * e)
+
+
+def test_boundary_minima_are_the_oracles():
+    gen = np.random.default_rng(0)
+    for value in BOUNDARY_MINIMA:
+        assert abs(el.oracle_verdict(el.random_tensor(gen)).report.min_value - value) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_near_boundary_forms_end_mpd_with_a_proved_margin(k):
+    # at margin 1e-4 of max|a|, plain alternating projections run out of
+    # 20,000 sweeps in both POCS stages before any proof; the extrapolated
+    # sweeps reach one in under 100
+    t = _boundary_tensor(k, 1e-4)
+    rep = el.check(t)
+    assert (rep.verdict, rep.certified_mpd_by) == ("MPD", "pocs-mpd")
+    run = el.certify_mpd(t).report
+    record = next(stage for stage in rep.stages if stage["stage"] == "pocs-mpd")
+    assert record["iterations"] == run.iterations < 100
+    assert record["form_lower_bound"] == run.form_lower_bound
+    assert _margin_holds_exactly(t.a, 1e-6, run.limit_A.a, run.form_lower_bound)
+    assert 0.0 < run.form_lower_bound <= el.oracle_verdict(t).report.min_value
+
+
 def _not_positive():
     yield el.tensor_two_squares()
     yield el.tensor_choi_lam(1.0)
@@ -495,8 +593,8 @@ def test_margin_at_extreme_scales_warns_nothing(scale):
 
 def test_unshifted_reports_keep_their_bytes(monkeypatch):
     # sha256 over the canonical certify_mpsd reports, recorded (numpy 2.4,
-    # OpenBLAS 0.3.31, x86_64) before shifted runs could prove a margin:
-    # unshifted runs never try one. The threshold has no floor, so two of
+    # OpenBLAS 0.3.31, x86_64) with extrapolated sweep starts: unshifted
+    # runs never try a margin, not even at the threshold. The threshold has no floor, so two of
     # the unit-norm random tensors (||A|| = 1 - 2**-53) hold
     # converge_threshold 9.999999999999999e-11
     monkeypatch.setattr(pocs, "_mpd_margin", None)
@@ -512,7 +610,7 @@ def test_unshifted_reports_keep_their_bytes(monkeypatch):
     digest = hashlib.sha256()
     for t in tensors:
         digest.update(el.dumps_report(pocs.pocs_report_to_doc(el.certify_mpsd(t).report)).encode())
-    assert digest.hexdigest() == "ae4aa2c6faa0ce6c1645d193e02b9a8bcb4ee4add74c9bffcbc3e5a3f353118b"
+    assert digest.hexdigest() == "a911d92f1a1eba4bcfd6958fe15b32622c1b13b76b4792815226adc5e5da2cf2"
 
 
 def _report_digest(certify, tensors, verdict):
@@ -526,14 +624,14 @@ def _report_digest(certify, tensors, verdict):
 
 def test_margin_proved_reports_keep_their_bytes():
     # sha256 over the canonical certify_mpd reports, recorded (numpy 2.4,
-    # OpenBLAS 0.3.31, x86_64) while every sweep still validated its iterate
+    # OpenBLAS 0.3.31, x86_64) with extrapolated sweep starts
     tensors = [
         el.tensor_isotropic(lam, mu)
         for lam, mu in ((1.0, 1.0), (-1.9, 1.0), (0.5, 0.3), (-0.5, 0.3), (2.0, 0.2))
     ]
     tensors += [_gap_tensor(seed) for seed in (1, 5, 9)]
     assert _report_digest(el.certify_mpd, tensors, el.VERDICT_MARGIN) == (
-        "31ba536cfc013ac8a35f829227fb192c90d0ac9cd40bc6b1104c464ecb325615"
+        "552288eb317c9da5ebbbf9fb8d46ed24bfc3ef6cec6a0f69e3eae4a76b35fab2"
     )
 
 
@@ -544,7 +642,7 @@ def test_gap_positive_reports_keep_their_bytes():
     tensors += [el.tensor_isotropic(-3.0, 0.1), el.tensor_isotropic(-2.5, 1.0)]
     tensors += [el.random_tensor(local) for _ in range(2)]
     assert _report_digest(el.certify_mpsd, tensors, el.VERDICT_GAP) == (
-        "ca0f26f4e670a5922ed3500517c4689b7c69ce1fad55d8b1d93800183b4888f7"
+        "0d4fffbc626a6efa607b8d1ad656d8cf59c587f335ca7862c50dac430831b34f"
     )
 
 
@@ -554,7 +652,9 @@ def test_gap_positive_reports_keep_their_bytes():
 
 def _sweep_runs():
     """(tensor, options) over shifted and unshifted runs, a Pair4 with a large
-    pair-antisymmetric part, and the scales 2**-900, 1 and 2**900."""
+    pair-antisymmetric part, and the scales 2**-900, 1 and 2**900; and
+    two-squares run on past its convergence floor, where it stalls after 54
+    sweeps."""
     gen = np.random.default_rng(67)
     skewed = el.make_pair4(el.random_tensor(gen).a + 1e3 * _pair_antisymmetric(gen))
     tensors = [el.tensor_two_squares(), el.tensor_choi_lam(1.0), el.tensor_isotropic(-1.9, 1.0)]
@@ -563,6 +663,8 @@ def _sweep_runs():
             scaled = type(t)(np.ldexp(t.a, k))
             for shift in (0.0, 1e-6):
                 yield scaled, el.PocsOptions(epsilon_shift=math.ldexp(shift, k))
+    for k in (-900, 0, 900):
+        yield el.Elast4(np.ldexp(tensors[0].a, k)), el.PocsOptions(tol_converge=1e-16)
 
 
 def test_every_sweep_hands_the_kernel_a_symmetric_finite_matrix(monkeypatch):
@@ -579,7 +681,31 @@ def test_every_sweep_hands_the_kernel_a_symmetric_finite_matrix(monkeypatch):
     sweeps = 0
     for t, opts in _sweep_runs():
         sweeps += el.run_pocs(t, opts).iterations
-    assert len(seen) == sweeps > 500
+    # every kept sweep is one call, and the rejected extrapolations add some
+    assert len(seen) > sweeps > 300
+
+
+def test_no_run_makes_more_eigensolves_than_its_budget(monkeypatch):
+    # MAX_SWEEPS bounds the _psd_clamp calls of a run, rejected extrapolated
+    # sweeps included; iterations counts the kept ones
+    kernel, calls = pocs._psd_clamp, []
+
+    def counted(mat):
+        calls.append(mat)
+        return kernel(mat)
+
+    monkeypatch.setattr(pocs, "_psd_clamp", counted)
+    cut = 0
+    for budget in (1, 2, 5, 8):
+        monkeypatch.setattr(pocs, "MAX_SWEEPS", budget)
+        for t, opts in _sweep_runs():
+            calls.clear()
+            rep = el.run_pocs(t, opts)
+            assert 1 <= rep.iterations <= len(calls) <= budget
+            assert rep.gap_trace.size == rep.iterations
+            # the budget ran out on a rejected extrapolation
+            cut += len(calls) == budget > rep.iterations
+    assert cut > 0
 
 
 def test_the_reference_is_validated_once_per_run(monkeypatch):
@@ -609,14 +735,15 @@ def test_the_reference_is_validated_once_per_run(monkeypatch):
 
 
 def test_a_sweep_eigensolver_failure_is_typed(monkeypatch, tmp_path, capsys):
-    # two-squares takes 76 sweeps, so the 5th eigensolve is a sweep's. It
-    # gets a NaN matrix, on which LAPACK does not converge: the error state
-    # that run_pocs holds around its sweeps turns that into the typed error
+    # two-squares takes 3 sweeps, and the 3rd eigensolve is the sweep from
+    # its first extrapolated start. It gets a NaN matrix, on which LAPACK
+    # does not converge: the error state that run_pocs holds around its
+    # sweeps turns that into the typed error
     eigh, calls = spectral._eigh, []
 
     def flaky(m, vectors=True):
         calls.append(m)
-        if len(calls) == 5:
+        if len(calls) == 3:
             m = np.full_like(m, np.nan)
         return eigh(m, vectors)
 
@@ -626,11 +753,11 @@ def test_a_sweep_eigensolver_failure_is_typed(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(spectral, "_eigh", flaky)
     with pytest.raises(EigensolverFailure, match="did not converge"):
         el.run_pocs(t)
-    assert len(calls) == 5
+    assert len(calls) == 3
     calls.clear()
     assert cli.main(["pocs", "-i", str(path)]) == cli.EXIT_INPUT
     assert "error: symmetric eigensolver failed" in capsys.readouterr().err
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("proofs", ["hold", "fail"])
@@ -684,12 +811,23 @@ def test_eigensolver_failure_is_typed():
 
 def test_stall_without_a_proof_is_inconclusive(monkeypatch):
     monkeypatch.setattr(pocs, "_separation_margin", lambda a9, z: None)
-    rep = el.run_pocs(el.tensor_choi_lam(1.0))
+    rep, _, run = _recorded_run(el.tensor_choi_lam(1.0), el.PocsOptions(), monkeypatch)
     assert rep.verdict == el.VERDICT_INCONCLUSIVE
     assert rep.separation_margin is None
     assert rep.iterations > STALL_WINDOW
     prev, gaps = rep.gap_trace[-STALL_WINDOW - 1 : -1], rep.gap_trace[-STALL_WINDOW:]
     assert np.all(prev - gaps < TOL_STALL * prev)
+    # the sweep after a stalled one starts from its iterate, so the
+    # separation test sees plain alternating projections
+    kept = _kept(run)
+    stalled = {
+        id(sweep)
+        for sweep, (*_, before), (*_, gap) in zip(kept[1:], kept, kept[1:])
+        if before - gap < TOL_STALL * before
+    }
+    followers = [(sweep, after) for sweep, after in zip(run, run[1:]) if id(sweep) in stalled]
+    assert len(followers) >= STALL_WINDOW - 1
+    assert all(np.array_equal(after[0].a, sweep[1].a) for sweep, after in followers)
 
 
 def test_certify_mpsd_ignores_shift_option():
@@ -780,9 +918,10 @@ def test_an_elast4_runs_as_the_pair4_of_its_entries(shift):
         got = el.run_pocs(el.Pair4(t.a), opts)
         assert _report_bits(got) == _report_bits(want)
         verdicts.add(want.verdict)
-    assert el.VERDICT_FOUND in verdicts and el.VERDICT_GAP in verdicts
-    if shift:
-        assert el.VERDICT_MARGIN in verdicts
+    # a shifted run tries its margin at the threshold, so it ends
+    # MarginProved where an unshifted one ends IntersectionFound
+    assert el.VERDICT_GAP in verdicts
+    assert (el.VERDICT_MARGIN if shift else el.VERDICT_FOUND) in verdicts
 
 
 def test_fejer_monotone_random_instances():

@@ -45,11 +45,15 @@ def test_isotropic_sweep_agrees_with_closed_form():
     assert "disagreements with the closed form: 0" in out
 
 
-def test_bench_layers_prints_one_json_object():
+def test_bench_layers_prints_one_json_object(monkeypatch):
     doc = json.loads(run_script("bench_layers.py", "--repeats", "1"))
     assert set(doc["us_per_call"]) == {"psd_project", "min_eigenvalue", "eigenvalue_bounds"}
     assert all(us > 0.0 for us in doc["us_per_call"].values())
+    assert set(doc["pocs"]) == {"us_per_sweep", "us_per_run", "solves_per_run", "sweeps", "runs"}
     assert doc["pocs"]["us_per_sweep"] > 0.0 and doc["pocs"]["sweeps"] >= doc["pocs"]["runs"] == 16
+    assert doc["pocs"]["us_per_run"] > doc["pocs"]["us_per_sweep"]
+    # every kept sweep is one eigensolve, and a rejected extrapolation adds one
+    assert doc["pocs"]["solves_per_run"] >= doc["pocs"]["sweeps"] / doc["pocs"]["runs"]
     cold = {"scan_cold_pruned_us", "scan_cold_full_us", "verdict_cold_us"}
     assert set(doc["oracle"]) == {
         "scan_us", "refine_us", "refine_steps", "refine_calls", "verdict_us"
@@ -72,4 +76,20 @@ def test_bench_layers_prints_one_json_object():
     assert set(doc["io"]) == {"load_us", "emit_us", "files"} and doc["io"]["files"] == 8
     assert doc["io"]["load_us"] > 0.0 and doc["io"]["emit_us"] > 0.0
     assert set(doc["check"]) == {"us"} and doc["check"]["us"] > 0.0
+    margins = {"1e-2", "1e-3", "1e-4", "0", "-1e-3"}
+    assert set(doc["boundary"]) == {"repeats", "tensors"} | margins
+    assert doc["boundary"]["repeats"] == 1 and doc["boundary"]["tensors"] == 3
+    for label in margins:
+        assert set(doc["boundary"][label]) == {"us", "sweeps_per_run", "verdicts"}
+        assert doc["boundary"][label]["us"] > 0.0 and doc["boundary"][label]["sweeps_per_run"] >= 1.0
+    assert doc["boundary"]["1e-4"]["verdicts"] == ["MPD"] * 3
+    assert doc["boundary"]["-1e-3"]["verdicts"] == ["NotMPSD"] * 3
+    # --against compares the new figures; importing the script pins BLAS
+    # to one thread unless the environment says otherwise
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    figures = importlib.import_module("bench_layers").layer_figures(doc)
+    assert {f"check.boundary_{label}_us" for label in margins} <= set(figures)
+    assert {"pocs.us_per_run", "pocs.solves_per_run", "pocs.us_per_sweep"} <= set(figures)
     assert doc["numpy"] == np.__version__ and doc["blas"]["name"]
