@@ -1100,30 +1100,28 @@ def choi_lam_case2_decomposition(gamma: float = 1.0) -> StructuredDecomposition:
 
 
 def case_report_to_doc(rep: CaseReport) -> dict:
-    def arr(x):
-        return None if x is None else np.asarray(x).tolist()
-
+    """The report as JSON values; a non-finite float is written as its repr."""
     doc = {
         "case_id": rep.case_id,
         "verdict": rep.verdict,
         "structure_ok": rep.structure_ok,
-        "sigma": arr(rep.sigma),
+        "sigma": rep.sigma,
         "eta_sup": rep.eta_sup,
-        "eta_argmax": arr(rep.eta_argmax),
+        "eta_argmax": rep.eta_argmax,
         "threshold": rep.threshold,
-        "C_matrix": arr(rep.C_matrix),
+        "C_matrix": rep.C_matrix,
         "boundary": rep.boundary,
-        "diagnostics": _jsonable(rep.diagnostics),
+        "diagnostics": rep.diagnostics,
     }
     if rep.structure is not None:
         doc["structure"] = {
-            "V": arr(rep.structure.V),
-            "W": arr(rep.structure.W),
-            "W_tilde": arr(rep.structure.W_tilde),
-            "W_hat": arr(rep.structure.W_hat),
-            "sigma": arr(rep.sigma),
+            "V": rep.structure.V,
+            "W": rep.structure.W,
+            "W_tilde": rep.structure.W_tilde,
+            "W_hat": rep.structure.W_hat,
+            "sigma": rep.sigma,
         }
-    return doc
+    return _jsonable(doc)
 
 
 def _jsonable(obj):
@@ -1132,9 +1130,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj

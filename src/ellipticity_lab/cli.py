@@ -274,6 +274,12 @@ def _cmd_oracle(args) -> int:
     return EXIT_DECIDED if ov.verdict == oracle.ORACLE_NOT_MPSD else EXIT_UNDECIDED
 
 
+def _g9(x) -> str:
+    """A report number to 9 digits; a string (a non-finite float's repr in a
+    case document) as it is."""
+    return x if isinstance(x, str) else f"{x:.9g}"
+
+
 def _stage_line(s: dict) -> str:
     """One human-readable line for a stage record of pipeline.check."""
     name = s["stage"]
@@ -283,7 +289,7 @@ def _stage_line(s: dict) -> str:
         return f"{name}: skipped ({s['skipped']})"
     if name == "case":
         return f"case {s['case_id']}: {s['verdict']}" + (
-            f" (sup eta {s['eta_sup']:.9g} vs threshold {s['threshold']:.9g})"
+            f" (sup eta {_g9(s['eta_sup'])} vs threshold {_g9(s['threshold'])})"
             if s["eta_sup"] is not None
             else ""
         )

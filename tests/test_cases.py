@@ -10,7 +10,7 @@ import pytest
 
 import ellipticity_lab as el
 from ellipticity_lab import cases
-from ellipticity_lab.cases import _group_shared_v, case_report_to_doc
+from ellipticity_lab.cases import _group_shared_v, _jsonable, case_report_to_doc
 from ellipticity_lab.errors import (
     CaseShapeError,
     DecompositionMismatch,
@@ -1835,6 +1835,21 @@ def test_case_report_doc_serializable():
         el.dumps_report(doc)
         assert doc["verdict"] == rep.verdict
         assert doc["structure"]["V"] is not None
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (np.float64(np.inf), "inf"),
+        (np.array([1.5, np.inf, -np.inf]), [1.5, "inf", "-inf"]),
+        ({"a": (np.float64(2.0), np.array([[np.inf]]))}, {"a": [2.0, [["inf"]]]}),
+    ],
+    ids=["scalar", "array", "nested"],
+)
+def test_jsonable_writes_a_non_finite_numpy_float_as_its_repr(value, want):
+    got = _jsonable(value)
+    assert got == want
+    el.dumps_report(got)
 
 
 def test_ratio_case_diagnostic_keys():

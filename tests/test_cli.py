@@ -425,6 +425,36 @@ def test_an_alpha_that_underflows_is_a_case_mismatch(command, code, verdict, tmp
     assert case["diagnostics"]["reason"] == "coefficients spread past the float range"
 
 
+def _strict_json(text):
+    """The document in text; ValueError on NaN, Infinity or -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("k", [-1070, -1063, -1030, -1000, 0, 1000])
+@pytest.mark.parametrize("command", ["case", "check"])
+def test_a_threshold_past_the_float_range_is_written_as_valid_json(command, k, tmp_path):
+    # Choi-Lam 1 with every alpha times 2^k: for k <= -1025 the threshold
+    # 1 / |alpha_neg| overflows to inf, and --json exited 1 with a
+    # ValueError traceback from the encoder. A child process, so that the
+    # overflow warnings the checker prints on the way stay warnings.
+    dec = el.choi_lam_case2_decomposition(1.0)
+    alphas = np.ldexp(dec.alphas, k)
+    el.save_tensor(tmp_path / "t.json", el.tensor_from_rank_one_terms(alphas, dec.mats))
+    el.save_decomposition(tmp_path / "d.json", alphas, dec.mats)
+    proc = run_cli(
+        command, "-i", str(tmp_path / "t.json"), "--decomp", str(tmp_path / "d.json"), "--json"
+    )
+    assert proc.returncode == cli.EXIT_DECIDED, proc.stderr
+    doc = _strict_json(proc.stdout)
+    assert doc["verdict"] == "MPSD"
+    case = doc if command == "case" else next(s for s in doc["stages"] if s["stage"] == "case")
+    assert case["threshold"] == ("inf" if k <= -1025 else 2.0**-k)
+
+
 def test_case_requires_a_decomposition(tensor_files):
     proc = run_cli("case", "-i", tensor_files["e"], "--json")
     assert proc.returncode == 1
